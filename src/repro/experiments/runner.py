@@ -309,6 +309,15 @@ class ResultCache:
                 self._touch(key, size)
                 self._evict_over_bound()
 
+    def describe(self) -> "dict[str, typing.Any]":
+        """Where the store lives and how it has fared (``/healthz``)."""
+        return {
+            "root": self.root,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed."""
         removed = 0
@@ -417,10 +426,6 @@ def _cancelled_cell(task: Task) -> FailedTask:
     return FailedTask(_task_name(task), "cancelled", cancelled=True)
 
 
-def _run_task(task: Task) -> object:  # worker-side entry point
-    return task.run()
-
-
 def _run_task_timed(task: Task) -> "tuple[float, object]":
     """Worker-side entry point that also reports the task's host seconds."""
     t0 = time.perf_counter()
@@ -448,45 +453,40 @@ def _run_task_failsafe(task: Task) -> "tuple[float, object]":
     return time.perf_counter() - t0, value
 
 
-def _run_task_piped(task: Task, conn, trace_wire: "dict | None" = None) -> None:
-    """Child-process entry point: run one task, ship the result home.
+def _run_task_traced(item: "tuple[typing.Callable, Task, dict]"
+                     ) -> "tuple[float, object, dict]":
+    """Worker-process entry point joining the parent's trace.
 
-    With ``trace_wire`` (a :meth:`Tracer.child_wire` dict) the child
-    joins the parent's trace: it records a ``runner.task`` span around
-    the cell, installs the tracer ambiently (so ``run_app`` deep inside
-    the cell can pick it up without a signature change -- task argument
-    tuples are content-hash cache keys), and ships its span payload home
+    ``item`` is ``(run_one, task, trace_wire)`` -- one argument, so a
+    pool can map it -- with ``run_one`` one of the timed entry points
+    above and ``trace_wire`` a :meth:`Tracer.child_wire` dict.  The
+    worker adopts the wire, installs the tracer ambiently (so
+    ``run_app`` deep inside the cell can pick it up without a signature
+    change -- task argument tuples are content-hash cache keys), records
+    a ``runner.task`` span around the cell, and returns its span payload
     as a third tuple element.
     """
-    if trace_wire is None:
-        dur, value = _run_task_failsafe(task)
-        msg: tuple = (dur, value)
-    else:
-        tracer = Tracer.adopt(trace_wire)
-        with use_tracer(tracer):
-            with tracer.span(f"task {_task_name(task)}", "runner.task"):
-                dur, value = _run_task_failsafe(task)
-        msg = (dur, value, tracer.to_payload())
-    try:
-        conn.send(msg)
-    except Exception as exc:  # e.g. an unpicklable result
-        conn.send((dur, FailedTask(
-            _task_name(task), f"result not picklable: {exc}")))
-    finally:
-        conn.close()
-
-
-def _run_task_timed_traced(item: "tuple[Task, dict]"
-                           ) -> "tuple[float, object, dict]":
-    """Pool worker entry point joining the parent's trace (see above)."""
-    task, trace_wire = item
+    run_one, task, trace_wire = item
     tracer = Tracer.adopt(trace_wire)
     with use_tracer(tracer):
         with tracer.span(f"task {_task_name(task)}", "runner.task"):
-            t0 = time.perf_counter()
-            value = task.run()
-            dur = time.perf_counter() - t0
+            dur, value = run_one(task)
     return dur, value, tracer.to_payload()
+
+
+def _run_task_piped(task: Task, conn, trace_wire: "dict | None" = None) -> None:
+    """Child-process entry point: run one task, ship the result home."""
+    if trace_wire is None:
+        msg: tuple = _run_task_failsafe(task)
+    else:
+        msg = _run_task_traced((_run_task_failsafe, task, trace_wire))
+    try:
+        conn.send(msg)
+    except Exception as exc:  # e.g. an unpicklable result
+        conn.send((msg[0], FailedTask(
+            _task_name(task), f"result not picklable: {exc}")))
+    finally:
+        conn.close()
 
 
 def _progress_done(progress: "SweepProgress | None", dur: float,
@@ -746,8 +746,8 @@ def run_tasks(
                 return pool.imap(_run_task_timed,
                                  [tasks[i] for i in pending], chunksize=1)
             return pool.imap(
-                _run_task_timed_traced,
-                [(tasks[i],
+                _run_task_traced,
+                [(_run_task_timed, tasks[i],
                   tracer.child_wire(f"cell {_task_name(tasks[i])}"))
                  for i in pending], chunksize=1)
 

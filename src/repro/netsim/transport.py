@@ -1,11 +1,11 @@
-"""Length-prefixed TCP framing for the sharded engine's wire protocol.
+"""Length-prefixed stream framing for the sharded engine's wire protocol.
 
-The multi-host shard backend (``shard_backend="socket"``) moves the same
-command/reply tuples the fork backend sends over multiprocessing pipes --
-including the columnar :class:`repro.netsim.wire.Frame` batches -- across
-TCP instead.  A pipe delivers whole messages; a stream socket delivers
-*bytes*, in whatever chunks the kernel feels like.  This module owns
-that gap:
+Every out-of-process shard -- a forked local worker on a socketpair
+(``shard_backend="process"``) or a remote one over TCP
+(``shard_backend="socket"``) -- exchanges command/reply tuples,
+including the columnar :class:`repro.netsim.wire.Frame` batches, with
+its coordinator over a stream socket.  A stream socket delivers *bytes*,
+in whatever chunks the kernel feels like.  This module owns that gap:
 
 * :func:`encode_message` / :class:`FrameDecoder`: every message is one
   ``!I`` length prefix plus a pickled payload.  The decoder is a pure
@@ -69,9 +69,12 @@ __all__ = [
 
 #: Bumped on any incompatible change to the command tuples or framing.
 #: The handshake rejects mismatches before any simulation state moves.
-PROTOCOL_VERSION = 1
+#: 2: ``_ShardTask`` and the hello meta lost ``batch`` (frames are always
+#: columnar).
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct("!I")
+_TIMEVAL = struct.Struct("ll")  # struct timeval, for SO_RCVTIMEO
 #: Upper bound on one message's payload; a corrupt or hostile length
 #: prefix fails fast instead of allocating gigabytes.
 MAX_MESSAGE_BYTES = 1 << 30
@@ -96,10 +99,11 @@ class HandshakeError(TransportError):
 
 @dataclasses.dataclass(frozen=True)
 class TransportOptions:
-    """Resilience knobs for the socket shard backend.
+    """Resilience knobs for out-of-process shard workers.
 
-    ``connect_*`` governs the initial dial (exponential backoff with
-    seeded jitter between attempts).  ``heartbeat_interval`` is how often
+    ``connect_*`` governs the initial dial of a ``"socket"`` worker
+    (exponential backoff with seeded jitter between attempts; a forked
+    ``"process"`` worker is born connected).  ``heartbeat_interval`` is how often
     a worker emits liveness frames while serving a session (negotiated in
     the handshake, so the coordinator's value wins); ``host_timeout`` is
     the coordinator-side deadline -- a shard that produces *no* frame
@@ -222,7 +226,17 @@ class FrameStream:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:  # pragma: no cover - e.g. AF_UNIX socketpair
             pass
+        # The socket stays blocking for its whole life.  Writes must never
+        # see a receive deadline: sendall() on a timed or non-blocking
+        # socket raises as soon as the frame outgrows the free kernel
+        # buffer -- possibly after a partial write that desyncs the
+        # framing -- and a healthy peer would be misdeclared lost (and a
+        # worker's heartbeat thread sends while its command loop
+        # receives).  Receive deadlines are the kernel's (SO_RCVTIMEO),
+        # polls are MSG_DONTWAIT; see :meth:`wait`.
+        sock.settimeout(None)
         self.sock = sock
+        self._rcvtimeo = 0.0  # armed kernel receive timeout; 0 = none
         self.injector = injector
         self._decoder = FrameDecoder()
         self._send_lock = threading.Lock()
@@ -243,14 +257,6 @@ class FrameStream:
             if self.injector is not None:
                 self.injector.before_send(self)
             try:
-                # recv()/try_recv() leave the socket's timeout finite or
-                # zero; sendall() on such a socket raises as soon as the
-                # frame outgrows the free kernel buffer -- possibly after
-                # a partial write that desyncs the framing -- and a
-                # healthy peer would be misdeclared lost.  Writes always
-                # run blocking; the receive paths re-set their own
-                # timeout immediately before every recv() call.
-                self.sock.settimeout(None)
                 self.sock.sendall(data)
             except OSError as exc:
                 raise ConnectionLost(f"send failed: {exc}") from exc
@@ -258,69 +264,70 @@ class FrameStream:
             self.bytes_out += len(data)
 
     # -- receiving ---------------------------------------------------------
-    def recv(self, timeout: "float | None" = None) -> object:
-        """Block for one message; :class:`TransportTimeout` on deadline."""
+    def _pop(self) -> "tuple[bool, object]":
         ok, msg = self._decoder.pop()
         if ok:
             self.frames_in += 1
-            return msg
+        return ok, msg
+
+    def wait(self, timeout: "float | None") -> bool:
+        """One socket read into the decoder, waiting at most ``timeout``
+        (``None`` blocks, ``0.0`` polls); False if nothing arrived.
+
+        The wait is one blocking ``recv()`` bounded by ``SO_RCVTIMEO``,
+        not Python's socket timeout (``poll()`` then ``recv()``): a
+        coordinator that slept in ``poll()`` was descheduled inside its
+        next ``send`` five times as often on the ``halo_sharded``
+        benchmark (3 processes, 2 cores), some 4 % of the job.
+        """
+        flags = 0
+        if timeout == 0.0:
+            flags = socket.MSG_DONTWAIT
+        elif (timeout or 0.0) != self._rcvtimeo:
+            self._rcvtimeo = timeout or 0.0
+            # A zero timeval means "no timeout": round tiny waits up.
+            usec = max(1, int(timeout * 1e6)) if timeout else 0
+            self.sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                _TIMEVAL.pack(*divmod(usec, 1_000_000)))
+        try:
+            data = self.sock.recv(_RECV_CHUNK, flags)
+        except BlockingIOError:
+            return False
+        except OSError as exc:
+            raise ConnectionLost(f"recv failed: {exc}") from exc
+        if not data:
+            raise ConnectionLost("peer closed the connection")
+        self.bytes_in += len(data)
+        self.last_recv = time.monotonic()
+        self._decoder.feed(data)
+        return True
+
+    def recv(self, timeout: "float | None" = None) -> object:
+        """Block for one message; :class:`TransportTimeout` on deadline."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    raise TransportTimeout(
-                        f"no frame within {timeout:.3f}s")
-                self.sock.settimeout(remaining)
-            else:
-                self.sock.settimeout(None)
-            try:
-                data = self.sock.recv(_RECV_CHUNK)
-            except socket.timeout:
-                raise TransportTimeout(
-                    f"no frame within {timeout:.3f}s") from None
-            except OSError as exc:
-                raise ConnectionLost(f"recv failed: {exc}") from exc
-            if not data:
-                raise ConnectionLost("peer closed the connection")
-            self.bytes_in += len(data)
-            self.last_recv = time.monotonic()
-            self._decoder.feed(data)
-            ok, msg = self._decoder.pop()
+            ok, msg = self._pop()
             if ok:
-                self.frames_in += 1
                 return msg
+            remaining = (None if deadline is None
+                         else deadline - time.monotonic())
+            if ((remaining is not None and remaining <= 0.0)
+                    or not self.wait(remaining)):
+                raise TransportTimeout(f"no frame within {timeout:.3f}s")
 
     def try_recv(self) -> "tuple[bool, object]":
         """Drain available bytes without blocking.
 
         Returns ``(True, message)`` if a complete message is now
         buffered, ``(False, None)`` otherwise.  Raises
-        :class:`ConnectionLost` on EOF.  Used by the null-message
-        protocol after a readiness wake-up: a ready socket may hold only
+        :class:`ConnectionLost` on EOF.  A readable socket may hold only
         a heartbeat or half a reply.
         """
-        ok, msg = self._decoder.pop()
-        if ok:
-            self.frames_in += 1
-            return True, msg
         while True:
-            self.sock.settimeout(0.0)
-            try:
-                data = self.sock.recv(_RECV_CHUNK)
-            except (BlockingIOError, socket.timeout):
-                return False, None
-            except OSError as exc:
-                raise ConnectionLost(f"recv failed: {exc}") from exc
-            if not data:
-                raise ConnectionLost("peer closed the connection")
-            self.bytes_in += len(data)
-            self.last_recv = time.monotonic()
-            self._decoder.feed(data)
-            ok, msg = self._decoder.pop()
-            if ok:
-                self.frames_in += 1
-                return True, msg
+            ok, msg = self._pop()
+            if ok or not self.wait(0.0):
+                return ok, msg
 
     # -- teardown ----------------------------------------------------------
     def abort(self) -> None:

@@ -5,12 +5,11 @@ registry with OpenMetrics exposition, fault plans, crash-isolated sweep
 workers, a sharded parallel-DES engine.  This package is the long-running
 front door over all of them: an asyncio HTTP/JSON job server with
 multi-tenant queueing, admission control, single-flight dedupe, a
-sharded result cache, and streamed results.
+bounded result cache, and streamed results.
 
 Start it with ``python -m repro.tools.serve``; see ``docs/service.md``.
 """
 
-from repro.service.cache import CacheLayoutError, ShardedResultCache
 from repro.service.client import Response, ServiceClient, ServiceError
 from repro.service.core import Job, OverlapService
 from repro.service.jobs import (
@@ -24,7 +23,6 @@ from repro.service.server import ServerThread, ServiceHTTPServer
 
 __all__ = [
     "Admission",
-    "CacheLayoutError",
     "Job",
     "OverlapService",
     "QuotaConfig",
@@ -33,7 +31,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceHTTPServer",
-    "ShardedResultCache",
     "Submission",
     "SubmissionError",
     "TenantQueue",

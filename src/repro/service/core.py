@@ -37,9 +37,8 @@ import threading
 import time
 import typing
 
-from repro.experiments.runner import FailedTask, run_tasks
+from repro.experiments.runner import FailedTask, ResultCache, run_tasks
 from repro.metrics import MetricsRegistry, SweepProgress, render_openmetrics
-from repro.service.cache import ShardedResultCache
 from repro.service.jobs import (
     Submission,
     SubmissionError,
@@ -175,7 +174,6 @@ class OverlapService:
     def __init__(
         self,
         cache_root: "str | os.PathLike | None" = None,
-        cache_shards: int = 4,
         workers: int = 2,
         quotas: "QuotaConfig | None" = None,
         metrics_dir: "str | os.PathLike | None" = None,
@@ -197,8 +195,8 @@ class OverlapService:
         self.trace = bool(trace or trace_dir)
         if self.trace_dir:
             os.makedirs(self.trace_dir, exist_ok=True)
-        self.cache = ShardedResultCache(
-            cache_root, shards=cache_shards, max_entries=cache_max_entries,
+        self.cache = ResultCache(
+            cache_root, max_entries=cache_max_entries,
             max_bytes=cache_max_bytes, metrics=self.registry)
         self.queue = TenantQueue(quotas)
         self.workers = workers

@@ -57,11 +57,19 @@ import dataclasses
 import heapq
 import math
 import multiprocessing
+import os
 import random
+import socket
+import sys
+import threading
 import time
+import traceback
 import typing
+from multiprocessing.connection import wait as _wait_readable
 
+from repro.faults.transport import TransportFaultInjected
 from repro.netsim import channel as _ch
+from repro.netsim import transport as _tp
 from repro.netsim import wire as _wire
 from repro.netsim.params import NetworkParams
 
@@ -77,12 +85,13 @@ class ShardError(RuntimeError):
 
 
 class ShardHostLost(ShardError):
-    """A socket shard worker died or went silent mid-run.
+    """An out-of-process shard worker died or went silent mid-run.
 
     Raised by the coordinator within ``host_timeout`` of the last frame
-    from the lost worker (heartbeats count as frames), so the run
-    terminates cleanly inside the configured deadline instead of hanging
-    the fence.  :func:`run_app_sharded` attaches ``diagnostic`` (a
+    from the lost worker (heartbeats count as frames) -- a forked local
+    worker and a remote socket worker alike -- so the run terminates
+    cleanly inside the configured deadline instead of hanging the fence.
+    :func:`run_app_sharded` attaches ``diagnostic`` (a
     :class:`ShardLossDiagnostic` snapshot) and ``partial`` (a progress
     dict usable as a partial report) before the exception escapes.
 
@@ -276,10 +285,6 @@ class _ShardTask:
     #: Optional :meth:`repro.tracing.Tracer.child_wire` dict: the worker
     #: adopts it so its spans join the coordinator's trace.
     trace_wire: "dict | None" = None
-    #: Coalesce cross-shard message lists into columnar wire frames
-    #: (:mod:`repro.netsim.wire`) on the pipe, both directions.  Decoded
-    #: lists are bit-identical to the originals; only pickle cost changes.
-    batch: bool = True
 
 
 class _AdvanceReply(typing.NamedTuple):
@@ -320,7 +325,7 @@ class ShardWorker:
 
     Driven by a coordinator through :meth:`advance` grants; never runs
     past a fence it was not granted.  Usable in-process (``backend=
-    "inline"``) or inside a forked worker (``backend="process"``).
+    "inline"``) or behind :func:`serve_session` in another process.
     """
 
     def __init__(self, task: _ShardTask) -> None:
@@ -460,10 +465,113 @@ class ShardWorker:
         )
 
 
-# -- transports ------------------------------------------------------------
+# -- worker session --------------------------------------------------------
+
+#: How long a fresh session may take to complete the handshake and (for
+#: a dialled worker) receive its task before it is abandoned.
+_SETUP_TIMEOUT = 60.0
+
+
+def _heartbeat_loop(stream: _tp.FrameStream, interval: float,
+                    stop: threading.Event) -> None:
+    while not stop.wait(interval):
+        try:
+            stream.send(("hb",))
+        except Exception:
+            return
+
+
+def serve_session(sock: socket.socket, fault_plan=None,
+                  task: "_ShardTask | None" = None) -> None:
+    """Worker side of one shard session: handshake, task, command loop.
+
+    The only way a coordinator drives an out-of-process shard.  A forked
+    worker (``backend="process"``) runs it on one end of a socketpair
+    with the ``task`` it inherited (apps need not pickle); a
+    :mod:`repro.sim.remote` worker (``backend="socket"``) runs it on an
+    accepted TCP connection and receives the task as the first frame.
+
+    The heartbeat thread starts *before* the shard is built -- liveness
+    frames flow while rank stacks are constructed and while the engine
+    runs long windows, so the coordinator's ``host_timeout`` measures
+    actual silence, not honest work.  ``fault_plan`` (a
+    :class:`repro.faults.TransportFaultPlan`) arms deterministic
+    transport faults on the session's sends.
+    """
+    # The command loop below blocks in recv() with no deadline (a slow
+    # coordinator is healthy); keepalive probes reap the session if the
+    # coordinator host vanishes without a TCP reset, instead of leaking
+    # this thread, the built rank stack, and the heartbeat thread.
+    _tp.enable_keepalive(sock)
+    injector = fault_plan.injector() if fault_plan is not None else None
+    stream = _tp.FrameStream(sock, injector=injector)
+    hb_stop = threading.Event()
+    try:
+        meta = _tp.server_handshake(
+            stream,
+            {"protocol": _tp.PROTOCOL_VERSION, "pid": os.getpid(),
+             "python": sys.version.split()[0]},
+            timeout=_SETUP_TIMEOUT,
+        )
+        if task is None:
+            cmd = stream.recv(timeout=_SETUP_TIMEOUT)
+            if cmd[0] != "task":
+                raise _tp.TransportError(
+                    f"protocol error: expected 'task', got {cmd[0]!r}")
+            task = cmd[1]
+        threading.Thread(
+            target=_heartbeat_loop,
+            args=(stream, float(meta.get("heartbeat_interval", 0.5)),
+                  hb_stop),
+            daemon=True,
+        ).start()
+        worker = ShardWorker(task)
+        stream.send(("ready", worker.next_event()))
+        while True:
+            cmd = stream.recv()
+            op = cmd[0]
+            if op == "advance":
+                reply = worker.advance(cmd[1], _wire.unpack_frame(cmd[2]))
+                stream.send(("reply", reply._replace(
+                    msgs=_wire.pack_frame(reply.msgs))))
+            elif op == "finish":
+                stream.send(("result", worker.finish(cmd[1])))
+                return
+            else:  # "abort"
+                return
+    except (_tp.ConnectionLost, TransportFaultInjected, _tp.HandshakeError):
+        # The coordinator went away, rejected us, or we simulated dying:
+        # from this side there is nobody left to report to.
+        pass
+    except BaseException:
+        try:
+            stream.send(("error", traceback.format_exc()))
+        except Exception:
+            pass
+    finally:
+        hb_stop.set()
+        stream.close()
+
+
+def _forked_session(sock: socket.socket, peer: socket.socket,
+                    task: _ShardTask) -> None:
+    """Entry point of a ``backend="process"`` worker process."""
+    # The coordinator's end came along in the fork; holding it open
+    # would mask the EOF this session relies on to notice the
+    # coordinator dying.
+    peer.close()
+    serve_session(sock, task=task)
+
+
+# -- handles ---------------------------------------------------------------
 
 class _InlineHandle:
-    """Shard driven in the coordinator's own process (tests, debugging)."""
+    """Shard driven in the coordinator's own process (tests, debugging).
+
+    Message lists pass by reference -- no codec, no transport -- which
+    makes this backend the referee the out-of-process differentials
+    compare against.
+    """
 
     def __init__(self, task: _ShardTask) -> None:
         self.worker = ShardWorker(task)
@@ -488,238 +596,139 @@ class _InlineHandle:
         pass
 
 
-def _worker_main(conn, task: _ShardTask) -> None:
-    """Worker-process loop: build the shard, serve coordinator commands."""
-    try:
-        worker = ShardWorker(task)
-        batch = task.batch
-        conn.send(("ready", worker.next_event()))
-        while True:
-            cmd = conn.recv()
-            op = cmd[0]
-            if op == "advance":
-                msgs = _wire.unpack_frame(cmd[2]) if batch else cmd[2]
-                reply = worker.advance(cmd[1], msgs)
-                if batch:
-                    reply = reply._replace(msgs=_wire.pack_frame(reply.msgs))
-                conn.send(("reply", reply))
-            elif op == "finish":
-                conn.send(("result", worker.finish(cmd[1])))
-                return
-            else:  # "abort"
-                return
-    except BaseException:
-        import traceback
+class _SessionHandle:
+    """Shard in another process, driven over one framed session.
 
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
+    The peer runs :func:`serve_session` -- in a child forked here over
+    a socketpair, or on a ``repro.sim.remote`` worker over TCP
+    (:meth:`open` does either).  Everything after the connected socket
+    is obtained is shared: the versioned handshake, the columnar
+    advance/reply frames, and liveness.
 
-
-def _mp_context():
-    """Fork where available (no pickling of app/config), else spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-
-
-class _ProcHandle:
-    """Shard living in a worker process, driven over a pipe."""
-
-    #: No heartbeat machinery: a local child dying surfaces as EOFError
-    #: on the very next read, so the readiness loop never needs a poll
-    #: timeout (``None`` keeps ``mp_wait`` fully blocking).
-    poll_interval: "float | None" = None
-
-    def __init__(self, ctx, task: _ShardTask) -> None:
-        self.batch = task.batch
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(
-            target=_worker_main, args=(child, task), daemon=True
-        )
-        self.proc.start()
-        child.close()
-
-    @property
-    def waitable(self):
-        """What ``multiprocessing.connection.wait`` selects on."""
-        return self.conn
-
-    def begin(self) -> float:
-        return self._expect("ready")
-
-    def advance_async(self, fence: float, msgs: list) -> None:
-        if self.batch:
-            self.conn.send(("advance", fence, _wire.pack_frame(msgs)))
-        else:
-            self.conn.send(("advance", fence, msgs))
-
-    def collect(self) -> _AdvanceReply:
-        reply = self._expect("reply")
-        if self.batch:
-            reply = reply._replace(msgs=_wire.unpack_frame(reply.msgs))
-        return reply
-
-    def collect_ready(self) -> "_AdvanceReply | None":
-        # A readable pipe holds one whole reply (Connection framing), so
-        # the blocking collect returns promptly -- same semantics the
-        # null protocol always had on this backend.
-        return self.collect()
-
-    def check_alive(self) -> None:
-        pass
-
-    def finish(self, final_time: float) -> _ShardResult:
-        self.conn.send(("finish", final_time))
-        return self._expect("result")
-
-    def _expect(self, tag: str):
-        try:
-            msg = self.conn.recv()
-        except EOFError:
-            raise ShardError(
-                f"shard worker pid={self.proc.pid} died without a reply"
-            ) from None
-        if msg[0] == "error":
-            raise ShardError(f"shard worker failed:\n{msg[1]}")
-        if msg[0] != tag:
-            raise ShardError(f"protocol error: expected {tag!r}, got {msg[0]!r}")
-        return msg[1]
-
-    def close(self) -> None:
-        try:
-            self.conn.send(("abort",))
-        except (OSError, ValueError):
-            pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        self.proc.join(timeout=5)
-        if self.proc.is_alive():  # pragma: no cover - crash cleanup
-            self.proc.terminate()
-            self.proc.join()
-
-
-class _SocketHandle:
-    """Shard living on a (possibly remote) worker, driven over TCP.
-
-    Same command protocol as :class:`_ProcHandle`; what is added is
-    liveness.  Every blocking receive is bounded by
-    ``options.host_timeout`` measured from the *last frame of any kind*
-    -- the worker's heartbeat thread keeps that clock moving while the
-    shard computes, so a long engine window does not read as death, but
-    a wedged or vanished host does, within the deadline.  EOF maps to an
-    immediate :class:`ShardHostLost` ("connection-lost"); silence maps
-    to one with "heartbeat-timeout".  The null protocol's readiness loop
-    uses :meth:`collect_ready`, which drains whatever bytes have arrived
-    without blocking -- a ready socket may hold only a heartbeat or half
-    a reply.
+    Every wait is bounded by ``options.host_timeout`` measured from the
+    *last frame of any kind* -- the worker's heartbeat thread keeps that
+    clock moving while the shard computes, so a long engine window does
+    not read as death, but a wedged or vanished worker does, within the
+    deadline.  EOF maps to an immediate :class:`ShardHostLost`
+    ("connection-lost"); silence maps to one with "heartbeat-timeout".
     """
 
-    def __init__(self, task: _ShardTask, host: str, port: int,
-                 options) -> None:
-        from repro.netsim import transport as _tp
-
-        self._tp = _tp
-        self.batch = task.batch
+    def __init__(self, task: _ShardTask, sock: socket.socket, where: str,
+                 options: _tp.TransportOptions,
+                 proc: "multiprocessing.process.BaseProcess | None" = None,
+                 connect_attempts: int = 1) -> None:
         self.shard_id = task.shard_id
-        self.host = host
-        self.port = port
+        self.where = where
         self.options = options
-        #: Readiness-loop poll period: liveness is checked at least this
-        #: often while a shard is busy.
-        self.poll_interval = options.heartbeat_interval
+        self.proc = proc
+        self.connect_attempts = connect_attempts
         self.heartbeats = 0
         #: Columnar payload bytes (both directions) -- the simulation's
         #: own traffic, vs the stream's total byte counters.
         self.payload_bytes = 0
         self.events = 0
         self.busy = 0.0
+        #: Set once this handle has declared its shard lost.
+        self.lost = False
+        self.stream = _tp.FrameStream(sock)
+        try:
+            _tp.client_handshake(
+                self.stream,
+                {
+                    "shard": task.shard_id,
+                    "label": task.label,
+                    "nprocs": task.nprocs,
+                    "ranks": list(task.ranks),
+                    "heartbeat_interval": options.heartbeat_interval,
+                },
+                options.handshake_timeout,
+            )
+            if proc is None:  # a forked child inherited its task
+                self._send(("task", task))
+        except BaseException:
+            # A half-built handle never reaches the caller's cleanup.
+            self.lost = True
+            self.close()
+            raise
+
+    @classmethod
+    def open(cls, task: _ShardTask, target: "tuple[str, int] | None",
+             options: _tp.TransportOptions) -> "_SessionHandle":
+        """Start ``task``'s session: dial the ``(host, port)`` of a
+        running ``repro.sim.remote`` worker, or (``None``) fork a local
+        worker process."""
+        if target is None:
+            methods = multiprocessing.get_all_start_methods()
+            # Fork where available (no pickling of app/config), else spawn.
+            ctx = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn")
+            sock, child = socket.socketpair()
+            proc = ctx.Process(target=_forked_session,
+                               args=(child, sock, task), daemon=True)
+            proc.start()
+            child.close()
+            return cls(task, sock, f"local:{proc.pid}", options, proc=proc)
+        host, port = target
         # Seeded jitter: the retry schedule is reproducible per
         # (run seed, shard), like every other RNG stream in repro.faults.
         rng = random.Random((task.seed << 8) ^ (task.shard_id + 1))
-        sock, self.connect_attempts = _tp.connect_with_retry(
-            host, port, options, rng)
-        self.stream = _tp.FrameStream(sock)
-        self.worker_meta = _tp.client_handshake(
-            self.stream,
-            {
-                "shard": task.shard_id,
-                "label": task.label,
-                "nprocs": task.nprocs,
-                "ranks": list(task.ranks),
-                "batch": task.batch,
-                "heartbeat_interval": options.heartbeat_interval,
-            },
-            options.handshake_timeout,
-        )
-        self._send(("task", task))
-
-    @property
-    def waitable(self):
-        """Raw socket for ``multiprocessing.connection.wait``."""
-        return self.stream.sock
+        sock, attempts = _tp.connect_with_retry(host, port, options, rng)
+        return cls(task, sock, f"{host}:{port}", options,
+                   connect_attempts=attempts)
 
     def _lost(self, reason: str, detail: str) -> ShardHostLost:
-        where = f"{self.host}:{self.port}"
+        self.lost = True
         return ShardHostLost(
-            f"shard {self.shard_id} worker {where} lost ({reason}): "
+            f"shard {self.shard_id} worker {self.where} lost ({reason}): "
             f"{detail}",
-            reason=reason, shard=self.shard_id, host=where,
+            reason=reason, shard=self.shard_id, host=self.where,
         )
 
     def _send(self, msg) -> None:
         try:
             self.stream.send(msg)
-        except self._tp.ConnectionLost as exc:
+        except _tp.ConnectionLost as exc:
             raise self._lost("connection-lost", str(exc)) from exc
 
-    def begin(self) -> float:
-        return self._expect("ready")
+    def _poll(self, tag: str,
+              timeout: float = 0.0) -> "tuple[bool, typing.Any]":
+        """Consume the frames that arrive within ``timeout`` (0: already
+        have).
 
-    def advance_async(self, fence: float, msgs: list) -> None:
-        if self.batch:
-            frame = _wire.pack_frame(msgs)
-            self.payload_bytes += _wire.frame_nbytes(frame)
-            self._send(("advance", fence, frame))
-        else:
-            self._send(("advance", fence, msgs))
+        ``(True, payload)`` once a ``tag`` frame is in, ``(False, None)``
+        when the socket runs dry first -- a readable socket may hold
+        only heartbeats or half a reply.
+        """
+        stream = self.stream
+        try:
+            if timeout:
+                stream.wait(timeout)
+            while True:
+                ok, msg = stream.try_recv()
+                if not ok:
+                    return False, None
+                op = msg[0]
+                if op == "hb":
+                    self.heartbeats += 1
+                elif op == "error":
+                    raise ShardError(f"shard worker failed:\n{msg[1]}")
+                elif op != tag:
+                    raise ShardError(
+                        f"protocol error: expected {tag!r}, got {op!r}")
+                else:
+                    return True, msg[1]
+        except _tp.ConnectionLost as exc:
+            raise self._lost("connection-lost", str(exc)) from exc
 
-    def _adopt_reply(self, reply: _AdvanceReply) -> _AdvanceReply:
-        if self.batch:
-            self.payload_bytes += _wire.frame_nbytes(reply.msgs)
-            reply = reply._replace(msgs=_wire.unpack_frame(reply.msgs))
-        self.events = reply.events
-        self.busy = reply.busy
-        return reply
-
-    def collect(self) -> _AdvanceReply:
-        return self._adopt_reply(self._expect("reply"))
-
-    def collect_ready(self) -> "_AdvanceReply | None":
-        tp = self._tp
-        while True:
-            try:
-                ok, msg = self.stream.try_recv()
-            except tp.ConnectionLost as exc:
-                raise self._lost("connection-lost", str(exc)) from exc
-            if not ok:
-                return None
-            op = msg[0]
-            if op == "hb":
-                self.heartbeats += 1
-                continue
-            if op == "error":
-                raise ShardError(f"shard worker failed:\n{msg[1]}")
-            if op != "reply":
-                raise ShardError(
-                    f"protocol error: expected 'reply', got {op!r}")
-            return self._adopt_reply(msg[1])
+    def _expect(self, tag: str):
+        # Drain before judging liveness: heartbeats queue up unread while
+        # the coordinator waits on *another* shard, and must not read as
+        # silence here.
+        ok, payload = self._poll(tag)
+        while not ok:
+            self.check_alive()
+            ok, payload = self._poll(tag, self.options.heartbeat_interval)
+        return payload
 
     def check_alive(self) -> None:
         silent = time.monotonic() - self.stream.last_recv
@@ -729,44 +738,35 @@ class _SocketHandle:
                 f"no frame for {silent:.1f}s "
                 f"(host_timeout={self.options.host_timeout:.1f}s)")
 
+    def begin(self) -> float:
+        return self._expect("ready")
+
+    def advance_async(self, fence: float, msgs: list) -> None:
+        frame = _wire.pack_frame(msgs)
+        self.payload_bytes += _wire.frame_nbytes(frame)
+        self._send(("advance", fence, frame))
+
+    def _adopt_reply(self, reply: _AdvanceReply) -> _AdvanceReply:
+        self.payload_bytes += _wire.frame_nbytes(reply.msgs)
+        self.events = reply.events
+        self.busy = reply.busy
+        return reply._replace(msgs=_wire.unpack_frame(reply.msgs))
+
+    def collect(self) -> _AdvanceReply:
+        return self._adopt_reply(self._expect("reply"))
+
+    def collect_ready(self) -> "_AdvanceReply | None":
+        ok, reply = self._poll("reply")
+        return self._adopt_reply(reply) if ok else None
+
     def finish(self, final_time: float) -> _ShardResult:
         self._send(("finish", final_time))
         return self._expect("result")
 
-    def _expect(self, tag: str):
-        tp = self._tp
-        options = self.options
-        stream = self.stream
-        while True:
-            remaining = (stream.last_recv + options.host_timeout
-                         - time.monotonic())
-            if remaining <= 0.0:
-                raise self._lost(
-                    "heartbeat-timeout",
-                    f"no frame for {options.host_timeout:.1f}s while "
-                    f"waiting for {tag!r}")
-            try:
-                msg = stream.recv(
-                    timeout=min(remaining, options.heartbeat_interval))
-            except tp.TransportTimeout:
-                continue
-            except tp.ConnectionLost as exc:
-                raise self._lost("connection-lost", str(exc)) from exc
-            op = msg[0]
-            if op == "hb":
-                self.heartbeats += 1
-                continue
-            if op == "error":
-                raise ShardError(f"shard worker failed:\n{msg[1]}")
-            if op != tag:
-                raise ShardError(
-                    f"protocol error: expected {tag!r}, got {op!r}")
-            return msg[1]
-
     def transport_stats(self) -> dict:
         stream = self.stream
         return {
-            "host": f"{self.host}:{self.port}",
+            "host": self.where,
             "connect_attempts": self.connect_attempts,
             "heartbeats": self.heartbeats,
             "frames_out": stream.frames_out,
@@ -777,11 +777,22 @@ class _SocketHandle:
         }
 
     def close(self) -> None:
-        try:
-            self.stream.send(("abort",))
-        except Exception:
-            pass
+        if not self.lost:
+            try:
+                self.stream.send(("abort",))
+            except Exception:
+                pass
         self.stream.close()
+        proc = self.proc
+        if proc is None:
+            return
+        if not self.lost:
+            proc.join(timeout=5)
+        if proc.is_alive():
+            # SIGKILL, not terminate(): a stopped child never sees
+            # SIGTERM, and a lost one has no grace period coming.
+            proc.kill()
+        proc.join()
 
 
 # -- coordinator -----------------------------------------------------------
@@ -1137,25 +1148,17 @@ def _coordinate_null(co: _Coordinator, tracer=None) -> None:
     the coordinator plays the role null messages play in CMB-style
     distributed simulations.
 
-    Works over any handle exposing ``waitable`` (a pipe or a raw socket
-    -- ``multiprocessing.connection.wait`` selects on both).  With pipe
-    handles the wait blocks indefinitely and a readable pipe always
-    yields a whole reply, exactly the old behavior.  Socket handles set
-    ``poll_interval``: the wait then times out at the heartbeat period
-    so liveness is re-checked between replies, a wake-up may carry only
-    a heartbeat (``collect_ready`` returns ``None``), and a shard gone
-    silent raises :class:`ShardHostLost` within ``host_timeout``.
+    Needs :class:`_SessionHandle` shards (the inline backend steps
+    shards sequentially and has nothing to wait on).  The readiness wait
+    times out at the heartbeat period so liveness is re-checked between
+    replies; a wake-up may carry only a heartbeat (``collect_ready``
+    returns ``None``), and a shard gone silent raises
+    :class:`ShardHostLost` within ``host_timeout``.
     """
-    from multiprocessing.connection import wait as mp_wait
-
     handles = co.handles
     n = len(handles)
-    waitables = {id(h.waitable): i for i, h in enumerate(handles)}
-    poll: "float | None" = None
-    for h in handles:
-        hb = h.poll_interval
-        if hb is not None:
-            poll = hb if poll is None else min(poll, hb)
+    shard_by_stream = {id(h.stream): i for i, h in enumerate(handles)}
+    poll = min(h.options.heartbeat_interval for h in handles)
     if tracer is not None:
         ch_fence = tracer.channel("fences", "coord.fence")
         ch_disp = tracer.channel("dispatch", "coord.dispatch")
@@ -1193,22 +1196,22 @@ def _coordinate_null(co: _Coordinator, tracer=None) -> None:
                 raise ShardError("sync stalled: no shard can advance")
             continue
         tw = tracer.now() if tracer is not None else 0.0
-        ready = mp_wait([handles[i].waitable for i in busy], timeout=poll)
+        ready = _wait_readable([handles[i].stream for i in busy],
+                               timeout=poll)
         if tracer is not None:
             ch_wait.append(tw)
             ch_wait.append(tracer.now())
         absorbed = 0
-        for w in ready:
-            shard = waitables[id(w)]
+        for stream in ready:
+            shard = shard_by_stream[id(stream)]
             reply = handles[shard].collect_ready()
             if reply is None:
                 continue
             co.absorb(shard, reply)
             busy.discard(shard)
             absorbed += 1
-        if poll is not None:
-            for i in tuple(busy):
-                handles[i].check_alive()
+        for i in busy:
+            handles[i].check_alive()
         if absorbed:
             co.rounds += 1
 
@@ -1254,22 +1257,25 @@ class ShardedFabricView:
 
 def _diagnose_host_loss(exc: ShardHostLost,
                         co: _Coordinator) -> ShardLossDiagnostic:
-    """Freeze the coordinator's view of every shard at the loss point."""
+    """Freeze the coordinator's view of every shard at the loss point.
+
+    Only :class:`_SessionHandle` shards can be lost, so every handle
+    here is one.
+    """
     fences = co.fences
     shards = []
     for i, h in enumerate(co.handles):
-        stats = (h.transport_stats()
-                 if hasattr(h, "transport_stats") else {})
+        stats = h.transport_stats()
         shards.append({
             "shard": i,
-            "host": stats.get("host", "local"),
+            "host": stats["host"],
             "next_event": co._bounds[i],
             "fence": fences[i],
-            "events": getattr(h, "events", 0),
-            "busy_s": getattr(h, "busy", 0.0),
-            "heartbeats": stats.get("heartbeats", 0),
-            "frames_in": stats.get("frames_in", 0),
-            "frames_out": stats.get("frames_out", 0),
+            "events": h.events,
+            "busy_s": h.busy,
+            "heartbeats": stats["heartbeats"],
+            "frames_in": stats["frames_in"],
+            "frames_out": stats["frames_out"],
             "lost": i == exc.shard,
         })
     return ShardLossDiagnostic(
@@ -1305,7 +1311,6 @@ def run_app_sharded(
     partition: "list[list[int]] | None" = None,
     edges: "typing.Iterable[tuple] | None" = None,
     tracer: "typing.Any | None" = None,
-    batch: bool = True,
     fence_impl: str = "incremental",
     hosts: "typing.Sequence | None" = None,
     transport: "typing.Any | None" = None,
@@ -1316,36 +1321,36 @@ def run_app_sharded(
     forwards here when called with ``shards=N``).  ``params.delivery`` is
     forced to ``"channel"``; results are bit-identical to a single-process
     channel run of the same seed.  ``backend="inline"`` keeps every shard
-    in this process (deterministic and fast to spawn -- the default for
-    tests), ``"process"`` forks one worker per shard.  See the module
-    docstring for the ``sync`` protocols.
+    in this process, passing message lists by reference (deterministic,
+    fast to spawn, no codec -- the default for tests and the referee the
+    other backends are compared against).  ``"process"`` forks one worker
+    per shard; ``"socket"`` drives workers started elsewhere with
+    ``python -m repro.sim.remote --listen`` (possibly on other hosts),
+    ``hosts`` listing their ``"host:port"`` addresses, assigned to shards
+    round-robin.  See the module docstring for the ``sync`` protocols.
+
+    Both out-of-process backends speak one framed session
+    (:func:`serve_session`): each round's cross-shard messages travel as
+    one columnar wire frame (:mod:`repro.netsim.wire`), workers emit
+    heartbeats, and ``transport`` (a
+    :class:`repro.netsim.transport.TransportOptions`) sets the
+    heartbeat/host-timeout policy (plus connect retry for ``"socket"``).
+    A worker that dies or goes silent -- a SIGKILLed or SIGSTOPped fork
+    child as much as a vanished host -- raises :class:`ShardHostLost`
+    (with a :class:`ShardLossDiagnostic` and a partial report attached)
+    within ``host_timeout`` instead of hanging.
 
     ``tracer`` (optional :class:`~repro.tracing.Tracer`) records
     coordinator phase spans (fence recompute, dispatch, reply wait,
     finalize) and per-shard ``shard.advance`` / ``shard.inject`` spans;
-    shard workers join the trace over the existing task pipe and their
-    payloads are absorbed, so the merged Perfetto timeline shows one pid
-    per shard.  Reports stay bit-identical with tracing off.
+    shard workers join the trace through their task and their payloads
+    are absorbed, so the merged Perfetto timeline shows one pid per
+    shard.  Reports stay bit-identical with tracing off.
 
-    High-rank knobs: ``batch`` (default on) coalesces each round's
-    cross-shard message lists into columnar wire frames on the worker
-    pipes -- thousands of per-message pickles collapse to a handful of
-    ``struct`` calls, with decoded lists bit-identical to the originals
-    (no effect under ``backend="inline"``, which passes lists by
-    reference).  ``fence_impl`` selects the coordinator's fence math:
+    ``fence_impl`` selects the coordinator's fence math:
     ``"incremental"`` (default, O(shards) per round) or ``"reference"``
     (the O(shards²) nested-scan formulation, kept for differential tests
     and the before/after benchmark).  Both return identical floats.
-
-    ``backend="socket"`` drives workers started elsewhere with
-    ``python -m repro.sim.remote --listen`` (possibly on other hosts):
-    ``hosts`` lists their ``"host:port"`` addresses, assigned to shards
-    round-robin, and ``transport`` (a
-    :class:`repro.netsim.transport.TransportOptions`) sets connect
-    retry/heartbeat/host-timeout policy.  Results stay bit-identical to
-    the other backends; a worker that dies or goes silent raises
-    :class:`ShardHostLost` (with a :class:`ShardLossDiagnostic` and a
-    partial report attached) within ``host_timeout`` instead of hanging.
     """
     from repro.mpisim.config import MpiConfig
     from repro.runtime.launcher import RunResult, default_xfer_table
@@ -1402,7 +1407,6 @@ def run_app_sharded(
             record_transfers=record_transfers,
             trace_wire=(tracer.child_wire(f"shard {s}")
                         if tracer is not None else None),
-            batch=batch,
         )
         for s, ranks in enumerate(partition)
     ]
@@ -1413,30 +1417,28 @@ def run_app_sharded(
     try:
         if backend == "inline":
             handles = [_InlineHandle(task) for task in tasks]
-        elif backend == "socket":
-            from repro.netsim import transport as _tp
-
-            opts = transport or _tp.TransportOptions()
-            targets = [
-                _tp.parse_hostport(h) if isinstance(h, str)
-                else (str(h[0]), int(h[1]))
-                for h in hosts  # type: ignore[union-attr]
-            ]
-            for i, task in enumerate(tasks):
-                host, port = targets[i % len(targets)]
-                try:
-                    handles.append(_SocketHandle(task, host, port, opts))
-                except _tp.TransportError as exc:
-                    raise ShardError(
-                        f"shard {i} worker {host}:{port}: {exc}"
-                    ) from exc
         else:
-            ctx = _mp_context()
-            handles = [_ProcHandle(ctx, task) for task in tasks]
+            opts = transport or _tp.TransportOptions()
+            # One target per shard: a worker address, or None to fork.
+            targets: list = [None]
+            if backend == "socket":
+                targets = [
+                    _tp.parse_hostport(h) if isinstance(h, str)
+                    else (str(h[0]), int(h[1]))
+                    for h in hosts  # type: ignore[union-attr]
+                ]
+            for i, task in enumerate(tasks):
+                target = targets[i % len(targets)]
+                try:
+                    handles.append(_SessionHandle.open(task, target, opts))
+                except _tp.TransportError as exc:
+                    where = "%s:%d" % target if target else "fork"
+                    raise ShardError(
+                        f"shard {i} worker {where}: {exc}") from exc
         co = _Coordinator(handles, shard_of, params, la,
                           fence_impl=fence_impl)
         try:
-            if sync == "null" and backend in ("process", "socket"):
+            if sync == "null" and backend != "inline":
                 _coordinate_null(co, tracer)
             else:
                 # The inline backend steps shards sequentially, so barrier
@@ -1467,7 +1469,7 @@ def run_app_sharded(
     compute_logs: list = [[] for _ in range(nprocs)]
     transfer_log: "list | None" = [] if record_transfers else None
     tstats = ([h.transport_stats() for h in handles]
-              if backend == "socket" else None)
+              if backend != "inline" else None)
     shard_stats = []
     for res in results:
         for rank in res.ranks:
@@ -1488,10 +1490,8 @@ def run_app_sharded(
         }
         if tstats is not None:
             ts = tstats[res.shard_id]
-            entry["host"] = ts["host"]
-            entry["heartbeats"] = ts["heartbeats"]
-            entry["frames_out"] = ts["frames_out"]
-            entry["frames_in"] = ts["frames_in"]
+            for key in ("host", "heartbeats", "frames_out", "frames_in"):
+                entry[key] = ts[key]
             # Liveness + framing/pickle cost on top of the simulation's
             # own columnar payload -- the transport's overhead share.
             entry["transport_overhead_bytes"] = (
@@ -1525,7 +1525,6 @@ def run_app_sharded(
         "host_elapsed_s": host_elapsed,
         "events": sum(res.events for res in results),
         "busy_s": [res.busy for res in results],
-        "batch": batch,
         "fence_impl": fence_impl,
         "fence_recomputes": co.fence_recomputes,
     }
@@ -1533,11 +1532,8 @@ def run_app_sharded(
         result.sync_stats["transport"] = {
             "hosts": [t["host"] for t in tstats],
             "connect_attempts": [t["connect_attempts"] for t in tstats],
-            "heartbeats": sum(t["heartbeats"] for t in tstats),
-            "frames_out": sum(t["frames_out"] for t in tstats),
-            "frames_in": sum(t["frames_in"] for t in tstats),
-            "bytes_out": sum(t["bytes_out"] for t in tstats),
-            "bytes_in": sum(t["bytes_in"] for t in tstats),
-            "payload_bytes": sum(t["payload_bytes"] for t in tstats),
+            **{key: sum(t[key] for t in tstats)
+               for key in ("heartbeats", "frames_out", "frames_in",
+                           "bytes_out", "bytes_in", "payload_bytes")},
         }
     return result

@@ -3,17 +3,16 @@
 ``python -m repro.sim.remote --listen HOST:PORT`` turns a host into a
 shard worker pool: the coordinator (``run_app_sharded(...,
 backend="socket", hosts=[...])``) dials in, completes the versioned
-handshake, ships a ``_ShardTask``, and then drives the exact same
-advance/reply/finish command loop the fork backend runs over a pipe --
-so results are bit-identical across backends by construction.
+handshake, ships a ``_ShardTask``, and then drives
+:func:`repro.sim.parallel.serve_session` -- the one session loop, the
+same one a forked ``backend="process"`` worker runs over a socketpair --
+so results are bit-identical across backends by construction.  This
+module only gets a connected socket to that loop: the TCP accept loop,
+the CLI, and a localhost worker pool.
 
 Each accepted connection is one *session* serving one shard, handled on
 its own thread; one worker process can therefore host several shards
-(the coordinator assigns hosts round-robin).  A session thread starts a
-heartbeat thread *before* building the shard -- liveness frames flow
-while rank stacks are constructed and while the engine runs long
-windows, so the coordinator's ``host_timeout`` measures actual silence,
-not honest work.
+(the coordinator assigns hosts round-robin).
 
 Trust model: tasks arrive as pickles, i.e. the coordinator runs
 arbitrary code in this process -- the same trust boundary as ``mpirun``
@@ -36,102 +35,13 @@ import sys
 import tempfile
 import threading
 import time
-import traceback
 import typing
 
-from repro.faults.transport import TransportFaultInjected, TransportFaultPlan
-from repro.netsim import wire as _wire
-from repro.netsim.transport import (
-    PROTOCOL_VERSION,
-    ConnectionLost,
-    FrameStream,
-    HandshakeError,
-    TransportError,
-    enable_keepalive,
-    parse_hostport,
-    server_handshake,
-)
+from repro.faults.transport import TransportFaultPlan
+from repro.netsim.transport import TransportError, parse_hostport
+from repro.sim.parallel import serve_session
 
 __all__ = ["LocalWorkerPool", "WorkerServer", "main"]
-
-#: How long a freshly accepted connection may take to complete the
-#: handshake and ship its task before the session is abandoned.
-_SETUP_TIMEOUT = 60.0
-
-
-def _worker_meta() -> dict:
-    return {
-        "protocol": PROTOCOL_VERSION,
-        "pid": os.getpid(),
-        "python": sys.version.split()[0],
-    }
-
-
-def _heartbeat_loop(stream: FrameStream, interval: float,
-                    stop: threading.Event) -> None:
-    while not stop.wait(interval):
-        try:
-            stream.send(("hb",))
-        except Exception:
-            return
-
-
-def _serve_session(sock: socket.socket,
-                   fault_plan: "TransportFaultPlan | None" = None) -> None:
-    """One coordinator connection: handshake, task, command loop."""
-    from repro.sim.parallel import ShardWorker
-
-    # The command loop below blocks in recv() with no deadline (a slow
-    # coordinator is healthy); keepalive probes reap the session if the
-    # coordinator host vanishes without a TCP reset, instead of leaking
-    # this thread, the built rank stack, and the heartbeat thread.
-    enable_keepalive(sock)
-    injector = fault_plan.injector() if fault_plan is not None else None
-    stream = FrameStream(sock, injector=injector)
-    hb_stop = threading.Event()
-    try:
-        meta = server_handshake(stream, _worker_meta(),
-                                timeout=_SETUP_TIMEOUT)
-        interval = float(
-            typing.cast(float, meta.get("heartbeat_interval", 0.5)))
-        cmd = stream.recv(timeout=_SETUP_TIMEOUT)
-        if cmd[0] != "task":
-            raise TransportError(
-                f"protocol error: expected 'task', got {cmd[0]!r}")
-        task = cmd[1]
-        threading.Thread(
-            target=_heartbeat_loop, args=(stream, interval, hb_stop),
-            daemon=True,
-        ).start()
-        worker = ShardWorker(task)
-        batch = task.batch
-        stream.send(("ready", worker.next_event()))
-        while True:
-            cmd = stream.recv()
-            op = cmd[0]
-            if op == "advance":
-                msgs = _wire.unpack_frame(cmd[2]) if batch else cmd[2]
-                reply = worker.advance(cmd[1], msgs)
-                if batch:
-                    reply = reply._replace(msgs=_wire.pack_frame(reply.msgs))
-                stream.send(("reply", reply))
-            elif op == "finish":
-                stream.send(("result", worker.finish(cmd[1])))
-                return
-            else:  # "abort"
-                return
-    except (ConnectionLost, TransportFaultInjected, HandshakeError):
-        # The coordinator went away, rejected us, or we simulated dying:
-        # from this side there is nobody left to report to.
-        pass
-    except BaseException:
-        try:
-            stream.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        hb_stop.set()
-        stream.close()
 
 
 class WorkerServer:
@@ -176,10 +86,13 @@ class WorkerServer:
                     break
                 served += 1
                 thread = threading.Thread(
-                    target=_serve_session, args=(conn, self.fault_plan),
+                    target=serve_session, args=(conn, self.fault_plan),
                     daemon=True,
                 )
                 thread.start()
+                # A serve-forever worker must not keep one Thread object
+                # per session it ever served.
+                self._threads = [t for t in self._threads if t.is_alive()]
                 self._threads.append(thread)
         finally:
             try:

@@ -39,14 +39,13 @@ def make_parser() -> argparse.ArgumentParser:
                         help="concurrent job executions (each job's cells "
                         "run in crash-isolated processes)")
     parser.add_argument("--cache-dir", default=None,
-                        help="sharded result-cache root (default: "
+                        help="result-cache root (default: "
                         "$REPRO_CACHE_DIR or .repro_cache)")
-    parser.add_argument("--cache-shards", type=int, default=4,
-                        help="cache directory shards (hash-prefix keyed)")
     parser.add_argument("--cache-max-entries", type=int, default=None,
-                        help="LRU bound per cache shard (default unbounded)")
+                        help="LRU bound on cached results "
+                        "(default unbounded)")
     parser.add_argument("--cache-max-bytes", type=int, default=None,
-                        help="LRU byte bound per cache shard")
+                        help="LRU byte bound on cached results")
     parser.add_argument("--metrics-dir", default=None,
                         help="publish service + per-job sweep.json/"
                         "metrics.om artifacts here")
@@ -70,7 +69,6 @@ def make_parser() -> argparse.ArgumentParser:
 def build_service(args: argparse.Namespace) -> OverlapService:
     return OverlapService(
         cache_root=args.cache_dir,
-        cache_shards=args.cache_shards,
         workers=args.workers,
         quotas=QuotaConfig(
             max_queued_per_tenant=args.max_queued_per_tenant,

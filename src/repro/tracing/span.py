@@ -21,9 +21,9 @@ Design constraints, in order:
   ``time.time()`` anchor plus a ``perf_counter`` offset, so spans from a
   service worker thread, a crash-isolated sweep cell, and four shard
   workers all land on one comparable timeline.  A child process adopts
-  its parent's trace via a :class:`SpanContext` wire dict (pickled over
-  the existing task pipes -- never via ``Task.args``, which would change
-  content-hash cache keys), records its own spans, and ships its payload
+  its parent's trace via a :class:`SpanContext` wire dict (handed over
+  with the task it is given -- never via ``Task.args``, which would
+  change content-hash cache keys), records its own spans, and ships its payload
   home where :meth:`Tracer.absorb` nests it.
 
 ``repro.tracing.merge`` renders the nested payload tree as one Perfetto

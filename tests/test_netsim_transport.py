@@ -212,7 +212,15 @@ def test_stream_recv_timeout():
         t0 = time.monotonic()
         with pytest.raises(TransportTimeout):
             b.recv(timeout=0.05)
-        assert time.monotonic() - t0 < 5.0
+        assert 0.04 <= time.monotonic() - t0 < 5.0
+        # The deadline is a kernel receive timeout on the socket; a later
+        # deadline-free recv must disarm it and block for as long as it
+        # takes.
+        sender = threading.Thread(
+            target=lambda: (time.sleep(0.2), a.send(("late",))))
+        sender.start()
+        assert b.recv() == ("late",)
+        sender.join(timeout=5.0)
     finally:
         a.close()
         b.close()
@@ -229,14 +237,14 @@ def test_stream_peer_close_is_connection_lost():
 
 
 def test_stream_send_stays_blocking_after_try_recv():
-    """Regression: ``try_recv`` leaves the socket non-blocking, and the
-    null-sync coordinator always sends ``advance`` right after such a
-    drain.  A frame larger than the free kernel send buffer must block
+    """Regression: the null-sync coordinator always sends ``advance``
+    right after a non-blocking ``try_recv`` drain, whose mode must never
+    leak into writes.  A frame larger than the free kernel send buffer must block
     until the peer drains it -- not surface a spurious ConnectionLost
     (and abort a healthy run) via BlockingIOError/socket.timeout."""
     a, b = _stream_pair()
     try:
-        assert a.try_recv() == (False, None)  # socket now non-blocking
+        assert a.try_recv() == (False, None)
         big = ("reply", b"x" * (4 << 20))
         got = []
         reader = threading.Thread(

@@ -416,6 +416,65 @@ def test_retryable_failure_requeues_once_and_succeeds(tmp_path):
         service.shutdown()
 
 
+def _kill_own_worker_once_app(ctx, coordinator_pid, flag_path):
+    """Two halo steps; rank 3's shard worker SIGKILLs itself the first
+    time any run reaches step 1 (the flag file remembers)."""
+    import os as _os
+    import signal as _signal
+
+    peer = ctx.rank ^ 1
+    for step in range(2):
+        if (step == 1 and ctx.rank == 3 and _os.getpid() != coordinator_pid
+                and not _os.path.exists(flag_path)):
+            with open(flag_path, "w", encoding="utf-8") as fh:
+                fh.write("killed once")
+            _os.kill(_os.getpid(), _signal.SIGKILL)
+        r = yield from ctx.comm.irecv(peer, 7)
+        s = yield from ctx.comm.isend(peer, 7, 1024.0)
+        yield from ctx.comm.waitall([r, s])
+    return ctx.rank
+
+
+def _sharded_process_cell(flag_path):
+    import os as _os
+
+    from repro.runtime import run_app
+
+    result = run_app(_kill_own_worker_once_app, 4, shards=2,
+                     shard_backend="process",
+                     app_args=(_os.getpid(), flag_path))
+    return result.returns
+
+
+def test_lost_local_shard_worker_is_retried_and_succeeds(tmp_path):
+    """A process-backend job whose forked shard worker is SIGKILLed
+    fails retryably (``ShardHostLost``), re-queues once, and the re-run
+    completes -- local workers get the same treatment as remote hosts."""
+    import os as _os
+
+    from repro.experiments.runner import Task
+    from repro.service.jobs import Submission
+
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    service.start()
+    try:
+        sub = Submission(tenant="t", kind="nas", priority=0,
+                         label="local-loss", spec={})
+        flag = str(tmp_path / "worker-killed.flag")
+        status, body = service.submit_tasks(
+            sub, [Task(_sharded_process_cell, (flag,))])
+        assert status == 202
+        assert _wait_finished(service, body["job_id"]) == "done"
+        assert _os.path.exists(flag)
+        assert service.jobs[body["job_id"]].describe()["retried"] is True
+        code, result = service.job_result(body["job_id"])
+        assert code == 200
+        assert result["rows"] == [[0, 1, 2, 3]]
+        assert "repro_service_retries_total 1" in service.metrics_text()
+    finally:
+        service.shutdown()
+
+
 def test_retry_budget_is_one(tmp_path):
     """A job that loses its host on the retry too fails for real, with
     the retryable flag surfaced in the failed row."""

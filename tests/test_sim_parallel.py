@@ -13,7 +13,12 @@ configs and seeds.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
+import signal
 import struct
+import threading
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -25,9 +30,10 @@ from repro.mpisim.packets import EagerPacket
 from repro.netsim import channel as ch
 from repro.netsim.differential import assert_sharded_identical, compare_runs
 from repro.netsim.params import NetworkParams
+from repro.netsim.transport import TransportOptions
 from repro.netsim.wire import pack_frame, unpack_frame
 from repro.runtime import run_app
-from repro.sim.parallel import partition_ranks, run_app_sharded
+from repro.sim.parallel import ShardHostLost, partition_ranks, run_app_sharded
 
 _TAG = 61
 
@@ -320,12 +326,37 @@ def test_high_rank_process_backend_matches_single(sync):
     )
 
 
-def test_unbatched_channels_match_single():
-    # The batch=False escape hatch must stay exactly equivalent.
-    assert_sharded_identical(
-        halo_app, 16, 4, backend="process", batch=False,
-        config=mvapich2_like(), app_args=(3, 2048.0, 15.0e-6),
-    )
+@pytest.mark.parametrize("sync", ("window", "null"))
+def test_backends_three_way_bit_identical(sync):
+    # inline hands message lists over by reference (no codec, no
+    # transport); process and socket both speak the framed session.  All
+    # three must agree bit for bit -- with the single-process ground
+    # truth and with each other.
+    from repro.sim.remote import WorkerServer
+
+    kwargs = dict(config=mvapich2_like(), app_args=(3, 2048.0, 15.0e-6))
+    assert_sharded_identical(halo_app, 16, 4, backend="inline", sync=sync,
+                             **kwargs)
+    with WorkerServer() as w0, WorkerServer() as w1:
+        extra = {"inline": {}, "process": {},
+                 "socket": {"shard_hosts": [w0.address, w1.address]}}
+        runs = {
+            backend: run_app(halo_app, 16, shards=4, shard_sync=sync,
+                             shard_backend=backend, **more, **kwargs)
+            for backend, more in extra.items()
+        }
+    inline = runs["inline"]
+    assert "transport" not in inline.sync_stats
+    for backend in ("process", "socket"):
+        other = runs[backend]
+        assert all(d.equal for d in compare_runs(inline, other)), backend
+        assert (other.sync_stats["messages"]
+                == inline.sync_stats["messages"])
+        wire = other.sync_stats["transport"]
+        assert wire["payload_bytes"] > 0 and wire["frames_in"] > 0
+        assert len(wire["hosts"]) == 4
+    assert all(h.startswith("local:")
+               for h in runs["process"].sync_stats["transport"]["hosts"])
 
 
 @settings(max_examples=4, deadline=None,
@@ -409,7 +440,7 @@ def test_halo_cli_plain_run(capsys):
     from repro.experiments import halo
 
     rc = halo.main(["--ranks", "8", "--steps", "2", "--shards", "2",
-                    "--backend", "inline", "--sync", "null", "--no-batch",
+                    "--backend", "inline", "--sync", "null",
                     "--fence-impl", "reference"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -436,3 +467,68 @@ def test_calendar_queue_engages_in_sharded_run(monkeypatch):
     )
     assert any(s["calendar_engagements"] > 0 for s in result.shard_stats)
     assert all(s["heap_high_water"] > 0 for s in result.shard_stats)
+
+
+# ------------------------------------------- fork-worker loss trichotomy
+
+_COORDINATOR_PID = os.getpid()
+
+#: Fast loss detection: frequent heartbeats, short silence budget.
+_FAST = TransportOptions(heartbeat_interval=0.1, host_timeout=1.5)
+
+
+def _self_signalling_app(ctx, signum, victim=5, at_step=2, steps=6):
+    """Halo exchange whose ``victim`` rank signals its own *worker
+    process* at ``at_step`` (never the coordinator's process)."""
+    left, right = (ctx.rank - 1) % ctx.size, (ctx.rank + 1) % ctx.size
+    for step in range(steps):
+        if (step == at_step and ctx.rank == victim
+                and os.getpid() != _COORDINATOR_PID):
+            os.kill(os.getpid(), signum)
+        rl = yield from ctx.comm.irecv(left, _TAG)
+        rr = yield from ctx.comm.irecv(right, _TAG)
+        sl = yield from ctx.comm.isend(left, _TAG, 2048.0)
+        sr = yield from ctx.comm.isend(right, _TAG, 2048.0)
+        yield from ctx.compute(10.0e-6)
+        yield from ctx.comm.waitall([rl, rr, sl, sr])
+    return steps
+
+
+@pytest.mark.parametrize("sync", ("window", "null"))
+@pytest.mark.parametrize("signum,reason", (
+    pytest.param(signal.SIGKILL, "connection-lost", id="sigkill"),
+    pytest.param(signal.SIGSTOP, "heartbeat-timeout", id="sigstop"),
+))
+def test_lost_fork_worker_is_diagnosed_within_deadline(sync, signum, reason):
+    # Right answer or a clean, diagnosed failure inside the deadline:
+    # a killed fork worker reads as EOF at once, a stopped one (its
+    # heartbeat thread stops with it) as silence past host_timeout.
+    threads_before = set(threading.enumerate())
+    t0 = time.monotonic()
+    with pytest.raises(ShardHostLost) as info:
+        run_app(_self_signalling_app, 8, config=mvapich2_like(),
+                app_args=(signum,), shards=2, shard_backend="process",
+                shard_sync=sync, shard_transport=_FAST)
+    elapsed = time.monotonic() - t0
+    exc = info.value
+    assert exc.reason == reason
+    assert exc.retryable is True
+    assert exc.shard == 1 and exc.host.startswith("local:")
+    assert elapsed < _FAST.host_timeout + 2.0
+    if signum == signal.SIGKILL:
+        assert elapsed < _FAST.host_timeout  # EOF beats the deadline
+    assert [s["lost"] for s in exc.diagnostic.shards] == [False, True]
+    assert exc.diagnostic.reason == reason
+    assert exc.partial["lost_shard"] == 1
+    assert "[LOST]" in exc.diagnostic.render_text()
+    # Nothing left behind: the stopped child was killed and reaped.
+    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) <= threads_before
+
+
+def test_healthy_fork_workers_are_reaped():
+    result = run_app(halo_app, 8, config=mvapich2_like(),
+                     app_args=(2, 2048.0, 10.0e-6), shards=2,
+                     shard_backend="process", shard_transport=_FAST)
+    assert multiprocessing.active_children() == []
+    assert all(s["host"].startswith("local:") for s in result.shard_stats)

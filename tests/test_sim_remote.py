@@ -7,7 +7,7 @@ their own threads) and checks the coordinator-side contract of
 
 * results are **bit-identical** to the single-process ground truth under
   both synchronization protocols -- the same differential referee the
-  fork backend passes;
+  fork backend (same session protocol, over a socketpair) passes;
 * a worker that dies mid-run (deterministic ``drop-after`` fault) fails
   the run with :class:`ShardHostLost` *immediately* -- reason
   ``connection-lost`` -- never a hang;
@@ -33,6 +33,7 @@ from repro.mpisim.config import mvapich2_like
 from repro.netsim.differential import assert_sharded_identical
 from repro.netsim.transport import (
     PROTOCOL_VERSION,
+    ConnectionLost,
     FrameStream,
     HandshakeError,
     TransportOptions,
@@ -140,6 +141,36 @@ def test_host_loss_carries_diagnostic_and_partial():
     assert len(partial["shards"]) == 2
 
 
+def _slow_first_shard_app(ctx, stall_s):
+    """One ring exchange; rank 0's shard burns ``stall_s`` of *wall*
+    time first (its heartbeat thread keeps beating meanwhile)."""
+    if ctx.rank == 0:
+        time.sleep(stall_s)
+    left, right = (ctx.rank - 1) % ctx.size, (ctx.rank + 1) % ctx.size
+    r = yield from ctx.comm.irecv(left, 5)
+    s = yield from ctx.comm.isend(right, 5, 1024.0)
+    yield from ctx.comm.waitall([r, s])
+    return ctx.rank
+
+
+@pytest.mark.parametrize("backend", ("process", "socket"))
+def test_waiting_on_a_slow_shard_does_not_condemn_the_others(backend):
+    # Window sync collects shard 0 first.  While that takes longer than
+    # host_timeout, shard 1's heartbeats queue up unread -- they must be
+    # drained before its silence is judged, or a healthy worker is
+    # declared lost.
+    tight = TransportOptions(heartbeat_interval=0.05, host_timeout=0.5)
+    with WorkerServer() as worker:
+        result = run_app(
+            _slow_first_shard_app, 4, app_args=(1.2,), shards=2,
+            shard_sync="window", shard_backend=backend,
+            shard_hosts=[worker.address] if backend == "socket" else None,
+            shard_transport=tight,
+        )
+    assert result.returns == [0, 1, 2, 3]
+    assert result.sync_stats["transport"]["heartbeats"] >= 10
+
+
 # ------------------------------------------------------- handshake + dialing
 
 def test_worker_rejects_version_mismatch():
@@ -161,6 +192,58 @@ def test_worker_rejects_version_mismatch():
             assert meta["protocol"] == PROTOCOL_VERSION
         finally:
             stream.close()
+
+
+def test_rejected_handshake_closes_the_dialled_socket():
+    # The half-built handle never reaches run_app_sharded's cleanup, so
+    # its constructor must close the connected stream itself.
+    import socket as _socket
+    import threading
+
+    srv = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    host, port = srv.getsockname()[:2]
+    saw_eof = threading.Event()
+
+    def rejecting_worker():
+        conn, _addr = srv.accept()
+        stream = FrameStream(conn)
+        stream.recv(timeout=5.0)  # the hello
+        stream.send(("reject", PROTOCOL_VERSION + 1, "not today"))
+        try:
+            stream.recv(timeout=5.0)
+        except ConnectionLost:
+            saw_eof.set()
+        finally:
+            stream.close()
+
+    thread = threading.Thread(target=rejecting_worker, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(ShardError, match="rejected") as info:
+            _run_socket([f"{host}:{port}"])
+        assert saw_eof.wait(5.0), "coordinator leaked the rejected socket"
+        assert isinstance(info.value.__cause__, HandshakeError)
+    finally:
+        thread.join(timeout=5.0)
+        srv.close()
+
+
+def test_worker_server_prunes_finished_session_threads():
+    # A serve-forever worker must not grow one Thread per session served.
+    with WorkerServer() as worker:
+        for _ in range(12):
+            sock, _ = connect_with_retry(worker.host, worker.port, _FAST)
+            stream = FrameStream(sock)
+            client_handshake(stream, {"shard": 0}, timeout=5.0)
+            stream.close()
+            deadline = time.monotonic() + 5.0
+            while (any(t.is_alive() for t in worker._threads)
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            assert len(worker._threads) == 1
+        assert not any(t.is_alive() for t in worker._threads)
 
 
 def test_unreachable_host_is_shard_error():

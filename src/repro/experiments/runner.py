@@ -5,9 +5,9 @@ Every figure in the paper's evaluation is a sweep over independent points
 is a pure function of its configuration -- the simulator is deterministic
 -- so two orthogonal speedups apply:
 
-* **fan-out**: independent points run concurrently on a
-  :mod:`multiprocessing` pool, with results returned in task order so a
-  parallel sweep is indistinguishable from a serial one;
+* **fan-out**: independent points run concurrently on long-lived
+  worker processes, with results returned in task order so a parallel
+  sweep is indistinguishable from a serial one;
 * **memoisation**: a point's result is stored on disk under a content
   hash of everything that determines it (function identity, arguments,
   configuration dataclasses, the transfer-time table).  Re-rendering a
@@ -340,51 +340,6 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
-# Persistent worker pool, shared across run_tasks / overlap_sweep_parallel
-# calls within one process.  A CLI invocation typically renders several
-# figures back to back, each a sweep of its own; spinning a fresh pool per
-# sweep pays process fork + interpreter/import startup every time, which
-# for cached-or-small sweeps dominates the sweep itself (see
-# ``benchmarks/test_sweep_startup.py``).  The pool is keyed by its worker
-# count: asking for a different ``jobs`` value retires the old pool.
-_shared_pool: "multiprocessing.pool.Pool | None" = None
-_shared_pool_procs = 0
-#: Pools ever constructed by :func:`_get_shared_pool` (startup-overhead
-#: observability; the paired benchmark asserts reuse through this).
-pool_spawns = 0
-
-
-def _get_shared_pool(processes: int) -> "multiprocessing.pool.Pool":
-    """Return the process-wide pool, (re)building it if the size changed."""
-    global _shared_pool, _shared_pool_procs, pool_spawns
-    if _shared_pool is not None and _shared_pool_procs == processes:
-        return _shared_pool
-    shutdown_shared_pool()
-    _shared_pool = multiprocessing.get_context().Pool(processes=processes)
-    _shared_pool_procs = processes
-    pool_spawns += 1
-    return _shared_pool
-
-
-def shutdown_shared_pool() -> None:
-    """Terminate the shared worker pool (no-op when none is alive).
-
-    Registered via :mod:`atexit`; call it explicitly to reclaim the
-    workers early (e.g. at the end of a long-lived service's sweep phase)
-    or after a worker-side crash left the pool in a doubtful state.
-    """
-    global _shared_pool, _shared_pool_procs
-    pool = _shared_pool
-    _shared_pool = None
-    _shared_pool_procs = 0
-    if pool is not None:
-        pool.terminate()
-        pool.join()
-
-
-atexit.register(shutdown_shared_pool)
-
-
 @dataclasses.dataclass
 class FailedTask:
     """Placeholder result for a sweep point whose worker raised or died.
@@ -426,67 +381,183 @@ def _cancelled_cell(task: Task) -> FailedTask:
     return FailedTask(_task_name(task), "cancelled", cancelled=True)
 
 
-def _run_task_timed(task: Task) -> "tuple[float, object]":
-    """Worker-side entry point that also reports the task's host seconds."""
-    t0 = time.perf_counter()
-    value = task.run()
-    return time.perf_counter() - t0, value
-
-
 def _task_name(task: Task) -> str:
     fn = getattr(task.fn, "__name__", str(task.fn)).lstrip("_")
     return f"{fn}{task.args[:2]!r}" if task.args else fn
 
 
-def _run_task_failsafe(task: Task) -> "tuple[float, object]":
-    """Run one task, converting any exception into a :class:`FailedTask`."""
+def _run_task(task: Task, failsafe: bool, tracer: "Tracer | None" = None
+              ) -> "tuple[float, object, Exception | None]":
+    """Run one task; returns ``(host seconds, value, exception)``.
+
+    ``failsafe`` turns an exception into a :class:`FailedTask` value
+    (returned next to the exception itself); otherwise it propagates.
+    With a ``tracer`` the cell runs inside a ``runner.task`` span with
+    the tracer installed ambiently, so ``run_app`` deep inside the cell
+    picks it up without a signature change -- task argument tuples are
+    content-hash cache keys.
+    """
+    if tracer is not None:
+        with use_tracer(tracer), \
+                tracer.span(f"task {_task_name(task)}", "runner.task"):
+            return _run_task(task, failsafe)
     t0 = time.perf_counter()
     try:
-        value: object = task.run()
-    except Exception as exc:
+        value, exc = task.run(), None
+    except Exception as caught:
+        if not failsafe:
+            raise
+        exc = caught
         value = FailedTask(
             _task_name(task),
             f"{type(exc).__name__}: {exc}",
             traceback.format_exc(),
             retryable=bool(getattr(exc, "retryable", False)),
         )
-    return time.perf_counter() - t0, value
+    return time.perf_counter() - t0, value, exc
 
 
-def _run_task_traced(item: "tuple[typing.Callable, Task, dict]"
-                     ) -> "tuple[float, object, dict]":
-    """Worker-process entry point joining the parent's trace.
+def _worker_main(conn: "multiprocessing.connection.Connection",
+                 parent_end: "multiprocessing.connection.Connection") -> None:
+    """Worker process: serve ``(task, trace_wire)`` requests until EOF.
 
-    ``item`` is ``(run_one, task, trace_wire)`` -- one argument, so a
-    pool can map it -- with ``run_one`` one of the timed entry points
-    above and ``trace_wire`` a :meth:`Tracer.child_wire` dict.  The
-    worker adopts the wire, installs the tracer ambiently (so
-    ``run_app`` deep inside the cell can pick it up without a signature
-    change -- task argument tuples are content-hash cache keys), records
-    a ``runner.task`` span around the cell, and returns its span payload
-    as a third tuple element.
+    Each request is answered with ``(host seconds, value, exception,
+    span payload)``; ``trace_wire`` (a :meth:`Tracer.child_wire` dict or
+    ``None``) makes the cell join the parent's trace.  The loop ends when
+    every parent end of the pipe is closed -- the parent retired this
+    worker or vanished -- so the inherited copy of it goes first.
     """
-    run_one, task, trace_wire = item
-    tracer = Tracer.adopt(trace_wire)
-    with use_tracer(tracer):
-        with tracer.span(f"task {_task_name(task)}", "runner.task"):
-            dur, value = run_one(task)
-    return dur, value, tracer.to_payload()
-
-
-def _run_task_piped(task: Task, conn, trace_wire: "dict | None" = None) -> None:
-    """Child-process entry point: run one task, ship the result home."""
-    if trace_wire is None:
-        msg: tuple = _run_task_failsafe(task)
-    else:
-        msg = _run_task_traced((_run_task_failsafe, task, trace_wire))
+    parent_end.close()
     try:
-        conn.send(msg)
-    except Exception as exc:  # e.g. an unpicklable result
-        conn.send((msg[0], FailedTask(
-            _task_name(task), f"result not picklable: {exc}")))
+        while True:
+            task, trace_wire = conn.recv()
+            tracer = Tracer.adopt(trace_wire) if trace_wire is not None else None
+            dur, value, exc = _run_task(task, True, tracer)
+            spans = tracer.to_payload() if tracer is not None else None
+            try:
+                conn.send((dur, value, exc, spans))
+            except Exception as unsendable:  # pickling failed: nothing was written
+                if not isinstance(value, FailedTask):
+                    value = FailedTask(_task_name(task),
+                                       f"result not picklable: {unsendable}")
+                conn.send((dur, value, None, spans))
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass
     finally:
-        conn.close()
+        _WORKERS.shutdown()  # workers of its own, if a cell fanned out
+
+
+class _Worker(typing.NamedTuple):
+    proc: "multiprocessing.process.BaseProcess"
+    conn: "multiprocessing.connection.Connection"  # the parent end
+
+
+class _WorkerSet:
+    """The process-wide set of long-lived, individually supervised workers.
+
+    Every out-of-process :func:`run_tasks` call -- ``jobs > 1`` or
+    ``isolate=True``, from any thread -- borrows idle workers from here
+    and returns the healthy ones, so process fork and the first-cell
+    import/memo warm-up are paid once per worker, not once per cell or
+    sweep.  A worker whose cell raised, was cancelled or died is retired
+    (terminated *and joined*) and never reused: its state is no longer
+    trusted, and a replacement is forked on demand.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._live: "set[_Worker]" = set()  # idle or borrowed
+        self._idle: "list[_Worker]" = []
+        #: Workers ever forked / retired by cause (``/v1/metrics``).
+        self.stats = {"spawns": 0, "crash": 0, "cancel": 0, "raised": 0}
+
+    def borrow(self) -> _Worker:
+        """The most recently used idle worker, or a newly forked one."""
+        with self._lock:
+            while self._idle:
+                worker = self._idle.pop()
+                if worker.proc.is_alive():
+                    return worker
+                self._live.discard(worker)  # died idle (OOM kill, signal)
+                self.stats["crash"] += 1
+                worker.conn.close()
+            ctx = multiprocessing.get_context()
+            conn, child_conn = ctx.Pipe()
+            # Non-daemonic: a cell may itself fork (the sharded engine
+            # runs one process per shard), which daemonic processes are
+            # forbidden to do.  Forked under the lock, so the child's
+            # _forget_inherited_workers sees every sibling's parent end.
+            proc = ctx.Process(target=_worker_main, args=(child_conn, conn))
+            proc.start()
+            child_conn.close()
+            worker = _Worker(proc, conn)
+            self._live.add(worker)
+            self.stats["spawns"] += 1
+            return worker
+
+    def release(self, worker: _Worker) -> None:
+        """Return a worker whose cell completed cleanly to the idle set."""
+        with self._lock:
+            if worker in self._live:  # else shutdown() already killed it
+                self._idle.append(worker)
+
+    def retire(self, worker: _Worker, cause: str) -> "int | None":
+        """Terminate and join a borrowed worker; returns its exit code."""
+        with self._lock:
+            if worker in self._live:
+                self._live.discard(worker)
+                self.stats[cause] += 1
+        worker.proc.terminate()
+        worker.proc.join()  # always: an unjoined child stays a zombie
+        worker.conn.close()
+        return worker.proc.exitcode
+
+    def shutdown(self) -> None:
+        with self._lock:
+            doomed, idle = list(self._live), set(self._idle)
+            self._live.clear()
+            self._idle.clear()
+        for worker in doomed:
+            worker.proc.terminate()
+            worker.proc.join()
+            if worker in idle:  # a borrower closes its own (it may be polling it)
+                worker.conn.close()
+
+
+_WORKERS = _WorkerSet()
+
+
+def _forget_inherited_workers() -> None:
+    """In a forked child: drop the parent's worker set.
+
+    The child's copies of the parent ends must be closed, or a worker
+    would not see EOF -- not exit on its own, even with the parent long
+    gone -- while any sibling forked after it is alive.
+    """
+    global _WORKERS
+    for worker in _WORKERS._live:
+        worker.conn.close()
+    _WORKERS = _WorkerSet()
+
+
+os.register_at_fork(after_in_child=_forget_inherited_workers)
+
+
+def worker_stats() -> "dict[str, int]":
+    """Process-wide counters: ``spawns``, and ``crash`` / ``cancel`` / ``raised`` retirements."""
+    return dict(_WORKERS.stats)
+
+
+def shutdown_shared_pool() -> None:
+    """Kill every worker process (no-op when none is alive).
+
+    Registered via :mod:`atexit`; call it explicitly to reclaim the
+    workers early.  Cells in flight on another thread fail as worker deaths.
+    """
+    _WORKERS.shutdown()
+
+
+atexit.register(shutdown_shared_pool)
 
 
 def _progress_done(progress: "SweepProgress | None", dur: float,
@@ -499,108 +570,90 @@ def _progress_done(progress: "SweepProgress | None", dur: float,
         progress.task_done(dur, name=_task_name(task))
 
 
-def _run_pending_resilient(
+def _run_on_workers(
     tasks: "list[Task]",
     pending: "list[int]",
     jobs: int,
     progress: "SweepProgress | None",
-    cancel: "typing.Any | None" = None,
-    tracer: "Tracer | None" = None,
+    cancel: "typing.Any | None",
+    tracer: "Tracer | None",
+    on_error: str,
 ) -> "list[tuple[float, object]]":
-    """Fan tasks across one process *each* (at most ``jobs`` at a time).
+    """Fan tasks across at most ``jobs`` borrowed worker processes.
 
-    Unlike a shared :class:`multiprocessing.pool.Pool`, a worker that dies
-    outright -- segfault, OOM kill, ``os._exit`` -- takes only its own
-    cell with it: the broken pipe surfaces as an ``EOFError`` on the
-    parent's end and the cell becomes a :class:`FailedTask` carrying the
-    exit code, while every other point proceeds.  Results are slotted
-    positionally, so ordering stays deterministic.
-
-    ``cancel`` (any object with ``is_set()``) is polled between launches
-    and while draining: once set, no new worker starts, every in-flight
-    worker is terminated *and joined*, and the untouched cells resolve to
-    cancelled :class:`FailedTask` placeholders.
+    The out-of-process half of :func:`run_tasks` (which documents the
+    failure and cancel policies).  A worker that dies outright --
+    segfault, OOM kill, ``os._exit`` -- surfaces as ``EOFError`` on the
+    parent's end of its pipe and takes only its in-flight cell with it.
+    Results are slotted positionally, so ordering stays deterministic,
+    and no path leaves a borrowed worker running.
     """
-    ctx = multiprocessing.get_context()
-    timed: "list[tuple[float, object] | None]" = [None] * len(pending)
-    inflight: dict = {}  # parent conn -> (slot, task index, process, start)
+    timed: "list[typing.Any]" = [None] * len(pending)  # (seconds, value)
+    inflight: "dict[object, tuple[int, _Worker, float]]" = {}  # by parent conn
     next_slot = 0
 
-    def _is_cancelled() -> bool:
-        return cancel is not None and cancel.is_set()
+    def settle(slot: int, dur: float, value: object) -> None:
+        timed[slot] = (dur, value)
+        _progress_done(progress, dur, tasks[pending[slot]], value)
 
     try:
         while next_slot < len(pending) or inflight:
-            if _is_cancelled():
-                # Kill in-flight workers (terminate + join: no orphans,
-                # no zombies) and mark every unfinished cell cancelled.
-                for conn, (slot, i, proc, t0) in inflight.items():
-                    proc.terminate()
-                    proc.join()
-                    conn.close()
-                    timed[slot] = (time.perf_counter() - t0,
-                                   _cancelled_cell(tasks[i]))
-                    _progress_done(progress, timed[slot][0], tasks[i],
-                                   timed[slot][1])
+            if cancel is not None and cancel.is_set():
+                if on_error == "raise":
+                    raise SweepCancelled(
+                        f"sweep cancelled after {next_slot - len(inflight)} "
+                        f"of {len(pending)} pending tasks")
+                for slot, worker, t0 in inflight.values():
+                    _WORKERS.retire(worker, "cancel")
+                    settle(slot, time.perf_counter() - t0,
+                           _cancelled_cell(tasks[pending[slot]]))
                 inflight.clear()
                 for slot in range(next_slot, len(pending)):
-                    i = pending[slot]
-                    timed[slot] = (0.0, _cancelled_cell(tasks[i]))
-                    _progress_done(progress, 0.0, tasks[i], timed[slot][1])
-                next_slot = len(pending)
+                    settle(slot, 0.0, _cancelled_cell(tasks[pending[slot]]))
                 break
             while next_slot < len(pending) and len(inflight) < jobs:
-                i = pending[next_slot]
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                # Non-daemonic: a cell may itself fork (the sharded
-                # parallel-DES engine runs one process per shard), which
-                # daemonic processes are forbidden to do.  The ``finally``
-                # below terminates + joins whatever is still in flight, so
-                # no path leaks a child.
-                wire = (tracer.child_wire(f"cell {_task_name(tasks[i])}")
+                task = tasks[pending[next_slot]]
+                wire = (tracer.child_wire(f"cell {_task_name(task)}")
                         if tracer is not None else None)
-                proc = ctx.Process(
-                    target=_run_task_piped,
-                    args=(tasks[i], child_conn, wire),
-                )
-                proc.start()
-                child_conn.close()
-                inflight[parent_conn] = (next_slot, i, proc, time.perf_counter())
+                worker = _WORKERS.borrow()
+                inflight[worker.conn] = (next_slot, worker, time.perf_counter())
                 next_slot += 1
+                try:
+                    worker.conn.send((task, wire))
+                except OSError:
+                    pass  # it died this instant: the EOF below reports it
             # Poll with a timeout when cancellable so a cancel fired
             # mid-cell is noticed promptly, not at the next completion.
-            ready = multiprocessing.connection.wait(
-                list(inflight), timeout=0.05 if cancel is not None else None
-            )
-            for conn in ready:
-                slot, i, proc, t0 = inflight.pop(conn)
+            for conn in multiprocessing.connection.wait(
+                    list(inflight), timeout=0.05 if cancel is not None else None):
+                slot, worker, t0 = inflight.pop(conn)
                 try:
-                    msg = conn.recv()
-                    dur, value = msg[0], msg[1]
-                    if tracer is not None and len(msg) > 2:
-                        tracer.absorb(msg[2])
-                except EOFError:
-                    # The worker died before reporting.
-                    proc.join()
-                    dur = time.perf_counter() - t0
+                    dur, value, exc, spans = worker.conn.recv()
+                except (EOFError, OSError):  # died before reporting
+                    exitcode = _WORKERS.retire(worker, "crash")
+                    dur, exc = time.perf_counter() - t0, None
                     value = FailedTask(
-                        _task_name(tasks[i]),
-                        f"worker died without a result (exitcode {proc.exitcode})",
-                        exitcode=proc.exitcode,
+                        _task_name(tasks[pending[slot]]),
+                        f"worker died without a result (exitcode {exitcode})",
+                        exitcode=exitcode,
                     )
                 else:
-                    proc.join()
-                conn.close()
-                timed[slot] = (dur, value)
-                _progress_done(progress, dur, tasks[i], value)
+                    if tracer is not None:
+                        tracer.absorb(spans)
+                    if isinstance(value, FailedTask):
+                        _WORKERS.retire(worker, "raised")
+                    else:
+                        _WORKERS.release(worker)
+                if on_error == "raise" and isinstance(value, FailedTask):
+                    if exc is None:
+                        exc = RuntimeError(f"task {value.name}: {value.error}")
+                    raise exc from RuntimeError(
+                        f"in a worker process:\n{value.traceback}")
+                settle(slot, dur, value)
     finally:
-        for conn, (_slot, _i, proc, _t0) in inflight.items():
-            proc.terminate()
-            # Always join after terminate -- an exception path that skips
-            # the join leaks zombie children for the parent's lifetime.
-            proc.join()
-            conn.close()
-    return typing.cast("list[tuple[float, object]]", timed)
+        for _slot, worker, _t0 in inflight.values():
+            _WORKERS.retire(worker, "cancel")
+    return timed
 
 
 def run_tasks(
@@ -608,7 +661,6 @@ def run_tasks(
     jobs: "int | None" = None,
     cache: "ResultCache | None" = None,
     progress: "SweepProgress | None" = None,
-    reuse_pool: bool = True,
     on_error: str = "raise",
     cancel: "typing.Any | None" = None,
     isolate: bool = False,
@@ -617,55 +669,53 @@ def run_tasks(
     """Run ``tasks`` and return their results **in task order**.
 
     ``jobs`` counts worker processes: ``None`` or ``1`` runs serially in
-    this process (no pool, no pickling); ``jobs > 1`` fans uncached tasks
-    across a pool.  ``cache`` (optional) is consulted before any work and
-    updated after; only cache misses are executed.  ``progress``
-    (optional :class:`~repro.metrics.SweepProgress`) receives one
-    ``task_done`` per task -- cache hits immediately, executed tasks with
-    their measured duration as results stream back -- and is
-    ``finish()``-ed before returning.
-
-    ``reuse_pool`` (default on) keeps the worker pool alive between calls
-    (same ``jobs`` value -> same pool), so a CLI invocation that renders
-    several sweeps pays process startup once; pass ``False`` to get a
-    private pool torn down on return.  A task that raises retires the
-    shared pool (the surviving workers' state is no longer trusted)
-    before the exception propagates.
+    this process (no worker, no pickling); ``jobs > 1`` fans uncached
+    tasks across that many workers borrowed from the process-wide
+    :class:`_WorkerSet`, which outlives the call -- a CLI invocation
+    that renders several sweeps, or a service that runs thousands of
+    jobs, pays process startup once per worker.  ``cache`` (optional) is
+    consulted before any work and updated after; only cache misses are
+    executed.  ``progress`` (optional
+    :class:`~repro.metrics.SweepProgress`) receives one ``task_done``
+    per task -- cache hits immediately, executed tasks with their
+    measured duration as results stream back -- and is ``finish()``-ed
+    before returning.
 
     ``on_error`` selects the failure policy.  ``"raise"`` (the default)
-    propagates the first failing task's exception, retiring the shared
-    pool.  ``"continue"`` hardens the sweep against bad cells: a task
-    that raises -- or whose worker process dies outright -- leaves a
+    propagates the first failing task's exception; a worker process
+    that dies outright raises a ``RuntimeError`` naming the cell and the
+    exit code.  ``"continue"`` hardens the sweep against bad cells: a
+    task that raises -- or whose worker process dies -- leaves a
     :class:`FailedTask` in its result slot and every other point still
-    runs.  Failed cells are never cached.  With ``jobs > 1`` the
-    continue policy runs each uncached task in its own short-lived
-    process (crash isolation costs the pool reuse).
+    runs.  Failed cells are never cached.  Either way a failure costs
+    the worker it happened in (never reused) and only its in-flight
+    cell.
 
     ``cancel`` (optional; anything with ``is_set()``, e.g. a
     :class:`threading.Event`) makes the sweep cooperatively cancellable:
-    it is checked between tasks, and in the crash-isolated path in-flight
-    worker processes are terminated and joined.  Under
-    ``on_error="continue"`` cancelled cells resolve to
-    :class:`FailedTask` placeholders with ``cancelled=True``; under
-    ``on_error="raise"`` a fired cancel raises :class:`SweepCancelled`.
+    it is checked between tasks, and in-flight worker processes are
+    terminated and joined.  Under ``on_error="continue"`` cancelled
+    cells resolve to :class:`FailedTask` placeholders with
+    ``cancelled=True``; under ``on_error="raise"`` a fired cancel raises
+    :class:`SweepCancelled`.
 
-    ``isolate=True`` (requires ``on_error="continue"``) forces the
-    one-process-per-task crash-isolated path even for a single task or
-    ``jobs=1`` -- this is how the analysis service keeps a crashing job
-    from taking the server down, and what makes its ``DELETE`` endpoint
-    able to kill a running job without orphaning processes.
+    ``isolate=True`` (requires ``on_error="continue"``) runs every cell
+    in a supervised worker process even for a single task or ``jobs=1``
+    -- this is how the analysis service keeps a crashing job from taking
+    the server down, and what makes its ``DELETE`` endpoint able to kill
+    a running job without orphaning processes.
 
     Determinism: results are positionally identical to a serial run
-    regardless of ``jobs``, cache state, pool reuse, or progress
+    regardless of ``jobs``, cache state, worker reuse, or progress
     publication, because every task is an independent pure function and
-    the pool uses ordered ``imap``.
+    results are slotted by task index.
 
     ``tracer`` (optional :class:`~repro.tracing.Tracer`) records a
     ``runner.cache`` span for the cache probe and one ``runner.task``
     span per executed task; worker processes join the trace via a wire
-    context over the result pipe and their span payloads are absorbed,
-    so the merged timeline shows every cell on its own track.  Results
-    are bit-identical with and without a tracer.
+    context sent with the task and their span payloads are absorbed, so
+    the merged timeline shows every cell on its own track.  Results are
+    bit-identical with and without a tracer.
     """
     if on_error not in ("raise", "continue"):
         raise ValueError(
@@ -707,13 +757,12 @@ def run_tasks(
 
     if jobs is None:
         jobs = 1
-    if isolate:
-        timed = _run_pending_resilient(
+    if isolate or (jobs > 1 and len(pending) > 1):
+        timed = _run_on_workers(
             tasks, pending, max(1, min(jobs, len(pending))), progress, cancel,
-            tracer,
+            tracer, on_error,
         )
-    elif jobs <= 1 or len(pending) == 1:
-        run_one = _run_task_failsafe if on_error == "continue" else _run_task_timed
+    else:
         timed = []
         for n, i in enumerate(pending):
             if cancel is not None and cancel.is_set():
@@ -727,57 +776,10 @@ def run_tasks(
                     _progress_done(progress, 0.0, tasks[j], value)
                     timed.append((0.0, value))
                 break
-            if tracer is not None:
-                with tracer.span(f"task {_task_name(tasks[i])}",
-                                 "runner.task"):
-                    with use_tracer(tracer):
-                        dur, value = run_one(tasks[i])
-            else:
-                dur, value = run_one(tasks[i])
+            dur, value, _exc = _run_task(tasks[i], on_error == "continue",
+                                         tracer)
             _progress_done(progress, dur, tasks[i], value)
             timed.append((dur, value))
-    elif on_error == "continue":
-        timed = _run_pending_resilient(
-            tasks, pending, min(jobs, len(pending)), progress, cancel, tracer
-        )
-    else:
-        def _pool_imap(pool):
-            if tracer is None:
-                return pool.imap(_run_task_timed,
-                                 [tasks[i] for i in pending], chunksize=1)
-            return pool.imap(
-                _run_task_traced,
-                [(_run_task_timed, tasks[i],
-                  tracer.child_wire(f"cell {_task_name(tasks[i])}"))
-                 for i in pending], chunksize=1)
-
-        def _drain(pool) -> "list[tuple[float, object]]":
-            out: "list[tuple[float, object]]" = []
-            for i, item in zip(pending, _pool_imap(pool)):
-                if cancel is not None and cancel.is_set():
-                    raise SweepCancelled(
-                        f"sweep cancelled after {len(out)} of "
-                        f"{len(pending)} pending tasks"
-                    )
-                dur, value = item[0], item[1]
-                if tracer is not None and len(item) > 2:
-                    tracer.absorb(item[2])
-                if progress is not None:
-                    progress.task_done(dur, name=_task_name(tasks[i]))
-                out.append((dur, value))
-            return out
-
-        if reuse_pool:
-            pool = _get_shared_pool(jobs)
-            try:
-                timed = _drain(pool)
-            except BaseException:
-                shutdown_shared_pool()
-                raise
-        else:
-            ctx = multiprocessing.get_context()
-            with ctx.Pool(processes=min(jobs, len(pending))) as pool:
-                timed = _drain(pool)
 
     for i, (_dur, value) in zip(pending, timed):
         results[i] = value
@@ -834,7 +836,6 @@ def overlap_sweep_parallel(
     warmup: int = 3,
     jobs: "int | None" = None,
     cache: "ResultCache | None" = None,
-    reuse_pool: bool = True,
 ) -> list:
     """:func:`repro.experiments.micro.overlap_sweep`, fanned and cached.
 
@@ -855,9 +856,8 @@ def overlap_sweep_parallel(
         for compute in compute_times
     ]
     points = []
-    for compute, sender_d, receiver_d in run_tasks(
-        tasks, jobs=jobs, cache=cache, reuse_pool=reuse_pool
-    ):
+    for compute, sender_d, receiver_d in run_tasks(tasks, jobs=jobs,
+                                                   cache=cache):
         points.append(
             MicroPoint(
                 compute_time=compute,

@@ -7,7 +7,8 @@
 
     # CI / self-test: start a real server on a loopback port, drive a
     # tiny LU job through submit -> poll -> result -> metrics -> warm
-    # resubmit, and exit 0 only if every step behaved.
+    # resubmit, then a few cold micro jobs (which must share warm
+    # workers), and exit 0 only if every step behaved.
     python -m repro.tools.serve --smoke
 
 The server answers on ``/v1/jobs`` (see ``docs/service.md`` for the API
@@ -36,8 +37,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8080,
                         help="TCP port (0 picks a free one)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="concurrent job executions (each job's cells "
-                        "run in crash-isolated processes)")
+                        help="concurrent job executions (each runs its "
+                        "job's cells in a supervised worker process that "
+                        "is reused between cells)")
     parser.add_argument("--cache-dir", default=None,
                         help="result-cache root (default: "
                         "$REPRO_CACHE_DIR or .repro_cache)")
@@ -162,6 +164,23 @@ def run_smoke(args: argparse.Namespace) -> int:
             check(json.dumps(warm_rows, sort_keys=True)
                   == json.dumps(rows, sort_keys=True),
                   "cached rows identical to executed rows")
+
+            # Cold jobs run on warm workers: N never-seen jobs may cost
+            # at most one fork per service worker, not one per cell.
+            cold = 6
+            for index in range(cold):
+                _sub, done = client.submit_and_wait(
+                    {"tenant": "smoke", "kind": "micro",
+                     "pattern": "isend_irecv", "nbytes": 1024 + index,
+                     "computes": [0.0, 1e-5], "iters": 3}, timeout=60.0)
+                check(done.body.get("state") == "done",
+                      f"cold micro job {index} completes")
+            spawns = [float(line.split()[-1])
+                      for line in client.metrics_text().splitlines()
+                      if line.startswith("repro_runner_worker_spawns_total ")]
+            check(len(spawns) == 1 and 1 <= spawns[0] <= service.workers,
+                  f"{cold + 1} cold jobs ({2 * cold + 1} cells) forked "
+                  f"<= {service.workers} workers (got {spawns})")
 
             rc = watch.main(["--once", "--url", server.url])
             check(rc == 0, "repro.tools.watch --once --url")

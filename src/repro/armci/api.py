@@ -13,8 +13,6 @@ import collections
 import dataclasses
 import typing
 
-import numpy as np
-
 from repro.armci.handles import NbHandle
 from repro.core.measures import DEFAULT_BIN_EDGES
 from repro.core.monitor import Monitor, NullMonitor
@@ -22,6 +20,8 @@ from repro.netsim.fabric import Fabric
 from repro.netsim.nic import InboundPacket
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.armci.strided import StridedSpec
 from repro.sim import Engine
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import typing
 
-import numpy as np
-
 from repro.armci.api import ArmciConfig, ArmciEndpoint, Region
 from repro.core.monitor import Monitor, NullMonitor
 from repro.core.report import OverlapReport
@@ -43,8 +41,10 @@ class ArmciContext:
         if seconds > 0:
             yield self.engine.timeout(seconds)
 
-    def malloc(self, name: str, shape: object, dtype: object = np.float64) -> Region:
+    def malloc(self, name: str, shape: object, dtype: object = "float64") -> Region:
         """Create and register this rank's piece of a shared region."""
+        import numpy as np
+
         return self.armci.register_region(name, np.zeros(shape, dtype=dtype))
 
     def section(self, name: str):

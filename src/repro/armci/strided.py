@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import typing
 
-import numpy as np
-
 from repro.armci.handles import NbHandle
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.armci.api import ArmciEndpoint
 
 #: Wire strategies.
@@ -150,6 +150,8 @@ def nbget_strided(
     def gather_segments() -> np.ndarray | None:
         if not want_data:
             return None
+        import numpy as np
+
         src = ep.region_of(target, region).array.reshape(-1)
         itemsize = src.dtype.itemsize
         seg_elems = int(spec.seg_nbytes // itemsize)

@@ -24,17 +24,22 @@ know whether timestamps come from a wall clock inside a real library or from
 the simulation clock of :mod:`repro.mpisim`.
 """
 
-from repro.core.diff import MeasureDelta, diff_reports, render_diff
-from repro.core.events import EventKind, TimedEvent
-from repro.core.equeue import CircularEventQueue
-from repro.core.measures import OverlapMeasures, SizeBins
-from repro.core.monitor import Monitor
-from repro.core.peruse import PeruseHub, PeruseSubscription
-from repro.core.processor import DataProcessor
-from repro.core.processor_reference import ReferenceDataProcessor
-from repro.core.report import OverlapReport, aggregate_reports
-from repro.core.trace import TraceSink, replay_overlap
-from repro.core.xfer_table import XferTable
+import typing
+
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.core.diff import MeasureDelta, diff_reports, render_diff
+    from repro.core.events import EventKind, TimedEvent
+    from repro.core.equeue import CircularEventQueue
+    from repro.core.measures import OverlapMeasures, SizeBins
+    from repro.core.monitor import Monitor
+    from repro.core.peruse import PeruseHub, PeruseSubscription
+    from repro.core.processor import DataProcessor
+    from repro.core.processor_reference import ReferenceDataProcessor
+    from repro.core.report import OverlapReport, aggregate_reports
+    from repro.core.trace import TraceSink, replay_overlap
+    from repro.core.xfer_table import XferTable
 
 __all__ = [
     "CircularEventQueue",
@@ -56,3 +61,17 @@ __all__ = [
     "render_diff",
     "replay_overlap",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "diff": ("MeasureDelta", "diff_reports", "render_diff"),
+    "events": ("EventKind", "TimedEvent"),
+    "equeue": ("CircularEventQueue",),
+    "measures": ("OverlapMeasures", "SizeBins"),
+    "monitor": ("Monitor",),
+    "peruse": ("PeruseHub", "PeruseSubscription"),
+    "processor": ("DataProcessor",),
+    "processor_reference": ("ReferenceDataProcessor",),
+    "report": ("OverlapReport", "aggregate_reports"),
+    "trace": ("TraceSink", "replay_overlap"),
+    "xfer_table": ("XferTable",),
+})

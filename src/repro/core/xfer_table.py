@@ -15,11 +15,14 @@ extrapolate with the boundary bandwidth beyond the measured range.
 from __future__ import annotations
 
 import bisect
+import functools
 import io
+import math
 import os
 import typing
 
-import numpy as np
+if typing.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 _HEADER = "# repro xfer-time table: bytes<TAB>seconds"
 
@@ -28,6 +31,16 @@ _HEADER = "# repro xfer-time table: bytes<TAB>seconds"
 #: lookup is a dict hit; the bound keeps pathological size streams from
 #: growing the cache without limit.
 _MEMO_CAPACITY = 4096
+
+_SHAPE_ERROR = "sizes and times must be 1-D arrays of equal length"
+
+
+def _floats(values: typing.Iterable[float]) -> "list[float]":
+    """``values`` as Python floats; a scalar or nested input is a shape error."""
+    try:
+        return [float(v) for v in values]
+    except TypeError:
+        raise ValueError(_SHAPE_ERROR) from None
 
 
 class XferTable:
@@ -41,6 +54,11 @@ class XferTable:
         Transfer time in seconds for each size, positive and
         non-decreasing is expected but not enforced (real measurements
         can be noisy).
+
+    The table is stored as Python floats -- what the per-``XFER_END``
+    lookup reads -- so building and querying one does not import numpy.
+    :attr:`sizes` and :attr:`times` are float64 arrays made from that
+    storage the first time they are read.
     """
 
     def __init__(
@@ -48,24 +66,22 @@ class XferTable:
         sizes: typing.Sequence[float],
         times: typing.Sequence[float],
     ) -> None:
-        sizes_arr = np.asarray(sizes, dtype=np.float64)
-        times_arr = np.asarray(times, dtype=np.float64)
-        if sizes_arr.ndim != 1 or sizes_arr.shape != times_arr.shape:
-            raise ValueError("sizes and times must be 1-D arrays of equal length")
-        if sizes_arr.size == 0:
+        self._sizes_list = sizes_list = _floats(sizes)
+        self._times_list = times_list = _floats(times)
+        if len(sizes_list) != len(times_list):
+            raise ValueError(_SHAPE_ERROR)
+        if not sizes_list:
             raise ValueError("xfer table cannot be empty")
-        if np.any(sizes_arr <= 0):
+        if not all(map(math.isfinite, sizes_list + times_list)):
+            # nan compares false with everything, so the checks below
+            # would let it through and every bound would come out nan.
+            raise ValueError("message sizes and transfer times must be finite")
+        if min(sizes_list) <= 0:
             raise ValueError("message sizes must be positive")
-        if np.any(np.diff(sizes_arr) <= 0):
+        if any(s1 <= s0 for s0, s1 in zip(sizes_list, sizes_list[1:])):
             raise ValueError("message sizes must be strictly increasing")
-        if np.any(times_arr <= 0):
+        if min(times_list) <= 0:
             raise ValueError("transfer times must be positive")
-        self.sizes = sizes_arr
-        self.times = times_arr
-        # Hot-path lookup state: plain Python floats (no numpy scalars on
-        # the per-XFER_END path), per-segment slopes, and a bounded memo.
-        self._sizes_list: list[float] = [float(s) for s in sizes_arr]
-        self._times_list: list[float] = [float(t) for t in times_arr]
         self._slopes: list[float] = [
             (t1 - t0) / (s1 - s0)
             for (s0, s1), (t0, t1) in zip(
@@ -75,6 +91,25 @@ class XferTable:
         ]
         self._tail_slope = max(self._slopes[-1], 0.0) if self._slopes else 0.0
         self._memo: dict[float, float] = {}
+
+    @functools.cached_property
+    def sizes(self) -> "np.ndarray":
+        """The measured sizes as a float64 array."""
+        import numpy as np
+
+        return np.array(self._sizes_list, dtype=np.float64)
+
+    @functools.cached_property
+    def times(self) -> "np.ndarray":
+        """The measured times as a float64 array."""
+        import numpy as np
+
+        return np.array(self._times_list, dtype=np.float64)
+
+    def __reduce__(self) -> tuple:
+        # Only the measured points travel; slopes, memo and the cached
+        # arrays are rebuilt (or not needed) on the other side.
+        return type(self), (self._sizes_list, self._times_list)
 
     # -- lookup ----------------------------------------------------------
     def time_for(self, nbytes: float) -> float:
@@ -110,7 +145,7 @@ class XferTable:
         self._memo[float(nbytes)] = t
         return t
 
-    def times_for(self, nbytes: typing.Sequence[float]) -> np.ndarray:
+    def times_for(self, nbytes: typing.Sequence[float]) -> "np.ndarray":
         """Vectorized :meth:`time_for` over an array of sizes.
 
         Interior sizes go through one ``np.interp`` call; the boundary
@@ -118,6 +153,8 @@ class XferTable:
         arithmetic as the scalar path, so the two agree element for
         element.
         """
+        import numpy as np
+
         arr = np.asarray(nbytes, dtype=np.float64)
         sizes, times = self.sizes, self.times
         out = np.interp(arr, sizes, times)
@@ -143,7 +180,7 @@ class XferTable:
         """Serialize to the on-disk text format."""
         buf = io.StringIO()
         buf.write(_HEADER + "\n")
-        for size, t in zip(self.sizes, self.times):
+        for size, t in zip(self._sizes_list, self._times_list):
             buf.write(f"{size:.17g}\t{t:.17g}\n")
         return buf.getvalue()
 
@@ -195,13 +232,11 @@ class XferTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, XferTable):
             return NotImplemented
-        return bool(
-            np.array_equal(self.sizes, other.sizes)
-            and np.array_equal(self.times, other.times)
-        )
+        return (self._sizes_list == other._sizes_list
+                and self._times_list == other._times_list)
 
     def __repr__(self) -> str:
         return (
-            f"<XferTable {self.sizes.size} points, "
-            f"{self.sizes[0]:.0f}..{self.sizes[-1]:.0f} B>"
+            f"<XferTable {len(self._sizes_list)} points, "
+            f"{self._sizes_list[0]:.0f}..{self._sizes_list[-1]:.0f} B>"
         )

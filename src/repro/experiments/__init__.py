@@ -16,19 +16,24 @@ Each driver returns plain data records; rendering (text tables/plots)
 lives in :mod:`repro.analysis`.
 """
 
-from repro.experiments.micro import (
-    MicroPoint,
-    build_xfer_table,
-    measure_one_way_time,
-    overlap_sweep,
-)
-from repro.experiments.runner import (
-    ResultCache,
-    Task,
-    content_key,
-    overlap_sweep_parallel,
-    run_tasks,
-)
+import typing
+
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.experiments.micro import (
+        MicroPoint,
+        build_xfer_table,
+        measure_one_way_time,
+        overlap_sweep,
+    )
+    from repro.experiments.runner import (
+        ResultCache,
+        Task,
+        content_key,
+        overlap_sweep_parallel,
+        run_tasks,
+    )
 
 __all__ = [
     "MicroPoint",
@@ -41,3 +46,19 @@ __all__ = [
     "overlap_sweep_parallel",
     "run_tasks",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "micro": (
+        "MicroPoint",
+        "build_xfer_table",
+        "measure_one_way_time",
+        "overlap_sweep",
+    ),
+    "runner": (
+        "ResultCache",
+        "Task",
+        "content_key",
+        "overlap_sweep_parallel",
+        "run_tasks",
+    ),
+})

@@ -13,27 +13,32 @@ runs.  ``faults=None`` (the default) is bit-identical to a fault-free
 build.  See docs/robustness.md.
 """
 
-from repro.faults.checks import InvariantViolation, check_run_invariants
-from repro.faults.inject import FaultInjector, PacketVerdict, StampLoss
-from repro.faults.plan import (
-    FaultPlan,
-    LinkDegradation,
-    NicStall,
-    ResilienceParams,
-    parse_fault_spec,
-)
-from repro.faults.transport import (
-    TransportFaultInjected,
-    TransportFaultPlan,
-    TransportInjector,
-    parse_transport_fault_spec,
-)
-from repro.faults.watchdog import (
-    RankSnapshot,
-    WatchdogConfig,
-    WatchdogDiagnostic,
-    diagnose,
-)
+import typing
+
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.faults.checks import InvariantViolation, check_run_invariants
+    from repro.faults.inject import FaultInjector, PacketVerdict, StampLoss
+    from repro.faults.plan import (
+        FaultPlan,
+        LinkDegradation,
+        NicStall,
+        ResilienceParams,
+        parse_fault_spec,
+    )
+    from repro.faults.transport import (
+        TransportFaultInjected,
+        TransportFaultPlan,
+        TransportInjector,
+        parse_transport_fault_spec,
+    )
+    from repro.faults.watchdog import (
+        RankSnapshot,
+        WatchdogConfig,
+        WatchdogDiagnostic,
+        diagnose,
+    )
 
 __all__ = [
     "FaultInjector",
@@ -55,3 +60,27 @@ __all__ = [
     "parse_fault_spec",
     "parse_transport_fault_spec",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "checks": ("InvariantViolation", "check_run_invariants"),
+    "inject": ("FaultInjector", "PacketVerdict", "StampLoss"),
+    "plan": (
+        "FaultPlan",
+        "LinkDegradation",
+        "NicStall",
+        "ResilienceParams",
+        "parse_fault_spec",
+    ),
+    "transport": (
+        "TransportFaultInjected",
+        "TransportFaultPlan",
+        "TransportInjector",
+        "parse_transport_fault_spec",
+    ),
+    "watchdog": (
+        "RankSnapshot",
+        "WatchdogConfig",
+        "WatchdogDiagnostic",
+        "diagnose",
+    ),
+})

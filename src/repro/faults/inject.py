@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import typing
 
-import numpy as np
-
 from repro.faults.plan import FaultPlan
 
 # Stream-family discriminators mixed into derived seeds so link rolls,
@@ -35,6 +33,14 @@ class PacketVerdict(typing.NamedTuple):
 
 
 _CLEAN = PacketVerdict(False, False, False)
+
+
+def _default_rng(seed: tuple) -> typing.Any:
+    """``numpy.random.default_rng(seed)``; numpy loads with the first
+    stream a fault-injected run asks for, not with this module."""
+    import numpy as np
+
+    return np.random.default_rng(seed)
 
 
 class FaultInjector:
@@ -61,7 +67,7 @@ class FaultInjector:
     def _link_rng(self, src: int, dst: int) -> typing.Any:
         rng = self._links.get((src, dst))
         if rng is None:
-            rng = self._links[(src, dst)] = np.random.default_rng(
+            rng = self._links[(src, dst)] = _default_rng(
                 (self.plan.seed, _FAMILY_LINK, src, dst)
             )
         return rng
@@ -125,7 +131,7 @@ class FaultInjector:
     # -- instrumentation loss ----------------------------------------------
     def stamp_rng(self, rank: int) -> typing.Any:
         """Independent stream for rank-local event-stamp loss."""
-        return np.random.default_rng((self.plan.seed, _FAMILY_STAMP, rank))
+        return _default_rng((self.plan.seed, _FAMILY_STAMP, rank))
 
     def stamp_loss(self, rank: int) -> "StampLoss | None":
         """Rank-local stamp-loss state, or None when the plan has none."""

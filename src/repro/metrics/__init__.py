@@ -11,22 +11,27 @@ sweep state for ``repro.tools.watch``.
 See ``docs/metrics.md`` for the metric catalog.
 """
 
-from repro.metrics.openmetrics import (
-    MetricsAggregator,
-    aggregate_files,
-    parse_openmetrics,
-    render_openmetrics,
-    write_json_snapshot,
-    write_openmetrics,
-)
-from repro.metrics.progress import SweepProgress, load_status
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-)
+import typing
+
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.metrics.openmetrics import (
+        MetricsAggregator,
+        aggregate_files,
+        parse_openmetrics,
+        render_openmetrics,
+        write_json_snapshot,
+        write_openmetrics,
+    )
+    from repro.metrics.progress import SweepProgress, load_status
+    from repro.metrics.registry import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsError,
+        MetricsRegistry,
+    )
 
 __all__ = [
     "Counter",
@@ -43,3 +48,22 @@ __all__ = [
     "write_json_snapshot",
     "write_openmetrics",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "openmetrics": (
+        "MetricsAggregator",
+        "aggregate_files",
+        "parse_openmetrics",
+        "render_openmetrics",
+        "write_json_snapshot",
+        "write_openmetrics",
+    ),
+    "progress": ("SweepProgress", "load_status"),
+    "registry": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsError",
+        "MetricsRegistry",
+    ),
+})

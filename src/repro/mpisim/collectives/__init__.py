@@ -10,16 +10,21 @@ the communication in FT is done by the Alltoall collective ...  These
 transfers do not get overlapped with computation").
 """
 
-from repro.mpisim.collectives.allgather import allgather
-from repro.mpisim.collectives.allreduce import allreduce
-from repro.mpisim.collectives.alltoall import alltoall, alltoallv
-from repro.mpisim.collectives.barrier import barrier
-from repro.mpisim.collectives.bcast import bcast
-from repro.mpisim.collectives.gather import gather, gatherv
-from repro.mpisim.collectives.reduce import reduce
-from repro.mpisim.collectives.reduce_scatter import reduce_scatter
-from repro.mpisim.collectives.scan import scan
-from repro.mpisim.collectives.scatter import scatter, scatterv
+import typing
+
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.mpisim.collectives.allgather import allgather
+    from repro.mpisim.collectives.allreduce import allreduce
+    from repro.mpisim.collectives.alltoall import alltoall, alltoallv
+    from repro.mpisim.collectives.barrier import barrier
+    from repro.mpisim.collectives.bcast import bcast
+    from repro.mpisim.collectives.gather import gather, gatherv
+    from repro.mpisim.collectives.reduce import reduce
+    from repro.mpisim.collectives.reduce_scatter import reduce_scatter
+    from repro.mpisim.collectives.scan import scan
+    from repro.mpisim.collectives.scatter import scatter, scatterv
 
 #: Tag space reserved for collectives (application tags must stay below).
 COLL_TAG_BASE = 1 << 20
@@ -40,3 +45,16 @@ __all__ = [
     "scatter",
     "scatterv",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "allgather": ("allgather",),
+    "allreduce": ("allreduce",),
+    "alltoall": ("alltoall", "alltoallv"),
+    "barrier": ("barrier",),
+    "bcast": ("bcast",),
+    "gather": ("gather", "gatherv"),
+    "reduce": ("reduce",),
+    "reduce_scatter": ("reduce_scatter",),
+    "scan": ("scan",),
+    "scatter": ("scatter", "scatterv"),
+})

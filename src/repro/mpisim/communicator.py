@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import typing
 
-from repro.mpisim import collectives as coll
+from repro.mpisim.collectives import (
+    allgather, allreduce, alltoall, alltoallv, barrier, bcast, gather,
+    gatherv, reduce, reduce_scatter, scan, scatter, scatterv,
+)
 from repro.mpisim.endpoint import Endpoint
 from repro.mpisim.request import PersistentRequest, Request
 from repro.mpisim.status import ANY_SOURCE, ANY_TAG, MpiError, Status
@@ -386,12 +389,12 @@ class Comm:
     # -- collectives ---------------------------------------------------------
     def barrier(self) -> typing.Generator:
         """Block until all ranks arrive."""
-        return (yield from self._call("MPI_Barrier", coll.barrier(self._gep)))
+        return (yield from self._call("MPI_Barrier", barrier(self._gep)))
 
     def bcast(self, root: int, nbytes: float, data: object = None) -> typing.Generator:
         """Broadcast from ``root``; returns the value everywhere."""
         return (
-            yield from self._call("MPI_Bcast", coll.bcast(self._gep, root, nbytes, data))
+            yield from self._call("MPI_Bcast", bcast(self._gep, root, nbytes, data))
         )
 
     def reduce(
@@ -404,7 +407,7 @@ class Comm:
         """Reduce to ``root``; returns the result there, None elsewhere."""
         return (
             yield from self._call(
-                "MPI_Reduce", coll.reduce(self._gep, root, value, nbytes, op)
+                "MPI_Reduce", reduce(self._gep, root, value, nbytes, op)
             )
         )
 
@@ -417,7 +420,7 @@ class Comm:
         """Reduce across all ranks; returns the result everywhere."""
         return (
             yield from self._call(
-                "MPI_Allreduce", coll.allreduce(self._gep, value, nbytes, op)
+                "MPI_Allreduce", allreduce(self._gep, value, nbytes, op)
             )
         )
 
@@ -431,8 +434,8 @@ class Comm:
         return (
             yield from self._call(
                 "MPI_Alltoall",
-                coll.alltoall(self._gep, nbytes_each, data,
-                              algorithm=self.ep.config.alltoall_algorithm),
+                alltoall(self._gep, nbytes_each, data,
+                         algorithm=self.ep.config.alltoall_algorithm),
             )
         )
 
@@ -444,7 +447,7 @@ class Comm:
         """Vector personalized exchange."""
         return (
             yield from self._call(
-                "MPI_Alltoallv", coll.alltoallv(self._gep, send_sizes, data)
+                "MPI_Alltoallv", alltoallv(self._gep, send_sizes, data)
             )
         )
 
@@ -456,7 +459,7 @@ class Comm:
     ) -> typing.Generator:
         """Inclusive prefix reduction; rank r returns the fold over 0..r."""
         return (
-            yield from self._call("MPI_Scan", coll.scan(self._gep, value, nbytes, op))
+            yield from self._call("MPI_Scan", scan(self._gep, value, nbytes, op))
         )
 
     def reduce_scatter(
@@ -469,20 +472,20 @@ class Comm:
         return (
             yield from self._call(
                 "MPI_Reduce_scatter",
-                coll.reduce_scatter(self._gep, blocks, block_nbytes, op),
+                reduce_scatter(self._gep, blocks, block_nbytes, op),
             )
         )
 
     def allgather(self, nbytes: float, data: object = None) -> typing.Generator:
         """Gather everyone's block everywhere; returns a rank-indexed list."""
         return (
-            yield from self._call("MPI_Allgather", coll.allgather(self._gep, nbytes, data))
+            yield from self._call("MPI_Allgather", allgather(self._gep, nbytes, data))
         )
 
     def gather(self, root: int, nbytes: float, data: object = None) -> typing.Generator:
         """Gather blocks at ``root``."""
         return (
-            yield from self._call("MPI_Gather", coll.gather(self._gep, root, nbytes, data))
+            yield from self._call("MPI_Gather", gather(self._gep, root, nbytes, data))
         )
 
     def scatter(
@@ -494,7 +497,7 @@ class Comm:
         """Scatter root's blocks; returns this rank's block."""
         return (
             yield from self._call(
-                "MPI_Scatter", coll.scatter(self._gep, root, nbytes, blocks)
+                "MPI_Scatter", scatter(self._gep, root, nbytes, blocks)
             )
         )
 
@@ -504,7 +507,7 @@ class Comm:
         """Variable-size gather (each rank contributes its own size)."""
         return (
             yield from self._call(
-                "MPI_Gatherv", coll.gatherv(self._gep, root, nbytes, data)
+                "MPI_Gatherv", gatherv(self._gep, root, nbytes, data)
             )
         )
 
@@ -518,7 +521,7 @@ class Comm:
         return (
             yield from self._call(
                 "MPI_Scatterv",
-                coll.scatterv(self._gep, root, nbytes_list, blocks),
+                scatterv(self._gep, root, nbytes_list, blocks),
             )
         )
 
@@ -536,9 +539,7 @@ class Comm:
         split_seq = self._split_seq
 
         def body() -> typing.Generator:
-            infos = yield from coll.allgather(
-                self._gep, 16, (color, key, self.rank)
-            )
+            infos = yield from allgather(self._gep, 16, (color, key, self.rank))
             return infos
 
         infos = yield from self._call("MPI_Comm_split", body())

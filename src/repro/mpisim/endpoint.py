@@ -14,9 +14,8 @@ All methods that consume simulated CPU time are generator coroutines.
 
 from __future__ import annotations
 
+import sys
 import typing
-
-import numpy as np
 
 from repro.core.monitor import Monitor, NullMonitor
 from repro.mpisim.config import MpiConfig
@@ -774,7 +773,9 @@ class Endpoint:
 def _buffer_snapshot(data: object) -> object:
     """Model send-buffer capture: numpy arrays are copied (the library may
     buffer them); immutable payloads pass through."""
-    if isinstance(data, np.ndarray):
+    # A payload cannot be an ndarray in a process that never imported numpy.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(data, np.ndarray):
         return data.copy()
     if isinstance(data, bytearray):
         return bytes(data)

@@ -11,26 +11,30 @@ Three schemes, matching the designs the paper evaluates (Sec. 3.5):
   Write after a CTS (an ablation variant).
 """
 
-from repro.mpisim.protocols.base import RendezvousProtocol
-from repro.mpisim.protocols.rendezvous_pipelined import PipelinedRdmaProtocol
-from repro.mpisim.protocols.rendezvous_rget import RdmaReadProtocol
-from repro.mpisim.protocols.rendezvous_rput import RdmaWriteProtocol
+import typing
 
-_REGISTRY: dict[str, type[RendezvousProtocol]] = {
-    "pipelined": PipelinedRdmaProtocol,
-    "rget": RdmaReadProtocol,
-    "rput": RdmaWriteProtocol,
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.mpisim.protocols.base import RendezvousProtocol
+    from repro.mpisim.protocols.rendezvous_pipelined import PipelinedRdmaProtocol
+    from repro.mpisim.protocols.rendezvous_rget import RdmaReadProtocol
+    from repro.mpisim.protocols.rendezvous_rput import RdmaWriteProtocol
+
+_REGISTRY = {
+    "pipelined": "PipelinedRdmaProtocol",
+    "rget": "RdmaReadProtocol",
+    "rput": "RdmaWriteProtocol",
 }
 
 
-def make_protocol(mode: str) -> RendezvousProtocol:
+def make_protocol(mode: str) -> "RendezvousProtocol":
     """Instantiate the rendezvous protocol named ``mode``."""
-    try:
-        cls = _REGISTRY[mode]
-    except KeyError:
+    if mode not in _REGISTRY:
         raise ValueError(
             f"unknown rendezvous mode {mode!r}; choose from {sorted(_REGISTRY)}"
-        ) from None
+        )
+    cls: typing.Any = __getattr__(_REGISTRY[mode])  # imports only this one
     return cls()
 
 
@@ -41,3 +45,10 @@ __all__ = [
     "RendezvousProtocol",
     "make_protocol",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "base": ("RendezvousProtocol",),
+    "rendezvous_pipelined": ("PipelinedRdmaProtocol",),
+    "rendezvous_rget": ("RdmaReadProtocol",),
+    "rendezvous_rput": ("RdmaWriteProtocol",),
+})

@@ -18,10 +18,15 @@ Everything above this layer (MPI protocols, ARMCI, the progress engine)
 lives in :mod:`repro.mpisim` and :mod:`repro.armci`.
 """
 
-from repro.netsim.fabric import Fabric
-from repro.netsim.memory import RegistrationCache
-from repro.netsim.nic import CompletionEntry, CompletionKind, InboundPacket, Nic
-from repro.netsim.params import NetworkParams
+import typing
+
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.netsim.fabric import Fabric
+    from repro.netsim.memory import RegistrationCache
+    from repro.netsim.nic import CompletionEntry, CompletionKind, InboundPacket, Nic
+    from repro.netsim.params import NetworkParams
 
 __all__ = [
     "CompletionEntry",
@@ -32,3 +37,10 @@ __all__ = [
     "Nic",
     "RegistrationCache",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "fabric": ("Fabric",),
+    "memory": ("RegistrationCache",),
+    "nic": ("CompletionEntry", "CompletionKind", "InboundPacket", "Nic"),
+    "params": ("NetworkParams",),
+})

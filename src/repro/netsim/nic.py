@@ -23,8 +23,6 @@ import collections
 import enum
 import typing
 
-import numpy as np
-
 from repro.netsim import channel as _ch
 from repro.netsim.params import NetworkParams
 from repro.sim import Engine, Event
@@ -229,6 +227,8 @@ class Nic:
             key = (dst.node, dst.port)
             rng = self._jitter.get(key)
             if rng is None:
+                import numpy as np  # only a jittered run needs it
+
                 rng = self._jitter[key] = np.random.default_rng(
                     (self._seed, _FAMILY_JITTER, self.node, self.port,
                      dst.node, dst.port)

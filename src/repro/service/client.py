@@ -158,8 +158,15 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 60.0,
              poll: float = 0.05) -> Response:
-        """Poll until the job leaves queued/running; returns final status."""
+        """Poll until the job leaves queued/running; returns final status.
+
+        The pause between status reads starts at 2 ms and doubles up to
+        ``poll``: a job that takes milliseconds is seen milliseconds
+        after it finishes, a long one costs ``1 / poll`` reads a second.
+        No pause runs past ``timeout``.
+        """
         deadline = time.monotonic() + timeout
+        pause = min(0.002, poll)
         while True:
             resp = self.job(job_id)
             if resp.status != 200:
@@ -167,11 +174,13 @@ class ServiceClient:
                     f"wait({job_id!r}): HTTP {resp.status}: {resp.body}")
             if resp.body.get("state") not in ("queued", "running"):
                 return resp
-            if time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise ServiceError(
                     f"wait({job_id!r}): still {resp.body.get('state')} "
                     f"after {timeout}s")
-            time.sleep(poll)
+            time.sleep(min(pause, remaining))
+            pause = min(2 * pause, poll)
 
     def submit_and_wait(self, spec: "dict[str, typing.Any]",
                         timeout: float = 60.0) -> "tuple[Response, Response]":

@@ -16,9 +16,14 @@ kernel never consults wall-clock time or global RNG state, so a simulation
 is a pure function of its inputs.
 """
 
-from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
-from repro.sim.process import Process
+import typing
+
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.sim.engine import Engine
+    from repro.sim.events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
+    from repro.sim.process import Process
 
 __all__ = [
     "AllOf",
@@ -30,3 +35,16 @@ __all__ = [
     "SimulationError",
     "Timeout",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "engine": ("Engine",),
+    "events": (
+        "AllOf",
+        "AnyOf",
+        "Event",
+        "Interrupt",
+        "SimulationError",
+        "Timeout",
+    ),
+    "process": ("Process",),
+})

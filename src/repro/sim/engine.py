@@ -32,10 +32,10 @@ import typing
 
 from repro.sim.calendar import CalendarQueue
 from repro.sim.events import Event, SimulationError, Timeout
+from repro.sim.process import Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.metrics import MetricsRegistry
-    from repro.sim.process import Process
 
 _INF = float("inf")
 
@@ -458,8 +458,6 @@ class Engine:
 
     def process(self, generator: typing.Generator) -> "Process":
         """Spawn a :class:`Process` driving ``generator``."""
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
     # -- run loop ---------------------------------------------------------

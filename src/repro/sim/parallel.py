@@ -67,15 +67,16 @@ import traceback
 import typing
 from multiprocessing.connection import wait as _wait_readable
 
+from repro.core.monitor import Monitor
 from repro.faults.transport import TransportFaultInjected
+from repro.mpisim.config import MpiConfig
 from repro.netsim import channel as _ch
 from repro.netsim import transport as _tp
 from repro.netsim import wire as _wire
+from repro.netsim.fabric import Fabric
 from repro.netsim.params import NetworkParams
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.mpisim.config import MpiConfig
-    from repro.runtime.launcher import RunResult
+from repro.runtime.launcher import RunResult, build_rank_stack, default_xfer_table
+from repro.sim.engine import Engine
 
 _INF = float("inf")
 
@@ -329,13 +330,7 @@ class ShardWorker:
     """
 
     def __init__(self, task: _ShardTask) -> None:
-        from repro.core.monitor import Monitor
-        from repro.runtime.launcher import build_rank_stack
-        from repro.netsim.fabric import Fabric
-        from repro.sim import Engine
-
         self.task = task
-        self._monitor_cls = Monitor
         self.tracer = None
         self._ch_advance = self._ch_inject = None
         if task.trace_wire is not None:
@@ -441,7 +436,7 @@ class ShardWorker:
             )
         reports = {}
         for rank, monitor in self.monitors.items():
-            if isinstance(monitor, self._monitor_cls):
+            if isinstance(monitor, Monitor):
                 reports[rank] = monitor.finalize(rank=rank, label=task.label)
             else:
                 reports[rank] = None
@@ -1352,9 +1347,6 @@ def run_app_sharded(
     (the O(shards²) nested-scan formulation, kept for differential tests
     and the before/after benchmark).  Both return identical floats.
     """
-    from repro.mpisim.config import MpiConfig
-    from repro.runtime.launcher import RunResult, default_xfer_table
-
     if nprocs < 1:
         raise ValueError("need at least one rank")
     for name, value in (("telemetry", telemetry), ("metrics", metrics),

@@ -17,31 +17,36 @@ Entry points: ``run_app(..., telemetry=TelemetryConfig())`` and the
 ``python -m repro.tools.timeline`` CLI.  See ``docs/telemetry.md``.
 """
 
-from repro.telemetry.collect import (
-    RankTelemetry,
-    TelemetryConfig,
-    TelemetryResult,
-    write_run_telemetry,
-)
-from repro.telemetry.perfetto import ChromeTraceExporter
-from repro.telemetry.rollup import (
-    ClusterRollup,
-    StreamStats,
-    load_rank_telemetry,
-    rollup_files,
-    save_rank_telemetry,
-)
-from repro.telemetry.validate import (
-    WindowBoundCheck,
-    check_windowed_bounds,
-    render_windowed_validation,
-)
-from repro.telemetry.windows import (
-    WINDOW_METRICS,
-    Window,
-    WindowSeries,
-    WindowedProcessor,
-)
+import typing
+
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.telemetry.collect import (
+        RankTelemetry,
+        TelemetryConfig,
+        TelemetryResult,
+        write_run_telemetry,
+    )
+    from repro.telemetry.perfetto import ChromeTraceExporter
+    from repro.telemetry.rollup import (
+        ClusterRollup,
+        StreamStats,
+        load_rank_telemetry,
+        rollup_files,
+        save_rank_telemetry,
+    )
+    from repro.telemetry.validate import (
+        WindowBoundCheck,
+        check_windowed_bounds,
+        render_windowed_validation,
+    )
+    from repro.telemetry.windows import (
+        WINDOW_METRICS,
+        Window,
+        WindowSeries,
+        WindowedProcessor,
+    )
 
 __all__ = [
     "ChromeTraceExporter",
@@ -62,3 +67,31 @@ __all__ = [
     "save_rank_telemetry",
     "write_run_telemetry",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "collect": (
+        "RankTelemetry",
+        "TelemetryConfig",
+        "TelemetryResult",
+        "write_run_telemetry",
+    ),
+    "perfetto": ("ChromeTraceExporter",),
+    "rollup": (
+        "ClusterRollup",
+        "StreamStats",
+        "load_rank_telemetry",
+        "rollup_files",
+        "save_rank_telemetry",
+    ),
+    "validate": (
+        "WindowBoundCheck",
+        "check_windowed_bounds",
+        "render_windowed_validation",
+    ),
+    "windows": (
+        "WINDOW_METRICS",
+        "Window",
+        "WindowSeries",
+        "WindowedProcessor",
+    ),
+})

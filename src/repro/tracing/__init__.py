@@ -14,13 +14,18 @@ Public surface:
   the ``repro.tools.explain`` CLI.
 """
 
-from repro.tracing.explain import (explain_trace, render_explain,
-                                   validate_trace)
-from repro.tracing.merge import build_trace, flatten_payloads, save_trace
-from repro.tracing.span import (PAYLOAD_VERSION, Span, SpanContext,
-                                SpanRecord, Tracer, current_tracer,
-                                payload_spans, set_current_tracer,
-                                use_tracer)
+import typing
+
+import repro
+
+if typing.TYPE_CHECKING:
+    from repro.tracing.explain import (explain_trace, render_explain,
+                                       validate_trace)
+    from repro.tracing.merge import build_trace, flatten_payloads, save_trace
+    from repro.tracing.span import (PAYLOAD_VERSION, Span, SpanContext,
+                                    SpanRecord, Tracer, current_tracer,
+                                    payload_spans, set_current_tracer,
+                                    use_tracer)
 
 __all__ = [
     "PAYLOAD_VERSION",
@@ -39,3 +44,19 @@ __all__ = [
     "use_tracer",
     "validate_trace",
 ]
+
+__getattr__, __dir__ = repro._lazy_surface(__name__, {
+    "explain": ("explain_trace", "render_explain", "validate_trace"),
+    "merge": ("build_trace", "flatten_payloads", "save_trace"),
+    "span": (
+        "PAYLOAD_VERSION",
+        "Span",
+        "SpanContext",
+        "SpanRecord",
+        "Tracer",
+        "current_tracer",
+        "payload_spans",
+        "set_current_tracer",
+        "use_tracer",
+    ),
+})

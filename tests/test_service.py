@@ -545,3 +545,65 @@ def test_watch_url_gives_up_after_consecutive_failures():
                      "--max-fetch-failures", "3"])
     assert rc == 2
     assert time.monotonic() - t0 < 60.0
+
+
+# ---------------------------------------------------------------------------
+# ServiceClient.wait: back-off from 2 ms up to ``poll``
+# ---------------------------------------------------------------------------
+def _micro_spec(nbytes):
+    return {"kind": "micro", "pattern": "isend_irecv", "nbytes": nbytes,
+            "computes": [0.0, 2e-5], "iters": 10}
+
+
+def test_wait_sees_a_short_job_soon_after_it_finishes(client):
+    """A cold micro job takes ~10 ms; the caller must not then sit out a
+    fixed 50 ms poll interval on top of it."""
+    # The first job forks the worker and imports what a micro job needs.
+    _sub, done = client.submit_and_wait(_micro_spec(1000))
+    assert done.body["state"] == "done"
+    slack = []
+    for nbytes in (1001, 1002, 1003):  # never-seen content: no cache hit
+        t0 = time.monotonic()
+        sub, done = client.submit_and_wait(_micro_spec(nbytes))
+        elapsed = time.monotonic() - t0
+        assert sub.status == 202 and done.body["state"] == "done"
+        own = done.body["finished_unix"] - done.body["created_unix"]
+        slack.append(elapsed - (3 * own + 0.010))
+    # Best of three: one descheduled request must not fail the test.
+    assert min(slack) <= 0, slack
+
+
+def test_wait_polls_a_long_job_at_the_poll_cap(tmp_path, monkeypatch):
+    from repro.experiments.runner import Task
+    from repro.service.jobs import Submission
+
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    with ServerThread(service) as srv, ServiceClient(srv.url) as c:
+        reads, read_status = [], c.job
+        monkeypatch.setattr(
+            c, "job", lambda job_id: reads.append(job_id) or read_status(job_id))
+        sleeper = Submission(tenant="t", kind="nas", priority=0,
+                             label="sleeper", spec={})
+        _status, body = service.submit_tasks(
+            sleeper, [Task(_sleep_worker, (1.0,))])
+        final = c.wait(body["job_id"], timeout=30.0)
+        assert final.body["state"] == "done"
+        # 2+4+8+16+32 ms of ramp, then one read per 50 ms.
+        assert 5 <= len(reads) <= 30, len(reads)
+
+
+def test_wait_never_sleeps_past_its_timeout(tmp_path):
+    from repro.experiments.runner import Task
+    from repro.service import ServiceError
+    from repro.service.jobs import Submission
+
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    with ServerThread(service) as srv, ServiceClient(srv.url) as c:
+        sleeper = Submission(tenant="t", kind="nas", priority=0,
+                             label="sleeper", spec={})
+        _status, body = service.submit_tasks(
+            sleeper, [Task(_sleep_worker, (1.5,))])
+        t0 = time.monotonic()
+        with pytest.raises(ServiceError, match="still"):
+            c.wait(body["job_id"], timeout=0.3, poll=5.0)
+        assert time.monotonic() - t0 < 0.3 + 0.25

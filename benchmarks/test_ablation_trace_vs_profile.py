@@ -9,7 +9,7 @@ computed exactly what offline trace analysis computes.
 from conftest import run_once
 
 from repro.core.monitor import DEFAULT_QUEUE_CAPACITY
-from repro.core.trace import TraceSink, replay_overlap
+from repro.core.trace import RECORD_NBYTES, TraceSink, replay_overlap
 from repro.mpisim.config import mvapich2_like
 from repro.nas.lu import lu_app
 from repro.runtime.launcher import default_xfer_table, run_app
@@ -34,7 +34,7 @@ def test_ablation_trace_vs_profile(benchmark, emit):
     result = run_once(benchmark, run)
     report = result.report(0)
     sink = sinks[0]
-    queue_bytes = 32 * DEFAULT_QUEUE_CAPACITY
+    queue_bytes = RECORD_NBYTES * DEFAULT_QUEUE_CAPACITY
 
     text = [
         "EA7: tracing vs bounded profiling, LU class A / 4 ranks, rank 0",

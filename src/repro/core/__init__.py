@@ -30,13 +30,12 @@ import repro
 
 if typing.TYPE_CHECKING:
     from repro.core.diff import MeasureDelta, diff_reports, render_diff
-    from repro.core.events import EventKind, TimedEvent
+    from repro.core.events import EventColumns, EventKind, TimedEvent
     from repro.core.equeue import CircularEventQueue
     from repro.core.measures import OverlapMeasures, SizeBins
     from repro.core.monitor import Monitor
     from repro.core.peruse import PeruseHub, PeruseSubscription
     from repro.core.processor import DataProcessor
-    from repro.core.processor_reference import ReferenceDataProcessor
     from repro.core.report import OverlapReport, aggregate_reports
     from repro.core.trace import TraceSink, replay_overlap
     from repro.core.xfer_table import XferTable
@@ -44,6 +43,7 @@ if typing.TYPE_CHECKING:
 __all__ = [
     "CircularEventQueue",
     "DataProcessor",
+    "EventColumns",
     "EventKind",
     "MeasureDelta",
     "Monitor",
@@ -51,7 +51,6 @@ __all__ = [
     "OverlapReport",
     "PeruseHub",
     "PeruseSubscription",
-    "ReferenceDataProcessor",
     "SizeBins",
     "TimedEvent",
     "TraceSink",
@@ -64,13 +63,12 @@ __all__ = [
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "diff": ("MeasureDelta", "diff_reports", "render_diff"),
-    "events": ("EventKind", "TimedEvent"),
+    "events": ("EventColumns", "EventKind", "TimedEvent"),
     "equeue": ("CircularEventQueue",),
     "measures": ("OverlapMeasures", "SizeBins"),
     "monitor": ("Monitor",),
     "peruse": ("PeruseHub", "PeruseSubscription"),
     "processor": ("DataProcessor",),
-    "processor_reference": ("ReferenceDataProcessor",),
     "report": ("OverlapReport", "aggregate_reports"),
     "trace": ("TraceSink", "replay_overlap"),
     "xfer_table": ("XferTable",),

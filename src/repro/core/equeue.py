@@ -1,44 +1,51 @@
 """Fixed-size circular event queue (paper Fig. 2).
 
-The data collection module logs time-stamped events into a statically
-allocated, fixed-size, in-memory structure.  When the queue fills, the data
+The data collection module logs time-stamped events into a fixed-size,
+in-memory structure of fixed-size records.  When the queue fills, the data
 processing module examines the events, updates the overlap measures
 on-the-fly, and the head pointer is reset so subsequent events can be
-stored.  No tracing is performed: the queue never grows and nothing is
-written to disk until the final report.
+stored.  No tracing is performed: the queue never grows past its capacity
+and nothing is written to disk until the final report.
+
+Records are stored as four parallel typed columns
+(:class:`~repro.core.events.EventColumns`: 25 bytes per record, no
+per-record Python object) and a drain hands the processor those columns.
 
 Overflow semantics are explicit.  With a ``drain`` callback (the normal
 monitor wiring) a full queue is flushed to the processor and nothing is
 ever lost.  Without one (``drain=None`` -- a standalone capture ring, e.g.
-a debugging tap on the PERUSE hub) the queue keeps the **newest**
-``capacity`` events, overwriting the oldest and counting every overwrite
-in :attr:`CircularEventQueue.dropped` -- overflow is a number, not a
-silent behavior.
+a bounded trace buffer that cannot afford mid-run processing) the queue
+keeps the **newest** ``capacity`` events, overwriting the oldest and
+counting every overwrite in :attr:`CircularEventQueue.dropped` -- overflow
+is a number, not a silent behavior.
 """
 
 from __future__ import annotations
 
-import time
 import typing
+from time import perf_counter
 
-from repro.core.events import TimedEvent
+from repro.core.events import EventColumns, TimedEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.metrics import MetricsRegistry
 
+Drain = typing.Callable[[EventColumns], None]
+
 
 class CircularEventQueue:
-    """Statically allocated event buffer drained by a callback when full.
+    """Bounded columnar event buffer drained by a callback when full.
 
     Parameters
     ----------
     capacity:
         Number of event slots (the paper's fixed queue size).
     drain:
-        Callable invoked with the sequence of buffered events (oldest
-        first) when the queue fills or :meth:`flush` is called.  After the
-        callback returns, the head pointer is reset.  ``None`` selects
-        ring mode: overflow overwrites the oldest event and increments
+        Callable invoked with the buffered records (an
+        :class:`~repro.core.events.EventColumns`, oldest first) when the
+        queue fills or :meth:`flush` is called.  The batch is detached
+        from the queue: the callback may keep it.  ``None`` selects ring
+        mode: overflow overwrites the oldest event and increments
         :attr:`dropped`.
     metrics:
         Optional :class:`~repro.metrics.MetricsRegistry`; when given, the
@@ -47,10 +54,16 @@ class CircularEventQueue:
         registration, no per-event metric work.
     """
 
+    __slots__ = (
+        "capacity", "columns", "drains", "dropped", "reentrant_flushes",
+        "_drain", "_taps", "_start", "_draining", "_drained", "_high_water",
+        "_flush_hist",
+    )
+
     def __init__(
         self,
         capacity: int,
-        drain: "typing.Callable[[typing.Sequence[TimedEvent]], None] | None",
+        drain: "Drain | None",
         metrics: "MetricsRegistry | None" = None,
         labels: "dict[str, str] | None" = None,
     ) -> None:
@@ -58,26 +71,25 @@ class CircularEventQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._drain = drain
-        # Slot storage grows on demand up to ``capacity`` rather than
-        # being preallocated: a 4096-rank run builds 4096 of these queues
-        # and most never see more than a few dozen events between drains,
-        # so eager ``[None] * capacity`` lists were ~130 MB of dead
-        # ballast at high rank counts.  Observable behavior (capacity
-        # bound, drain points, ring overwrite) is unchanged.
-        self._slots: list[TimedEvent | None] = []
-        self._head = 0  # next free slot
-        self._start = 0  # oldest slot (ring mode only)
+        #: The buffered records.  The columns grow by appending, up to
+        #: ``capacity`` records, so a queue costs what it holds: a
+        #: 4096-rank run builds 4096 of these and most never see more than
+        #: a few dozen events between drains.  A stamping fast path may
+        #: append here directly while ``len(queue) < capacity``; a full
+        #: queue must go through :meth:`append`.  Replaced by fresh
+        #: columns on every drain -- do not cache it across stamps.
+        self.columns = EventColumns()
+        self._taps: tuple[Drain, ...] = ()
+        self._start = 0  # oldest slot, once a ring has wrapped
         self._draining = False
-        #: Total events ever pushed (diagnostics).
-        self.pushed = 0
-        #: Number of times the queue filled and was drained.
+        self._drained = 0  # records handed to the drain so far
+        self._high_water = 0  # largest batch drained so far
+        #: Number of times the queue was drained.
         self.drains = 0
         #: Events overwritten before anyone saw them (ring mode overflow).
         self.dropped = 0
         #: Flushes requested while a drain callback was already running.
         self.reentrant_flushes = 0
-        #: Highest occupancy ever reached.
-        self.occupancy_high_water = 0
         self._flush_hist = None
         if metrics is not None:
             self.attach_metrics(metrics, labels)
@@ -89,7 +101,7 @@ class CircularEventQueue:
     ) -> None:
         """Register this queue's health metrics (sampled: no hot-path cost)."""
         metrics.sampled_gauge(
-            "repro_equeue_occupancy", lambda: self._head,
+            "repro_equeue_occupancy", lambda: len(self),
             "Events currently buffered in the circular queue", labels)
         metrics.sampled_gauge(
             "repro_equeue_occupancy_hiwater",
@@ -111,78 +123,107 @@ class CircularEventQueue:
             "repro_equeue_flush_seconds",
             "Host seconds spent inside one drain callback", labels)
 
-    def __len__(self) -> int:
-        return self._head
+    def add_tap(self, tap: Drain) -> None:
+        """Hand ``tap`` every drained batch, before ``drain`` sees it.
 
-    def push(self, event: TimedEvent) -> None:
-        """Append an event, draining to the processor first if full.
+        How a :class:`~repro.core.trace.TraceSink` records a run without
+        per-stamp work.  A ring-mode queue never drains, so it has no taps.
+        """
+        if self._drain is None:
+            raise ValueError("a queue created without a drain never drains")
+        self._taps += (tap,)
+
+    def __len__(self) -> int:
+        return len(self.columns.kind)
+
+    # The diagnostics below are derived from what a drain already knows
+    # rather than counted per stamp.
+    @property
+    def ring(self) -> bool:
+        """True for a queue created without a drain (overwrite on overflow)."""
+        return self._drain is None
+
+    @property
+    def pushed(self) -> int:
+        """Total events ever stored (drained, overwritten or still buffered)."""
+        return self._drained + self.dropped + len(self.columns.kind)
+
+    @property
+    def occupancy_high_water(self) -> int:
+        """Highest occupancy ever reached."""
+        return max(self._high_water, len(self.columns.kind))
+
+    def append(self, kind: int, time: float, a: int, b: int) -> None:
+        """Store one record, draining to the processor first if full.
 
         In ring mode (no drain callback) a full queue overwrites its
-        oldest event instead, counting the loss in :attr:`dropped`.
+        oldest record instead, counting the loss in :attr:`dropped`.
         """
-        head = self._head
-        if head == self.capacity:
+        cols = self.columns
+        if len(cols.kind) == self.capacity:
             if self._drain is None:
                 # Ring mode: overwrite the oldest slot, keep the newest
                 # ``capacity`` events, and account for the loss.
-                self._slots[self._start] = event
-                self._start += 1
-                if self._start == self.capacity:
-                    self._start = 0
+                i = self._start
+                cols.a[i] = a
+                cols.b[i] = b
+                cols.time[i] = time
+                cols.kind[i] = kind
+                self._start = (i + 1) % self.capacity
                 self.dropped += 1
-                self.pushed += 1
                 return
             self.flush()
-            head = self._head
-        slots = self._slots
-        try:
-            slots[head] = event
-        except IndexError:
-            # Slot storage grows geometrically toward ``capacity`` (at
-            # most O(log capacity) times per queue); the steady-state
-            # store above stays branch-free on the stamping hot path.
-            grown = min(self.capacity, max(64, 2 * len(slots)))
-            slots.extend([None] * (grown - len(slots)))
-            slots[head] = event
-        head += 1
-        self._head = head
-        if head > self.occupancy_high_water:
-            self.occupancy_high_water = head
-        self.pushed += 1
+            cols = self.columns
+        cols.append(kind, time, a, b)
+
+    def push(self, event: TimedEvent) -> None:
+        """:meth:`append` for a materialized :class:`TimedEvent`."""
+        self.append(*event)
+
+    def snapshot(self) -> EventColumns:
+        """A copy of the buffered records, oldest first, consuming nothing."""
+        cols, start = self.columns, self._start
+        return EventColumns(*(
+            col[start:] + col[:start]
+            for col in (cols.kind, cols.time, cols.a, cols.b)
+        ))
 
     def events(self) -> list[TimedEvent]:
         """Buffered events, oldest first, without consuming them."""
-        slots = typing.cast("list[TimedEvent]", self._slots)
-        if self._head == self.capacity and self._start:
-            return slots[self._start:] + slots[: self._start]
-        return slots[: self._head]
+        return list(self.snapshot())
 
     def flush(self) -> None:
         """Drain all buffered events to the processor and reset the head.
 
-        Reentrancy-safe: the head is reset *before* the drain callback
-        runs (the batch is an independent copy), so a callback that
-        pushes events back -- e.g. a processor emitting derived events
-        while consuming a full queue -- stores them in the freed slots
-        instead of having them silently erased by a post-drain reset.
+        Reentrancy-safe: the queue starts fresh columns *before* the drain
+        callback runs (the batch is detached), so a callback that pushes
+        events back -- e.g. a processor emitting derived events while
+        consuming a full queue -- stores them in the new columns instead
+        of having them silently erased by a post-drain reset.
         """
-        if self._head == 0:
+        batch = self.columns
+        n = len(batch.kind)
+        if n == 0:
             return
         if self._drain is None:
             raise ValueError("cannot flush a queue created without a drain")
         if self._draining:
             self.reentrant_flushes += 1
-        batch = typing.cast("list[TimedEvent]", self._slots[: self._head])
+        self.columns = EventColumns()
         self.drains += 1
-        self._head = 0
+        self._drained += n
+        if n > self._high_water:
+            self._high_water = n
         hist = self._flush_hist
         was_draining = self._draining
         self._draining = True
         try:
+            for tap in self._taps:
+                tap(batch)
             if hist is not None:
-                t0 = time.perf_counter()
+                t0 = perf_counter()
                 self._drain(batch)
-                hist.observe(time.perf_counter() - t0)
+                hist.observe(perf_counter() - t0)
             else:
                 self._drain(batch)
         finally:

@@ -18,7 +18,20 @@ import contextlib
 import typing
 
 from repro.core.equeue import CircularEventQueue
-from repro.core.events import EventKind, NameRegistry, TimedEvent
+from repro.core.events import (
+    CALL_ENTER,
+    CALL_EXIT,
+    KINDS,
+    RESET,
+    SECTION_BEGIN,
+    SECTION_END,
+    XFER_BEGIN,
+    XFER_END,
+    EventKind,
+    NameRegistry,
+    Row,
+    TimedEvent,
+)
 from repro.core.measures import DEFAULT_BIN_EDGES
 from repro.core.peruse import PeruseHub
 from repro.core.processor import DataProcessor, InstrumentationError
@@ -28,9 +41,12 @@ from repro.core.xfer_table import XferTable
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.metrics import MetricsRegistry
 
-#: Default circular-queue capacity (events).  Small enough to be cache
-#: resident, large enough that drains are rare; ablation EA4 sweeps this.
+#: Default circular-queue capacity (events).  A full queue is 100 KiB of
+#: columns (25 B per record), large enough that drains are rare; ablation
+#: EA4 sweeps this.
 DEFAULT_QUEUE_CAPACITY = 4096
+
+_NBYTES_MAX = 2**63 - 1  # what the queue's signed 64-bit ``b`` column holds
 
 
 class Monitor:
@@ -94,9 +110,9 @@ class Monitor:
     ) -> None:
         self._clock = clock
         self.names = NameRegistry()
+        self._name_ids = self.names.ids
         factory = processor_factory or DataProcessor
         self.processor = factory(xfer_table, bin_edges)
-        self._ring_mode = ring_mode
         self.queue = CircularEventQueue(
             queue_capacity, None if ring_mode else self.processor.process
         )
@@ -159,26 +175,18 @@ class Monitor:
             self._enabled = True
             if self._was_paused:
                 # Tell the processor not to attribute the paused gap.
-                self._push(TimedEvent(EventKind.RESET, self._clock(), 0, 0))
+                self._stamp(RESET, 0, 0)
 
     # -- stamping (library-facing) -------------------------------------------
     def call_enter(self, name: str) -> None:
         """Stamp entry into a library call."""
         if self._enabled:
-            self._push(
-                TimedEvent(
-                    EventKind.CALL_ENTER, self._clock(), self.names.intern(name), 0
-                )
-            )
+            self._stamp(CALL_ENTER, self._name_ids[name], 0)
 
     def call_exit(self, name: str) -> None:
         """Stamp exit from a library call."""
         if self._enabled:
-            self._push(
-                TimedEvent(
-                    EventKind.CALL_EXIT, self._clock(), self.names.intern(name), 0
-                )
-            )
+            self._stamp(CALL_EXIT, self._name_ids[name], 0)
 
     @contextlib.contextmanager
     def call(self, name: str) -> typing.Iterator[None]:
@@ -203,9 +211,7 @@ class Monitor:
             loss = self._stamp_loss
             if loss is not None and loss.drop_begin():
                 return xfer_id
-            self._push(
-                TimedEvent(EventKind.XFER_BEGIN, self._clock(), xfer_id, int(nbytes))
-            )
+            self._stamp(XFER_BEGIN, xfer_id, _whole_bytes("xfer_begin", nbytes))
         return xfer_id
 
     def xfer_end(self, xfer_id: int, nbytes: float) -> None:
@@ -214,9 +220,7 @@ class Monitor:
             loss = self._stamp_loss
             if loss is not None and loss.drop_end():
                 return
-            self._push(
-                TimedEvent(EventKind.XFER_END, self._clock(), xfer_id, int(nbytes))
-            )
+            self._stamp(XFER_END, xfer_id, _whole_bytes("xfer_end", nbytes))
 
     def xfer_end_only(self, nbytes: float) -> None:
         """Stamp a completion whose initiation was invisible (case 3).
@@ -230,20 +234,12 @@ class Monitor:
     def section_begin(self, name: str) -> None:
         """Open a named monitoring section (Sec. 2.3's code-region control)."""
         if self._enabled:
-            self._push(
-                TimedEvent(
-                    EventKind.SECTION_BEGIN, self._clock(), self.names.intern(name), 0
-                )
-            )
+            self._stamp(SECTION_BEGIN, self._name_ids[name], 0)
 
     def section_end(self, name: str) -> None:
         """Close the innermost monitoring section (must match ``name``)."""
         if self._enabled:
-            self._push(
-                TimedEvent(
-                    EventKind.SECTION_END, self._clock(), self.names.intern(name), 0
-                )
-            )
+            self._stamp(SECTION_END, self._name_ids[name], 0)
 
     @contextlib.contextmanager
     def section(self, name: str) -> typing.Iterator[None]:
@@ -260,11 +256,11 @@ class Monitor:
         if self._finalized:
             raise InstrumentationError("monitor already finalized")
         end_time = self._clock()
-        if self._ring_mode:
+        if self.queue.ring:
             # Ring mode: only the newest ``capacity`` stamps survived.  The
             # suffix may open mid-call / mid-section, so sanitize before
             # feeding the processor (which rejects orphaned closers).
-            self.processor.process(_sanitize_suffix(self.queue.events()))
+            self.processor.process(_sanitize_suffix(self.queue.snapshot().rows()))
         else:
             self.queue.flush()
         self.processor.finalize(end_time)
@@ -279,47 +275,74 @@ class Monitor:
         )
 
     # -- internals -----------------------------------------------------------
-    def _push(self, event: TimedEvent) -> None:
+    def _stamp(self, kind: int, a: int, b: int) -> None:
+        """Log one record: read the clock, append to the queue's columns."""
         if self._finalized:
             raise InstrumentationError("monitor already finalized")
-        self.queue.push(event)
+        t = self._clock()
+        queue = self.queue
+        cols = queue.columns
+        if len(cols.kind) < queue.capacity:
+            # ``a`` goes first: it is the one value a caller supplies
+            # unchecked, and a column that rejects it leaves no half record.
+            cols.a.append(a)
+            cols.b.append(b)
+            cols.time.append(t)
+            cols.kind.append(kind)
+        else:
+            # Full: drain to the processor (or overwrite the oldest).
+            queue.append(kind, t, a, b)
         self.event_count += 1
         kind_counts = self._kind_counts
         if kind_counts is not None:
-            kind_counts[event.kind] += 1
-        # Inlined no-subscriber check: stamping is the library's hot path
-        # and the PERUSE hub is idle in normal runs.
+            kind_counts[kind] += 1
+        # The PERUSE hub is idle in normal runs; only a live subscriber
+        # costs a materialized event.
         peruse = self.peruse
-        if peruse._all or peruse._by_kind:
-            peruse.dispatch(event)
+        if peruse.has_subscribers:
+            peruse.dispatch(TimedEvent(KINDS[kind], t, a, b))
 
 
-def _sanitize_suffix(events: "list[TimedEvent]") -> "list[TimedEvent]":
+def _whole_bytes(call: str, nbytes: float) -> int:
+    """``int(nbytes)``, provided the queue's 64-bit column can hold it."""
+    try:
+        whole = int(nbytes)
+    except (ValueError, OverflowError):  # NaN, +-inf
+        whole = -1
+    if 0 <= whole <= _NBYTES_MAX:
+        return whole
+    raise InstrumentationError(
+        f"{call}: nbytes must be a finite size in [0, 2**63), got {nbytes!r}"
+    )
+
+
+def _sanitize_suffix(events: "typing.Iterable[Row]") -> "list[Row]":
     """Make a ring-overflow suffix digestible by the processor.
 
-    Overflow overwrites the *oldest* stamps, so the surviving stream can
-    close scopes it never opened.  Orphaned ``CALL_EXIT`` (depth would go
-    negative) and ``SECTION_END`` (no matching open section) events are
-    discarded; everything else passes through in order.  Orphaned
-    ``XFER_END`` events are deliberately kept: the processor resolves an
-    END without a BEGIN under Case 3, which is exactly the paper's "only
-    one of the two events stamped" bound.
+    ``events`` are ``(kind, time, a, b)`` records (plain rows or
+    :class:`TimedEvent`).  Overflow overwrites the *oldest* stamps, so the
+    surviving stream can close scopes it never opened.  Orphaned
+    ``CALL_EXIT`` (depth would go negative) and ``SECTION_END`` (no
+    matching open section) events are discarded; everything else passes
+    through in order.  Orphaned ``XFER_END`` events are deliberately kept:
+    the processor resolves an END without a BEGIN under Case 3, which is
+    exactly the paper's "only one of the two events stamped" bound.
     """
-    out: list[TimedEvent] = []
+    out: "list[Row]" = []
     depth = 0
     sections: list[int] = []
     for ev in events:
-        kind = ev.kind
-        if kind == EventKind.CALL_ENTER:
+        kind, _t, a, _b = ev
+        if kind == CALL_ENTER:
             depth += 1
-        elif kind == EventKind.CALL_EXIT:
+        elif kind == CALL_EXIT:
             if depth == 0:
                 continue
             depth -= 1
-        elif kind == EventKind.SECTION_BEGIN:
-            sections.append(ev.a)
-        elif kind == EventKind.SECTION_END:
-            if not sections or sections[-1] != ev.a:
+        elif kind == SECTION_BEGIN:
+            sections.append(a)
+        elif kind == SECTION_END:
+            if not sections or sections[-1] != a:
                 continue
             sections.pop()
         out.append(ev)

@@ -56,7 +56,10 @@ class PeruseHub:
     def __init__(self) -> None:
         self._by_kind: dict[int, list[PeruseSubscription]] = {}
         self._all: list[PeruseSubscription] = []
-        #: Total events dispatched (diagnostics).
+        #: True while any subscription is live.  A plain attribute kept
+        #: current by subscribe/cancel: the monitor reads it once per stamp.
+        self.has_subscribers = False
+        #: Events delivered to at least one subscriber (diagnostics).
         self.dispatched = 0
         self._dispatch_hist = None
 
@@ -67,7 +70,7 @@ class PeruseHub:
     ) -> None:
         """Register dispatch count and per-dispatch cost metrics.
 
-        The cost histogram adds two clock reads per *dispatched* event,
+        The cost histogram adds two clock reads per *delivered* event,
         which only happens when a subscriber is live -- idle hubs stay on
         the zero-cost path.
         """
@@ -93,31 +96,32 @@ class PeruseHub:
             self._all.append(sub)
         else:
             self._by_kind.setdefault(int(kind), []).append(sub)
+        self.has_subscribers = True
         return sub
 
     def _remove(self, sub: PeruseSubscription) -> None:
-        bucket = self._all if sub.kind is None else self._by_kind.get(int(sub.kind), [])
-        if sub in bucket:
-            bucket.remove(sub)
-
-    @property
-    def has_subscribers(self) -> bool:
-        return bool(self._all) or any(self._by_kind.values())
+        if sub.kind is None:
+            self._all.remove(sub)
+        else:
+            kind = int(sub.kind)
+            self._by_kind[kind].remove(sub)
+            if not self._by_kind[kind]:
+                # An empty bucket would keep the hub looking subscribed.
+                del self._by_kind[kind]
+        self.has_subscribers = bool(self._all or self._by_kind)
 
     def dispatch(self, event: TimedEvent) -> None:
         """Deliver one event to every matching subscriber."""
-        # Local refs and a flat emptiness check: this runs once per stamped
-        # event when any subscriber (e.g. a telemetry TraceSink) is live.
-        by_kind = self._by_kind
+        # This runs once per stamped event while any subscriber is live.
+        subs_kind = self._by_kind.get(event.kind, ())
         subs_all = self._all
-        if not subs_all and not by_kind:
+        if not subs_kind and not subs_all:
             return
         self.dispatched += 1
         hist = self._dispatch_hist
         t0 = time.perf_counter() if hist is not None else 0.0
-        if by_kind:
-            for sub in by_kind.get(event.kind, ()):
-                sub.callback(event)
+        for sub in subs_kind:
+            sub.callback(event)
         for sub in subs_all:
             sub.callback(event)
         if hist is not None:

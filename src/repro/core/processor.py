@@ -35,8 +35,9 @@ them at ``XFER_BEGIN``.  At ``XFER_END`` the interleaved ``comp`` /
 ``noncomp`` windows fall out by subtraction.  The clocks are kept as exact
 Shewchuk partial sums so the window values are *correctly rounded*: the
 subtraction is bit-identical to exactly summing the per-transfer interval
-list, which is what :mod:`repro.core.processor_reference` does and what
-the differential property test relies on.
+list, which is what the straightforward oracle in
+``tests/processor_reference.py`` does and what the differential property
+tests rely on.
 """
 
 from __future__ import annotations
@@ -44,7 +45,17 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.core.events import EventKind, TimedEvent
+from repro.core.events import (
+    CALL_ENTER,
+    CALL_EXIT,
+    RESET,
+    SECTION_BEGIN,
+    SECTION_END,
+    XFER_BEGIN,
+    XFER_END,
+    EventColumns,
+    Row,
+)
 from repro.core.measures import (
     CASE_ONE_EVENT,
     CASE_SAME_CALL,
@@ -69,18 +80,6 @@ CASE_LABELS = {
 
 class InstrumentationError(RuntimeError):
     """Raised on malformed event streams (library instrumentation bugs)."""
-
-
-# Plain-int mirrors of the EventKind members for the dispatch loop: an
-# IntEnum attribute lookup plus enum comparison per event is measurable at
-# flush time, a raw int compare is not.
-_CALL_ENTER = int(EventKind.CALL_ENTER)
-_CALL_EXIT = int(EventKind.CALL_EXIT)
-_XFER_BEGIN = int(EventKind.XFER_BEGIN)
-_XFER_END = int(EventKind.XFER_END)
-_SECTION_BEGIN = int(EventKind.SECTION_BEGIN)
-_SECTION_END = int(EventKind.SECTION_END)
-_RESET = int(EventKind.RESET)
 
 
 def _grow_partials(partials: list[float], x: float) -> None:
@@ -221,43 +220,63 @@ class DataProcessor:
             "Transfers resolved into the overlap measures", labels)
 
     # -- event intake -----------------------------------------------------
-    def process(self, batch: typing.Sequence[TimedEvent]) -> None:
-        """Digest a drained batch of events (oldest first)."""
+    def process(
+        self,
+        batch: "EventColumns | typing.Iterable[Row]",
+    ) -> None:
+        """Digest a batch of events (oldest first).
+
+        ``batch`` is either the :class:`~repro.core.events.EventColumns`
+        a queue drains, walked column-wise without materializing a record
+        object, or any iterable of ``(kind, time, a, b)`` records -- a
+        list of :class:`~repro.core.events.TimedEvent`, a stored trace.
+        """
         if self._finalized:
             raise InstrumentationError("processor already finalized")
-        # Bound handlers and advance are hoisted out of the loop; branches
-        # are ordered by frequency in real streams (calls, then transfers).
+        rows = batch.rows() if isinstance(batch, EventColumns) else batch
+        # ``advance`` stays a bound call (WindowedProcessor overrides it);
+        # branches are ordered by frequency in real streams (calls, then
+        # transfers).
         advance = self._advance
-        on_call_enter = self._on_call_enter
-        on_call_exit = self._on_call_exit
-        on_xfer_begin = self._on_xfer_begin
-        on_xfer_end = self._on_xfer_end
-        for ev in batch:
-            kind = ev.kind
-            if kind == _CALL_ENTER:
-                advance(ev.time)
-                on_call_enter(ev)
-            elif kind == _CALL_EXIT:
-                advance(ev.time)
-                on_call_exit(ev)
-            elif kind == _XFER_END:
-                advance(ev.time)
-                on_xfer_end(ev)
-            elif kind == _XFER_BEGIN:
-                advance(ev.time)
-                on_xfer_begin(ev)
-            elif kind == _RESET:
-                # Monitoring was paused: do not attribute the gap.
-                self._last_time = ev.time
-            elif kind == _SECTION_BEGIN:
-                advance(ev.time)
-                self._section_stack.append(ev.a)
-                self.sections.setdefault(ev.a, OverlapMeasures(self._bin_edges))
-            elif kind == _SECTION_END:
-                advance(ev.time)
-                if not self._section_stack or self._section_stack[-1] != ev.a:
+        for kind, t, a, b in rows:
+            if kind == CALL_ENTER:
+                advance(t)
+                self._depth += 1
+                if self._depth == 1:
+                    self._call_seq += 1
+                    self._call_enter_time = t
+                    self._call_name = a
+            elif kind == CALL_EXIT:
+                advance(t)
+                if self._depth <= 0:
                     raise InstrumentationError(
-                        f"SECTION_END {ev.a} does not match open section stack "
+                        "CALL_EXIT without a matching CALL_ENTER"
+                    )
+                self._depth -= 1
+                if self._depth == 0:
+                    stats = self.call_stats.get(self._call_name)
+                    if stats is None:
+                        stats = self.call_stats[self._call_name] = CallStats()
+                    stats.count += 1
+                    stats.total_time += t - self._call_enter_time
+            elif kind == XFER_END:
+                advance(t)
+                self._on_xfer_end(a, float(b))
+            elif kind == XFER_BEGIN:
+                advance(t)
+                self._on_xfer_begin(t, a, float(b))
+            elif kind == RESET:
+                # Monitoring was paused: do not attribute the gap.
+                self._last_time = t
+            elif kind == SECTION_BEGIN:
+                advance(t)
+                self._section_stack.append(a)
+                self.sections.setdefault(a, OverlapMeasures(self._bin_edges))
+            elif kind == SECTION_END:
+                advance(t)
+                if not self._section_stack or self._section_stack[-1] != a:
+                    raise InstrumentationError(
+                        f"SECTION_END {a} does not match open section stack "
                         f"{self._section_stack}"
                     )
                 self._section_stack.pop()
@@ -299,30 +318,14 @@ class DataProcessor:
         self._last_time = t
 
     # -- event handlers -----------------------------------------------------
-    def _on_call_enter(self, ev: TimedEvent) -> None:
-        self._depth += 1
-        if self._depth == 1:
-            self._call_seq += 1
-            self._call_enter_time = ev.time
-            self._call_name = ev.a
-
-    def _on_call_exit(self, ev: TimedEvent) -> None:
-        if self._depth <= 0:
-            raise InstrumentationError("CALL_EXIT without a matching CALL_ENTER")
-        self._depth -= 1
-        if self._depth == 0:
-            stats = self.call_stats.setdefault(self._call_name, CallStats())
-            stats.count += 1
-            stats.total_time += ev.time - self._call_enter_time
-
-    def _on_xfer_begin(self, ev: TimedEvent) -> None:
-        if ev.a in self._active:
-            raise InstrumentationError(f"duplicate XFER_BEGIN for transfer {ev.a}")
+    def _on_xfer_begin(self, t: float, ident: int, nbytes: float) -> None:
+        if ident in self._active:
+            raise InstrumentationError(f"duplicate XFER_BEGIN for transfer {ident}")
         begin_call = self._call_seq if self._depth > 0 else -1
-        self._active[ev.a] = _ActiveXfer(
-            ev.time,
+        self._active[ident] = _ActiveXfer(
+            t,
             begin_call,
-            float(ev.b),
+            nbytes,
             tuple(self._comp_clock),
             tuple(self._call_clock),
             tuple(self._section_stack),
@@ -330,9 +333,8 @@ class DataProcessor:
         if len(self._active) > self.active_high_water:
             self.active_high_water = len(self._active)
 
-    def _on_xfer_end(self, ev: TimedEvent) -> None:
-        xfer = self._active.pop(ev.a, None)
-        nbytes = float(ev.b)
+    def _on_xfer_end(self, ident: int, nbytes: float) -> None:
+        xfer = self._active.pop(ident, None)
         if xfer is None:
             # Case 3: END without a BEGIN (e.g. the eager receiver, for whom
             # initiation is transparent).
@@ -344,7 +346,7 @@ class DataProcessor:
             return
         if xfer.nbytes != nbytes and nbytes > 0:
             raise InstrumentationError(
-                f"transfer {ev.a} size mismatch: begin={xfer.nbytes} end={nbytes}"
+                f"transfer {ident} size mismatch: begin={xfer.nbytes} end={nbytes}"
             )
         xfer_time = self.xfer_table.time_for(xfer.nbytes)
         same_call = (

@@ -20,42 +20,74 @@ import io
 import os
 import typing
 
-from repro.core.events import EventKind, TimedEvent
+from repro.core.events import EventColumns, EventKind, TimedEvent
 from repro.core.measures import DEFAULT_BIN_EDGES
 from repro.core.processor import DataProcessor
 from repro.core.xfer_table import XferTable
 
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.core.monitor import Monitor
+
 _HEADER = "# repro event trace v1: kind<TAB>time<TAB>a<TAB>b"
 
-#: Bytes per stored record: one 8-byte word per :class:`TimedEvent` field
-#: (the paper's queue holds fixed-size records).  Derived from the record
-#: definition so the estimate cannot drift if fields are added.
-RECORD_NBYTES = 8 * len(TimedEvent._fields)
+#: Bytes per stored record (the paper's queue holds fixed-size records):
+#: the item sizes of the four columns a record is stored in.
+RECORD_NBYTES = EventColumns.RECORD_NBYTES
 
 
 class TraceSink:
-    """Unbounded in-memory event recorder (attach via the PERUSE hub)."""
+    """Unbounded in-memory event recorder.
+
+    Stores records columnar, like the queue.  :meth:`attach` it to a
+    monitor, or subscribe the sink itself to a PERUSE hub to record one
+    event at a time.
+    """
 
     def __init__(self) -> None:
-        self.events: list[TimedEvent] = []
+        self._columns = EventColumns()
+
+    def attach(self, monitor: "Monitor") -> None:
+        """Record every event ``monitor`` stamps from now on.
+
+        A draining monitor feeds the sink one batch per queue drain (the
+        same columns the processor gets, no per-stamp work), so the record
+        is complete once the monitor is finalized and trails the stamps
+        by at most one queue-full before that.  A ring-mode monitor never
+        drains, so there the sink subscribes to the PERUSE hub instead.
+        """
+        queue = monitor.queue
+        if queue.ring:
+            monitor.peruse.subscribe(self)
+        else:
+            queue.flush()  # what was stamped before now is not ours
+            queue.add_tap(self.extend)
 
     def __call__(self, event: TimedEvent) -> None:
-        self.events.append(event)
+        self._columns.append(*event)
+
+    def extend(self, batch: EventColumns) -> None:
+        """Record a drained batch."""
+        self._columns.extend(batch)
+
+    @property
+    def events(self) -> list[TimedEvent]:
+        """Everything recorded so far, materialized (a new list per read)."""
+        return list(self._columns)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._columns)
 
     @property
     def nbytes_estimate(self) -> int:
-        """Approximate stored size: :data:`RECORD_NBYTES` per record."""
-        return RECORD_NBYTES * len(self.events)
+        """Stored size: :data:`RECORD_NBYTES` per record."""
+        return RECORD_NBYTES * len(self._columns)
 
     # -- persistence -------------------------------------------------------
     def dumps(self) -> str:
         buf = io.StringIO()
         buf.write(_HEADER + "\n")
-        for ev in self.events:
-            buf.write(f"{int(ev.kind)}\t{ev.time:.17g}\t{ev.a}\t{ev.b}\n")
+        for kind, time, a, b in self._columns.rows():
+            buf.write(f"{kind}\t{time:.17g}\t{a}\t{b}\n")
         return buf.getvalue()
 
     def save(self, path: str | os.PathLike) -> None:
@@ -98,7 +130,7 @@ def replay_overlap(
     live bounded-memory pipeline computed (tested property).
     """
     proc = DataProcessor(xfer_table, bin_edges)
-    proc.process(list(events))
+    proc.process(events)
     if end_time is None and events:
         end_time = events[-1].time
     proc.finalize(end_time)

@@ -138,10 +138,7 @@ def build_rank_stack(
         )
         if collect_trace:
             sink = TraceSink()
-            # Subscribe the list's bound append (a C function) rather
-            # than the sink itself: one less Python frame per event on
-            # the stamping hot path.
-            monitor.peruse.subscribe(sink.events.append)
+            sink.attach(monitor)
         # Anchor interval attribution at startup, as the real framework
         # does inside MPI_Init (this is also where the transfer-time
         # table would be read from disk).

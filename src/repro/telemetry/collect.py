@@ -2,9 +2,10 @@
 
 ``run_app(..., telemetry=TelemetryConfig())`` swaps each monitor's
 processor for a :class:`~repro.telemetry.windows.WindowedProcessor` and
-(optionally) attaches a PERUSE :class:`~repro.core.trace.TraceSink` per
-rank for trace export.  The result carries a :class:`TelemetryResult`,
-whose :func:`write_run_telemetry` emits the full on-disk layout::
+(optionally) attaches a :class:`~repro.core.trace.TraceSink` per rank
+(fed the queue's columns once per drain) for trace export.  The result
+carries a :class:`TelemetryResult`, whose :func:`write_run_telemetry`
+emits the full on-disk layout::
 
     out/
       telemetry.rank0.json   # per-rank report + window series

@@ -18,7 +18,7 @@ in ``ui.perfetto.dev`` or ``chrome://tracing``:
 
 Timestamps are simulated seconds scaled to trace microseconds.  The
 exporter is pure post-processing: it consumes a recorded event list (a
-PERUSE :class:`~repro.core.trace.TraceSink`), never the live hot path.
+:class:`~repro.core.trace.TraceSink`'s), never the live hot path.
 """
 
 from __future__ import annotations

@@ -3,15 +3,17 @@
 This is the unoptimized formulation of Sec. 2.2: every event walks the
 set of active transfers and appends the interval to each one's own list;
 at ``XFER_END`` the interleaved computation / in-library windows are the
-exact (``math.fsum``) totals of those lists.  It is retained purely as a
-differential-testing oracle for the optimized
+exact (``math.fsum``) totals of those lists.  It lives under ``tests/``
+purely as the differential-testing oracle for the optimized
 :class:`repro.core.processor.DataProcessor`, whose cumulative-clock
 subtraction produces the correctly rounded value of the same exact real
 sum -- so the two implementations must agree *bit for bit* on every
-measure.  See ``tests/test_property_processor_diff.py``.
+measure.  See ``tests/test_property_processor_diff.py`` and
+``tests/test_property_stamp_path.py``.
 
-Do not use this in production paths: it is O(active transfers) per event
-and keeps one list per active transfer.
+It is O(active transfers) per event and keeps one list per active
+transfer; it reads events as objects (``ev.kind`` ...), so it takes
+lists of ``TimedEvent`` or an ``EventColumns`` (which iterates as such).
 """
 
 from __future__ import annotations

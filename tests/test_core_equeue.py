@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.equeue import CircularEventQueue
-from repro.core.events import EventKind, NameRegistry, TimedEvent
+from repro.core.events import EventColumns, EventKind, NameRegistry, TimedEvent
 
 
 def _ev(t, ident=0):
@@ -205,3 +205,96 @@ def test_name_registry_interns_stably():
     assert len(reg) == 2
     assert "MPI_Isend" in reg
     assert "MPI_Recv" not in reg
+
+
+# -- the columnar surface ----------------------------------------------------
+def test_drain_is_handed_the_columns():
+    """A drain gets an ``EventColumns``: typed columns, records by ``rows()``,
+    ``TimedEvent`` objects only for whoever iterates it."""
+    batches = []
+    q = CircularEventQueue(2, batches.append)
+    q.append(int(EventKind.CALL_ENTER), 1.0, 3, 0)
+    q.push(_ev(2.0, ident=7))
+    q.flush()
+    (batch,) = batches
+    assert isinstance(batch, EventColumns)
+    assert [col.typecode for col in (batch.kind, batch.time, batch.a, batch.b)] \
+        == ["b", "d", "q", "q"]
+    assert list(batch.rows()) == [(0, 1.0, 3, 0), (2, 2.0, 7, 8)]
+    events = list(batch)
+    assert events == [TimedEvent(EventKind.CALL_ENTER, 1.0, 3, 0), _ev(2.0, 7)]
+    assert all(type(e) is TimedEvent and type(e.kind) is EventKind
+               for e in events)
+    assert len(batch) == 2 and len(q) == 0
+
+
+def test_drained_batch_is_detached_from_the_queue():
+    batches = []
+    q = CircularEventQueue(2, batches.append)
+    for i in range(5):
+        q.push(_ev(float(i), ident=i))
+    q.flush()
+    assert [list(b.a) for b in batches] == [[0, 1], [2, 3], [4]]
+
+
+def test_snapshot_and_events_do_not_consume():
+    q = CircularEventQueue(3, None)
+    for i in range(5):
+        q.push(_ev(float(i), ident=i))
+    assert list(q.snapshot().a) == [2, 3, 4]
+    assert q.events() == [_ev(2.0, 2), _ev(3.0, 3), _ev(4.0, 4)]
+    assert len(q) == 3 and q.dropped == 2
+    q.push(_ev(5.0, ident=5))
+    assert [e.a for e in q.events()] == [3, 4, 5]
+
+
+def test_diagnostics_are_derived_not_counted_per_stamp():
+    q = CircularEventQueue(4, lambda batch: None)
+    for i in range(3):
+        q.push(_ev(float(i)))
+    assert (q.pushed, q.occupancy_high_water, q.drains) == (3, 3, 0)
+    q.flush()
+    q.push(_ev(9.0))
+    assert (q.pushed, q.occupancy_high_water, q.drains, len(q)) == (4, 3, 1, 1)
+    assert q.ring is False and CircularEventQueue(1, None).ring is True
+
+
+def test_taps_see_every_drained_batch_before_the_drain():
+    order = []
+    q = CircularEventQueue(2, lambda batch: order.append(("drain", list(batch.a))))
+    q.add_tap(lambda batch: order.append(("tap", list(batch.a))))
+    for i in range(3):
+        q.push(_ev(float(i), ident=i))
+    q.flush()
+    assert order == [("tap", [0, 1]), ("drain", [0, 1]),
+                     ("tap", [2]), ("drain", [2])]
+    with pytest.raises(ValueError, match="never drains"):
+        CircularEventQueue(2, None).add_tap(print)
+
+
+def test_a_record_a_column_rejects_leaves_no_half_record():
+    q = CircularEventQueue(4, lambda batch: None)
+    q.push(_ev(1.0))
+    with pytest.raises(OverflowError):
+        q.append(2, 2.0, 1, 2**63)
+    with pytest.raises(TypeError):
+        q.append(2, 2.0, 1, 8.5)
+    assert len(q) == 1
+    assert {len(c) for c in (q.columns.kind, q.columns.time,
+                             q.columns.a, q.columns.b)} == {1}
+
+
+def test_storage_grows_with_what_is_buffered_not_with_capacity():
+    """O(1) build per rank: an idle big queue holds no slots."""
+    import sys
+
+    def held(queue):
+        cols = queue.columns
+        return sum(sys.getsizeof(c) for c in (cols.kind, cols.time, cols.a, cols.b))
+
+    small, big = CircularEventQueue(8, None), CircularEventQueue(1 << 20, None)
+    assert held(small) == held(big)
+    for i in range(8):
+        small.push(_ev(float(i)))
+        big.push(_ev(float(i)))
+    assert held(small) == held(big)

@@ -176,3 +176,63 @@ def test_null_monitor_interface(table):
     null.resume()
     assert null.finalize() is None
     assert null.event_count == 0
+
+
+# -- stamp-time argument validation -------------------------------------------
+@pytest.mark.parametrize("stamp", ["xfer_begin", "xfer_end"])
+@pytest.mark.parametrize("nbytes", [
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("inf"), id="inf"),
+    pytest.param(-1, id="negative"),
+    pytest.param(2**63, id="too-big-int"),
+    pytest.param(2.0**63, id="too-big-float"),
+])
+def test_bad_nbytes_is_an_instrumentation_error(monitor, stamp, nbytes):
+    """Not a bare ValueError/OverflowError from ``int()`` or the column."""
+    args = (nbytes,) if stamp == "xfer_begin" else (0, nbytes)
+    with pytest.raises(InstrumentationError) as err:
+        getattr(monitor, stamp)(*args)
+    assert stamp in str(err.value) and repr(nbytes) in str(err.value)
+    # Nothing was logged, and the monitor still works.
+    assert monitor.event_count == 0 and len(monitor.queue) == 0
+    monitor.xfer_end(monitor.xfer_begin(8), 8)
+    assert monitor.finalize().total.transfer_count == 1
+
+
+def test_bad_nbytes_on_end_only_names_the_stamp(monitor):
+    with pytest.raises(InstrumentationError, match="xfer_end: nbytes"):
+        monitor.xfer_end_only(float("-inf"))
+
+
+@pytest.mark.parametrize("nbytes, stored", [
+    (4096, 4096), (4096.0, 4096), (4096.9, 4096), (0.5, 0), (-0.5, 0),
+    (0, 0), (2**63 - 1, 2**63 - 1), (1e18, 10**18),
+])
+def test_finite_nbytes_truncate_as_int_does(monitor, nbytes, stored):
+    xid = monitor.xfer_begin(nbytes)
+    monitor.xfer_end(xid, nbytes)
+    assert [e.b for e in monitor.queue.events()] == [stored, stored]
+    assert stored == int(nbytes)
+
+
+def test_null_and_real_monitor_share_one_stamping_surface(table):
+    """A stamp entry point cannot exist on one monitor only: the library
+    calls whichever it was given."""
+    import inspect
+
+    def surface(cls):
+        return {
+            name: inspect.signature(member).parameters
+            for name, member in vars(cls).items()
+            if not name.startswith("_") and inspect.isfunction(
+                inspect.unwrap(member))
+        }
+
+    real, null = surface(Monitor), surface(NullMonitor)
+    del real["attach_metrics"]  # observability of the monitor itself
+    assert sorted(real) == sorted(null)
+    for name in real:
+        assert list(real[name].values()) == list(null[name].values()), name
+    # ... and the two data attributes the library reads.
+    assert {"enabled", "event_count"} <= set(dir(NullMonitor))
+    assert {"enabled", "event_count"} <= set(dir(Monitor(lambda: 0.0, table)))

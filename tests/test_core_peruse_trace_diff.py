@@ -12,6 +12,7 @@ from repro.core import (
     replay_overlap,
 )
 from repro.core.peruse import PeruseHub
+from repro.core.trace import RECORD_NBYTES
 from repro.mpisim.config import mvapich2_like
 from repro.nas.base import CpuModel
 from repro.nas.sp import sp_app
@@ -81,6 +82,47 @@ class TestPeruseHub:
         assert hub.dispatched == 1
 
 
+    def test_cancelled_kind_subscription_leaves_no_bucket_behind(self):
+        """Regression: ``_remove`` left ``{kind: []}`` behind, so the hub
+        looked subscribed forever -- every later stamp paid a dispatch and
+        ``dispatched`` counted events delivered to nobody."""
+        from repro.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        mon = Monitor(FakeClock(), XferTable.from_model(1e-6, 1e9),
+                      metrics=reg)
+        hub = mon.peruse
+        seen = []
+        sub = hub.subscribe(seen.append, kind=EventKind.XFER_BEGIN)
+        assert hub.has_subscribers
+        mon.xfer_end(mon.xfer_begin(8), 8)
+        assert len(seen) == 1 and hub.dispatched == 1  # the END reached nobody
+        sub.cancel()
+        assert not hub.has_subscribers
+        for _ in range(500):
+            mon.call_enter("c")
+            mon.call_exit("c")
+        assert hub.dispatched == 1
+        assert len(seen) == 1
+        by_name = {f.name: f.samples[0].value for f in reg.collect()
+                   if f.name.startswith("repro_peruse")}
+        assert by_name["repro_peruse_subscribers"] == 0.0
+        assert by_name["repro_peruse_dispatched"] == 1.0
+        assert by_name["repro_peruse_dispatch_seconds"].count == 1
+
+    def test_hub_stays_subscribed_while_any_subscription_is_live(self, monitor):
+        hub = monitor.peruse
+        first = hub.subscribe(lambda e: None, kind=EventKind.CALL_ENTER)
+        second = hub.subscribe(lambda e: None, kind=EventKind.CALL_ENTER)
+        everything = hub.subscribe(lambda e: None)
+        first.cancel()
+        assert hub.has_subscribers
+        second.cancel()
+        assert hub.has_subscribers
+        everything.cancel()
+        assert not hub.has_subscribers
+
+
 class TestTraceSink:
     def _record_stream(self, monitor):
         sink = TraceSink()
@@ -98,7 +140,7 @@ class TestTraceSink:
     def test_records_all_events(self, monitor):
         sink = self._record_stream(monitor)
         assert len(sink) == 6
-        assert sink.nbytes_estimate == 6 * 32
+        assert sink.nbytes_estimate == 6 * RECORD_NBYTES == 6 * 25
 
     def test_roundtrip_through_file(self, monitor, tmp_path):
         sink = self._record_stream(monitor)
@@ -150,7 +192,7 @@ class TestTraceSinkProperty:
         for ev in events:
             sink(ev)
         assert TraceSink.loads(sink.dumps()) == sink.events
-        assert sink.nbytes_estimate == 32 * len(events)
+        assert sink.nbytes_estimate == RECORD_NBYTES * len(events)
 
     def test_section_events_roundtrip_explicitly(self, monitor):
         sink = TraceSink()

@@ -3,7 +3,7 @@
 :class:`repro.core.DataProcessor` attributes intervals with O(1)
 cumulative clocks (exact Shewchuk partial sums) and recovers each
 transfer's interleaved computation / in-call windows by subtraction;
-:class:`repro.core.ReferenceDataProcessor` does the straightforward
+:class:`tests.processor_reference.ReferenceDataProcessor` does the straightforward
 O(active) walk, accumulating a per-transfer interval list and summing it
 with ``math.fsum``.  Both compute the *correctly rounded* value of the
 same exact real sum, so their outputs must be **bit-identical** -- not
@@ -18,8 +18,9 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core import DataProcessor, ReferenceDataProcessor, XferTable
+from repro.core import DataProcessor, XferTable
 from repro.core.events import EventKind, TimedEvent
+from tests.processor_reference import ReferenceDataProcessor
 
 #: Durations chosen to stress float summation: many are not exactly
 #: representable sums of each other, and the magnitudes span 12 orders.

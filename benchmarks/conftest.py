@@ -31,6 +31,22 @@ BASELINE_PRE_PR = {
 }
 
 
+#: What an "event" in the ``events_per_s`` capacity numbers is changed once;
+#: the note travels with the file so nobody reads a design change as a
+#: throughput regression (or the reverse).
+EVENT_COUNT_NOTE = (
+    "Since PR 17 (per-rank CPU clocks, docs/performance.md) a CPU cost only "
+    "its own rank can observe is no longer an engine event, so the shard "
+    "blocks' events_per_s (engine events / busiest worker's CPU seconds) "
+    "divide ~37% fewer events by ~25% less CPU for the same simulated work. "
+    "Engine events per job, before -> after: shard_scale halo 32x120 "
+    "103776 -> 65408 (sync rounds 841 -> 721); shard_scale_hi 256x30 "
+    "208128 -> 131584, 1024x10 279552 -> 178176, 4096x4 454656 -> 294912; "
+    "shard_socket halo 64x40 69312 -> 43776.  Same host, shard_scale x1: "
+    "busiest worker 0.38 -> 0.29 s CPU, events_per_s_x1 270k -> 227k."
+)
+
+
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -53,7 +69,8 @@ def bench_record():
     payload = {
         "description": "simulator host-throughput and telemetry-overhead "
         "benchmarks (pytest benchmarks/test_simulator_performance.py "
-        "benchmarks/test_telemetry_overhead.py --benchmark-only)",
+        "benchmarks/test_telemetry_overhead.py --benchmark-only).  "
+        + EVENT_COUNT_NOTE,
         "baseline_pre_pr": BASELINE_PRE_PR,
         "current": {},
     }

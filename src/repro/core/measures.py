@@ -194,7 +194,9 @@ class OverlapMeasures:
         self.max_overlap_time += max_ov
         self.transfer_count += 1
         self.case_counts[case] += 1
-        self.bins.add(nbytes, xfer_time, min_ov, max_ov)
+        bins = self.bins  # SizeBins.add, without its two frames per transfer
+        bins.bins[bisect.bisect_right(bins.edges, nbytes)].add(
+            nbytes, xfer_time, min_ov, max_ov)
 
     def add_interval(self, duration: float, in_call: bool) -> None:
         """Attribute a wall interval to computation or communication call time."""

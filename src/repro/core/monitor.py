@@ -55,8 +55,10 @@ class Monitor:
     Parameters
     ----------
     clock:
-        Zero-argument callable returning the current time.  The real system
-        would use ``gettimeofday``; the simulation passes the engine clock.
+        The time source: an object whose ``now`` attribute is the current
+        time (the simulation passes the rank's clock, so a stamp reads an
+        attribute instead of calling), or a zero-argument callable.  The
+        real system would use ``gettimeofday``.
     xfer_table:
         The a-priori transfer-time table (loaded "during MPI_Init").
     queue_capacity:
@@ -97,7 +99,7 @@ class Monitor:
 
     def __init__(
         self,
-        clock: typing.Callable[[], float],
+        clock: typing.Any,
         xfer_table: XferTable,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         bin_edges: typing.Sequence[float] = DEFAULT_BIN_EDGES,
@@ -108,7 +110,7 @@ class Monitor:
         stamp_loss: "typing.Any | None" = None,
         ring_mode: bool = False,
     ) -> None:
-        self._clock = clock
+        self._clock = clock if hasattr(clock, "now") else _CallableClock(clock)
         self.names = NameRegistry()
         self._name_ids = self.names.ids
         factory = processor_factory or DataProcessor
@@ -130,7 +132,7 @@ class Monitor:
         self._kind_counts: "list[int] | None" = None
         if metrics is not None:
             self.attach_metrics(metrics, metrics_labels)
-        self.start_time = clock()
+        self.start_time = self._clock.now
 
     def attach_metrics(
         self,
@@ -175,18 +177,16 @@ class Monitor:
             self._enabled = True
             if self._was_paused:
                 # Tell the processor not to attribute the paused gap.
-                self._stamp(RESET, 0, 0)
+                self.stamp(RESET, 0, 0)
 
     # -- stamping (library-facing) -------------------------------------------
     def call_enter(self, name: str) -> None:
         """Stamp entry into a library call."""
-        if self._enabled:
-            self._stamp(CALL_ENTER, self._name_ids[name], 0)
+        self.stamp(CALL_ENTER, self._name_ids[name], 0)
 
     def call_exit(self, name: str) -> None:
         """Stamp exit from a library call."""
-        if self._enabled:
-            self._stamp(CALL_EXIT, self._name_ids[name], 0)
+        self.stamp(CALL_EXIT, self._name_ids[name], 0)
 
     @contextlib.contextmanager
     def call(self, name: str) -> typing.Iterator[None]:
@@ -206,12 +206,13 @@ class Monitor:
     def xfer_begin(self, nbytes: float, xfer_id: int | None = None) -> int:
         """Stamp initiation of a data-transfer operation; returns its id."""
         if xfer_id is None:
-            xfer_id = self.new_xfer_id()
+            xfer_id = self._next_xfer_id
+            self._next_xfer_id = xfer_id + 1
         if self._enabled:
             loss = self._stamp_loss
             if loss is not None and loss.drop_begin():
                 return xfer_id
-            self._stamp(XFER_BEGIN, xfer_id, _whole_bytes("xfer_begin", nbytes))
+            self.stamp(XFER_BEGIN, xfer_id, _whole_bytes("xfer_begin", nbytes))
         return xfer_id
 
     def xfer_end(self, xfer_id: int, nbytes: float) -> None:
@@ -220,7 +221,7 @@ class Monitor:
             loss = self._stamp_loss
             if loss is not None and loss.drop_end():
                 return
-            self._stamp(XFER_END, xfer_id, _whole_bytes("xfer_end", nbytes))
+            self.stamp(XFER_END, xfer_id, _whole_bytes("xfer_end", nbytes))
 
     def xfer_end_only(self, nbytes: float) -> None:
         """Stamp a completion whose initiation was invisible (case 3).
@@ -233,13 +234,11 @@ class Monitor:
     # -- sections (application-facing) ----------------------------------------
     def section_begin(self, name: str) -> None:
         """Open a named monitoring section (Sec. 2.3's code-region control)."""
-        if self._enabled:
-            self._stamp(SECTION_BEGIN, self._name_ids[name], 0)
+        self.stamp(SECTION_BEGIN, self._name_ids[name], 0)
 
     def section_end(self, name: str) -> None:
         """Close the innermost monitoring section (must match ``name``)."""
-        if self._enabled:
-            self._stamp(SECTION_END, self._name_ids[name], 0)
+        self.stamp(SECTION_END, self._name_ids[name], 0)
 
     @contextlib.contextmanager
     def section(self, name: str) -> typing.Iterator[None]:
@@ -255,7 +254,7 @@ class Monitor:
         """Flush the queue, resolve active transfers, build the report."""
         if self._finalized:
             raise InstrumentationError("monitor already finalized")
-        end_time = self._clock()
+        end_time = self._clock.now
         if self.queue.ring:
             # Ring mode: only the newest ``capacity`` stamps survived.  The
             # suffix may open mid-call / mid-section, so sanitize before
@@ -274,12 +273,16 @@ class Monitor:
             event_count=self.event_count,
         )
 
-    # -- internals -----------------------------------------------------------
-    def _stamp(self, kind: int, a: int, b: int) -> None:
-        """Log one record: read the clock, append to the queue's columns."""
+    def stamp(self, kind: int, a: int, b: int) -> None:
+        """Log one record if monitoring is enabled: read the clock, append
+        to the queue's columns.  Every named method above ends here; a
+        caller holding the interned id (``names.ids[name]``) stamps call
+        and section events through it directly."""
+        if not self._enabled:
+            return
         if self._finalized:
             raise InstrumentationError("monitor already finalized")
-        t = self._clock()
+        t = self._clock.now
         queue = self.queue
         cols = queue.columns
         if len(cols.kind) < queue.capacity:
@@ -301,6 +304,19 @@ class Monitor:
         peruse = self.peruse
         if peruse.has_subscribers:
             peruse.dispatch(TimedEvent(KINDS[kind], t, a, b))
+
+
+class _CallableClock:
+    """Adapts a zero-argument time source to the ``now`` attribute."""
+
+    __slots__ = ("_read",)
+
+    def __init__(self, read: typing.Callable[[], float]) -> None:
+        self._read = read
+
+    @property
+    def now(self) -> float:
+        return self._read()
 
 
 def _whole_bytes(call: str, nbytes: float) -> int:
@@ -359,6 +375,12 @@ class NullMonitor:
 
     enabled = False
     event_count = 0
+    #: Shared by every NullMonitor so library code resolves call-name ids
+    #: the same way in both builds; nothing is ever stamped against them.
+    names = NameRegistry()
+
+    def stamp(self, kind: int, a: int, b: int) -> None:
+        pass
 
     def call_enter(self, name: str) -> None:
         pass

@@ -29,9 +29,9 @@ of currently active events"; no tracing).
 Hot-path note: interval attribution is O(1) per event regardless of how
 many transfers are active.  Instead of walking the active set on every
 event (O(active) per event, quadratic on deep injection windows), the
-processor maintains two *cumulative* clocks -- total user-computation time
-and total in-call time since startup -- and each active transfer snapshots
-them at ``XFER_BEGIN``.  At ``XFER_END`` the interleaved ``comp`` /
+processor maintains two *cumulative* clocks -- user-computation time and
+in-call time, running while any transfer is in flight -- and each active
+transfer snapshots them at ``XFER_BEGIN``.  At ``XFER_END`` the interleaved ``comp`` /
 ``noncomp`` windows fall out by subtraction.  The clocks are kept as exact
 Shewchuk partial sums so the window values are *correctly rounded*: the
 subtraction is bit-identical to exactly summing the per-transfer interval
@@ -42,7 +42,9 @@ tests rely on.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import typing
 
 from repro.core.events import (
@@ -70,6 +72,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 _TIME_EPS = 1e-12
 
+#: Internal pseudo-kind: attribute the interval up to ``t`` and nothing
+#: else (how ``finalize`` closes the run).  An object, so no stored or
+#: replayed record can carry it.
+_TICK: typing.Any = object()
+
 #: Human-readable label values for the three bounding cases.
 CASE_LABELS = {
     CASE_SAME_CALL: "same_call",
@@ -82,35 +89,14 @@ class InstrumentationError(RuntimeError):
     """Raised on malformed event streams (library instrumentation bugs)."""
 
 
-def _grow_partials(partials: list[float], x: float) -> None:
-    """Add ``x`` to a Shewchuk partial-sum list, keeping the sum exact.
-
-    The list always represents the exact real value of everything added so
-    far; ``math.fsum`` over it yields the correctly rounded total.  The
-    list stays short in practice (a handful of non-overlapping floats), so
-    this is an O(1)-in-active-transfers accumulation step.
-    """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def _window(now: list[float], begin: tuple[float, ...]) -> float:
     """Correctly rounded ``sum(now) - sum(begin)`` of two exact partial sums.
 
-    Negation of floats is exact, so fsum over the concatenation computes
+    Negation of floats is exact, so fsum over the two together computes
     the correctly rounded value of the exact window -- bit-identical to
     exactly summing the intervals that fell inside it.
     """
-    return math.fsum(now + [-y for y in begin])
+    return math.fsum(itertools.chain(now, map(operator.neg, begin)))
 
 
 class _ActiveXfer:
@@ -173,10 +159,11 @@ class DataProcessor:
         self._active: dict[int, _ActiveXfer] = {}
         #: Most transfers ever simultaneously awaiting their ``XFER_END``.
         self.active_high_water = 0
-        #: Intervals attributed (``_advance`` calls that moved the clocks).
+        #: Intervals attributed (events that moved the clocks).
         self.interval_ops = 0
-        # Cumulative clocks (exact partial sums): total attributed user
-        # computation and total attributed in-call time since startup.
+        # Cumulative clocks (exact partial sums): user computation and
+        # in-call time attributed since the oldest active transfer began
+        # (they idle, and restart from zero, while nothing is in flight).
         self._comp_clock: list[float] = []
         self._call_clock: list[float] = []
         self._depth = 0
@@ -233,94 +220,137 @@ class DataProcessor:
         """
         if self._finalized:
             raise InstrumentationError("processor already finalized")
-        rows = batch.rows() if isinstance(batch, EventColumns) else batch
-        # ``advance`` stays a bound call (WindowedProcessor overrides it);
-        # branches are ordered by frequency in real streams (calls, then
-        # transfers).
-        advance = self._advance
-        for kind, t, a, b in rows:
-            if kind == CALL_ENTER:
-                advance(t)
-                self._depth += 1
-                if self._depth == 1:
-                    self._call_seq += 1
-                    self._call_enter_time = t
-                    self._call_name = a
-            elif kind == CALL_EXIT:
-                advance(t)
-                if self._depth <= 0:
-                    raise InstrumentationError(
-                        "CALL_EXIT without a matching CALL_ENTER"
-                    )
-                self._depth -= 1
-                if self._depth == 0:
-                    stats = self.call_stats.get(self._call_name)
-                    if stats is None:
-                        stats = self.call_stats[self._call_name] = CallStats()
-                    stats.count += 1
-                    stats.total_time += t - self._call_enter_time
-            elif kind == XFER_END:
-                advance(t)
-                self._on_xfer_end(a, float(b))
-            elif kind == XFER_BEGIN:
-                advance(t)
-                self._on_xfer_begin(t, a, float(b))
-            elif kind == RESET:
-                # Monitoring was paused: do not attribute the gap.
-                self._last_time = t
-            elif kind == SECTION_BEGIN:
-                advance(t)
-                self._section_stack.append(a)
-                self.sections.setdefault(a, OverlapMeasures(self._bin_edges))
-            elif kind == SECTION_END:
-                advance(t)
-                if not self._section_stack or self._section_stack[-1] != a:
-                    raise InstrumentationError(
-                        f"SECTION_END {a} does not match open section stack "
-                        f"{self._section_stack}"
-                    )
-                self._section_stack.pop()
-            else:  # pragma: no cover - enum is exhaustive
-                raise InstrumentationError(f"unknown event kind {kind}")
+        self._digest(batch.rows() if isinstance(batch, EventColumns) else batch)
 
     def finalize(self, end_time: float | None = None) -> None:
         """Resolve still-active transfers (case 3) and freeze the measures."""
         if self._finalized:
             return
         if end_time is not None:
-            self._advance(end_time)
+            self._digest(((_TICK, end_time, 0, 0),))
         for xfer in self._active.values():
             xfer_time = self.xfer_table.time_for(xfer.nbytes)
             self._record(xfer.nbytes, xfer_time, 0.0, xfer_time, CASE_ONE_EVENT, xfer.sections)
         self._active.clear()
         self._finalized = True
 
-    # -- interval attribution ----------------------------------------------
-    def _advance(self, t: float) -> None:
+    def _digest(self, rows: "typing.Iterable[Row]") -> None:
+        """The one event loop: interval attribution, then the event itself.
+
+        Runs once per stamp of every instrumented run, so what changes per
+        event lives in locals: written back before a transfer handler needs
+        it and once when the rows are exhausted (or the stream turns out
+        malformed).  Interval attribution is O(1) in active transfers:
+        bump one cumulative clock and recover per-transfer windows by
+        subtraction at ``XFER_END``.  A clock is a Shewchuk partial-sum
+        list: it always represents the exact real value of everything
+        added so far (``math.fsum`` over it is the correctly rounded
+        total) and stays a handful of non-overlapping floats long.
+        Branches are ordered by frequency in real streams (calls, then
+        transfers).
+        """
+        total = self.total
+        comp_time = total.computation_time
+        call_time = total.communication_call_time
+        comp_clock = self._comp_clock
+        call_clock = self._call_clock
+        section_stack = self._section_stack
+        sections = self.sections
+        call_stats = self.call_stats
+        active = self._active
         last = self._last_time
-        if last is None:
-            self._last_time = t
-            return
-        dt = t - last
-        if dt < -_TIME_EPS:
-            raise InstrumentationError(
-                f"event stream goes backwards in time: {last} -> {t}"
-            )
-        if dt > 0.0:
-            self.interval_ops += 1
-            in_call = self._depth > 0
-            self.total.add_interval(dt, in_call)
-            for sec in self._section_stack:
-                self.sections[sec].add_interval(dt, in_call)
-            # O(1) in active transfers: bump one cumulative clock; the
-            # per-transfer windows are recovered by subtraction at XFER_END.
-            _grow_partials(self._call_clock if in_call else self._comp_clock, dt)
-        self._last_time = t
+        depth = self._depth
+        ops = 0
+        try:
+            for kind, t, a, b in rows:
+                if kind == RESET:
+                    # Monitoring was paused: do not attribute the gap.
+                    last = t
+                    continue
+                if last is not None:
+                    dt = t - last
+                    if dt > 0.0:
+                        ops += 1
+                        if depth > 0:
+                            call_time += dt
+                            partials = call_clock
+                        else:
+                            comp_time += dt
+                            partials = comp_clock
+                        for sec in section_stack:
+                            sections[sec].add_interval(dt, depth > 0)
+                        if active:  # the clocks only matter to open windows
+                            x = dt
+                            i = 0
+                            for y in partials:
+                                # |x| < |y|, without two builtin calls
+                                if (x if x >= 0.0 else -x) < (y if y >= 0.0 else -y):
+                                    x, y = y, x
+                                hi = x + y
+                                lo = y - (hi - x)
+                                if lo:
+                                    partials[i] = lo
+                                    i += 1
+                                x = hi
+                            partials[i:] = [x]
+                    elif dt < -_TIME_EPS:
+                        raise InstrumentationError(
+                            f"event stream goes backwards in time: {last} -> {t}"
+                        )
+                last = t
+                if kind == CALL_ENTER:
+                    depth += 1
+                    if depth == 1:
+                        self._call_seq += 1
+                        self._call_enter_time = t
+                        self._call_name = a
+                elif kind == CALL_EXIT:
+                    if depth <= 0:
+                        raise InstrumentationError(
+                            "CALL_EXIT without a matching CALL_ENTER"
+                        )
+                    depth -= 1
+                    if depth == 0:
+                        stats = call_stats.get(self._call_name)
+                        if stats is None:
+                            stats = call_stats[self._call_name] = CallStats()
+                        stats.count += 1
+                        stats.total_time += t - self._call_enter_time
+                elif kind == XFER_END:
+                    self._depth = depth
+                    self._on_xfer_end(a, float(b))
+                elif kind == XFER_BEGIN:
+                    self._depth = depth
+                    self._on_xfer_begin(t, a, float(b))
+                elif kind == SECTION_BEGIN:
+                    section_stack.append(a)
+                    sections.setdefault(a, OverlapMeasures(self._bin_edges))
+                elif kind == SECTION_END:
+                    if not section_stack or section_stack[-1] != a:
+                        raise InstrumentationError(
+                            f"SECTION_END {a} does not match open section stack "
+                            f"{section_stack}"
+                        )
+                    section_stack.pop()
+                elif kind is not _TICK:
+                    raise InstrumentationError(f"unknown event kind {kind}")
+        finally:
+            total.computation_time = comp_time
+            total.communication_call_time = call_time
+            self.interval_ops += ops
+            self._last_time = last
+            self._depth = depth
 
     # -- event handlers -----------------------------------------------------
     def _on_xfer_begin(self, t: float, ident: int, nbytes: float) -> None:
         if ident in self._active:
             raise InstrumentationError(f"duplicate XFER_BEGIN for transfer {ident}")
+        if not self._active:
+            # Nothing in flight: a window is a *difference* of the clocks,
+            # so they restart from zero (in place: the event loop holds
+            # them) and stay a float or two long.
+            del self._comp_clock[:]
+            del self._call_clock[:]
         begin_call = self._call_seq if self._depth > 0 else -1
         self._active[ident] = _ActiveXfer(
             t,

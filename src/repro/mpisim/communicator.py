@@ -6,13 +6,14 @@ generator coroutine (``status = yield from comm.recv(...)``).
 
 Instrumentation overhead (Fig. 20) is modeled here: each event stamped
 during a call costs :attr:`~repro.mpisim.config.MpiConfig.overhead_per_event`
-of CPU, charged before the call returns.
+of CPU, charged to the rank's clock before the call returns.
 """
 
 from __future__ import annotations
 
 import typing
 
+from repro.core.events import CALL_ENTER, CALL_EXIT
 from repro.mpisim.collectives import (
     allgather, allreduce, alltoall, alltoallv, barrier, bcast, gather,
     gatherv, reduce, reduce_scatter, scan, scatter, scatterv,
@@ -56,21 +57,19 @@ class _GroupEndpoint:
 
     def isend(self, dest: int, tag: int, nbytes: float, data: object = None,
               bufkey: object = None) -> typing.Generator:
-        return (
-            yield from self._ep.isend(
-                self._group[dest], tag, nbytes, data, bufkey, context=self._ctx
-            )
+        return self._ep.isend(
+            self._group[dest], tag, nbytes, data, bufkey, context=self._ctx
         )
 
     def irecv(self, source: int, tag: int) -> typing.Generator:
         world = self._group[source] if source != ANY_SOURCE else ANY_SOURCE
-        return (yield from self._ep.irecv(world, tag, context=self._ctx))
+        return self._ep.irecv(world, tag, context=self._ctx)
 
     def wait(self, req: Request) -> typing.Generator:
-        return (yield from self._ep.wait(req))
+        return self._ep.wait(req)
 
     def wait_all(self, reqs: typing.Sequence[Request]) -> typing.Generator:
-        return (yield from self._ep.wait_all(reqs))
+        return self._ep.wait_all(reqs)
 
 
 class Comm:
@@ -114,8 +113,9 @@ class Comm:
         # Hot-path caches for _call: one attribute load instead of three
         # per library call (the endpoint's monitor and config never change).
         self._mon = endpoint.monitor
+        self._call_ids = endpoint.monitor.names.ids
         self._ovh_per_event = endpoint.config.overhead_per_event
-        self._elapse = endpoint.engine.elapse
+        self._clock = endpoint.clock
 
     @property
     def rank(self) -> int:
@@ -152,22 +152,43 @@ class Comm:
             return None
         return Status(self._local(status.source), status.tag, status.nbytes)
 
+    def _renumbered(self, call: typing.Generator) -> typing.Generator:
+        """``call``, with the status(es) it returns in group numbering.
+
+        The world communicator's numbering *is* the world's, so there the
+        call is handed back as it is -- one generator frame fewer on every
+        resumption of a wait.
+        """
+        return call if self._identity else self._renumber(call)
+
+    def _renumber(self, call: typing.Generator) -> typing.Generator:
+        result = yield from call
+        if isinstance(result, list):
+            return [self._status(status) for status in result]
+        return self._status(result)
+
     # -- call demarcation ----------------------------------------------------
     def _call(self, name: str, body: typing.Generator) -> typing.Generator:
         """Run ``body`` inside one instrumented library call."""
         mon = self._mon
+        ident = self._call_ids[name]
         n0 = mon.event_count
-        mon.call_enter(name)
-        result = yield from body
+        mon.stamp(CALL_ENTER, ident, 0)
+        try:
+            result = yield from body
+        except Exception:
+            # The application may catch a library error and carry on: the
+            # call is over either way (no instrumentation debt is charged).
+            mon.stamp(CALL_EXIT, ident, 0)
+            raise
         stamped = mon.event_count - n0
         if stamped:
             # +1 for the CALL_EXIT about to be stamped.
             debt = (stamped + 1) * self._ovh_per_event
             if debt > 0:
-                t = self._elapse(debt)
-                if t is not None:
-                    yield t
-        mon.call_exit(name)
+                clock = self._clock
+                clock.now = clock.now + debt
+        mon.stamp(CALL_EXIT, ident, 0)
         return result
 
     # -- point-to-point ---------------------------------------------------------
@@ -184,21 +205,17 @@ class Comm:
         ``bufkey`` names the send buffer for registration caching (reusing
         the same key models reusing the same application buffer).
         """
-        return (
-            yield from self._call(
-                "MPI_Isend",
-                self.ep.isend(self._world(dest), tag, nbytes, data, bufkey,
-                              context=self.comm_id),
-            )
+        return self._call(
+            "MPI_Isend",
+            self.ep.isend(self._world(dest), tag, nbytes, data, bufkey,
+                          context=self.comm_id),
         )
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> typing.Generator:
         """Non-blocking receive; returns a :class:`Request`."""
-        return (
-            yield from self._call(
-                "MPI_Irecv",
-                self.ep.irecv(self._world(source), tag, context=self.comm_id),
-            )
+        return self._call(
+            "MPI_Irecv",
+            self.ep.irecv(self._world(source), tag, context=self.comm_id),
         )
 
     def send(
@@ -210,58 +227,57 @@ class Comm:
         bufkey: object = None,
     ) -> typing.Generator:
         """Blocking send (returns when the send buffer is reusable)."""
+        return self._call(
+            "MPI_Send",
+            self._send_body(self._world(dest), tag, nbytes, data, bufkey),
+        )
 
-        def body() -> typing.Generator:
-            req = yield from self.ep.isend(
-                self._world(dest), tag, nbytes, data, bufkey,
-                context=self.comm_id,
-            )
-            yield from self.ep.wait(req)
-
-        return (yield from self._call("MPI_Send", body()))
+    def _send_body(self, dest: int, tag: int, nbytes: float, data: object,
+                   bufkey: object) -> typing.Generator:
+        ep = self.ep
+        req = yield from ep.isend(dest, tag, nbytes, data, bufkey,
+                                  context=self.comm_id)
+        yield from ep.wait(req)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> typing.Generator:
         """Blocking receive; returns ``(status, data)``."""
+        return self._call("MPI_Recv", self._recv_body(self._world(source), tag))
 
-        def body() -> typing.Generator:
-            req = yield from self.ep.irecv(
-                self._world(source), tag, context=self.comm_id
-            )
-            status = yield from self.ep.wait(req)
-            return (self._status(status), req.data)
-
-        return (yield from self._call("MPI_Recv", body()))
+    def _recv_body(self, source: int, tag: int) -> typing.Generator:
+        ep = self.ep
+        req = yield from ep.irecv(source, tag, context=self.comm_id)
+        status = yield from ep.wait(req)
+        return (self._status(status), req.data)
 
     def wait(self, req: Request) -> typing.Generator:
         """Block until ``req`` completes; returns its :class:`Status`
         (source in this communicator's numbering)."""
-        status = yield from self._call("MPI_Wait", self.ep.wait(req))
-        return self._status(status)
+        return self._renumbered(self._call("MPI_Wait", self.ep.wait(req)))
 
     def waitall(self, reqs: typing.Sequence[Request]) -> typing.Generator:
         """Block until every request completes; returns their statuses."""
-        statuses = yield from self._call("MPI_Waitall", self.ep.wait_all(reqs))
-        return [self._status(st) for st in statuses]
+        return self._renumbered(
+            self._call("MPI_Waitall", self.ep.wait_all(reqs)))
 
     def waitany(self, reqs: typing.Sequence[Request]) -> typing.Generator:
         """Block until some request completes; returns its index."""
-        return (yield from self._call("MPI_Waitany", self.ep.wait_any(reqs)))
+        return self._call("MPI_Waitany", self.ep.wait_any(reqs))
 
     def waitsome(self, reqs: typing.Sequence[Request]) -> typing.Generator:
         """Block until at least one completes; returns completed indices."""
-        return (yield from self._call("MPI_Waitsome", self.ep.wait_some(reqs)))
+        return self._call("MPI_Waitsome", self.ep.wait_some(reqs))
 
     def test(self, req: Request) -> typing.Generator:
         """One progress poll; returns True if ``req`` is complete."""
-        return (yield from self._call("MPI_Test", self.ep.test(req)))
+        return self._call("MPI_Test", self.ep.test(req))
 
     def testall(self, reqs: typing.Sequence[Request]) -> typing.Generator:
         """One progress poll; returns True if every request is complete."""
-        return (yield from self._call("MPI_Testall", self.ep.test_all(reqs)))
+        return self._call("MPI_Testall", self.ep.test_all(reqs))
 
     def cancel(self, req: Request) -> typing.Generator:
         """Cancel an unmatched posted receive; returns True on success."""
-        return (yield from self._call("MPI_Cancel", self.ep.cancel(req)))
+        return self._call("MPI_Cancel", self.ep.cancel(req))
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> typing.Generator:
         """Non-blocking probe; returns a :class:`Status` or None.
@@ -270,19 +286,17 @@ class Comm:
         engine once -- the mechanism exploited to improve NAS SP
         (paper Sec. 4.3).
         """
-        status = yield from self._call(
+        return self._renumbered(self._call(
             "MPI_Iprobe",
             self.ep.iprobe(self._world(source), tag, context=self.comm_id),
-        )
-        return self._status(status)
+        ))
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> typing.Generator:
         """Blocking probe; returns the :class:`Status` of a pending arrival."""
-        status = yield from self._call(
+        return self._renumbered(self._call(
             "MPI_Probe",
             self.ep.probe(self._world(source), tag, context=self.comm_id),
-        )
-        return self._status(status)
+        ))
 
     def sendrecv(
         self,
@@ -306,7 +320,7 @@ class Comm:
             yield from self.ep.wait_all([sreq, rreq])
             return (self._status(rreq.status), rreq.data)
 
-        return (yield from self._call("MPI_Sendrecv", body()))
+        return self._call("MPI_Sendrecv", body())
 
     # -- persistent requests ---------------------------------------------------
     def send_init(
@@ -332,8 +346,18 @@ class Comm:
 
     def start(self, preq: PersistentRequest) -> typing.Generator:
         """Activate a persistent request (``MPI_Start``)."""
+        return self._call("MPI_Start", self._start_body((preq,)))
 
-        def body() -> typing.Generator:
+    def startall(
+        self, preqs: typing.Sequence[PersistentRequest]
+    ) -> typing.Generator:
+        """Activate several persistent requests (``MPI_Startall``)."""
+        return self._call("MPI_Startall", self._start_body(preqs))
+
+    def _start_body(
+        self, preqs: typing.Sequence[PersistentRequest]
+    ) -> typing.Generator:
+        for preq in preqs:
             if preq.is_active:
                 raise MpiError(f"{preq!r} is already active")
             if preq.kind == "send":
@@ -345,29 +369,6 @@ class Comm:
                 preq.active = yield from self.ep.irecv(
                     self._world(preq.peer), preq.tag, context=self.comm_id
                 )
-
-        return (yield from self._call("MPI_Start", body()))
-
-    def startall(
-        self, preqs: typing.Sequence[PersistentRequest]
-    ) -> typing.Generator:
-        """Activate several persistent requests (``MPI_Startall``)."""
-
-        def body() -> typing.Generator:
-            for preq in preqs:
-                if preq.is_active:
-                    raise MpiError(f"{preq!r} is already active")
-                if preq.kind == "send":
-                    preq.active = yield from self.ep.isend(
-                        self._world(preq.peer), preq.tag, preq.nbytes,
-                        preq.data, preq.bufkey, context=self.comm_id,
-                    )
-                else:
-                    preq.active = yield from self.ep.irecv(
-                        self._world(preq.peer), preq.tag, context=self.comm_id
-                    )
-
-        return (yield from self._call("MPI_Startall", body()))
 
     def wait_persistent(self, preq: PersistentRequest) -> typing.Generator:
         """Complete the current activation; the handle stays reusable.
@@ -384,18 +385,16 @@ class Comm:
     def finalize(self) -> typing.Generator:
         """Drain outstanding completions (``MPI_Finalize``); the launcher
         calls this after the application returns."""
-        return (yield from self._call("MPI_Finalize", self.ep.finalize()))
+        return self._call("MPI_Finalize", self.ep.finalize())
 
     # -- collectives ---------------------------------------------------------
     def barrier(self) -> typing.Generator:
         """Block until all ranks arrive."""
-        return (yield from self._call("MPI_Barrier", barrier(self._gep)))
+        return self._call("MPI_Barrier", barrier(self._gep))
 
     def bcast(self, root: int, nbytes: float, data: object = None) -> typing.Generator:
         """Broadcast from ``root``; returns the value everywhere."""
-        return (
-            yield from self._call("MPI_Bcast", bcast(self._gep, root, nbytes, data))
-        )
+        return self._call("MPI_Bcast", bcast(self._gep, root, nbytes, data))
 
     def reduce(
         self,
@@ -405,10 +404,8 @@ class Comm:
         op: typing.Callable[[object, object], object] | None = None,
     ) -> typing.Generator:
         """Reduce to ``root``; returns the result there, None elsewhere."""
-        return (
-            yield from self._call(
-                "MPI_Reduce", reduce(self._gep, root, value, nbytes, op)
-            )
+        return self._call(
+            "MPI_Reduce", reduce(self._gep, root, value, nbytes, op)
         )
 
     def allreduce(
@@ -418,10 +415,8 @@ class Comm:
         op: typing.Callable[[object, object], object] | None = None,
     ) -> typing.Generator:
         """Reduce across all ranks; returns the result everywhere."""
-        return (
-            yield from self._call(
-                "MPI_Allreduce", allreduce(self._gep, value, nbytes, op)
-            )
+        return self._call(
+            "MPI_Allreduce", allreduce(self._gep, value, nbytes, op)
         )
 
     def alltoall(
@@ -431,12 +426,10 @@ class Comm:
 
         The schedule (pairwise or Bruck) follows the library configuration.
         """
-        return (
-            yield from self._call(
-                "MPI_Alltoall",
-                alltoall(self._gep, nbytes_each, data,
-                         algorithm=self.ep.config.alltoall_algorithm),
-            )
+        return self._call(
+            "MPI_Alltoall",
+            alltoall(self._gep, nbytes_each, data,
+                     algorithm=self.ep.config.alltoall_algorithm),
         )
 
     def alltoallv(
@@ -445,10 +438,8 @@ class Comm:
         data: typing.Sequence[object] | None = None,
     ) -> typing.Generator:
         """Vector personalized exchange."""
-        return (
-            yield from self._call(
-                "MPI_Alltoallv", alltoallv(self._gep, send_sizes, data)
-            )
+        return self._call(
+            "MPI_Alltoallv", alltoallv(self._gep, send_sizes, data)
         )
 
     def scan(
@@ -458,9 +449,7 @@ class Comm:
         op: typing.Callable[[object, object], object] | None = None,
     ) -> typing.Generator:
         """Inclusive prefix reduction; rank r returns the fold over 0..r."""
-        return (
-            yield from self._call("MPI_Scan", scan(self._gep, value, nbytes, op))
-        )
+        return self._call("MPI_Scan", scan(self._gep, value, nbytes, op))
 
     def reduce_scatter(
         self,
@@ -469,24 +458,18 @@ class Comm:
         op: typing.Callable[[object, object], object] | None = None,
     ) -> typing.Generator:
         """Reduce blocks elementwise; rank i returns reduced block i."""
-        return (
-            yield from self._call(
-                "MPI_Reduce_scatter",
-                reduce_scatter(self._gep, blocks, block_nbytes, op),
-            )
+        return self._call(
+            "MPI_Reduce_scatter",
+            reduce_scatter(self._gep, blocks, block_nbytes, op),
         )
 
     def allgather(self, nbytes: float, data: object = None) -> typing.Generator:
         """Gather everyone's block everywhere; returns a rank-indexed list."""
-        return (
-            yield from self._call("MPI_Allgather", allgather(self._gep, nbytes, data))
-        )
+        return self._call("MPI_Allgather", allgather(self._gep, nbytes, data))
 
     def gather(self, root: int, nbytes: float, data: object = None) -> typing.Generator:
         """Gather blocks at ``root``."""
-        return (
-            yield from self._call("MPI_Gather", gather(self._gep, root, nbytes, data))
-        )
+        return self._call("MPI_Gather", gather(self._gep, root, nbytes, data))
 
     def scatter(
         self,
@@ -495,20 +478,16 @@ class Comm:
         blocks: typing.Sequence[object] | None = None,
     ) -> typing.Generator:
         """Scatter root's blocks; returns this rank's block."""
-        return (
-            yield from self._call(
-                "MPI_Scatter", scatter(self._gep, root, nbytes, blocks)
-            )
+        return self._call(
+            "MPI_Scatter", scatter(self._gep, root, nbytes, blocks)
         )
 
     def gatherv(
         self, root: int, nbytes: float, data: object = None
     ) -> typing.Generator:
         """Variable-size gather (each rank contributes its own size)."""
-        return (
-            yield from self._call(
-                "MPI_Gatherv", gatherv(self._gep, root, nbytes, data)
-            )
+        return self._call(
+            "MPI_Gatherv", gatherv(self._gep, root, nbytes, data)
         )
 
     def scatterv(
@@ -518,11 +497,9 @@ class Comm:
         blocks: typing.Sequence[object] | None = None,
     ) -> typing.Generator:
         """Variable-size scatter; sizes/blocks significant at the root."""
-        return (
-            yield from self._call(
-                "MPI_Scatterv",
-                scatterv(self._gep, root, nbytes_list, blocks),
-            )
+        return self._call(
+            "MPI_Scatterv",
+            scatterv(self._gep, root, nbytes_list, blocks),
         )
 
     # -- communicator management -------------------------------------------------
@@ -538,11 +515,8 @@ class Comm:
         self._split_seq += 1
         split_seq = self._split_seq
 
-        def body() -> typing.Generator:
-            infos = yield from allgather(self._gep, 16, (color, key, self.rank))
-            return infos
-
-        infos = yield from self._call("MPI_Comm_split", body())
+        infos = yield from self._call(
+            "MPI_Comm_split", allgather(self._gep, 16, (color, key, self.rank)))
         if color is None:
             return None
         members = sorted(

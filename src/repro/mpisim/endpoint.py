@@ -9,7 +9,12 @@ the paper's explanatory mechanism: "Polling progress in these libraries
 requires that communicating processes make frequent calls that invoke the
 progress engine to ensure continuous transfer progress."
 
-All methods that consume simulated CPU time are generator coroutines.
+CPU time only this rank can observe (copies, descriptor builds, polls,
+pinning) is charged to the rank's :class:`~repro.sim.engine.RankClock`
+with :meth:`Endpoint.spend`; the rank touches the event queue only when
+it touches the network: :meth:`Endpoint.sync` catches the engine up
+before every read of a NIC queue, every post to a NIC and every sleep.
+Methods that may have to wait for that are generator coroutines.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from repro.mpisim.request import Request
 from repro.mpisim.status import ANY_SOURCE, ANY_TAG, MpiError, Status
 from repro.netsim.fabric import Fabric
 from repro.netsim.memory import RegistrationCache
-from repro.netsim.nic import InboundPacket, Nic
+from repro.netsim.nic import Nic
 from repro.sim import Engine
+from repro.sim.engine import RankClock
 from repro.sim.events import Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -121,6 +127,25 @@ class _UnackedSend:
         self.timer: Timeout | None = None
 
 
+class SendDone:
+    """CQ context of one send-channel transfer (an eager message, a
+    pipelined fragment 0): stamps its ``XFER_END`` when the local completion
+    is drained; until then Finalize knows a completion is pending."""
+
+    __slots__ = ("ep", "xid", "nbytes")
+
+    def __init__(self, ep: "Endpoint", xid: int, nbytes: float) -> None:
+        ep.pending_local_completions += 1
+        self.ep = ep
+        self.xid = xid
+        self.nbytes = nbytes
+
+    def __call__(self) -> None:
+        ep = self.ep
+        ep.pending_local_completions -= 1
+        ep.monitor.xfer_end(self.xid, self.nbytes)
+
+
 class Endpoint:
     """One rank's communication-library instance."""
 
@@ -132,8 +157,11 @@ class Endpoint:
         size: int,
         config: MpiConfig,
         monitor: MonitorLike,
+        clock: RankClock,
     ) -> None:
         self.engine = engine
+        #: This rank's CPU clock, shared with its monitor and context.
+        self.clock = clock
         self.fabric = fabric
         self.params = fabric.params
         self.rank = rank
@@ -174,9 +202,23 @@ class Endpoint:
         self.protocol: "RendezvousProtocol" = make_protocol(config.rndv_mode)
 
     # -- small helpers -------------------------------------------------------
-    def busy(self, seconds: float):
-        """CPU occupancy: a timeout event (yield it to spend the time)."""
-        return Timeout(self.engine, seconds)
+    def spend(self, seconds: float) -> None:
+        """Charge CPU time no other rank or NIC can observe.  One cost per
+        call, in program order, never pre-summed: every timestamp stays the
+        float a chain of engine timeouts would have produced."""
+        clock = self.clock
+        clock.now = clock.now + seconds
+
+    def sync(self) -> "tuple[Timeout, ...]":
+        """Catch the engine up with the rank clock: ``yield from ep.sync()``.
+
+        Required immediately before anything shared is touched -- looking
+        at ``nic.cq`` / ``nic.inbound``, posting to a NIC, arming a timer.
+        Returns the events to wait for: none when the engine is already
+        there or could move inline, else the one timeout scheduled.
+        """
+        t = self.engine.advance_to(self.clock.now)
+        return () if t is None else (t,)
 
     def next_seq(self) -> int:
         self._seq += 1
@@ -199,75 +241,40 @@ class Endpoint:
     # Progress engine
     # ======================================================================
     def poll(self) -> typing.Generator:
-        """Drain all pending CQ entries and inbound packets; returns True if
-        anything was processed.
+        """Drain all pending CQ entries and inbound packets (rails in order,
+        CQ before inbound); returns True if anything was processed.
 
         Every drained item costs one ``poll_cost`` of CPU; an empty poll
         costs one ``poll_cost`` (the check itself).  Handlers may consume
-        further CPU (copies, pinning, posting).
+        further CPU (copies, pinning, posting).  They run on the rank
+        clock; the engine is caught up before the queues are looked at
+        (again), so each check sees what had arrived by then.
         """
-        elapse = self.engine.elapse
+        clock = self.clock
         poll_cost = self.params.poll_cost
+        advance_to = self.engine.advance_to
         nics = self.nics
-        t = elapse(poll_cost)
-        if t is not None:
-            yield t
+        clock.now = clock.now + poll_cost
         progressed = False
-        if len(nics) == 1:
-            # Single-rail fast path: the overwhelmingly common topology, and
-            # this generator is the hottest in the library -- skip the rail
-            # scan and the per-item kind tuple.  Drain order (CQ before
-            # inbound, one poll_cost per item) is identical to the general
-            # path below.
-            nic = nics[0]
-            cq = nic.cq
-            inbound = nic.inbound
-            while True:
-                if cq:
-                    progressed = True
-                    t = elapse(poll_cost)
-                    if t is not None:
-                        yield t
-                    action = cq.popleft().context
-                    if action is not None:
-                        result = action()
-                        if result is not None:
-                            yield from result
-                elif inbound:
-                    progressed = True
-                    t = elapse(poll_cost)
-                    if t is not None:
-                        yield t
-                    yield from self._dispatch_packet(inbound.popleft())
-                else:
-                    return progressed
         while True:
-            item: tuple[str, object] | None = None
-            for nic in nics:
-                if nic.cq:
-                    item = ("cq", nic.cq.popleft())
-                    break
-                if nic.inbound:
-                    item = ("in", nic.inbound.popleft())
-                    break
-            if item is None:
-                break
-            progressed = True
-            t = elapse(poll_cost)
+            t = advance_to(clock.now)
             if t is not None:
                 yield t
-            kind, payload = item
-            if kind == "cq":
-                action = payload.context  # type: ignore[union-attr]
-                if action is not None:
-                    result = action()
-                    if result is not None:
-                        yield from result
+            for nic in nics:
+                if nic.cq:
+                    clock.now = clock.now + poll_cost
+                    action = nic.cq.popleft().context
+                    result = action() if action is not None else None
+                    break
+                if nic.inbound:
+                    clock.now = clock.now + poll_cost
+                    result = self._dispatch_packet(nic.inbound.popleft().payload)
+                    break
             else:
-                yield from self._dispatch_packet(
-                    typing.cast(InboundPacket, payload)
-                )
-        return progressed
+                return progressed
+            progressed = True
+            if result is not None:
+                yield from result
 
     # -- reliable send channel ---------------------------------------------
     def post_send_channel(
@@ -282,6 +289,9 @@ class Endpoint:
         Retransmissions are transport-level: they fire from timer context
         with no CPU charge and no CQ context, exactly like a NIC firmware
         retry invisible to the host.
+
+        The caller has synced: the NIC reads the engine's time, and the
+        retransmit timer is armed relative to it.
         """
         nic = self.nics[0]
         dst = self.nic_for(dest)
@@ -366,55 +376,63 @@ class Endpoint:
             labels=labels,
         )
 
-    def _dispatch_packet(self, pkt: InboundPacket) -> typing.Generator:
-        payload = pkt.payload
-        if isinstance(payload, ReliableEnvelope):
-            # Ack unconditionally -- the previous ack may have been lost --
-            # then suppress duplicates before the protocol layer sees them.
-            t = self.engine.elapse(self.params.post_cost)
-            if t is not None:
-                yield t
-            self.acks_sent += 1
-            self.nics[0].post_send(
-                self.nic_for(payload.src),
-                self.control_size,
-                AckPacket(payload.tseq, self.rank),
-                context=None,
-            )
-            seen = self._seen_tseq.setdefault(payload.src, set())
-            if payload.tseq in seen:
-                self.duplicates_suppressed += 1
-                return
-            seen.add(payload.tseq)
-            payload = payload.payload
-        elif isinstance(payload, AckPacket):
-            self._on_ack(payload)
-            return
+    def _dispatch_packet(self, payload: object) -> "typing.Generator | None":
+        """Route one inbound payload to its handler.
+
+        Like a CQ context, a handler that may have to wait (it posts to a
+        NIC, so it syncs) is a generator for the progress engine to
+        ``yield from``; one that only spends CPU and stamps returns None.
+        """
         if isinstance(payload, EagerPacket):
-            yield from self._on_eager(payload)
-        elif isinstance(payload, RtsPacket):
-            yield from self._on_rts(payload)
-        elif isinstance(payload, CtsPacket):
+            self._on_eager(payload)
+            return None
+        if isinstance(payload, ReliableEnvelope):
+            return self._on_reliable(payload)
+        if isinstance(payload, AckPacket):
+            self._on_ack(payload)
+            return None
+        if isinstance(payload, RtsPacket):
+            return self._on_rts(payload)
+        if isinstance(payload, CtsPacket):
             st = self.sends.get(payload.seq)
             if st is None:
                 raise MpiError(f"CTS for unknown send seq {payload.seq}")
-            yield from st.protocol.on_cts(self, st)
-        elif isinstance(payload, FinPacket):
+            return st.protocol.on_cts(self, st)
+        if isinstance(payload, FinPacket):
             if payload.to_sender:
                 st = self.sends.pop(payload.seq, None)
                 if st is None:
                     raise MpiError(f"FIN for unknown send seq {payload.seq}")
-                yield from st.protocol.on_fin_to_sender(self, st)
-            else:
-                rst = self.recvs.pop((payload.src, payload.seq), None)
-                if rst is None:
-                    raise MpiError(f"FIN for unknown recv {payload.src}/{payload.seq}")
-                yield from rst.protocol.on_fin_to_receiver(self, rst, payload.data)
-        else:
-            raise MpiError(f"unknown packet payload {payload!r}")
+                return st.protocol.on_fin_to_sender(self, st)
+            rst = self.recvs.pop((payload.src, payload.seq), None)
+            if rst is None:
+                raise MpiError(f"FIN for unknown recv {payload.src}/{payload.seq}")
+            return rst.protocol.on_fin_to_receiver(self, rst, payload.data)
+        raise MpiError(f"unknown packet payload {payload!r}")
+
+    def _on_reliable(self, env: ReliableEnvelope) -> typing.Generator:
+        # Ack unconditionally -- the previous ack may have been lost --
+        # then suppress duplicates before the protocol layer sees them.
+        self.spend(self.params.post_cost)
+        yield from self.sync()
+        self.acks_sent += 1
+        self.nics[0].post_send(
+            self.nic_for(env.src),
+            self.control_size,
+            AckPacket(env.tseq, self.rank),
+            context=None,
+        )
+        seen = self._seen_tseq.setdefault(env.src, set())
+        if env.tseq in seen:
+            self.duplicates_suppressed += 1
+            return
+        seen.add(env.tseq)
+        result = self._dispatch_packet(env.payload)
+        if result is not None:
+            yield from result
 
     # -- arrival handlers ------------------------------------------------------
-    def _on_eager(self, pkt: EagerPacket) -> typing.Generator:
+    def _on_eager(self, pkt: EagerPacket) -> None:
         req = self.matching.match_arrival(pkt.src, pkt.tag, pkt.ctx)
         if req is None:
             self.matching.add_unexpected(
@@ -422,11 +440,11 @@ class Endpoint:
                               pkt.data, 0.0, pkt.ctx)
             )
             return
-        yield from self._deliver_eager(req, pkt.src, pkt.tag, pkt.nbytes, pkt.data)
+        self._deliver_eager(req, pkt.src, pkt.tag, pkt.nbytes, pkt.data)
 
     def _deliver_eager(
         self, req: Request, src: int, tag: int, nbytes: float, data: object
-    ) -> typing.Generator:
+    ) -> None:
         """Copy an eager message out of library buffers into the user buffer.
 
         The receiver never observed the initiation ("the initiation of the
@@ -434,22 +452,21 @@ class Endpoint:
         event -- bounding case 3.  Rank-to-self messages moved no network
         bytes and stamp nothing.
         """
-        t = self.engine.elapse(self.params.copy_time(nbytes))
-        if t is not None:
-            yield t
+        clock = self.clock
+        clock.now = clock.now + self.params.copy_time(nbytes)
         if src != self.rank:
             self.monitor.xfer_end_only(nbytes)
         req.complete(Status(src, tag, nbytes), data)
 
-    def _on_rts(self, pkt: RtsPacket) -> typing.Generator:
+    def _on_rts(self, pkt: RtsPacket) -> "typing.Generator | None":
         req = self.matching.match_arrival(pkt.src, pkt.tag, pkt.ctx)
         if req is None:
             self.matching.add_unexpected(
                 UnexpectedMsg("rts", pkt.seq, pkt.src, pkt.tag, pkt.nbytes,
                               pkt.frag_data, pkt.frag_nbytes, pkt.ctx)
             )
-            return
-        yield from self._start_rendezvous_recv(
+            return None
+        return self._start_rendezvous_recv(
             req, pkt.seq, pkt.src, pkt.tag, pkt.nbytes, pkt.frag_nbytes, pkt.frag_data
         )
 
@@ -465,7 +482,7 @@ class Endpoint:
     ) -> typing.Generator:
         rst = RecvState(seq, req, src, tag, nbytes, self.protocol)
         self.recvs[(src, seq)] = rst
-        yield from rst.protocol.start_recv(self, rst, frag_nbytes, frag_data)
+        return rst.protocol.start_recv(self, rst, frag_nbytes, frag_data)
 
     # ======================================================================
     # Point-to-point internals (no CALL_ENTER/EXIT stamping -- the Comm
@@ -490,11 +507,9 @@ class Endpoint:
         yield from self.poll()
         req = Request("send", self.rank, dest, tag, nbytes, context)
         if dest == self.rank:
-            yield from self._self_send(req, tag, nbytes, data, context)
+            self._self_send(req, tag, nbytes, data, context)
             return req
-        if nbytes <= self.config.eager_limit:
-            yield from self._eager_send(req, dest, tag, nbytes, data, context)
-        else:
+        if nbytes > self.config.eager_limit:
             seq = self.next_seq()
             st = SendState(
                 seq, req, dest, tag, nbytes, _buffer_snapshot(data),
@@ -503,58 +518,46 @@ class Endpoint:
             )
             self.sends[seq] = st
             yield from st.protocol.start_send(self, st)
-        return req
-
-    def _eager_send(
-        self, req: Request, dest: int, tag: int, nbytes: float, data: object,
-        context: int = 0,
-    ) -> typing.Generator:
-        """Eager protocol: buffer the message and post it; the send request
-        completes locally (buffered semantics).  The XFER_END is stamped by
-        whichever later call drains the local completion.
-
-        Two wire mechanisms (config.eager_mode): Open MPI posts on the
-        send channel (local completion when the DMA drains the bounce
-        buffer); MVAPICH2 RDMA-writes into the receiver's pre-registered
-        buffers with a notification (local completion at remote placement).
-        """
-        t = self.engine.elapse(self.params.copy_time(nbytes))
-        if t is not None:
-            yield t
-        t = self.engine.elapse(self.params.post_cost)
-        if t is not None:
-            yield t
+            return req
+        # Eager protocol: buffer the message and post it; the send request
+        # completes locally (buffered semantics).  The XFER_END is stamped
+        # by whichever later call drains the local completion.
+        #
+        # Two wire mechanisms (config.eager_mode): Open MPI posts on the
+        # send channel (local completion when the DMA drains the bounce
+        # buffer); MVAPICH2 RDMA-writes into the receiver's pre-registered
+        # buffers with a notification (local completion at remote placement).
+        params = self.params
+        clock = self.clock
+        clock.now = clock.now + params.copy_time(nbytes)
+        clock.now = clock.now + params.post_cost
         xid = self.monitor.xfer_begin(nbytes)
         pkt = EagerPacket(self.next_seq(), self.rank, tag, nbytes,
                           _buffer_snapshot(data), context)
-
-        def on_send_done() -> None:
-            self.monitor.xfer_end(xid, nbytes)
-
+        done = SendDone(self, xid, nbytes)
+        t = self.engine.advance_to(clock.now)
+        if t is not None:
+            yield t
         if self.config.eager_mode == "rdma_write":
             self.nics[0].post_rdma_write(
-                self.nic_for(dest),
-                nbytes + self.control_size,
-                context=self.track_local(on_send_done),
+                self.fabric.nic(dest),
+                nbytes + params.control_packet_size,
+                context=done,
                 notify_payload=pkt,
             )
         else:
             self.post_send_channel(
-                dest,
-                nbytes + self.control_size,
-                pkt,
-                context=self.track_local(on_send_done),
+                dest, nbytes + params.control_packet_size, pkt, context=done
             )
         req.complete()
+        return req
 
     def _self_send(
         self, req: Request, tag: int, nbytes: float, data: object,
         context: int = 0,
-    ) -> typing.Generator:
+    ) -> None:
         """Rank-to-self message: a local copy, no network, no XFER events."""
-        t = self.engine.elapse(self.params.copy_time(nbytes))
-        if t is not None:
-            yield t
+        self.spend(self.params.copy_time(nbytes))
         snapshot = _buffer_snapshot(data)
         posted = self.matching.match_arrival(self.rank, tag, context)
         if posted is not None:
@@ -581,7 +584,7 @@ class Endpoint:
         msg = self.matching.post_recv(req)
         if msg is not None:
             if msg.kind == "eager":
-                yield from self._deliver_eager(req, msg.src, msg.tag, msg.nbytes, msg.data)
+                self._deliver_eager(req, msg.src, msg.tag, msg.nbytes, msg.data)
             else:
                 yield from self._start_rendezvous_recv(
                     req, msg.seq, msg.src, msg.tag, msg.nbytes,
@@ -609,13 +612,16 @@ class Endpoint:
 
     # -- completion driving ----------------------------------------------------
     def progress_until(self, pred: typing.Callable[[], bool]) -> typing.Generator:
-        """Poll until ``pred()`` holds, sleeping on NIC activity when idle."""
+        """Poll until ``pred()`` holds, sleeping on NIC activity when idle.
+        (An empty poll leaves the rank in sync, so it may sleep; it wakes
+        at the engine's time.)"""
         while not pred():
             progressed = yield from self.poll()
             if pred():
                 break
             if not progressed:
                 yield self.wait_any_activity()
+                self.clock.now = self.engine.now
 
     def wait(self, req: Request) -> typing.Generator:
         """Drive one request to completion; returns its :class:`Status`.
@@ -629,16 +635,16 @@ class Endpoint:
                 break
             if not progressed:
                 yield self.wait_any_activity()
+                self.clock.now = self.engine.now
         return req.status
 
     def wait_all(self, reqs: typing.Sequence[Request]) -> typing.Generator:
         """Drive several requests to completion; returns their statuses."""
-        while not all(r.done for r in reqs):
+        while not _all_done(reqs):
             progressed = yield from self.poll()
-            if all(r.done for r in reqs):
-                break
-            if not progressed:
+            if not progressed and not _all_done(reqs):
                 yield self.wait_any_activity()
+                self.clock.now = self.engine.now
         return [r.status for r in reqs]
 
     def wait_any(self, reqs: typing.Sequence[Request]) -> typing.Generator:
@@ -668,9 +674,9 @@ class Endpoint:
 
     def test_all(self, reqs: typing.Sequence[Request]) -> typing.Generator:
         """One progress poll; returns True if every request completed."""
-        if not all(r.done for r in reqs):
+        if not _all_done(reqs):
             yield from self.poll()
-        return all(r.done for r in reqs)
+        return _all_done(reqs)
 
     def cancel(self, req: Request) -> typing.Generator:
         """Cancel a posted receive that has not matched yet.
@@ -724,16 +730,6 @@ class Endpoint:
         if not 0 <= rank < self.size:
             raise MpiError(f"peer rank {rank} out of range [0, {self.size})")
 
-    def track_local(self, fn: typing.Callable[[], object]) -> typing.Callable[[], object]:
-        """Wrap a CQ context so Finalize knows a completion is pending."""
-        self.pending_local_completions += 1
-
-        def wrapper() -> object:
-            self.pending_local_completions -= 1
-            return fn()
-
-        return wrapper
-
     def quiescent(self) -> bool:
         """True when no protocol state or stamped completion is outstanding.
 
@@ -756,6 +752,7 @@ class Endpoint:
         over-optimistic case-3 transfers instead of being observed in the
         finalize call.
         """
+        yield from self.sync()  # quiescent() looks at the NIC queues
         yield from self.progress_until(self.quiescent)
 
     def send_control(self, dest: int, payload: object) -> typing.Generator:
@@ -764,10 +761,17 @@ class Endpoint:
             raise MpiError(
                 f"non-control payload routed at control size: {payload!r}"
             )
-        t = self.engine.elapse(self.params.post_cost)
-        if t is not None:
-            yield t
+        self.spend(self.params.post_cost)
+        yield from self.sync()
         self.post_send_channel(dest, self.control_size, payload)
+
+
+def _all_done(reqs: typing.Sequence[Request]) -> bool:
+    # A loop, not ``all(<genexpr>)``: one frame per check, not one per request.
+    for req in reqs:
+        if not req.done:
+            return False
+    return True
 
 
 def _buffer_snapshot(data: object) -> object:

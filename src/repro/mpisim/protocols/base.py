@@ -2,11 +2,16 @@
 
 A protocol is a stateless strategy object; per-message state lives in
 :class:`~repro.mpisim.endpoint.SendState` /
-:class:`~repro.mpisim.endpoint.RecvState`.  Every hook is a generator
-coroutine executed *inside* the polling progress engine or inside the
-initiating library call -- protocol work consumes host CPU exactly where
-the real libraries spend it, which is what makes the instrumentation
-timestamps meaningful.
+:class:`~repro.mpisim.endpoint.RecvState`.  Every hook runs *inside* the
+polling progress engine or inside the initiating library call -- protocol
+work consumes host CPU exactly where the real libraries spend it, which is
+what makes the instrumentation timestamps meaningful.
+
+A CPU cost is ``ep.spend(dt)`` (the rank's own clock; no event); anything
+shared -- a NIC post above all -- is preceded by ``yield from ep.sync()``
+(``ep.send_control`` does both).  A hook that posts is therefore a
+generator coroutine; one that only stamps and completes a request (the
+FIN hooks) is a plain method returning None.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ class RendezvousProtocol:
         """Sender received the receiver's CTS/ACK (drained in a poll)."""
         raise NotImplementedError
 
-    def on_fin_to_sender(self, ep: "Endpoint", st: "SendState") -> typing.Generator:
+    def on_fin_to_sender(self, ep: "Endpoint", st: "SendState") -> None:
         """Sender received the receiver's completion notification."""
         raise NotImplementedError
 
@@ -47,6 +52,6 @@ class RendezvousProtocol:
 
     def on_fin_to_receiver(
         self, ep: "Endpoint", rst: "RecvState", data: object
-    ) -> typing.Generator:
+    ) -> None:
         """Receiver learned all data was placed (pipelined / rput)."""
         raise NotImplementedError

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.mpisim.endpoint import SendDone
 from repro.mpisim.packets import CtsPacket, FinPacket, RtsPacket
 from repro.mpisim.protocols.base import RendezvousProtocol
 from repro.mpisim.status import Status
@@ -38,19 +39,16 @@ class PipelinedRdmaProtocol(RendezvousProtocol):
     def start_send(self, ep: "Endpoint", st: "SendState") -> typing.Generator:
         frag0 = min(float(ep.config.frag_size), st.nbytes)
         # Fragment 0 goes through the send channel: bounce-buffer copy + post.
-        yield ep.busy(ep.params.copy_time(frag0))
-        yield ep.busy(ep.params.post_cost)
-        xid0 = ep.monitor.xfer_begin(frag0)
-
-        def on_frag0_sent() -> None:
-            ep.monitor.xfer_end(xid0, frag0)
-
+        ep.spend(ep.params.copy_time(frag0))
+        ep.spend(ep.params.post_cost)
+        frag0_sent = SendDone(ep, ep.monitor.xfer_begin(frag0), frag0)
+        yield from ep.sync()
         ep.post_send_channel(
             st.dest,
             frag0 + ep.control_size,
             RtsPacket(st.seq, ep.rank, st.tag, st.nbytes, frag0, st.data,
                       st.req.context),
-            context=ep.track_local(on_frag0_sent),
+            context=frag0_sent,
         )
 
     def on_cts(self, ep: "Endpoint", st: "SendState") -> typing.Generator:
@@ -71,24 +69,20 @@ class PipelinedRdmaProtocol(RendezvousProtocol):
         for frag_bytes in offsets:
             # Pipelined on-the-fly registration of each fragment (this is
             # the setup cost the pipeline exists to hide); never cached.
-            yield ep.busy(ep.params.pin_time(frag_bytes))
-            yield ep.busy(ep.params.post_cost)
+            ep.spend(ep.params.pin_time(frag_bytes))
+            ep.spend(ep.params.post_cost)
             xid = ep.monitor.xfer_begin(frag_bytes)
 
             def on_written(
                 xid: int = xid, frag_bytes: float = frag_bytes
-            ) -> typing.Generator:
+            ) -> "typing.Generator | None":
                 ep.monitor.xfer_end(xid, frag_bytes)
                 st.frags_pending -= 1
                 if st.frags_pending == 0:
-                    # All fragments placed: tell the receiver, finish the send.
-                    yield from ep.send_control(
-                        st.dest,
-                        FinPacket(st.seq, ep.rank, to_sender=False, data=st.data),
-                    )
-                    ep.sends.pop(st.seq, None)
-                    st.req.complete()
+                    return self._finish_send(ep, st)
+                return None
 
+            yield from ep.sync()
             rail = ep.next_rail()
             rail.post_rdma_write(
                 ep.nic_for(st.dest, rail.port),
@@ -96,9 +90,18 @@ class PipelinedRdmaProtocol(RendezvousProtocol):
                 context=on_written,
             )
 
-    def on_fin_to_sender(self, ep: "Endpoint", st: "SendState") -> typing.Generator:
+    @staticmethod
+    def _finish_send(ep: "Endpoint", st: "SendState") -> typing.Generator:
+        """All fragments placed: tell the receiver, finish the send."""
+        yield from ep.send_control(
+            st.dest,
+            FinPacket(st.seq, ep.rank, to_sender=False, data=st.data),
+        )
+        ep.sends.pop(st.seq, None)
+        st.req.complete()
+
+    def on_fin_to_sender(self, ep: "Endpoint", st: "SendState") -> None:
         raise AssertionError("pipelined rendezvous sends no FIN to the sender")
-        yield  # pragma: no cover
 
     # -- receiver -------------------------------------------------------------
     def start_recv(
@@ -110,7 +113,7 @@ class PipelinedRdmaProtocol(RendezvousProtocol):
     ) -> typing.Generator:
         # Copy fragment 0 out of the pre-registered buffers; END-only event.
         if frag_nbytes > 0:
-            yield ep.busy(ep.params.copy_time(frag_nbytes))
+            ep.spend(ep.params.copy_time(frag_nbytes))
             ep.monitor.xfer_end_only(frag_nbytes)
         rst.remaining = rst.nbytes - frag_nbytes
         if rst.remaining <= 0:
@@ -126,17 +129,15 @@ class PipelinedRdmaProtocol(RendezvousProtocol):
             ("recv", rst.src, rst.tag, rst.nbytes), rst.remaining
         )
         if pin_cost > 0:
-            yield ep.busy(pin_cost)
+            ep.spend(pin_cost)
         yield from ep.send_control(rst.src, CtsPacket(rst.seq, ep.rank))
         rst.xfer_id = ep.monitor.xfer_begin(rst.remaining)
 
     def on_fin_to_receiver(
         self, ep: "Endpoint", rst: "RecvState", data: object
-    ) -> typing.Generator:
+    ) -> None:
         ep.monitor.xfer_end(rst.xfer_id, rst.remaining)
         rst.req.complete(Status(rst.src, rst.tag, rst.nbytes), data)
-        return
-        yield  # pragma: no cover - generator shape
 
 
 def _fragments(total: float, frag_size: float) -> list[float]:

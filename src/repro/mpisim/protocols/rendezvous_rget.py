@@ -34,7 +34,7 @@ class RdmaReadProtocol(RendezvousProtocol):
         # Pin the send buffer (cache hit is free under leave_pinned).
         pin_cost = ep.regcache.register(st.bufkey, st.nbytes)
         if pin_cost > 0:
-            yield ep.busy(pin_cost)
+            ep.spend(pin_cost)
         # RTS carries the rkey (and, in simulation, the payload reference --
         # the bytes only "move" when the read completes).
         yield from ep.send_control(
@@ -48,11 +48,9 @@ class RdmaReadProtocol(RendezvousProtocol):
         raise AssertionError("rget rendezvous uses no CTS")
         yield  # pragma: no cover
 
-    def on_fin_to_sender(self, ep: "Endpoint", st: "SendState") -> typing.Generator:
+    def on_fin_to_sender(self, ep: "Endpoint", st: "SendState") -> None:
         ep.monitor.xfer_end(st.xfer_id, st.nbytes)
         st.req.complete()
-        return
-        yield  # pragma: no cover - generator shape
 
     # -- receiver -----------------------------------------------------------
     def start_recv(
@@ -65,8 +63,8 @@ class RdmaReadProtocol(RendezvousProtocol):
         # Pin the receive buffer, then read the sender's memory directly.
         pin_cost = ep.regcache.register(("recv", rst.src, rst.tag, rst.nbytes), rst.nbytes)
         if pin_cost > 0:
-            yield ep.busy(pin_cost)
-        yield ep.busy(ep.params.post_cost)
+            ep.spend(pin_cost)
+        ep.spend(ep.params.post_cost)
         rst.xfer_id = ep.monitor.xfer_begin(rst.nbytes)
         data = frag_data  # zero-copy: reference travels with the completion
 
@@ -79,12 +77,12 @@ class RdmaReadProtocol(RendezvousProtocol):
             ep.recvs.pop((rst.src, rst.seq), None)
             rst.req.complete(Status(rst.src, rst.tag, rst.nbytes), data)
 
+        yield from ep.sync()
         ep.nics[0].post_rdma_read(
             ep.nic_for(rst.src), rst.nbytes, context=on_read_done
         )
 
     def on_fin_to_receiver(
         self, ep: "Endpoint", rst: "RecvState", data: object
-    ) -> typing.Generator:
+    ) -> None:
         raise AssertionError("rget rendezvous sends no FIN to the receiver")
-        yield  # pragma: no cover

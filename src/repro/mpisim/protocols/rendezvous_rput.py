@@ -28,7 +28,7 @@ class RdmaWriteProtocol(RendezvousProtocol):
     def start_send(self, ep: "Endpoint", st: "SendState") -> typing.Generator:
         pin_cost = ep.regcache.register(st.bufkey, st.nbytes)
         if pin_cost > 0:
-            yield ep.busy(pin_cost)
+            ep.spend(pin_cost)
         yield from ep.send_control(
             st.dest,
             RtsPacket(st.seq, ep.rank, st.tag, st.nbytes, 0.0, None,
@@ -38,7 +38,7 @@ class RdmaWriteProtocol(RendezvousProtocol):
         # the CTS), so no XFER_BEGIN yet -- it is stamped at the write post.
 
     def on_cts(self, ep: "Endpoint", st: "SendState") -> typing.Generator:
-        yield ep.busy(ep.params.post_cost)
+        ep.spend(ep.params.post_cost)
         st.xfer_id = ep.monitor.xfer_begin(st.nbytes)
 
         def on_written() -> typing.Generator:
@@ -49,13 +49,13 @@ class RdmaWriteProtocol(RendezvousProtocol):
             ep.sends.pop(st.seq, None)
             st.req.complete()
 
+        yield from ep.sync()
         ep.nics[0].post_rdma_write(
             ep.nic_for(st.dest), st.nbytes, context=on_written
         )
 
-    def on_fin_to_sender(self, ep: "Endpoint", st: "SendState") -> typing.Generator:
+    def on_fin_to_sender(self, ep: "Endpoint", st: "SendState") -> None:
         raise AssertionError("rput rendezvous sends no FIN to the sender")
-        yield  # pragma: no cover
 
     # -- receiver -----------------------------------------------------------
     def start_recv(
@@ -69,7 +69,7 @@ class RdmaWriteProtocol(RendezvousProtocol):
             ("recv", rst.src, rst.tag, rst.nbytes), rst.nbytes
         )
         if pin_cost > 0:
-            yield ep.busy(pin_cost)
+            ep.spend(pin_cost)
         yield from ep.send_control(rst.src, CtsPacket(rst.seq, ep.rank))
         # The receiver's best approximation of transfer start is its CTS.
         rst.remaining = rst.nbytes
@@ -77,8 +77,6 @@ class RdmaWriteProtocol(RendezvousProtocol):
 
     def on_fin_to_receiver(
         self, ep: "Endpoint", rst: "RecvState", data: object
-    ) -> typing.Generator:
+    ) -> None:
         ep.monitor.xfer_end(rst.xfer_id, rst.nbytes)
         rst.req.complete(Status(rst.src, rst.tag, rst.nbytes), data)
-        return
-        yield  # pragma: no cover - generator shape

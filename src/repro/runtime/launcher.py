@@ -22,6 +22,7 @@ from repro.netsim.fabric import Fabric
 from repro.netsim.params import NetworkParams
 from repro.runtime.world import RankContext
 from repro.sim import Engine
+from repro.sim.engine import RankClock
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.watchdog import WatchdogConfig, WatchdogDiagnostic
@@ -117,16 +118,19 @@ def build_rank_stack(
     (:mod:`repro.sim.parallel`): a shard worker must assemble each rank
     *exactly* as the single-process path does, or reports stop being
     bit-comparable.  Degraded-instrumentation knobs (stamp loss, bounded
-    ring) are derived from the fabric's injector, per rank.
+    ring) are derived from the fabric's injector, per rank.  The parts
+    share one :class:`~repro.sim.engine.RankClock`: endpoint and context
+    spend CPU on it, the monitor stamps from it.
     """
     injector = fabric.injector
     degraded = injector is not None and injector.plan.degrades_instrumentation
     ring_capacity = injector.plan.ring_capacity if degraded else 0
     monitor: Monitor | NullMonitor
     sink: TraceSink | None = None
+    clock = RankClock(engine.now)
     if config.instrument:
         monitor = Monitor(
-            clock=lambda: engine.now,
+            clock=clock,
             xfer_table=table,
             queue_capacity=ring_capacity or config.queue_capacity,
             bin_edges=config.bin_edges,
@@ -146,7 +150,7 @@ def build_rank_stack(
         monitor.call_exit("MPI_Init")
     else:
         monitor = NullMonitor()
-    endpoint = Endpoint(engine, fabric, rank, nprocs, config, monitor)
+    endpoint = Endpoint(engine, fabric, rank, nprocs, config, monitor, clock)
     context = RankContext(engine, endpoint, monitor)
     return monitor, endpoint, context, sink
 
@@ -268,6 +272,7 @@ def run_app(
     def rank_main(rank: int) -> typing.Generator:
         result = yield from app(contexts[rank], *app_args)
         yield from contexts[rank].comm.finalize()
+        yield from endpoints[rank].sync()  # the job ends when the engine gets here
         finish_times[rank] = engine.now
         returns[rank] = result
         return result
@@ -317,6 +322,12 @@ def run_app(
         sp_run.annotate(sim_time=engine.now).end()
     sp_fin = (tracer.begin("finalize reports", "launcher.finalize")
               if tracer is not None else None)
+    # Monitors read their rank's clock, but wall_time and the closing
+    # computation interval run to the *global* end: an early finisher idles
+    # until the slowest rank is done.  (A rank the watchdog stopped mid-call
+    # may already be past it, and keeps its own time.)
+    for context in contexts:
+        context.clock.now = max(context.clock.now, engine.now)
     reports: list[OverlapReport | None] = []
     for rank, monitor in enumerate(monitors):
         if isinstance(monitor, Monitor):
@@ -344,12 +355,11 @@ def run_app(
                 continue
             processor = monitor.processor
             assert isinstance(processor, WindowedProcessor)
-            sink = sinks[rank]
             per_rank.append(
                 RankTelemetry(
                     rank=rank,
                     series=processor.series(rank=rank, label=label),
-                    events=sink.events if sink is not None else None,
+                    sink=sinks[rank],
                     names=monitor.names,
                 )
             )

@@ -4,6 +4,10 @@ A simulated application is a generator function ``app(ctx)`` receiving a
 :class:`RankContext`; it communicates through ``ctx.comm`` and spends CPU
 through ``ctx.compute``.  Time spent in ``compute`` falls outside library
 calls, so the instrumentation attributes it to user computation.
+
+The rank's time is ``ctx.now`` (its own CPU clock).  ``ctx.engine.now`` is
+the event queue's time and may lag it: the rank catches the engine up only
+when it touches the network.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ class RankContext:
     ) -> None:
         self.engine = engine
         self.endpoint = endpoint
+        #: The rank's CPU clock (shared with the endpoint and the monitor).
+        self.clock = endpoint.clock
         #: The instrumented communicator.
         self.comm = Comm(endpoint)
         #: The per-process monitor (section control lives here).
@@ -44,19 +50,23 @@ class RankContext:
 
     @property
     def now(self) -> float:
-        """Current simulation time (seconds)."""
-        return self.engine.now
+        """Current simulation time of this rank (seconds)."""
+        return self.clock.now
 
-    def compute(self, seconds: float) -> typing.Generator:
-        """Spend ``seconds`` of user computation (outside the library)."""
+    def compute(self, seconds: float) -> "typing.Iterable[typing.Any]":
+        """Spend ``seconds`` of user computation (outside the library).
+
+        Only the rank's own clock moves, so there is nothing to wait for;
+        the empty iterable keeps ``yield from ctx.compute(dt)`` working.
+        """
         if seconds < 0:
             raise ValueError(f"negative compute time {seconds!r}")
         if seconds > 0:
-            start = self.engine.now
-            t = self.engine.elapse(seconds)
-            if t is not None:
-                yield t
-            self.compute_log.append((start, self.engine.now))
+            clock = self.clock
+            start = clock.now
+            clock.now = start + seconds
+            self.compute_log.append((start, clock.now))
+        return ()
 
     def section(self, name: str):
         """Context manager marking a monitored code region (Sec. 2.3)."""

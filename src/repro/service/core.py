@@ -251,6 +251,10 @@ class OverlapService:
         self.jobs: "dict[str, Job]" = {}
         self._finished_order: "collections.deque[str]" = collections.deque()
         self._by_key: "dict[str, _Execution]" = {}
+        #: Executions finalized so far.  A submission snapshots it before
+        #: its lock-free cache probe; a different value under the lock
+        #: means ``_by_key`` may have lost the entry the probe raced with.
+        self._finalized_count = 0
         self._running_counts: "dict[str, int]" = {}
         self._running: "dict[str, _Execution]" = {}
         self._lock = threading.Lock()
@@ -369,13 +373,8 @@ class OverlapService:
 
         # Probe the cache outside the lock: pure disk reads, and the
         # common warm path must not serialize behind other submissions.
-        hit_rows: "list[object] | None" = []
-        for task in tasks:
-            found, value = self.cache.get(task.key)
-            if not found:
-                hit_rows = None
-                break
-            hit_rows.append(value)
+        finalized_before = self._finalized_count
+        hit_rows = self._probe_cache(tasks)
         if tracer is not None:
             tracer.add_span("cache probe", "service.cache", t_submit,
                             tracer.now(),
@@ -383,6 +382,12 @@ class OverlapService:
                              "hit": hit_rows is not None})
 
         with self._cond:
+            if hit_rows is None and self._finalized_count != finalized_before:
+                # Single flight: the identical job may have been running
+                # when the probe missed and have finalized (left _by_key)
+                # before we got here -- its rows are in the cache now.
+                # Only this narrow window pays disk reads under the lock.
+                hit_rows = self._probe_cache(tasks)
             if hit_rows is not None:
                 job = self._make_job(sub, key, cached=True)
                 job.results = hit_rows
@@ -435,6 +440,16 @@ class OverlapService:
             self.progress.total += 1
             self._cond.notify()
             return 202, job.describe()
+
+    def _probe_cache(self, tasks: list) -> "list[object] | None":
+        """Every task's cached value, or None as soon as one is missing."""
+        rows: "list[object]" = []
+        for task in tasks:
+            found, value = self.cache.get(task.key)
+            if not found:
+                return None
+            rows.append(value)
+        return rows
 
     def _make_job(self, sub: Submission, key: str, cached: bool = False,
                   deduped: bool = False) -> Job:
@@ -721,6 +736,7 @@ class OverlapService:
         execution.finished = time.time()
         if self._by_key.get(execution.key) is execution:
             del self._by_key[execution.key]
+        self._finalized_count += 1
         if execution.tracer is not None:
             execution.trace = execution.tracer.to_payload()
             execution.tracer = None

@@ -5,6 +5,8 @@ of SimPy, written from scratch so the reproduction has no dependencies
 beyond the scientific stack.  The kernel provides:
 
 * :class:`~repro.sim.engine.Engine` -- the event heap and simulation clock,
+* :class:`~repro.sim.engine.RankClock` -- a process's private CPU clock,
+  synchronised with the engine lazily (``Engine.advance_to``),
 * :class:`~repro.sim.events.Event` and friends -- one-shot triggerable
   events, :class:`~repro.sim.events.Timeout`, and the ``AnyOf`` / ``AllOf``
   condition combinators,
@@ -21,7 +23,7 @@ import typing
 import repro
 
 if typing.TYPE_CHECKING:
-    from repro.sim.engine import Engine
+    from repro.sim.engine import Engine, RankClock
     from repro.sim.events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
     from repro.sim.process import Process
 
@@ -32,12 +34,13 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
+    "RankClock",
     "SimulationError",
     "Timeout",
 ]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
-    "engine": ("Engine",),
+    "engine": ("Engine", "RankClock"),
     "events": (
         "AllOf",
         "AnyOf",

@@ -107,7 +107,7 @@ class Burst:
             self.state = _BURST_QUEUED
         elif self.state == _BURST_RUNNING and when < engine._floor:
             # Appended behind a mid-retirement cursor with no next sub yet
-            # recorded: expose it to elapse() so inline time advances
+            # recorded: expose it to advance_to() so inline time advances
             # cannot jump past it.
             engine._floor = when
         return ev
@@ -127,6 +127,23 @@ class Burst:
             f"<Burst {state}{' closed' if self.closed else ''} "
             f"pending={self.pending} at {id(self):#x}>"
         )
+
+
+class RankClock:
+    """One simulated process's CPU clock: how far its own code has run.
+
+    CPU time nobody else can observe (a copy, a descriptor build, user
+    computation) advances ``now`` directly, one cost at a time
+    (``now = now + dt``: the same floats as advancing the engine cost by
+    cost).  The owner catches the engine up with :meth:`Engine.advance_to`
+    before it touches shared state and re-bases ``now`` to ``engine.now``
+    when it wakes from a sleep, so ``now`` never reads behind the engine.
+    """
+
+    __slots__ = ("now",)
+
+    def __init__(self, now: float = 0.0) -> None:
+        self.now = now
 
 
 class Engine:
@@ -162,12 +179,12 @@ class Engine:
         self.burst_reinserts: int = 0
         #: Heap-to-calendar migrations (population crossed CALENDAR_ENGAGE).
         self.calendar_engagements: int = 0
-        #: Key floor for :meth:`elapse` while a burst is mid-retirement:
+        #: Key floor for :meth:`advance_to` while a burst is mid-retirement:
         #: the next sub-event's time (those subs are not in the store, so
         #: the store minimum alone would over-approve inline advances).
         self._floor: float = _INF
         #: Depth of multi-callback dispatches in progress.  While an event
-        #: with several callbacks is being dispatched, :meth:`elapse` must
+        #: with several callbacks is being dispatched, :meth:`advance_to` must
         #: not advance time inline -- the remaining callbacks still have to
         #: run at the current instant.
         self._multi_cb: int = 0
@@ -379,8 +396,8 @@ class Engine:
         """Dispatch an event with several callbacks.
 
         Split out of the run loops (which inline the one-callback fast
-        path) so the ``_multi_cb`` guard -- which keeps :meth:`elapse`
-        from advancing time while sibling callbacks still owe work at the
+        path) so the ``_multi_cb`` guard -- which keeps :meth:`advance_to`
+        from moving time while sibling callbacks still owe work at the
         current instant -- costs nothing on the dominant case.
         """
         self._multi_cb += 1
@@ -410,47 +427,61 @@ class Engine:
         """Create a :class:`Timeout` firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def elapse(self, delay: float) -> "Timeout | None":
-        """Advance time by ``delay`` inline when provably equivalent.
+    def advance_to(self, when: float) -> "Timeout | None":
+        """Bring the engine to absolute time ``when`` for the running process
+        (a rank whose :class:`RankClock` ran ahead, about to touch shared
+        state)::
 
-        The caller's idiom is::
-
-            t = engine.elapse(dt)
+            t = engine.advance_to(clock.now)
             if t is not None:
                 yield t
 
-        A process yielding ``timeout(dt)`` suspends, the timeout is pushed,
-        popped as the next event, and the process resumes -- a full
-        scheduler round-trip to do nothing but set ``now``.  When the
-        timeout would provably be the very next event dispatched (its key
-        ``(now + dt, next_seq)`` is strictly smaller than every pending
-        entry, no other callbacks of the current dispatch remain, and the
-        deadline is not crossed), this advances ``now`` directly and
-        returns ``None`` so the caller never suspends.  One sequence
-        number and one processed-count tick are consumed exactly as the
-        elided timeout would have, keeping event ordering, FIFO
-        tie-breaks, and engine metrics bit-identical to the unelided
-        schedule.  Otherwise a plain :class:`Timeout` is returned.
+        ``when <= now`` is a no-op.  When an event at ``when`` would
+        provably be the very next one dispatched (strictly earlier than
+        every pending entry, no sibling callbacks of the current dispatch
+        outstanding, the run deadline not crossed), ``now`` moves inline
+        and ``None`` is returned; one sequence number and one
+        processed-count tick are consumed as the elided event would have,
+        so ordering, FIFO tie-breaks and event counts do not depend on
+        whether the advance was inline.  Otherwise one :class:`Timeout` is
+        scheduled at exactly ``when`` (no ``now + (when - now)`` round
+        trip) and returned for the caller to yield.
         """
-        target = self.now + delay
-        if delay > 0.0 and self._multi_cb == 0 \
-                and target < self._floor and target <= self._until:
-            cal = self._cal
-            if cal is not None:
-                mk = cal.min_key()
-                if mk is None or target < mk[0]:
-                    self._seq += 1
-                    self.now = target
-                    self.processed_count += 1
-                    return None
-            else:
-                heap = self._heap
-                if not heap or target < heap[0][0]:
-                    self._seq += 1
-                    self.now = target
-                    self.processed_count += 1
-                    return None
-        return Timeout(self, delay)
+        now = self.now
+        if when <= now:
+            return None
+        cal = self._cal
+        heap = self._heap
+        # The store's head first: on lockstep ranks it is what says no.
+        if cal is not None:
+            mk = cal.min_key()
+            inline = mk is None or when < mk[0]
+        else:
+            inline = not heap or when < heap[0][0]
+        if inline and self._multi_cb == 0 and when < self._floor \
+                and when <= self._until:
+            self._seq += 1
+            self.now = when
+            self.processed_count += 1
+            return None
+        # Timeout.__init__ and _post inlined: after the NIC's bursts this is
+        # the most frequently scheduled event in a run.
+        ev = Timeout.__new__(Timeout)
+        ev.engine = self
+        ev.callbacks = []
+        ev._ok = True
+        ev._value = None
+        ev._defused = False
+        ev.delay = when - now
+        seq = self._seq
+        self._seq = seq + 1
+        if cal is None and len(heap) < CALENDAR_ENGAGE:
+            heapq.heappush(heap, (when, seq, ev))
+            if len(heap) > self.heap_high_water:
+                self.heap_high_water = len(heap)
+        else:
+            self._post_entry(when, seq, ev)
+        return ev
 
     def event(self) -> Event:
         """Create a fresh untriggered :class:`Event`."""
@@ -563,7 +594,7 @@ class Engine:
                 event.callbacks = None
                 self.now = when
                 # Sub-events i+1.. are not in the pending store while the
-                # burst retires, so elapse() needs an explicit floor (kept
+                # burst retires, so advance_to() needs an explicit floor (kept
                 # current by try_at for mid-callback appends).
                 self._floor = subs[i + 1][0] if i + 1 < len(subs) else _INF
                 if len(callbacks) == 1:  # type: ignore[arg-type]
@@ -754,7 +785,7 @@ class Engine:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        # elapse() must not advance time past a float deadline; an
+        # advance_to() must not move time past a float deadline; an
         # event-bounded run disables it outright (the stop event may fire
         # mid-dispatch, and inline advances skip the loop's stop check).
         prev_until = self._until

@@ -367,6 +367,7 @@ class ShardWorker:
             ctx = self.contexts[rank]
             result = yield from task.app(ctx, *task.app_args)
             yield from ctx.comm.finalize()
+            yield from ctx.endpoint.sync()
             self.finish_times[rank] = engine.now
             self.returns[rank] = result
             return result
@@ -427,6 +428,8 @@ class ShardWorker:
         last fence, past its last event).
         """
         self.engine.now = final_time
+        for context in self.contexts.values():
+            context.clock.now = final_time
         task = self.task
         stuck = sum(1 for p in self.procs.values() if p.is_alive)
         if stuck:

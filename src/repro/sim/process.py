@@ -99,7 +99,9 @@ class Process(Event):
                 self.fail(exc)
                 return
 
-            if not isinstance(next_ev, Event):
+            # Exact-Timeout test first: almost everything a rank yields is
+            # one (a clock sync), and the class compare skips isinstance.
+            if next_ev.__class__ is not Timeout and not isinstance(next_ev, Event):
                 exc2 = SimulationError(
                     f"process {self.name!r} yielded {next_ev!r}, which is not "
                     "an Event (use engine.timeout(...) for delays)"

@@ -17,6 +17,7 @@ emits the full on-disk layout::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import pathlib
 import typing
@@ -31,6 +32,7 @@ from repro.telemetry.windows import (
 )
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.core.trace import TraceSink
     from repro.core.xfer_table import XferTable
     from repro.runtime.launcher import RunResult
 
@@ -61,14 +63,24 @@ class RankTelemetry:
         self,
         rank: int,
         series: WindowSeries,
-        events: "list[TimedEvent] | None",
+        sink: "TraceSink | None",
         names: NameRegistry,
     ) -> None:
         self.rank = rank
         self.series = series
-        #: Raw event stream (None when ``collect_trace`` was off).
-        self.events = events
+        #: The rank's trace recorder (None when ``collect_trace`` was off);
+        #: its columns are what was collected, 25 B per stamp.
+        self.sink = sink
         self.names = names
+
+    @functools.cached_property
+    def events(self) -> "list[TimedEvent] | None":
+        """Raw event stream as ``TimedEvent`` objects (None without a sink).
+
+        Materialized on first read, then kept: a run that only wants the
+        window series never pays for an object per stamp.
+        """
+        return self.sink.events if self.sink is not None else None
 
 
 class TelemetryResult:

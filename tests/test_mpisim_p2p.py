@@ -248,6 +248,42 @@ def test_negative_tag_rejected():
         run_app(app, 2)
 
 
+def test_caught_library_error_closes_the_call():
+    """An application may catch ``MpiError`` and carry on.  The failed
+    call must still be *over*: without its ``CALL_EXIT`` the rest of the
+    run nests inside it -- no computation time, no per-call statistics,
+    split-call transfers resolved as same-call.  The catching run's
+    reports equal the clean run's, plus one zero-length ``MPI_Isend``."""
+
+    def app(ctx, with_bad_call):
+        comm = ctx.comm
+        if ctx.rank == 0:
+            if with_bad_call:
+                with pytest.raises(MpiError):
+                    yield from comm.isend(1, -5, 64.0)
+            yield from ctx.compute(1e-3)
+            req = yield from comm.isend(1, 0, 200_000.0)
+            yield from ctx.compute(1e-3)
+            yield from comm.wait(req)
+        else:
+            yield from comm.recv(0, 0)
+
+    clean = run_app(app, 2, config=RGET, app_args=(False,))
+    caught = run_app(app, 2, config=RGET, app_args=(True,))
+    assert caught.elapsed == clean.elapsed
+    assert caught.report(1).to_dict() == clean.report(1).to_dict()
+    got, want = caught.report(0).to_dict(), clean.report(0).to_dict()
+    # The failed call: one more enter/exit pair, one more (instant) Isend.
+    assert got.pop("event_count") == want.pop("event_count") + 2
+    count, seconds = want["call_stats"]["MPI_Isend"]
+    assert got["call_stats"].pop("MPI_Isend") == [count + 1, seconds]
+    del want["call_stats"]["MPI_Isend"]
+    assert got == want
+    # What the bug used to turn it into: everything inside one call.
+    assert caught.report(0).total.computation_time == pytest.approx(2e-3)
+    assert caught.report(0).total.case_counts[2] == 1
+
+
 def test_deadlock_detected():
     def app(ctx):
         # Everyone receives, nobody sends.

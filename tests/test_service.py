@@ -198,6 +198,52 @@ def test_single_flight_dedupe_over_http(tmp_path):
         assert job_a.rows() is job_b.rows()
 
 
+def test_single_flight_holds_when_the_twin_finalizes_during_the_probe(tmp_path):
+    """Exactly one execution per content hash, also in this interleaving:
+    submission B probes the cache (a miss -- nobody ran the job yet) and,
+    before it takes the service lock, the identical submission A is
+    admitted, executed and finalized.  ``_by_key`` no longer holds A, so B
+    must find A's rows in the cache rather than queue a second run."""
+    import threading
+
+    from repro.experiments.runner import Task
+    from repro.service.jobs import Submission
+
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    service.start()
+    try:
+        tasks = [Task(_ok_worker, (21,))]
+
+        def submission(tenant):
+            return Submission(tenant=tenant, kind="nas", priority=0,
+                              label="twin", spec={})
+
+        prober = threading.current_thread()
+        real_get = service.cache.get
+        raced = []
+
+        def racing_get(key):
+            if threading.current_thread() is not prober or raced:
+                return real_get(key)
+            raced.append(key)
+            missed = real_get(key)  # B's probe reads the disk first...
+            assert missed == (False, None)
+            # ...and A runs to completion before that read "returns".
+            _status, body = service.submit_tasks(submission("a"), tasks)
+            assert _wait_finished(service, body["job_id"]) == "done"
+            return missed
+
+        service.cache.get = racing_get
+        status, body = service.submit_tasks(submission("b"), tasks)
+        assert raced, "the probe never reached the cache"
+        assert status == 200 and body["cached"] is True
+        assert service.jobs[body["job_id"]].rows() == [42]
+        counts = {k: c.value for k, c in service._submissions.items()}
+        assert counts["queued"] == 1 and counts["cache_hit"] == 1
+    finally:
+        service.shutdown()
+
+
 def test_progress_endpoints_and_watch_url(server, client):
     sub, final = client.submit_and_wait(LU_SPEC, timeout=120.0)
     job_id = final.body["job_id"]

@@ -163,14 +163,20 @@ def test_cancel_is_idempotent_and_fired_timeouts_refuse():
     assert eng.cancelled_count == 1
 
 
-# -- inline time advance (Engine.elapse) --------------------------------------
+# -- lazy synchronisation (Engine.advance_to) ---------------------------------
 
-def test_elapse_matches_timeout_schedule_bit_for_bit():
-    """elapse() and timeout() produce the identical event schedule.
+def _sync(eng, when):
+    """The caller's idiom, as a helper for generator bodies."""
+    t = eng.advance_to(when)
+    return () if t is None else (t,)
+
+
+def test_advance_to_matches_timeout_schedule_bit_for_bit():
+    """advance_to() and timeout() produce the identical event schedule.
 
     Two workers with co-prime periods generate interleavings and exact
-    ``when`` ties; the elapse-based run must resolve every one the same
-    way (same timestamps, same FIFO order) as the pure-timeout run.
+    ``when`` ties; the advance_to-based run must resolve every one the
+    same way (same timestamps, same FIFO order) as the pure-timeout run.
     """
 
     def program(eng, tick):
@@ -178,9 +184,7 @@ def test_elapse_matches_timeout_schedule_bit_for_bit():
 
         def a():
             for _ in range(50):
-                t = tick(eng, 3e-7)
-                if t is not None:
-                    yield t
+                yield from tick(eng, 3e-7)
                 trace.append(("a", eng.now))
 
         def b():
@@ -191,41 +195,111 @@ def test_elapse_matches_timeout_schedule_bit_for_bit():
         eng.process(a())
         eng.process(b())
         eng.run()
-        return trace
+        return trace, eng.processed_count
 
-    with_timeout = program(Engine(), lambda eng, dt: eng.timeout(dt))
-    with_elapse = program(Engine(), lambda eng, dt: eng.elapse(dt))
-    assert with_elapse == with_timeout
+    with_timeout = program(Engine(), lambda eng, dt: (eng.timeout(dt),))
+    with_advance = program(Engine(), lambda eng, dt: _sync(eng, eng.now + dt))
+    assert with_advance == with_timeout
 
 
-def test_elapse_inline_only_when_provably_next():
+def test_advance_to_inline_only_when_provably_next():
     eng = Engine()
-    # Empty store: inline advance, no Timeout allocated.
-    assert eng.elapse(1e-6) is None
+    # Empty store: inline advance, no Timeout allocated; it still consumes
+    # one sequence number and one processed-count tick.
+    assert eng.advance_to(1e-6) is None
     assert eng.now == 1e-6
+    assert (eng._seq, eng.processed_count) == (1, 1)
     # A pending event before the target: must fall back to a real Timeout.
     eng.timeout(1.5e-6).callbacks.append(lambda _e: None)
-    t = eng.elapse(2e-6)
+    t = eng.advance_to(3e-6)
     assert t is not None
+    # An entry at exactly the target is not "strictly later": no inline.
+    assert eng.advance_to(2.5e-6) is not None
     eng.run()
-    assert eng.now == 1e-6 + 2e-6
+    assert eng.now == 3e-6
 
 
-def test_elapse_respects_run_deadline():
+def test_advance_to_at_or_behind_now_is_a_no_op():
+    eng = Engine()
+    eng.advance_to(2e-6)
+    before = (eng.now, eng._seq, eng.processed_count, eng.pending_count)
+    assert eng.advance_to(2e-6) is None
+    assert eng.advance_to(1e-6) is None
+    assert (eng.now, eng._seq, eng.processed_count, eng.pending_count) == before
+
+
+def test_advance_to_posts_the_absolute_time_bit_exactly():
+    # 0.1 + 0.2 != 0.3 in floats: the scheduled time must be the ``when``
+    # the caller computed, not ``now + (when - now)``.
+    eng = Engine()
+    eng.timeout(0.05).callbacks.append(lambda _e: None)
+    eng.run()
+    when = 0.05
+    for dt in (0.1, 0.2, 1e-9, 3e-7):
+        when = when + dt
+    eng.timeout(0.01).callbacks.append(lambda _e: None)  # forces a real post
+    seen = []
+    t = eng.advance_to(when)
+    assert t is not None and t.delay == when - eng.now
+    t.callbacks.append(lambda _e: seen.append(eng.now))
+    eng.run()
+    assert seen == [when]
+
+
+def test_advance_to_respects_run_deadline():
     eng = Engine()
     log = []
 
     def p():
         while True:
-            t = eng.elapse(1e-6)
-            if t is not None:
-                yield t
+            yield from _sync(eng, eng.now + 1e-6)
             log.append(eng.now)
 
     eng.process(p())
     eng.run(until=5.5e-6)
     assert eng.now == 5.5e-6
     assert log == [pytest.approx(i * 1e-6) for i in range(1, 6)]
+    # Event-bounded runs disable inline advances outright.
+    stop = eng.timeout(10e-6)
+    counts = []
+
+    def q():
+        t = eng.advance_to(eng.now + 1e-6)
+        counts.append(t is not None)
+        yield t
+
+    eng.process(q())
+    eng.run(until=stop)
+    assert counts == [True]
+
+
+def test_advance_to_refuses_inside_a_multi_callback_dispatch():
+    # While an event with several callbacks is being dispatched the
+    # remaining callbacks still owe work at the current instant.
+    eng = Engine()
+    ev = eng.timeout(1e-6)
+    seen = []
+    ev.callbacks.append(lambda _e: seen.append(eng.advance_to(2e-6)))
+    ev.callbacks.append(lambda _e: seen.append(eng.now))
+    eng.run()
+    assert seen[0] is not None  # a real Timeout, not an inline jump
+    assert seen[1] == 1e-6
+
+
+def test_advance_to_refuses_across_a_retiring_burst():
+    # Sub-events of a burst being retired are not in the store; the floor
+    # keeps an inline advance from jumping past the next one.
+    eng = Engine()
+    burst = eng.new_burst()
+    first = burst.try_at(1e-6)
+    second = burst.try_at(2e-6)
+    order = []
+    first.callbacks.append(lambda _e: order.append(("first", eng.advance_to(3e-6))))
+    second.callbacks.append(lambda _e: order.append(("second", eng.now)))
+    eng.run()
+    assert order[0][0] == "first" and order[0][1] is not None
+    assert order[1] == ("second", 2e-6)
+    assert eng.now == 3e-6
 
 
 # -- Burst unit behaviour ------------------------------------------------------

@@ -1,16 +1,14 @@
 """Shard scale curves: engine capacity vs shard count and rank count.
 
 Runs the synthetic halo exchange (``repro.experiments.halo``) through the
-sharded parallel-DES engine and records three guarded curves into
+sharded parallel-DES engine and records two guarded curves into
 ``BENCH_simulator.json`` for ``benchmarks/check_regression.py``:
 
 * ``shard_scale`` -- capacity at shards=1,2,4,8 on a 32-rank workload
   (the original strong-scaling curve);
 * ``shard_scale_hi`` -- capacity, coordinator-time share, and sync-round
   counts at 256/1024/4096 ranks with shards=8 (the high-rank curve this
-  engine is sized for);
-* ``shard_fence`` -- the incremental-vs-reference fence-computation
-  speedup on a coordinator-stress partition (every halo edge cross-shard).
+  engine is sized for).
 
 The guarded number is *capacity*, not wall clock: aggregate events
 retired divided by the busiest worker's CPU time
@@ -56,17 +54,6 @@ HI_CONFIGS = ((256, 30), (1024, 10), (4096, 4))
 SOCKET_RANKS = 64
 SOCKET_STEPS = 40
 SOCKET_SHARDS = 2
-
-#: Fence benchmark: a 1024-rank halo with a round-robin ("scattered")
-#: partition, which makes *every* halo edge cross-shard.  That floods the
-#: coordinator with routed messages and PLACE/ACK obligations -- exactly
-#: the O(messages + shards x obligations) rescan term the incremental
-#: fence computation removes -- without changing simulated results (the
-#: partition affects scheduling only, never outcomes).
-FENCE_RANKS = 1024
-FENCE_SHARDS = 8
-FENCE_STEPS = 10
-FENCE_REPS = 3
 
 
 def _coord_totals(tracer: Tracer) -> dict[str, float]:
@@ -123,42 +110,6 @@ def _run_hi_curve() -> dict[int, dict]:
                 totals["coord.fence"] / st["rounds"] * 1e6,
         }
     return curve
-
-
-def _fence_run(impl: str, partition: list[list[int]]) -> tuple[float, int]:
-    """One scattered-partition run; returns (fence seconds, rounds)."""
-    tracer = Tracer("bench.shard_fence")
-    result = run_app(
-        halo_app, FENCE_RANKS, config=mvapich2_like(),
-        app_args=(FENCE_STEPS, NBYTES, COMPUTE_S),
-        label=f"halo.fence.{impl}", shards=FENCE_SHARDS,
-        shard_partition=partition, shard_fence_impl=impl, tracer=tracer,
-    )
-    return (_coord_totals(tracer)["coord.fence"],
-            result.sync_stats["rounds"])
-
-
-def _run_fence_pairs() -> dict:
-    partition = [
-        [r for r in range(FENCE_RANKS) if r % FENCE_SHARDS == s]
-        for s in range(FENCE_SHARDS)
-    ]
-    ratios: list[float] = []
-    ref_rounds = inc_rounds = 0
-    ref_s = inc_s = 0.0
-    for _ in range(FENCE_REPS):
-        ref_s, ref_rounds = _fence_run("reference", partition)
-        inc_s, inc_rounds = _fence_run("incremental", partition)
-        ratios.append(ref_s / inc_s)
-    assert ref_rounds == inc_rounds, "fence impls must run identical rounds"
-    ratios.sort()
-    return {
-        "rounds": inc_rounds,
-        "reference_us_per_round": ref_s / ref_rounds * 1e6,
-        "incremental_us_per_round": inc_s / inc_rounds * 1e6,
-        "ratios": ratios,
-        "speedup": ratios[len(ratios) // 2],
-    }
 
 
 def test_shard_scale_curve(benchmark, bench_record, emit):
@@ -307,35 +258,3 @@ def test_socket_backend_point(benchmark, bench_record, emit):
     # have been dialed exactly once each on a healthy localhost.
     assert point["events"] > 0 and point["busy_s"] > 0
     assert point["connect_attempts"] >= SOCKET_SHARDS
-
-
-def test_fence_speedup(benchmark, bench_record, emit):
-    """Incremental vs reference fence computation, coordinator-stress run."""
-    stats = benchmark.pedantic(_run_fence_pairs, rounds=1, iterations=1)
-    bench_record["shard_fence"] = {
-        "workload": (f"halo {FENCE_RANKS} ranks x {FENCE_STEPS} steps, "
-                     f"shards={FENCE_SHARDS}, round-robin partition "
-                     "(every edge cross-shard)"),
-        "metric": ("median over reps of reference/incremental coord.fence "
-                   "span totals"),
-        "rounds": stats["rounds"],
-        "reference_us_per_round": round(stats["reference_us_per_round"], 1),
-        "incremental_us_per_round":
-            round(stats["incremental_us_per_round"], 1),
-        "speedup_vs_reference": round(stats["speedup"], 2),
-    }
-    emit(
-        "shard_fence",
-        f"fence computation ({FENCE_RANKS} ranks, scattered partition, "
-        f"{stats['rounds']} rounds):\n"
-        f"  reference:   {stats['reference_us_per_round']:8.1f} us/round\n"
-        f"  incremental: {stats['incremental_us_per_round']:8.1f} us/round\n"
-        f"  speedup:     {stats['speedup']:.2f}x (reps: "
-        + ", ".join(f"{r:.2f}x" for r in stats["ratios"]) + ")",
-    )
-    # The tentpole acceptance criterion: >= 5x reduction in coord.fence
-    # span time on the 1024-rank coordinator-stress configuration.
-    assert stats["speedup"] >= 5.0, (
-        f"incremental fences only {stats['speedup']:.2f}x faster than the "
-        "reference recomputation (acceptance floor is 5x)"
-    )

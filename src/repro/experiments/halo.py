@@ -71,7 +71,8 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
             --steps 3 --sync null --check --json
 
     ``--check`` runs the full sharded differential
-    (:func:`repro.netsim.differential.assert_sharded_identical`): the
+    (:func:`repro.netsim.differential.run_sharded_pair` compared by
+    :func:`~repro.netsim.differential.assert_no_deltas`): the
     sharded run must be bit-identical to a single-process run or the
     process exits nonzero with the first diverging measures printed.
 
@@ -114,9 +115,6 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     parser.add_argument("--host-timeout", type=float, default=10.0,
                         help="declare a silent shard worker lost after "
                         "this many seconds (default %(default)s)")
-    parser.add_argument("--fence-impl",
-                        choices=("incremental", "reference"),
-                        default="incremental")
     parser.add_argument("--check", action="store_true",
                         help="also run single-process and require "
                         "bit-identical results")
@@ -164,26 +162,21 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     try:
         if args.check:
             from repro.netsim.differential import (
-                assert_sharded_identical,
+                assert_no_deltas,
+                compare_sharded,
                 run_sharded_pair,
             )
 
+            single, result = run_sharded_pair(
+                _app, args.ranks, args.shards, config=config,
+                app_args=app_args, sync=args.sync, backend=args.backend,
+                hosts=hosts, transport=transport,
+            )
             try:
-                assert_sharded_identical(
-                    _app, args.ranks, args.shards, config=config,
-                    app_args=app_args, sync=args.sync,
-                    backend=args.backend, fence_impl=args.fence_impl,
-                    hosts=hosts, transport=transport,
-                )
+                assert_no_deltas(compare_sharded(single, result))
             except AssertionError as exc:
                 print(f"halo --check FAILED: {exc}")
                 return 1
-            _single, result = run_sharded_pair(
-                _app, args.ranks, args.shards, config=config,
-                app_args=app_args, sync=args.sync, backend=args.backend,
-                fence_impl=args.fence_impl,
-                hosts=hosts, transport=transport,
-            )
         else:
             from repro.runtime.launcher import run_app
 
@@ -191,7 +184,6 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
                 _app, args.ranks, config=config, app_args=app_args,
                 label=f"halo.{args.ranks}", shards=args.shards,
                 shard_sync=args.sync, shard_backend=args.backend,
-                shard_fence_impl=args.fence_impl,
                 shard_hosts=hosts, shard_transport=transport,
             )
     except ShardHostLost as exc:
@@ -210,7 +202,6 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
         "ranks": args.ranks,
         "shards": args.shards,
         "sync": args.sync,
-        "fence_impl": st["fence_impl"],
         "checked": args.check,
         "events": st["events"],
         "rounds": st["rounds"],

@@ -30,11 +30,13 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import hashlib
+import importlib
 import json
 import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import sys
 import tempfile
 import threading
 import time
@@ -528,16 +530,33 @@ _WORKERS = _WorkerSet()
 
 
 def _forget_inherited_workers() -> None:
-    """In a forked child: drop the parent's worker set.
+    """In a forked child: drop the parent's worker set and the imports
+    other threads had in flight.
 
     The child's copies of the parent ends must be closed, or a worker
     would not see EOF -- not exit on its own, even with the parent long
     gone -- while any sibling forked after it is alive.
+
+    Only the forking thread exists here, so a module another thread was
+    importing at the fork (the service's HTTP thread, lazily, on a first
+    submission) stays locked by an owner that will never release it: the
+    child's first import of it -- unpickling a task is enough -- would
+    block forever.  Forget every such lock and evict the half-built module
+    so the child imports it afresh.  Selected by lock owner, not by
+    ``__spec__._initializing``: a module still in its find phase holds a
+    lock without being in ``sys.modules``.
     """
     global _WORKERS
     for worker in _WORKERS._live:
         worker.conn.close()
     _WORKERS = _WorkerSet()
+    me = threading.get_ident()
+    locks = importlib._bootstrap._module_locks
+    for name, ref in list(locks.items()):
+        lock = ref()
+        if lock is not None and lock.owner not in (None, me):
+            del locks[name]
+            sys.modules.pop(name, None)
 
 
 os.register_at_fork(after_in_child=_forget_inherited_workers)

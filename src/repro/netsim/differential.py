@@ -1,16 +1,18 @@
-"""Differential harness: macro-event fast path vs per-packet simulation.
+"""Differential harness: compare everything two runs can observe.
 
-The network fast path (:mod:`repro.netsim.nic` burst coalescing plus the
-engine's macro-event retirement) is only admissible because it is
-*observationally identical* to per-packet simulation: every callback runs
-at the same simulated time, in the same order, so every report, telemetry
-window, and deterministic metric matches bit for bit.  This module is the
-referee: it runs one workload under both ``network_path`` settings and
-compares everything the instrumentation layer can observe.
+A fast formulation is only admissible because it is *observationally
+identical* to the slow one it replaces: every callback runs at the same
+simulated time, in the same order, so every report, telemetry window and
+deterministic metric matches bit for bit.  This module is the referee's
+comparison half: :func:`compare_runs` takes two finished runs, and the
+sharded referee (:func:`run_sharded_pair` / :func:`compare_sharded` /
+:func:`assert_sharded_identical`) runs one workload single-process and
+sharded and compares them.
 
-Used by ``python -m repro.tools.perfmain --compare`` (user-facing
-equality report) and by ``tests/test_network_fastpath_differential.py``
-(the CI gate across protocols and NAS kernels).
+Used by ``python -m repro.tools.perfmain --compare --shards N``,
+``python -m repro.experiments.halo --check``, ``bench/workloads.py`` and
+the tests (the per-packet NIC oracle that feeds :func:`compare_runs` lives
+in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from repro.netsim.params import NetworkParams
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.launcher import RunResult
 
-#: Metric families legitimately allowed to differ between the two paths:
+#: Metric families legitimately allowed to differ between the two sides:
 #: host-clock measurements (never deterministic) and descriptions of the
 #: pending-store *shape* or the macro path itself (a burst keeps one store
-#: entry for many sub-events by design, and per-packet mode opens no
+#: entry for many sub-events by design, and the per-packet oracle opens no
 #: bursts at all).  Everything else must match exactly.
 EXCLUDED_METRIC_FAMILIES = frozenset({
     "repro_engine_sim_seconds_per_host_second",
@@ -34,7 +36,6 @@ EXCLUDED_METRIC_FAMILIES = frozenset({
     "repro_peruse_dispatch_seconds",
     "repro_engine_heap_size",
     "repro_engine_heap_hiwater",
-    "repro_engine_calendar_active",
     "repro_engine_bursts_opened",
     "repro_engine_burst_reinserts",
 })
@@ -58,53 +59,6 @@ def comparable_metrics(snapshot: dict) -> dict:
         for name, family in metrics.items()
         if name not in EXCLUDED_METRIC_FAMILIES
     }
-
-
-def run_both(
-    app: typing.Callable[..., typing.Generator],
-    nprocs: int,
-    config: object = None,
-    params: "NetworkParams | None" = None,
-    app_args: tuple = (),
-    seed: int = 0,
-    label: str = "",
-    telemetry: bool = True,
-    metrics: bool = True,
-) -> "tuple[RunResult, RunResult, dict | None, dict | None]":
-    """Run ``app`` under both network paths; returns results + snapshots.
-
-    Returns ``(fast_result, packet_result, fast_metrics, packet_metrics)``
-    where the metrics snapshots are ``None`` when ``metrics`` is off.
-    Everything else about the two runs -- config, seed, transfer table --
-    is identical by construction.
-    """
-    from repro.runtime.launcher import run_app
-
-    base = params if params is not None else NetworkParams()
-    results = []
-    snapshots: "list[dict | None]" = []
-    for path in ("fast", "packet"):
-        registry = None
-        if metrics:
-            from repro.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-        tele = None
-        if telemetry:
-            from repro.telemetry.collect import TelemetryConfig
-
-            tele = TelemetryConfig()
-        results.append(
-            run_app(
-                app, nprocs,
-                config=config,  # type: ignore[arg-type]
-                params=dataclasses.replace(base, network_path=path),
-                app_args=app_args, seed=seed, label=label,
-                telemetry=tele, metrics=registry,
-            )
-        )
-        snapshots.append(registry.snapshot() if registry is not None else None)
-    return results[0], results[1], snapshots[0], snapshots[1]
 
 
 def compare_runs(
@@ -162,7 +116,6 @@ def run_sharded_pair(
     backend: str = "process",
     strategy: str = "contiguous",
     record_transfers: bool = False,
-    fence_impl: str = "incremental",
     hosts: "typing.Sequence | None" = None,
     transport: "typing.Any | None" = None,
 ) -> "tuple[RunResult, RunResult]":
@@ -190,8 +143,7 @@ def run_sharded_pair(
         app_args=app_args, seed=seed, label=label,
         record_transfers=record_transfers,
         shards=shards, shard_sync=sync, shard_backend=backend,
-        shard_strategy=strategy, shard_fence_impl=fence_impl,
-        shard_hosts=hosts, shard_transport=transport,
+        shard_strategy=strategy, shard_hosts=hosts, shard_transport=transport,
     )
     return single, sharded
 
@@ -214,20 +166,8 @@ def compare_sharded(single: "RunResult", sharded: "RunResult") -> list[Delta]:
     return deltas
 
 
-def assert_sharded_identical(
-    app: typing.Callable[..., typing.Generator],
-    nprocs: int,
-    shards: int,
-    **kwargs: object,
-) -> list[Delta]:
-    """Run the sharded differential and raise on any inequality.
-
-    The one-call referee used by tests and the CI smoke job: any delta
-    between the sharded run and its single-process ground truth is a
-    correctness bug in the partitioned engine, never acceptable noise.
-    """
-    single, sharded = run_sharded_pair(app, nprocs, shards, **kwargs)  # type: ignore[arg-type]
-    deltas = compare_sharded(single, sharded)
+def assert_no_deltas(deltas: list[Delta]) -> list[Delta]:
+    """Raise on any unequal measure of a sharded comparison."""
     bad = [d for d in deltas if not d.equal]
     if bad:
         lines = "\n".join(
@@ -239,3 +179,19 @@ def assert_sharded_identical(
             f"({len(bad)} of {len(deltas)} measures):\n{lines}"
         )
     return deltas
+
+
+def assert_sharded_identical(
+    app: typing.Callable[..., typing.Generator],
+    nprocs: int,
+    shards: int,
+    **kwargs: object,
+) -> list[Delta]:
+    """Run the sharded differential and raise on any inequality.
+
+    The one-call referee used by tests: any delta between the sharded run
+    and its single-process ground truth is a correctness bug in the
+    partitioned engine, never acceptable noise.
+    """
+    single, sharded = run_sharded_pair(app, nprocs, shards, **kwargs)  # type: ignore[arg-type]
+    return assert_no_deltas(compare_sharded(single, sharded))

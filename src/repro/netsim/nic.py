@@ -125,8 +125,6 @@ class Nic:
         #: Completion queue, awaiting a host poll.
         self.cq: "collections.deque[CompletionEntry]" = collections.deque()
         self._waiters: list[Event] = []
-        #: Whether completions ride the burst macro-event fast path.
-        self._fast = params.network_path == "fast"
         #: Channel delivery: all cross-NIC effects go through the fabric's
         #: router as :class:`~repro.netsim.channel.ChannelMsg` records.
         self._channel = params.delivery == "channel"
@@ -172,30 +170,22 @@ class Nic:
             if not ev.triggered:
                 ev.succeed()
 
-    def _at(self, when: float, fn: typing.Callable[[Event], None]) -> None:
-        """Run ``fn`` at absolute simulation time ``when`` (per-packet path).
-
-        ``fn`` receives (and ignores) the completion event, which lets it
-        be registered directly as a callback -- no adapter closure per
-        scheduled completion.
-        """
-        engine = self.engine
-        if when < engine.now:
-            when = engine.now
-        engine.post_at(when).callbacks.append(fn)  # type: ignore[union-attr]
-
     def _burst_at(
         self, stream: int, when: float, fn: typing.Callable[[Event], None]
     ) -> None:
-        """Fast path: append a completion to this NIC's ``stream`` burst.
+        """Run ``fn`` at absolute time ``when`` on this NIC's ``stream`` burst.
 
-        Sub-events allocate their engine sequence number here, at the same
-        program point :meth:`_at` would, and the engine retires them in
-        exact global ``(when, seq)`` order -- so coalescing is invisible to
-        everything above the NIC.  If the stream's open burst cannot
-        tail-extend (``when`` regressed, which the monotone stream clocks
-        make rare-to-impossible), the burst is closed and a fresh one
-        opened: per-packet behavior is the degenerate one-sub-burst case.
+        ``fn`` receives (and ignores) the completion event, which lets it
+        be registered directly as a callback -- no adapter closure per
+        scheduled completion.  Sub-events allocate their engine sequence
+        number here, at the same program point a per-packet ``post_at``
+        would (the oracle in ``tests/oracles.py``), and the engine retires
+        them in exact global ``(when, seq)`` order -- so coalescing is
+        invisible to everything above the NIC.  If the stream's open burst
+        cannot tail-extend (``when`` regressed, which the monotone stream
+        clocks make rare-to-impossible), the burst is closed and a fresh
+        one opened: per-packet behavior is the degenerate one-sub-burst
+        case.
         """
         engine = self.engine
         if when < engine.now:
@@ -307,10 +297,7 @@ class Nic:
             self._kick()
 
         if self._channel:
-            if self._fast:
-                self._burst_at(_STREAM_TX, tx_end, local_complete)
-            else:
-                self._at(tx_end, local_complete)
+            self._burst_at(_STREAM_TX, tx_end, local_complete)
             if verdict is not None and verdict.drop:
                 return
             first_byte = tx_end - self.params.wire_time(nbytes) + self._latency(dst)
@@ -332,10 +319,7 @@ class Nic:
 
         if verdict is not None and verdict.drop:
             # The wire ate the packet: local completion only, no arrival.
-            if self._fast:
-                self._burst_at(_STREAM_TX, tx_end, local_complete)
-            else:
-                self._at(tx_end, local_complete)
+            self._burst_at(_STREAM_TX, tx_end, local_complete)
             return
 
         first_byte = tx_end - self.params.wire_time(nbytes) + self._latency(dst)
@@ -350,16 +334,10 @@ class Nic:
             dst.messages_received += 1
             dst._kick()
 
-        if self._fast:
-            self._burst_at(_STREAM_TX, tx_end, local_complete)
+        self._burst_at(_STREAM_TX, tx_end, local_complete)
+        dst._burst_at(_STREAM_RX, arrival, deliver)
+        if verdict is not None and verdict.duplicate:
             dst._burst_at(_STREAM_RX, arrival, deliver)
-            if verdict is not None and verdict.duplicate:
-                dst._burst_at(_STREAM_RX, arrival, deliver)
-        else:
-            self._at(tx_end, local_complete)
-            self._at(arrival, deliver)
-            if verdict is not None and verdict.duplicate:
-                self._at(arrival, deliver)
         self._record(dst, nbytes, tx_end, arrival, "send")
 
     def post_rdma_write(
@@ -413,15 +391,10 @@ class Nic:
             )
             self._kick()
 
-        if self._fast:
-            dst._burst_at(_STREAM_RX, arrival, remote_placed)
-            # Reliable-connection semantics: local completion once remotely
-            # placed -- same arrival instant, so it rides the same burst.
-            dst._burst_at(_STREAM_RX, arrival, local_complete)
-        else:
-            self._at(arrival, remote_placed)
-            # Reliable-connection semantics: local completion once remotely placed.
-            self._at(arrival, local_complete)
+        dst._burst_at(_STREAM_RX, arrival, remote_placed)
+        # Reliable-connection semantics: local completion once remotely
+        # placed -- same arrival instant, so it rides the same burst.
+        dst._burst_at(_STREAM_RX, arrival, local_complete)
         self._record(dst, nbytes, tx_end, arrival, "rdma_write")
 
     def post_rdma_read(
@@ -471,18 +444,12 @@ class Nic:
                 )
                 self._kick()
 
-            if self._fast:
-                # Data lands at the initiator, paced by its RX port.
-                self._burst_at(_STREAM_RX, arrival, data_arrived)
-            else:
-                target._at(arrival, data_arrived)
+            # Data lands at the initiator, paced by its RX port.
+            self._burst_at(_STREAM_RX, arrival, data_arrived)
             # The read moves data target -> initiator.
             target._record(self, nbytes, tx_end, arrival, "rdma_read")
 
-        if self._fast:
-            self._burst_at(_STREAM_CTL, request_arrival, service_read)
-        else:
-            self._at(request_arrival, service_read)
+        self._burst_at(_STREAM_CTL, request_arrival, service_read)
 
     # -- channel receiver halves -------------------------------------------
     def _channel_recv(self, msg: "_ch.ChannelMsg") -> None:
@@ -511,14 +478,9 @@ class Nic:
                 self.messages_received += 1
                 self._kick()
 
-            if self._fast:
+            self._burst_at(_STREAM_RX, arrival, deliver)
+            if duplicate:
                 self._burst_at(_STREAM_RX, arrival, deliver)
-                if duplicate:
-                    self._burst_at(_STREAM_RX, arrival, deliver)
-            else:
-                self._at(arrival, deliver)
-                if duplicate:
-                    self._at(arrival, deliver)
             self._record_from(msg.src_node, nbytes, tx_end, arrival, "send")
         elif kind == _ch.PLACE:
             tx_end, token = typing.cast(tuple, msg.extra)
@@ -533,10 +495,7 @@ class Nic:
                     self.inbound.append(InboundPacket(src_node, notify, nbytes))
                     self._kick()
 
-            if self._fast:
-                self._burst_at(_STREAM_RX, arrival, remote_placed)
-            else:
-                self._at(arrival, remote_placed)
+            self._burst_at(_STREAM_RX, arrival, remote_placed)
             # Reliable-connection semantics: the writer completes once the
             # data is placed.  The ACK's effect time is bounded below by
             # ``msg.when + wire_time(nbytes)``, which is what lets the
@@ -587,10 +546,7 @@ class Nic:
                 )
                 self._kick()
 
-            if self._fast:
-                self._burst_at(_STREAM_RX, arrival, data_arrived)
-            else:
-                self._at(arrival, data_arrived)
+            self._burst_at(_STREAM_RX, arrival, data_arrived)
             self._record_from(msg.src_node, nbytes, tx_end, arrival, "rdma_read")
 
     def _record_from(

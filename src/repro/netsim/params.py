@@ -51,11 +51,6 @@ class NetworkParams:
     #: remain reproducible.  Used to check that the bounding algorithm's
     #: invariants are not artifacts of a perfectly regular network.
     latency_jitter_frac: float = 0.0
-    #: Network scheduling path: ``"fast"`` coalesces contiguous runs of
-    #: same-stream completions into burst macro-events (bit-identical
-    #: timestamps, fewer scheduler operations -- see docs/performance.md);
-    #: ``"packet"`` schedules every completion individually.
-    network_path: str = "fast"
     #: Cross-NIC delivery semantics: ``"direct"`` lets a sender reserve the
     #: receiver's RX port at post time (the classic sequential model);
     #: ``"channel"`` routes every cross-NIC effect through an explicit
@@ -90,15 +85,11 @@ class NetworkParams:
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            if field.name in ("network_path", "delivery", "faults"):
+            if field.name in ("delivery", "faults"):
                 continue
             value = getattr(self, field.name)
             if value < 0:
                 raise ValueError(f"{field.name} must be non-negative, got {value}")
-        if self.network_path not in ("fast", "packet"):
-            raise ValueError(
-                f"network_path must be 'fast' or 'packet', got {self.network_path!r}"
-            )
         if self.delivery not in ("direct", "channel"):
             raise ValueError(
                 f"delivery must be 'direct' or 'channel', got {self.delivery!r}"

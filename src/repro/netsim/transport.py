@@ -70,8 +70,8 @@ __all__ = [
 #: Bumped on any incompatible change to the command tuples or framing.
 #: The handshake rejects mismatches before any simulation state moves.
 #: 2: ``_ShardTask`` and the hello meta lost ``batch`` (frames are always
-#: columnar).
-PROTOCOL_VERSION = 2
+#: columnar).  3: ``_ShardResult`` lost its calendar-queue counter.
+PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct("!I")
 _TIMEVAL = struct.Struct("ll")  # struct timeval, for SO_RCVTIMEO

@@ -1,6 +1,6 @@
 """The simulation engine: clock + pending-event store + run loop.
 
-Three mechanisms beyond the classic heap loop, all preserving the exact
+Two mechanisms beyond the classic heap loop, both preserving the exact
 ``(when, seq)`` total order that makes simulations pure functions of their
 inputs:
 
@@ -16,11 +16,9 @@ inputs:
   popped, and the store is bulk-compacted once dead entries dominate, so
   wait-heavy workloads that abandon guard timeouts keep a bounded pending
   population.
-* **Calendar-queue scheduling**: above :data:`CALENDAR_ENGAGE` pending
-  entries the heap is migrated into a
-  :class:`~repro.sim.calendar.CalendarQueue` (O(1) amortized scheduling);
-  below :data:`CALENDAR_COLLAPSE` it collapses back to the plain heap,
-  which is faster for small populations.
+
+The pending store is one binary heap: the population is two to four
+entries per rank (``heap_high_water``), where nothing beats ``heapq``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import heapq
 import time
 import typing
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import Event, SimulationError, Timeout
 from repro.sim.process import Process
 
@@ -38,11 +35,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.metrics import MetricsRegistry
 
 _INF = float("inf")
-
-#: Pending-entry count above which the heap migrates to a calendar queue.
-CALENDAR_ENGAGE = 4096
-#: Pending-entry count below which the calendar collapses back to a heap.
-CALENDAR_COLLAPSE = 512
 
 # Burst lifecycle: not scheduled (accepting tail subs) / scheduled in the
 # pending store / currently being retired by the run loop.
@@ -158,9 +150,6 @@ class Engine:
         #: Current simulation time in seconds.
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
-        #: Calendar-queue store, engaged above CALENDAR_ENGAGE pending
-        #: entries (exactly one of heap/calendar holds entries at a time).
-        self._cal: CalendarQueue | None = None
         self._seq: int = 0
         #: Cancelled timeouts still awaiting lazy removal from the store.
         self._dead_pending: int = 0
@@ -177,8 +166,6 @@ class Engine:
         self.bursts_opened: int = 0
         #: Times a burst yielded its remainder back to the pending store.
         self.burst_reinserts: int = 0
-        #: Heap-to-calendar migrations (population crossed CALENDAR_ENGAGE).
-        self.calendar_engagements: int = 0
         #: Key floor for :meth:`advance_to` while a burst is mid-retirement:
         #: the next sub-event's time (those subs are not in the store, so
         #: the store minimum alone would over-approve inline advances).
@@ -235,10 +222,6 @@ class Engine:
         metrics.sampled_counter(
             "repro_engine_burst_reinserts", lambda: self.burst_reinserts,
             "Burst remainders yielded back to the pending store", labels)
-        metrics.sampled_gauge(
-            "repro_engine_calendar_active",
-            lambda: 1.0 if self._cal is not None else 0.0,
-            "Whether the calendar-queue store is currently engaged", labels)
 
     def attach_tracer(self, tracer: "typing.Any",
                       sample_every: int = 64) -> None:
@@ -257,8 +240,7 @@ class Engine:
     @property
     def pending_count(self) -> int:
         """Number of pending entries (macro-events count once)."""
-        cal = self._cal
-        return len(self._heap) + (cal.n if cal is not None else 0)
+        return len(self._heap)
 
     def _post(self, event: Event, delay: float = 0.0) -> None:
         """Schedule a triggered event for processing ``delay`` from now.
@@ -269,43 +251,17 @@ class Engine:
         """
         seq = self._seq
         self._seq = seq + 1
-        cal = self._cal
-        if cal is not None:
-            cal.push(self.now + delay, seq, event)
-            if cal.n > self.heap_high_water:
-                self.heap_high_water = cal.n
-            return
         heap = self._heap
         heapq.heappush(heap, (self.now + delay, seq, event))
-        n = len(heap)
-        if n > self.heap_high_water:
-            self.heap_high_water = n
-        if n > CALENDAR_ENGAGE:
-            self._cal = CalendarQueue(heap)
-            self.calendar_engagements += 1
-            del heap[:]
+        if len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
 
     def _post_entry(self, when: float, seq: int, item: object) -> None:
         """Insert an entry with a caller-allocated sequence number."""
-        cal = self._cal
-        if cal is not None:
-            cal.push(when, seq, item)
-            if cal.n > self.heap_high_water:
-                self.heap_high_water = cal.n
-            return
         heap = self._heap
         heapq.heappush(heap, (when, seq, item))
-        n = len(heap)
-        if n > self.heap_high_water:
-            self.heap_high_water = n
-        if n > CALENDAR_ENGAGE:
-            # Migrate into a calendar queue sized/paced from the current
-            # population.  The heap *list object* is kept (run() holds a
-            # local alias) but emptied, which is what flips active loops
-            # over to the calendar path.
-            self._cal = CalendarQueue(heap)
-            self.calendar_engagements += 1
-            del heap[:]
+        if len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
 
     def post_at(self, when: float, value: object = None) -> Event:
         """Schedule a fresh already-triggered event at absolute time ``when``.
@@ -409,18 +365,14 @@ class Engine:
 
     def _compact(self) -> None:
         """Physically remove dead (cancelled) entries from the store."""
-        is_dead = lambda item: (  # noqa: E731 - tight closure, used twice
-            item.callbacks is None and item.__class__ is not Burst
-        )
-        cal = self._cal
-        if cal is not None:
-            cal.compact(is_dead)
-        else:
-            heap = self._heap
-            live = [e for e in heap if not is_dead(e[2])]
-            if len(live) != len(heap):
-                heap[:] = live
-                heapq.heapify(heap)
+        heap = self._heap
+        live = [
+            e for e in heap
+            if e[2].callbacks is not None or e[2].__class__ is Burst
+        ]
+        if len(live) != len(heap):
+            heap[:] = live
+            heapq.heapify(heap)
         self._dead_pending = 0
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
@@ -450,16 +402,10 @@ class Engine:
         now = self.now
         if when <= now:
             return None
-        cal = self._cal
         heap = self._heap
         # The store's head first: on lockstep ranks it is what says no.
-        if cal is not None:
-            mk = cal.min_key()
-            inline = mk is None or when < mk[0]
-        else:
-            inline = not heap or when < heap[0][0]
-        if inline and self._multi_cb == 0 and when < self._floor \
-                and when <= self._until:
+        if (not heap or when < heap[0][0]) and self._multi_cb == 0 \
+                and when < self._floor and when <= self._until:
             self._seq += 1
             self.now = when
             self.processed_count += 1
@@ -475,12 +421,9 @@ class Engine:
         ev.delay = when - now
         seq = self._seq
         self._seq = seq + 1
-        if cal is None and len(heap) < CALENDAR_ENGAGE:
-            heapq.heappush(heap, (when, seq, ev))
-            if len(heap) > self.heap_high_water:
-                self.heap_high_water = len(heap)
-        else:
-            self._post_entry(when, seq, ev)
+        heapq.heappush(heap, (when, seq, ev))
+        if len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
         return ev
 
     def event(self) -> Event:
@@ -499,9 +442,6 @@ class Engine:
         Lazy deletion caveat: a cancelled-but-not-yet-discarded timeout at
         the head makes this report a time at which nothing will fire.
         """
-        cal = self._cal
-        if cal is not None and cal.n:
-            return cal.min_key()[0]  # type: ignore[index]
         return self._heap[0][0] if self._heap else _INF
 
     def live_peek(self) -> float:
@@ -514,16 +454,6 @@ class Engine:
         would freeze the conservative fence below the shard's own window
         and stall the whole run.
         """
-        cal = self._cal
-        if cal is not None:
-            while cal.n:
-                when, seq, ev = cal.pop()
-                if ev.callbacks is None and ev.__class__ is not Burst:
-                    self._dead_pending -= 1
-                    continue
-                cal.push(when, seq, ev)
-                return when
-            return _INF
         heap = self._heap
         while heap:
             ev = heap[0][2]
@@ -552,7 +482,7 @@ class Engine:
         """
         burst.state = _BURST_RUNNING
         subs = burst.subs
-        heap = self._heap  # stable list object; emptied if calendar engages
+        heap = self._heap
         i = burst.idx
         processed = 0
         status = 0
@@ -578,14 +508,7 @@ class Engine:
                     # decide when the window is really over.
                     break
                 # Yield to any competing pending entry with a smaller key.
-                cal = self._cal
-                if cal is not None:
-                    mk = cal.min_key()
-                    if mk is not None and (
-                        mk[0] < when or (mk[0] == when and mk[1] < seq)
-                    ):
-                        break
-                elif heap:
+                if heap:
                     head = heap[0]
                     hw = head[0]
                     if hw < when or (hw == when and head[1] < seq):
@@ -630,18 +553,9 @@ class Engine:
     def step(self) -> None:
         """Process one (sub-)event; raises :class:`EmptySchedule` when idle."""
         while True:
-            cal = self._cal
-            if cal is not None and cal.n:
-                when, _seq, event = cal.pop()
-                if cal.n < CALENDAR_COLLAPSE:
-                    self._heap.extend(cal.drain())
-                    heapq.heapify(self._heap)
-                    self._cal = None
-            else:
-                self._cal = None
-                if not self._heap:
-                    raise EmptySchedule("no more events scheduled")
-                when, _seq, event = heapq.heappop(self._heap)
+            if not self._heap:
+                raise EmptySchedule("no more events scheduled")
+            when, _seq, event = heapq.heappop(self._heap)
             callbacks = event.callbacks
             if callbacks is None:
                 if event.__class__ is Burst:
@@ -752,9 +666,7 @@ class Engine:
         :meth:`step`: dispatching one event is a handful of operations, so
         per-event call/property overhead dominated the kernel profile.  The
         drain case (no deadline, no stop event -- what ``run_app`` uses)
-        additionally skips the head-of-store checks entirely.  The outer
-        loop exists only to switch between the heap and calendar stores,
-        which happens at most a handful of times per run.
+        additionally skips the head-of-store checks entirely.
         """
         stop_event: Event | None = None
         deadline = _INF
@@ -769,10 +681,8 @@ class Engine:
 
         heap = self._heap
         heappop = heapq.heappop
-        heapify = heapq.heapify
         drain_only = stop_event is None and deadline == _INF
         processed = 0
-        stopped = False
         # The loop allocates thousands of short-lived events per simulated
         # millisecond; almost all die by refcount, but the process/event
         # back-references form cycles, and generation-0 collections during
@@ -791,144 +701,85 @@ class Engine:
         prev_until = self._until
         self._until = -_INF if stop_event is not None else deadline
         try:
-            while True:
-                cal = self._cal
-                if cal is not None:
-                    # -- calendar-store loop (large pending populations) --
-                    while cal.n:
-                        if cal.n < CALENDAR_COLLAPSE:
-                            heap.extend(cal.drain())
-                            heapify(heap)
-                            self._cal = None
-                            break
-                        if not drain_only:
-                            if (
-                                stop_event is not None
-                                and stop_event.callbacks is None
-                            ):
-                                stopped = True
-                                break
-                            mk = cal.min_key()
-                            if mk is not None and mk[0] > deadline:
-                                self.dispatch_tail = self.now
-                                self.now = deadline
-                                return None
-                        when, _seq, event = cal.pop()
-                        callbacks = event.callbacks
-                        if callbacks is None:
-                            if event.__class__ is Burst:
-                                status = self._retire_burst(
-                                    event, stop_event, deadline)
-                                if status == 2:
-                                    stopped = True
-                                    break
-                            elif self._dead_pending:
-                                self._dead_pending -= 1
-                            continue
-                        event.callbacks = None
-                        self.now = when
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            self._dispatch_multi(callbacks, event)
-                        processed += 1
-                        if not event._ok and not event._defused:
-                            raise typing.cast(BaseException, event._value)
+            if drain_only:
+                # -- heap drain loop: no per-event boundary checks --
+                while heap:
+                    # Fast path: the head is the only runnable event, so it
+                    # can be popped directly without going through heapq.
+                    if len(heap) == 1:
+                        when, _seq, event = heap.pop()
                     else:
-                        self._cal = None  # drained empty
-                elif drain_only:
-                    # -- heap drain loop: no per-event boundary checks --
-                    while heap:
-                        # Fast path: the head is the only runnable event, so
-                        # it can be popped directly without going through
-                        # heapq.
-                        if len(heap) == 1:
-                            when, _seq, event = heap.pop()
-                        else:
-                            when, _seq, event = heappop(heap)
-                        callbacks = event.callbacks
-                        if callbacks is None:
-                            if event.__class__ is Burst:
-                                subs = event.subs
-                                if len(subs) - event.idx == 1:
-                                    # Single-sub burst: the popped entry's
-                                    # key IS the sub's key, so it is the
-                                    # global minimum and retires with no
-                                    # competing-entry check (the dominant
-                                    # case when flows interleave tightly).
-                                    when, _seq, sub = subs[event.idx]
-                                    del subs[:]
-                                    event.idx = 0
-                                    event.state = 0  # _BURST_IDLE
-                                    callbacks = sub.callbacks
-                                    sub.callbacks = None
-                                    self.now = when
-                                    if len(callbacks) == 1:  # type: ignore[arg-type]
-                                        callbacks[0](sub)  # type: ignore[index]
-                                    else:
-                                        self._dispatch_multi(
-                                            callbacks, sub)  # type: ignore[arg-type]
-                                    processed += 1
-                                    if not sub._ok and not sub._defused:
-                                        raise typing.cast(
-                                            BaseException, sub._value)
+                        when, _seq, event = heappop(heap)
+                    callbacks = event.callbacks
+                    if callbacks is None:
+                        if event.__class__ is Burst:
+                            subs = event.subs
+                            if len(subs) - event.idx == 1:
+                                # Single-sub burst: the popped entry's key
+                                # IS the sub's key, so it is the global
+                                # minimum and retires with no competing-entry
+                                # check (the dominant case when flows
+                                # interleave tightly).
+                                when, _seq, sub = subs[event.idx]
+                                del subs[:]
+                                event.idx = 0
+                                event.state = 0  # _BURST_IDLE
+                                callbacks = sub.callbacks
+                                sub.callbacks = None
+                                self.now = when
+                                if len(callbacks) == 1:  # type: ignore[arg-type]
+                                    callbacks[0](sub)  # type: ignore[index]
                                 else:
-                                    self._retire_burst(event, None, _INF)
-                            elif self._dead_pending:
-                                self._dead_pending -= 1
-                            continue
-                        event.callbacks = None
-                        self.now = when
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            self._dispatch_multi(callbacks, event)
-                        processed += 1
-                        if not event._ok and not event._defused:
-                            raise typing.cast(BaseException, event._value)
-                else:
-                    # -- heap loop with stop-event/deadline checks --
-                    while heap:
-                        if (
-                            stop_event is not None
-                            and stop_event.callbacks is None
-                        ):
-                            stopped = True
-                            break
-                        if heap[0][0] > deadline:
-                            self.dispatch_tail = self.now
-                            self.now = deadline
-                            return None
-                        if len(heap) == 1:
-                            when, _seq, event = heap.pop()
-                        else:
-                            when, _seq, event = heappop(heap)
-                        callbacks = event.callbacks
-                        if callbacks is None:
-                            if event.__class__ is Burst:
-                                status = self._retire_burst(
-                                    event, stop_event, deadline)
-                                if status == 2:
-                                    stopped = True
-                                    break
-                            elif self._dead_pending:
-                                self._dead_pending -= 1
-                            continue
-                        event.callbacks = None
-                        self.now = when
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            self._dispatch_multi(callbacks, event)
-                        processed += 1
-                        if not event._ok and not event._defused:
-                            raise typing.cast(BaseException, event._value)
-                if stopped:
-                    break
-                cal = self._cal
-                if heap or (cal is not None and cal.n):
-                    continue  # the store migrated mid-loop; keep going
-                break
+                                    self._dispatch_multi(
+                                        callbacks, sub)  # type: ignore[arg-type]
+                                processed += 1
+                                if not sub._ok and not sub._defused:
+                                    raise typing.cast(BaseException, sub._value)
+                            else:
+                                self._retire_burst(event, None, _INF)
+                        elif self._dead_pending:
+                            self._dead_pending -= 1
+                        continue
+                    event.callbacks = None
+                    self.now = when
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        self._dispatch_multi(callbacks, event)
+                    processed += 1
+                    if not event._ok and not event._defused:
+                        raise typing.cast(BaseException, event._value)
+            else:
+                # -- heap loop with stop-event/deadline checks --
+                while heap:
+                    if stop_event is not None and stop_event.callbacks is None:
+                        break
+                    if heap[0][0] > deadline:
+                        self.dispatch_tail = self.now
+                        self.now = deadline
+                        return None
+                    if len(heap) == 1:
+                        when, _seq, event = heap.pop()
+                    else:
+                        when, _seq, event = heappop(heap)
+                    callbacks = event.callbacks
+                    if callbacks is None:
+                        if event.__class__ is Burst:
+                            if self._retire_burst(
+                                    event, stop_event, deadline) == 2:
+                                break
+                        elif self._dead_pending:
+                            self._dead_pending -= 1
+                        continue
+                    event.callbacks = None
+                    self.now = when
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        self._dispatch_multi(callbacks, event)
+                    processed += 1
+                    if not event._ok and not event._defused:
+                        raise typing.cast(BaseException, event._value)
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -317,8 +317,6 @@ class _ShardResult(typing.NamedTuple):
     trace: "dict | None" = None
     #: Largest pending-event population this shard's engine ever held.
     heap_high_water: int = 0
-    #: Times the engine's heap migrated into the calendar queue.
-    calendar_engagements: int = 0
 
 
 class ShardWorker:
@@ -459,7 +457,6 @@ class ShardWorker:
             trace=(self.tracer.to_payload()
                    if self.tracer is not None else None),
             heap_high_water=self.engine.heap_high_water,
-            calendar_engagements=self.engine.calendar_engagements,
         )
 
 
@@ -827,18 +824,11 @@ class _Coordinator:
     """
 
     def __init__(self, handles: list, shard_of: list[int],
-                 params: NetworkParams, la: float,
-                 fence_impl: str = "incremental") -> None:
-        if fence_impl not in ("incremental", "reference"):
-            raise ValueError(
-                f"fence_impl must be 'incremental' or 'reference', "
-                f"got {fence_impl!r}"
-            )
+                 params: NetworkParams, la: float) -> None:
         self.handles = handles
         self.shard_of = shard_of
         self.params = params
         self.la = la
-        self.fence_impl = fence_impl
         n = len(handles)
         self.nshards = n
         #: Bound vectors, contiguous: ``[0:n)`` next pending event per
@@ -865,12 +855,6 @@ class _Coordinator:
         #: Rounds whose fence vector was recomputed (cache misses).
         self.fence_recomputes = 0
         self._fences_cache: "list[float] | None" = None
-        # Bind the selected implementation once: the per-round call goes
-        # straight to it with no string compare on the hot path.
-        self.fences_now = (
-            self._fences_incremental if fence_impl == "incremental"
-            else self._fences_ref_cached
-        )
         #: Global last-event time seen so far (the finalize anchor).
         self.tail = 0.0
 
@@ -931,7 +915,7 @@ class _Coordinator:
         """
         return min(self._bounds[:2 * self.nshards])
 
-    def _fences_incremental(self) -> list[float]:
+    def fences_now(self) -> list[float]:
         """Per-shard CMB fences from the current conservative bounds.
 
         Static bound ``s[j]``: the earliest *known* work for shard ``j``
@@ -957,8 +941,8 @@ class _Coordinator:
         values of the underlying vector (the min over ``k != j`` is the
         global minimum unless ``j`` holds it, in which case it is the
         runner-up), so one call is a constant number of O(shards) passes
-        -- identical floats to the reference nested-scan formulation,
-        verified by the differential tests in ``tests/test_sim_parallel``.
+        -- identical floats to the nested-scan formulation in
+        ``tests/oracles.py``, which the tests compare against at every call.
         """
         cached = self._fences_cache
         if cached is not None:
@@ -1011,52 +995,6 @@ class _Coordinator:
         ]
         self._fences_cache = fences
         self.fence_recomputes += 1
-        return fences
-
-    def _fences_ref_cached(self) -> list[float]:
-        """:meth:`fences_reference` behind the same recompute cache."""
-        cached = self._fences_cache
-        if cached is not None:
-            return cached
-        fences = self.fences_reference()
-        self._fences_cache = fences
-        self.fence_recomputes += 1
-        return fences
-
-    def fences_reference(self) -> list[float]:
-        """The O(shards²) nested-scan fence formulation, kept as referee.
-
-        Bit-for-bit the pre-optimization :meth:`fences_now`: the
-        differential tests assert the incremental path returns the same
-        floats, and ``benchmarks/test_shard_scale.py`` runs the whole
-        workload under ``fence_impl="reference"`` to quantify the win.
-        """
-        n = self.nshards
-        la = self.la
-        s = list(self._bounds[:n])
-        for j, box in enumerate(self.inbox):
-            for msg in box:
-                if msg.when < s[j]:
-                    s[j] = msg.when
-        for creditor, horizon in self.obligations.values():
-            if horizon < s[creditor]:
-                s[creditor] = horizon
-        b = [
-            min(
-                s[j],
-                min(
-                    (s[k] for k in range(n) if k != j), default=_INF
-                ) + la,
-            )
-            for j in range(n)
-        ]
-        fences = []
-        for i in range(n):
-            f = min((b[j] for j in range(n) if j != i), default=_INF) + la
-            for creditor, horizon in self.obligations.values():
-                if creditor == i and horizon < f:
-                    f = horizon
-            fences.append(f)
         return fences
 
     def absorb(self, shard: int, reply: _AdvanceReply) -> None:
@@ -1309,7 +1247,6 @@ def run_app_sharded(
     partition: "list[list[int]] | None" = None,
     edges: "typing.Iterable[tuple] | None" = None,
     tracer: "typing.Any | None" = None,
-    fence_impl: str = "incremental",
     hosts: "typing.Sequence | None" = None,
     transport: "typing.Any | None" = None,
 ) -> "RunResult":
@@ -1344,11 +1281,6 @@ def run_app_sharded(
     shard workers join the trace through their task and their payloads
     are absorbed, so the merged Perfetto timeline shows one pid per
     shard.  Reports stay bit-identical with tracing off.
-
-    ``fence_impl`` selects the coordinator's fence math:
-    ``"incremental"`` (default, O(shards) per round) or ``"reference"``
-    (the O(shards²) nested-scan formulation, kept for differential tests
-    and the before/after benchmark).  Both return identical floats.
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
@@ -1430,8 +1362,7 @@ def run_app_sharded(
                     where = "%s:%d" % target if target else "fork"
                     raise ShardError(
                         f"shard {i} worker {where}: {exc}") from exc
-        co = _Coordinator(handles, shard_of, params, la,
-                          fence_impl=fence_impl)
+        co = _Coordinator(handles, shard_of, params, la)
         try:
             if sync == "null" and backend != "inline":
                 _coordinate_null(co, tracer)
@@ -1481,7 +1412,6 @@ def run_app_sharded(
             "busy_s": res.busy,
             "msgs_across": res.msgs_across,
             "heap_high_water": res.heap_high_water,
-            "calendar_engagements": res.calendar_engagements,
         }
         if tstats is not None:
             ts = tstats[res.shard_id]
@@ -1520,7 +1450,6 @@ def run_app_sharded(
         "host_elapsed_s": host_elapsed,
         "events": sum(res.events for res in results),
         "busy_s": [res.busy for res in results],
-        "fence_impl": fence_impl,
         "fence_recomputes": co.fence_recomputes,
     }
     if tstats is not None:

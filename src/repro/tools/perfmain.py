@@ -6,13 +6,13 @@ Example::
     python -m repro.tools.perfmain --latency-us 4 --bandwidth-mbs 900 \\
         --min-size 64 --max-size 4194304 --out fast_fabric.tsv
 
-``--compare`` turns the tool into the network fast path's referee: it
-runs one NAS workload under both ``network_path`` settings and prints a
-per-measure equality report (reports, telemetry windows, deterministic
-metrics), so users can verify the macro-event fast path on their own
-workload before trusting its numbers::
+``--compare --shards N`` turns the tool into the sharded engine's
+referee: it runs one NAS workload single-process and on N shards and
+prints a per-measure equality report (reports, finish times, compute
+logs), so users can verify the sharded engine on their own workload
+before trusting its numbers::
 
-    python -m repro.tools.perfmain --compare fast --benchmark lu \\
+    python -m repro.tools.perfmain --compare --shards 2 --benchmark lu \\
         --klass S --np 4
 """
 
@@ -35,11 +35,10 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="output table path (TSV); required unless "
                         "--compare is given")
-    parser.add_argument("--compare", choices=("fast", "packet"), default=None,
+    parser.add_argument("--compare", action="store_true",
                         help="instead of writing a table, run the given NAS "
-                        "workload under BOTH network paths and print a "
-                        "per-measure equality report (the argument picks "
-                        "which side's wall-clock is quoted)")
+                        "workload single-process and sharded and print a "
+                        "per-measure equality report (requires --shards)")
     parser.add_argument("--benchmark", choices=("lu", "cg", "sp"),
                         default="lu", help="--compare workload kernel")
     parser.add_argument("--klass", default="S", help="--compare NAS class")
@@ -58,11 +57,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reps", type=int, default=4,
                         help="ping-pong repetitions per size")
     parser.add_argument("--shards", type=int, default=None,
-                        help="with --compare: referee the sharded "
-                        "parallel-DES engine instead -- run the workload "
-                        "once single-process and once with this many "
-                        "shards (channel delivery on both sides) and "
-                        "print the per-measure equality report")
+                        help="with --compare: shard count of the "
+                        "sharded side (channel delivery on both sides)")
     parser.add_argument("--shard-sync", choices=("window", "null"),
                         default="window",
                         help="shard synchronization protocol for "
@@ -71,10 +67,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _compare(args: argparse.Namespace) -> int:
-    """Run one workload under both network paths; print the equality report."""
+    """Run one workload single-process and sharded; print the equality report."""
     import time
 
-    from repro.netsim.differential import compare_runs, run_both
+    from repro.netsim.differential import compare_sharded, run_sharded_pair
 
     if args.benchmark == "lu":
         from repro.nas.lu import lu_app as app
@@ -86,66 +82,44 @@ def _compare(args: argparse.Namespace) -> int:
         from repro.nas.sp import sp_app as app
         app_args = (args.klass, args.niter, None, False)
 
-    host: dict[str, float] = {}
     t0 = time.perf_counter()
-    if args.shards is not None:
-        from repro.netsim.differential import compare_sharded, run_sharded_pair
-
-        fast, packet = run_sharded_pair(
-            app, args.nprocs, args.shards, app_args=app_args,
-            label=f"{args.benchmark}.{args.klass}.{args.nprocs}",
-            sync=args.shard_sync,
-        )
-        host["both"] = time.perf_counter() - t0
-        deltas = compare_sharded(fast, packet)
-        sides = ("single", "sharded")
-        axis = (f"single vs {args.shards} shards, sync={args.shard_sync}")
-        fail_hint = ("the sharded engine is NOT safe on this workload; run "
-                     "without --shards and report a bug")
-        ok_line = ("OK: the sharded engine is bit-identical on this "
-                   "workload")
-    else:
-        fast, packet, mfast, mpacket = run_both(
-            app, args.nprocs, app_args=app_args,
-            label=f"{args.benchmark}.{args.klass}.{args.nprocs}",
-        )
-        host["both"] = time.perf_counter() - t0
-        deltas = compare_runs(fast, packet, mfast, mpacket)
-        sides = ("fast", "packet")
-        axis = "fast vs packet"
-        fail_hint = ("the fast path is NOT safe on this workload; run with "
-                     "network_path='packet' and report a bug")
-        ok_line = ("OK: the fast path is observationally identical on this "
-                   "workload")
+    single, sharded = run_sharded_pair(
+        app, args.nprocs, args.shards, app_args=app_args,
+        label=f"{args.benchmark}.{args.klass}.{args.nprocs}",
+        sync=args.shard_sync,
+    )
+    host_s = time.perf_counter() - t0
+    deltas = compare_sharded(single, sharded)
     unequal = [d for d in deltas if not d.equal]
 
     width = max(len(d.measure) for d in deltas)
     print(f"differential: {args.benchmark}.{args.klass} np={args.nprocs} "
-          f"niter={args.niter} ({axis}, "
-          f"{host['both']:.2f} s host)")
+          f"niter={args.niter} (single vs {args.shards} shards, "
+          f"sync={args.shard_sync}, {host_s:.2f} s host)")
     for d in deltas:
         mark = "==" if d.equal else "!="
         print(f"  {d.measure:<{width}}  {mark}")
         if not d.equal:
-            print(f"    {sides[0]}: {d.fast!r}")
-            print(f"    {sides[1]}: {d.packet!r}")
+            print(f"    single: {d.fast!r}")
+            print(f"    sharded: {d.packet!r}")
     n_eq = len(deltas) - len(unequal)
-    print(f"{n_eq}/{len(deltas)} measures bit-identical", end="")
-    ref = packet if (args.shards is not None or args.compare == "packet") \
-        else fast
-    which = sides[1] if (args.shards is not None
-                         or args.compare == "packet") else sides[0]
-    print(f"; {which} side simulated {ref.elapsed * 1e3:.2f} ms")
+    print(f"{n_eq}/{len(deltas)} measures bit-identical"
+          f"; sharded side simulated {sharded.elapsed * 1e3:.2f} ms")
     if unequal:
-        print(f"FAIL: {len(unequal)} measure(s) differ -- {fail_hint}")
+        print(f"FAIL: {len(unequal)} measure(s) differ -- the sharded engine "
+              "is NOT safe on this workload; run without --shards and "
+              "report a bug")
         return 1
-    print(ok_line)
+    print("OK: the sharded engine is bit-identical on this workload")
     return 0
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    if args.compare is not None:
+    if args.compare:
+        if args.shards is None:
+            print("error: --compare requires --shards N", file=sys.stderr)
+            return 2
         return _compare(args)
     if args.out is None:
         print("error: --out is required (unless --compare is given)",

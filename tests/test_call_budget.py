@@ -6,8 +6,8 @@ event queue only when it touches the network (``docs/performance.md``,
 
 * a **budget** in the style of the import and memory budgets -- counts,
   never seconds -- on one fixed small job: engine events, Python-level
-  calls, stamps.  An extra event or frame per MPI call shows up here
-  before it shows up as milliseconds in ``bench/``;
+  calls, stamps, pending-store population.  An extra event or frame per
+  MPI call shows up here before it shows up as milliseconds in ``bench/``;
 * the **discipline**: on every run of the report-pin matrix, a rank's
   clock never reads behind the engine's when it stamps, and reads exactly
   the engine's time whenever the rank looks at a NIC queue or posts to a
@@ -74,6 +74,21 @@ def test_counts_repeat_exactly():
     first, second = _budget_job(), _budget_job()
     assert (first.fabric.engine.processed_count
             == second.fabric.engine.processed_count)
+
+
+def test_pending_store_stays_a_few_entries_per_rank():
+    """The traffic property "one binary heap is enough" rests on
+    (``docs/performance.md``, "Why there is one pending store"): two
+    pending entries per rank under direct delivery, four under channel
+    delivery.  A change that inflates the store fails here instead of
+    quietly needing a second store back."""
+    ranks = 32
+    assert 0 < _budget_job().fabric.engine.heap_high_water <= 2 * ranks
+    sharded = run_app(halo_app, ranks, mvapich2_like(),
+                      app_args=(6, 4096.0, 20e-6),
+                      shards=2, shard_backend="inline")
+    for shard in sharded.shard_stats:
+        assert 0 < shard["heap_high_water"] <= 4 * len(shard["ranks"])
 
 
 # -- the discipline -----------------------------------------------------------

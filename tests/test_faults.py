@@ -23,11 +23,12 @@ from repro.faults import (
     parse_fault_spec,
 )
 from repro.mpisim.config import MpiConfig, mvapich2_like, openmpi_like
-from repro.netsim.differential import compare_runs, run_both
+from repro.netsim.differential import compare_runs
 from repro.netsim.params import NetworkParams
 from repro.runtime.launcher import run_app
 from repro.sim import Engine
 from repro.sim.events import Timeout
+from tests.oracles import run_both
 
 LOSSY = ResilienceParams()
 

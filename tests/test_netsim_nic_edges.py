@@ -11,7 +11,8 @@ import pytest
 
 from repro.mpisim import MpiConfig
 from repro.mpisim.status import ANY_SOURCE, ANY_TAG
-from repro.netsim.differential import compare_runs, run_both
+from repro.netsim.differential import compare_runs
+from tests.oracles import packet_path, run_both
 
 EAGER_LIMIT = 1024
 FRAG = 4096
@@ -74,14 +75,14 @@ def test_exactly_at_boundary_burst_splits(size):
     _assert_identical(fast, packet, mf, mp)
 
 
-def _arrival_trace(path):
+def _arrival_trace():
     """(time, src) of each packet delivered to NIC 0, in delivery order."""
     from repro.netsim import Fabric, NetworkParams
     from repro.sim import Engine
 
     eng = Engine()
     params = NetworkParams(latency=10e-6, bandwidth=100e6,
-                           per_message_overhead=0.0, network_path=path)
+                           per_message_overhead=0.0)
     fab = Fabric(eng, params, num_nodes=3)
     c, a, b = fab.nic(0), fab.nic(1), fab.nic(2)
     # Zero-byte control packets posted at t=0 over a symmetric fabric
@@ -101,8 +102,9 @@ def _arrival_trace(path):
 
 def test_simultaneous_identical_timestamp_arrivals():
     """Equal-timestamp arrivals tie-break deterministically on both paths."""
-    fast = _arrival_trace("fast")
-    packet = _arrival_trace("packet")
+    fast = _arrival_trace()
+    with packet_path():
+        packet = _arrival_trace()
     (t_a, src_a), (t_b, src_b) = fast
     # Both packets arrive at the same simulated instant...
     assert t_a == t_b
@@ -110,7 +112,7 @@ def test_simultaneous_identical_timestamp_arrivals():
     # identically under both paths and on every rerun.
     assert [src_a, src_b] == [1, 2]
     assert packet == fast
-    assert _arrival_trace("fast") == fast
+    assert _arrival_trace() == fast
 
 
 def _simultaneous_app(ctx):

@@ -3,14 +3,15 @@
 The burst-coalescing network fast path is only admissible if it is
 *observationally identical* to per-packet simulation -- every overlap
 report, telemetry window, and deterministic metric bit-for-bit equal.
-These tests are that gate: each one runs a workload under both
-``network_path`` settings via :mod:`repro.netsim.differential` and
-asserts every compared measure matches exactly, across all messaging
-protocols, the NAS kernels, and hypothesis-randomized flow
-interleavings designed to force burst yields and reinserts.
+These tests are that gate: each one runs a workload on the shipped burst
+path and under the per-packet oracle (:func:`tests.oracles.packet_path`)
+and asserts every measure :mod:`repro.netsim.differential` compares
+matches exactly, across all messaging protocols, the NAS kernels, and
+hypothesis-randomized flow interleavings designed to force burst yields
+and reinserts.
 """
 
-import dataclasses
+import contextlib
 
 import hypothesis.strategies as st
 import pytest
@@ -18,8 +19,9 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.mpisim import MpiConfig
 from repro.mpisim.status import ANY_SOURCE, ANY_TAG
-from repro.netsim.differential import compare_runs, run_both
+from repro.netsim.differential import compare_runs
 from repro.netsim.params import NetworkParams
+from tests.oracles import packet_path, run_both
 
 EAGER_SEND = MpiConfig(name="d-eager-send", eager_limit=1 << 16)
 EAGER_RDMA = MpiConfig(name="d-eager-rdma", eager_limit=1 << 16,
@@ -94,12 +96,12 @@ def test_nas_mg_differential():
     from repro.nas.mg import mg_app
 
     results = []
-    for path in ("fast", "packet"):
-        results.append(run_armci_app(
-            mg_app, 4, config=ArmciConfig(),
-            params=NetworkParams(network_path=path),
-            app_args=("S", 1, None, True), label="diff-mg",
-        ))
+    for path in (contextlib.nullcontext, packet_path):
+        with path():
+            results.append(run_armci_app(
+                mg_app, 4, config=ArmciConfig(),
+                app_args=("S", 1, None, True), label="diff-mg",
+            ))
     fast, packet = results
     assert fast.elapsed == packet.elapsed
     assert fast.returns == packet.returns
@@ -187,13 +189,11 @@ def test_interleaving_forces_burst_reinserts():
     assert engine.burst_reinserts > 0
 
 
-def test_packet_path_opt_out_flag():
-    """network_path='packet' fully disables coalescing (documented opt-out)."""
-    _fast, packet, _mf, _mp = run_both(
-        _traffic_app, 4, config=EAGER_SEND, label="diff-optout"
+def test_packet_oracle_opens_no_burst():
+    """Self-check: the oracle side really is per-packet, the other is not."""
+    fast, packet, _mf, _mp = run_both(
+        _traffic_app, 4, config=EAGER_SEND, label="diff-oracle"
     )
     assert packet.fabric.engine.bursts_opened == 0
     assert packet.fabric.engine.burst_reinserts == 0
-    assert dataclasses.replace(
-        NetworkParams(), network_path="packet"
-    ).network_path == "packet"
+    assert fast.fabric.engine.bursts_opened > 0

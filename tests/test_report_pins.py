@@ -16,7 +16,7 @@ one simulated instant to the next) must not move: every simulated
 timestamp and therefore every measure.  A change that legitimately moves
 them regenerates the file on purpose::
 
-    PYTHONPATH=src python tests/test_report_pins.py --write
+    PYTHONPATH=src python -m tests.test_report_pins --write
 
 and says so in its description; a change that claims bit-identical
 reports must pass against the file its parent commit produced.
@@ -24,6 +24,7 @@ reports must pass against the file its parent commit produced.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -52,6 +53,7 @@ from repro.nas.sp import sp_app
 from repro.netsim.params import NetworkParams
 from repro.runtime.launcher import run_app
 from repro.telemetry.collect import TelemetryConfig
+from tests.oracles import packet_path
 
 PINS_PATH = pathlib.Path(__file__).parent / "data" / "report_pins.json"
 
@@ -242,10 +244,16 @@ def _cases() -> "dict[str, Case]":
     cases: "dict[str, Case]" = {}
 
     def add(name: str, app: typing.Callable, nprocs: int, config: typing.Any,
-            app_args: tuple = (), **kwargs: object) -> None:
+            app_args: tuple = (), path: typing.Callable = contextlib.nullcontext,
+            **kwargs: object) -> None:
         assert name not in cases, name
-        cases[name] = lambda: run_app(app, nprocs, config, app_args=app_args,
-                                      label=name, **kwargs)
+
+        def case():
+            with path():
+                return run_app(app, nprocs, config, app_args=app_args,
+                               label=name, **kwargs)
+
+        cases[name] = case
 
     for lib in LIBRARIES:
         for proto, (_over, nbytes) in PROTOCOLS.items():
@@ -324,7 +332,7 @@ def _cases() -> "dict[str, Case]":
         add(f"jitter-{lib}", halo_app, 4, config, (3, 2048.0, 15e-6),
             params=NetworkParams(latency_jitter_frac=0.2), seed=11)
         add(f"packetpath-{lib}", halo_app, 3, _config(lib, "pipelined"),
-            (2, 300000.0, 15e-6), params=NetworkParams(network_path="packet"))
+            (2, 300000.0, 15e-6), path=packet_path)
         add(f"channel-{lib}", halo_app, 4, config, (3, 2048.0, 15e-6),
             params=NetworkParams(delivery="channel"))
         add(f"sharded-{lib}", halo_app, 6, config, (3, 2048.0, 15e-6),
@@ -411,5 +419,5 @@ def _write() -> None:
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_report_pins.py --write")
+        sys.exit("usage: python -m tests.test_report_pins --write")
     _write()

@@ -62,6 +62,16 @@ def _fan_out_then_write_pid(directory, name):
     return _write_pid_then_sleep(f"{directory}/{name}", 0.0)
 
 
+_SLOW_MODULE = "repro_fixture_module_imported_slowly"
+_MID_IMPORT = threading.Event()
+_FINISH_IMPORT = threading.Event()
+
+
+def _import_slow_module(directory):
+    sys.path.insert(0, directory)
+    return __import__(_SLOW_MODULE).VALUE
+
+
 def _process_is_running(pid):
     """False once ``pid`` has exited (reaped or not)."""
     try:
@@ -308,6 +318,41 @@ def test_workers_exit_when_the_parent_is_killed(tmp_path):
 
     wait_gone(names[:-1], 1.0)  # while "busy" still sleeps
     wait_gone(names, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Fork while another thread imports
+# ---------------------------------------------------------------------------
+def test_worker_forked_mid_import_of_another_thread_does_not_hang(
+        tmp_path, monkeypatch):
+    """The service forks a worker while its HTTP thread is inside a lazy
+    first import; the child inherits that module's lock with no owner to
+    release it and used to block forever on its own import of it."""
+    (tmp_path / f"{_SLOW_MODULE}.py").write_text(
+        "import threading\n"
+        "from tests import test_runner_workers as gate\n"
+        "if threading.current_thread().name == 'importer':\n"
+        "    gate._MID_IMPORT.set()\n"
+        "    gate._FINISH_IMPORT.wait(30.0)\n"
+        "VALUE = 42\n", encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    importer = threading.Thread(
+        target=__import__, args=(_SLOW_MODULE,), name="importer")
+    importer.start()
+    cancel = threading.Event()
+    timer = threading.Timer(10.0, cancel.set)  # a failure, never a hang
+    timer.start()
+    try:
+        assert _MID_IMPORT.wait(10.0)
+        (value,) = run_tasks([Task(_import_slow_module, (str(tmp_path),))],
+                             cancel=cancel, **ISOLATED)
+    finally:
+        timer.cancel()
+        _FINISH_IMPORT.set()
+        importer.join(10.0)
+        sys.modules.pop(_SLOW_MODULE, None)
+    assert not importer.is_alive()
+    assert value == 42, value
 
 
 # ---------------------------------------------------------------------------

@@ -1,126 +1,26 @@
-"""CalendarQueue, lazy timeout cancellation, and Burst unit tests.
+"""Pending-store behaviour: FIFO ties at scale, lazy timeout cancellation,
+``advance_to`` and Burst unit tests.
 
-The calendar queue must be a drop-in replacement for ``heapq``: exact
-``(when, seq)`` pop order under any push/pop interleaving.  Lazy
-cancellation must keep the pending store bounded under cancel-heavy
-workloads.  Bursts must tail-extend, refuse out-of-order times, and
-yield/reinsert when a competing event holds a smaller key.
+(The file is named for the calendar queue these tests once also covered;
+the store is now one binary heap.)  Lazy cancellation must keep the
+pending store bounded under cancel-heavy workloads.  Bursts must
+tail-extend, refuse out-of-order times, and yield/reinsert when a
+competing event holds a smaller key.
 """
 
-import heapq
-
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
 from repro.sim import Engine
-from repro.sim.calendar import CalendarQueue
-from repro.sim.engine import CALENDAR_COLLAPSE, CALENDAR_ENGAGE
-
-
-# -- CalendarQueue vs heapq reference -----------------------------------------
-
-#: Push times with many duplicates (tie-break stress) and wide spans
-#: (bucket-width / sparse-region stress).
-times = st.one_of(
-    st.floats(min_value=0.0, max_value=1e-3, allow_nan=False),
-    st.sampled_from([0.0, 1e-9, 1.0, 1.0, 1e3]),
-)
-ops = st.lists(
-    st.one_of(st.tuples(st.just("push"), times), st.just(("pop", None))),
-    max_size=200,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ops=ops)
-def test_pop_order_matches_heapq_reference(ops):
-    cal = CalendarQueue()
-    ref: list = []
-    seq = 0
-    for op, when in ops:
-        if op == "push":
-            cal.push(when, seq, f"item{seq}")
-            heapq.heappush(ref, (when, seq, f"item{seq}"))
-            seq += 1
-        elif ref:
-            assert cal.min_key() == (ref[0][0], ref[0][1])
-            assert cal.pop() == heapq.heappop(ref)
-        else:
-            assert cal.min_key() is None
-            with pytest.raises(IndexError):
-                cal.pop()
-        assert len(cal) == len(ref)
-    while ref:
-        assert cal.pop() == heapq.heappop(ref)
-    assert len(cal) == 0
-
-
-def test_seeded_construction_drains_sorted():
-    entries = [(float(i % 97) * 1e-6, i, i) for i in range(3000)]
-    cal = CalendarQueue(entries)
-    assert len(cal) == 3000
-    popped = [cal.pop() for _ in range(3000)]
-    assert popped == sorted(entries)
-
-
-def test_drain_returns_everything_unsorted():
-    cal = CalendarQueue()
-    for i in range(100):
-        cal.push(i * 1e-6, i, i)
-    drained = cal.drain()
-    assert len(cal) == 0
-    assert sorted(drained) == [(i * 1e-6, i, i) for i in range(100)]
-
-
-def test_compact_drops_only_dead_entries():
-    cal = CalendarQueue()
-    for i in range(500):
-        cal.push(i * 1e-6, i, i)
-    removed = cal.compact(lambda item: item % 3 == 0)
-    assert removed == len([i for i in range(500) if i % 3 == 0])
-    survivors = [cal.pop()[2] for _ in range(len(cal))]
-    assert survivors == [i for i in range(500) if i % 3 != 0]
-
-
-def test_push_behind_cursor_is_not_lost():
-    # Pop far ahead, then push an earlier entry: the cursor must rewind.
-    cal = CalendarQueue()
-    cal.push(1.0, 0, "late")
-    assert cal.pop()[2] == "late"
-    cal.push(1e-6, 1, "early")
-    cal.push(2.0, 2, "later")
-    assert cal.pop()[2] == "early"
-    assert cal.pop()[2] == "later"
-
-
-# -- engine-level calendar engagement -----------------------------------------
-
-def test_engine_engages_and_collapses_calendar():
-    eng = Engine()
-    n = CALENDAR_ENGAGE + 512
-    fired: list[float] = []
-    for i in range(n):
-        t = eng.timeout((n - i) * 1e-7)  # reverse order: heap gets exercised
-        t.callbacks.append(lambda ev, when=(n - i) * 1e-7: fired.append(when))
-    assert eng._cal is not None  # engaged above the threshold
-    eng.run()
-    assert fired == sorted(fired)
-    assert len(fired) == n
-    # Draining below CALENDAR_COLLAPSE pending flips back to the heap.
-    assert eng._cal is None
-    assert eng.pending_count == 0
-    assert eng.heap_high_water >= CALENDAR_ENGAGE
 
 
 def test_calendar_preserves_fifo_ties():
     eng = Engine()
     order: list[int] = []
-    for i in range(CALENDAR_ENGAGE + 100):
+    for i in range(4196):
         t = eng.timeout(5e-6)  # every event at the same instant
         t.callbacks.append(lambda ev, i=i: order.append(i))
     eng.run()
-    assert order == list(range(CALENDAR_ENGAGE + 100))
+    assert order == list(range(4196))
 
 
 # -- lazy cancellation / compaction -------------------------------------------

@@ -19,6 +19,7 @@ import signal
 import struct
 import threading
 import time
+import types
 
 import hypothesis.strategies as st
 import pytest
@@ -33,7 +34,13 @@ from repro.netsim.params import NetworkParams
 from repro.netsim.transport import TransportOptions
 from repro.netsim.wire import pack_frame, unpack_frame
 from repro.runtime import run_app
-from repro.sim.parallel import ShardHostLost, partition_ranks, run_app_sharded
+from repro.sim.parallel import (
+    ShardHostLost,
+    _Coordinator,
+    partition_ranks,
+    run_app_sharded,
+)
+from tests.oracles import checking_fences
 
 _TAG = 61
 
@@ -374,37 +381,57 @@ def test_hypothesis_high_rank_bit_identical(seed, sync, config):
     )
 
 
-# ------------------------------------------------- fence implementations
+# --------------------------------------------------------- fence oracle
 
-def test_reference_fence_impl_matches_single():
-    assert_sharded_identical(
-        halo_app, 12, 3, backend="inline", fence_impl="reference",
-        config=mvapich2_like(), app_args=(4, 2048.0, 15.0e-6),
-    )
+#: Ranks dealt round-robin: every halo neighbour lives on another shard.
+_SCATTERED = [[r for r in range(24) if r % 3 == s] for s in range(3)]
 
 
-def test_fence_impls_bit_identical():
-    # The incremental fence computation must drive byte-for-byte the same
-    # schedule as the quadratic reference: same fences, same rounds, same
-    # reports.
-    runs = {}
-    for impl in ("incremental", "reference"):
-        runs[impl] = run_app(
-            halo_app, 24, shards=3, shard_backend="inline",
-            shard_fence_impl=impl, config=mvapich2_like(),
+def _fence_checked_halo(sync, backend, partition):
+    # mvapich2_like sends eager data by RDMA write, so placement-ACK
+    # obligations are in flight at many of the compared fence vectors.
+    with checking_fences() as checks:
+        result = run_app(
+            halo_app, 24, shards=3, shard_sync=sync, shard_backend=backend,
+            shard_partition=partition, config=mvapich2_like(),
             app_args=(4, 2048.0, 15.0e-6),
         )
-    inc, ref = runs["incremental"], runs["reference"]
-    assert all(d.equal for d in compare_runs(inc, ref))
-    assert inc.sync_stats["rounds"] == ref.sync_stats["rounds"]
-    assert inc.sync_stats["fence_impl"] == "incremental"
-    assert inc.sync_stats["fence_recomputes"] > 0
+    assert checks.with_obligations > 0
+    return checks, result.sync_stats
 
 
-def test_unknown_fence_impl_rejected():
-    with pytest.raises(ValueError, match="fence_impl"):
-        run_app_sharded(_pair_app, 4, 2, backend="inline",
-                        fence_impl="oracle")
+@pytest.mark.parametrize("partition", [None, _SCATTERED],
+                         ids=["contiguous", "scattered"])
+@pytest.mark.parametrize("sync", ["window", "null"])
+def test_fences_equal_the_reference_at_every_call(sync, partition):
+    checks, stats = _fence_checked_halo(sync, "inline", partition)
+    assert checks.compared >= stats["rounds"] > 0
+    assert stats["fence_recomputes"] > 0
+
+
+def test_fences_equal_the_reference_under_null_pacing():
+    # Inline runs pace both protocols with the barrier loop; only forked
+    # workers reach the asynchronous coordinator.  Its rounds depend on
+    # reply timing, its fences must not.
+    checks, stats = _fence_checked_halo("null", "process", None)
+    assert checks.compared >= stats["fence_recomputes"] > 0
+
+
+def test_cached_fence_vector_equals_the_reference():
+    # The asynchronous coordinator re-reads the fences after a
+    # heartbeat-only wake-up; nothing changed, so the cached vector is
+    # served -- and must still be what a rescan of the live state gives.
+    idle = types.SimpleNamespace(begin=lambda: 1.0e-3)
+    co = _Coordinator([idle, idle], [0, 1], NetworkParams(), 6.0e-6)
+    with checking_fences() as checks:
+        first = co.fences_now()
+        assert co.fences_now() is first
+        co.route(ch.ChannelMsg(2.0e-4, 0, ch.PLACE, 0, 0, 1, 0, 4096.0,
+                               None, (1.9e-4, 0)))
+        moved = co.fences_now()
+        assert moved is not first and moved != first
+    assert (checks.compared, co.fence_recomputes) == (3, 2)
+    assert checks.with_obligations == 1
 
 
 # ----------------------------------------------------------- halo smoke CLI
@@ -440,33 +467,10 @@ def test_halo_cli_plain_run(capsys):
     from repro.experiments import halo
 
     rc = halo.main(["--ranks", "8", "--steps", "2", "--shards", "2",
-                    "--backend", "inline", "--sync", "null",
-                    "--fence-impl", "reference"])
+                    "--backend", "inline", "--sync", "null"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "halo 8 ranks" in out and "sync=null" in out
-
-
-# ------------------------------------------------- event-queue pressure
-
-def test_calendar_queue_engages_in_sharded_run(monkeypatch):
-    # Force the calendar threshold low enough for a small run, then
-    # check the engine actually migrated -- and that doing so changed
-    # nothing observable.
-    from repro.sim import engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "CALENDAR_ENGAGE", 4)
-    monkeypatch.setattr(engine_mod, "CALENDAR_COLLAPSE", 2)
-    assert_sharded_identical(
-        halo_app, 12, 2, backend="inline",
-        config=mvapich2_like(), app_args=(3, 1024.0, 15.0e-6),
-    )
-    result = run_app_sharded(
-        halo_app, 12, 2, backend="inline",
-        config=mvapich2_like(), app_args=(3, 1024.0, 15.0e-6),
-    )
-    assert any(s["calendar_engagements"] > 0 for s in result.shard_stats)
-    assert all(s["heap_high_water"] > 0 for s in result.shard_stats)
 
 
 # ------------------------------------------- fork-worker loss trichotomy

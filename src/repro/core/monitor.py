@@ -47,6 +47,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 DEFAULT_QUEUE_CAPACITY = 4096
 
 _NBYTES_MAX = 2**63 - 1  # what the queue's signed 64-bit ``b`` column holds
+#: Sizes in ``[0, _NBYTES_END)`` truncate with a bare ``int()``; everything
+#: else (negative fractions, NaN, out of range) goes to ``_whole_bytes``.
+_NBYTES_END = 2.0**63
 
 
 class Monitor:
@@ -212,7 +215,9 @@ class Monitor:
             loss = self._stamp_loss
             if loss is not None and loss.drop_begin():
                 return xfer_id
-            self.stamp(XFER_BEGIN, xfer_id, _whole_bytes("xfer_begin", nbytes))
+            self.stamp(XFER_BEGIN, xfer_id,
+                       int(nbytes) if 0 <= nbytes < _NBYTES_END
+                       else _whole_bytes("xfer_begin", nbytes))
         return xfer_id
 
     def xfer_end(self, xfer_id: int, nbytes: float) -> None:
@@ -221,7 +226,9 @@ class Monitor:
             loss = self._stamp_loss
             if loss is not None and loss.drop_end():
                 return
-            self.stamp(XFER_END, xfer_id, _whole_bytes("xfer_end", nbytes))
+            self.stamp(XFER_END, xfer_id,
+                       int(nbytes) if 0 <= nbytes < _NBYTES_END
+                       else _whole_bytes("xfer_end", nbytes))
 
     def xfer_end_only(self, nbytes: float) -> None:
         """Stamp a completion whose initiation was invisible (case 3).
@@ -229,7 +236,9 @@ class Monitor:
         Used e.g. by the eager receiver: "the initiation of the send is
         transparent to the receiver".
         """
-        self.xfer_end(self.new_xfer_id(), nbytes)
+        xfer_id = self._next_xfer_id  # new_xfer_id(), without its frame
+        self._next_xfer_id = xfer_id + 1
+        self.xfer_end(xfer_id, nbytes)
 
     # -- sections (application-facing) ----------------------------------------
     def section_begin(self, name: str) -> None:

@@ -230,7 +230,11 @@ class DataProcessor:
             self._digest(((_TICK, end_time, 0, 0),))
         for xfer in self._active.values():
             xfer_time = self.xfer_table.time_for(xfer.nbytes)
-            self._record(xfer.nbytes, xfer_time, 0.0, xfer_time, CASE_ONE_EVENT, xfer.sections)
+            self.total.add_transfer(
+                xfer.nbytes, xfer_time, 0.0, xfer_time, CASE_ONE_EVENT)
+            for sec in xfer.sections:
+                self.sections[sec].add_transfer(
+                    xfer.nbytes, xfer_time, 0.0, xfer_time, CASE_ONE_EVENT)
         self._active.clear()
         self._finalized = True
 
@@ -365,54 +369,42 @@ class DataProcessor:
 
     def _on_xfer_end(self, ident: int, nbytes: float) -> None:
         xfer = self._active.pop(ident, None)
+        min_ov = 0.0
         if xfer is None:
             # Case 3: END without a BEGIN (e.g. the eager receiver, for whom
             # initiation is transparent).
-            xfer_time = self.xfer_table.time_for(nbytes)
-            self._record(
-                nbytes, xfer_time, 0.0, xfer_time, CASE_ONE_EVENT,
-                tuple(self._section_stack),
-            )
-            return
-        if xfer.nbytes != nbytes and nbytes > 0:
-            raise InstrumentationError(
-                f"transfer {ident} size mismatch: begin={xfer.nbytes} end={nbytes}"
-            )
-        xfer_time = self.xfer_table.time_for(xfer.nbytes)
-        same_call = (
-            self._depth > 0
-            and xfer.begin_call == self._call_seq
-            and xfer.begin_call != -1
-        )
-        if same_call:
-            # Case 1: the application never left the library.
-            self._record(xfer.nbytes, xfer_time, 0.0, 0.0, CASE_SAME_CALL, xfer.sections)
+            max_ov = xfer_time = self.xfer_table.time_for(nbytes)
+            case = CASE_ONE_EVENT
+            sections: "typing.Iterable[int]" = self._section_stack
         else:
-            # Case 2: bounded by interleaved computation / in-library time.
-            comp = _window(self._comp_clock, xfer.comp0)
-            noncomp = _window(self._call_clock, xfer.noncomp0)
-            max_ov = min(comp, xfer_time)
-            min_ov = max(0.0, xfer_time - noncomp)
-            # The bounds must nest: min <= max always holds because
-            # comp + noncomp == end - begin >= xfer_time - noncomp whenever
-            # min > 0; clamp defensively against float noise.
-            min_ov = min(min_ov, max_ov)
-            self._record(
-                xfer.nbytes, xfer_time, min_ov, max_ov, CASE_SPLIT_CALL, xfer.sections
-            )
-
-    def _record(
-        self,
-        nbytes: float,
-        xfer_time: float,
-        min_ov: float,
-        max_ov: float,
-        case: int,
-        sections: tuple[int, ...],
-    ) -> None:
+            if xfer.nbytes != nbytes and nbytes > 0:
+                raise InstrumentationError(
+                    f"transfer {ident} size mismatch: begin={xfer.nbytes} "
+                    f"end={nbytes}"
+                )
+            nbytes = xfer.nbytes
+            sections = xfer.sections
+            xfer_time = self.xfer_table.time_for(nbytes)
+            if (self._depth > 0 and xfer.begin_call == self._call_seq
+                    and xfer.begin_call != -1):
+                # Case 1: the application never left the library.
+                max_ov = 0.0
+                case = CASE_SAME_CALL
+            else:
+                # Case 2: bounded by interleaved computation / in-library
+                # time.
+                comp = _window(self._comp_clock, xfer.comp0)
+                noncomp = _window(self._call_clock, xfer.noncomp0)
+                max_ov = min(comp, xfer_time)
+                # The bounds must nest: min <= max always holds because
+                # comp + noncomp == end - begin >= xfer_time - noncomp
+                # whenever min > 0; clamp defensively against float noise.
+                min_ov = min(max(0.0, xfer_time - noncomp), max_ov)
+                case = CASE_SPLIT_CALL
         self.total.add_transfer(nbytes, xfer_time, min_ov, max_ov, case)
         for sec in sections:
-            self.sections[sec].add_transfer(nbytes, xfer_time, min_ov, max_ov, case)
+            self.sections[sec].add_transfer(
+                nbytes, xfer_time, min_ov, max_ov, case)
 
     # -- introspection -------------------------------------------------------
     @property

@@ -34,6 +34,7 @@ from repro.mpisim.packets import (
     RtsPacket,
     is_control_packet,
 )
+from repro.mpisim.protocols import make_protocol
 from repro.mpisim.request import Request
 from repro.mpisim.status import ANY_SOURCE, ANY_TAG, MpiError, Status
 from repro.netsim.fabric import Fabric
@@ -47,6 +48,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.protocols.base import RendezvousProtocol
 
 MonitorLike = typing.Union[Monitor, NullMonitor]
+
+_new = tuple.__new__  # builds hot-path records C-level, as in netsim.nic
 
 
 class SendState:
@@ -169,6 +172,8 @@ class Endpoint:
         self.config = config
         self.monitor = monitor
         self.nics: list[Nic] = fabric.nics_of(rank)[: config.nics_per_node]
+        #: Every node's rail-0 NIC, by rank (the fabric's list, shared).
+        self.peers: list[Nic] = fabric.rail0
         self.matching = MatchingEngine()
         self.regcache = RegistrationCache(
             self.params,
@@ -196,9 +201,6 @@ class Endpoint:
         self.duplicates_suppressed = 0
         self.retries_exhausted = 0
         self.acks_sent = 0
-        # Late-bound to break the import cycle with the protocol modules.
-        from repro.mpisim.protocols import make_protocol
-
         self.protocol: "RendezvousProtocol" = make_protocol(config.rndv_mode)
 
     # -- small helpers -------------------------------------------------------
@@ -209,13 +211,13 @@ class Endpoint:
         clock = self.clock
         clock.now = clock.now + seconds
 
-    def sync(self) -> "tuple[Timeout, ...]":
+    def sync(self) -> "tuple[object, ...]":
         """Catch the engine up with the rank clock: ``yield from ep.sync()``.
 
         Required immediately before anything shared is touched -- looking
         at ``nic.cq`` / ``nic.inbound``, posting to a NIC, arming a timer.
-        Returns the events to wait for: none when the engine is already
-        there or could move inline, else the one timeout scheduled.
+        Returns what to wait for: nothing when the engine is already there
+        or could move inline, else the one entry ``advance_to`` scheduled.
         """
         t = self.engine.advance_to(self.clock.now)
         return () if t is None else (t,)
@@ -294,7 +296,7 @@ class Endpoint:
         retransmit timer is armed relative to it.
         """
         nic = self.nics[0]
-        dst = self.nic_for(dest)
+        dst = self.peers[dest]
         if self.resilience is None:
             nic.post_send(dst, nbytes, payload, context=context)
             return
@@ -325,7 +327,7 @@ class Endpoint:
             state.attempt += 1
             self.packets_retransmitted += 1
             self.nics[0].post_send(
-                self.nic_for(state.dest), state.nbytes, state.env, context=None
+                self.peers[state.dest], state.nbytes, state.env, context=None
             )
             self._arm_retransmit(state)
 
@@ -417,7 +419,7 @@ class Endpoint:
         yield from self.sync()
         self.acks_sent += 1
         self.nics[0].post_send(
-            self.nic_for(env.src),
+            self.peers[env.src],
             self.control_size,
             AckPacket(env.tseq, self.rank),
             context=None,
@@ -456,7 +458,7 @@ class Endpoint:
         clock.now = clock.now + self.params.copy_time(nbytes)
         if src != self.rank:
             self.monitor.xfer_end_only(nbytes)
-        req.complete(Status(src, tag, nbytes), data)
+        req.complete(_new(Status, (src, tag, nbytes)), data)
 
     def _on_rts(self, pkt: RtsPacket) -> "typing.Generator | None":
         req = self.matching.match_arrival(pkt.src, pkt.tag, pkt.ctx)
@@ -532,15 +534,16 @@ class Endpoint:
         clock.now = clock.now + params.copy_time(nbytes)
         clock.now = clock.now + params.post_cost
         xid = self.monitor.xfer_begin(nbytes)
-        pkt = EagerPacket(self.next_seq(), self.rank, tag, nbytes,
-                          _buffer_snapshot(data), context)
+        seq = self._seq = self._seq + 1
+        pkt = _new(EagerPacket, (seq, self.rank, tag, nbytes,
+                                 _buffer_snapshot(data), context))
         done = SendDone(self, xid, nbytes)
         t = self.engine.advance_to(clock.now)
         if t is not None:
             yield t
         if self.config.eager_mode == "rdma_write":
             self.nics[0].post_rdma_write(
-                self.fabric.nic(dest),
+                self.peers[dest],
                 nbytes + params.control_packet_size,
                 context=done,
                 notify_payload=pkt,

@@ -126,6 +126,10 @@ class Fabric:
             for node in range(num_nodes)
         ]
 
+        #: Rail 0 of every node, by node: what a single-rail sender
+        #: indexes per message instead of calling :meth:`nic`.
+        self.rail0: "list[Nic | NicProxy]" = [rails[0] for rails in self._nics]
+
     def nic(self, node: int, port: int = 0) -> Nic:
         """The NIC at ``(node, port)`` (a :class:`NicProxy` if unowned)."""
         return self._nics[node][port]  # type: ignore[return-value]

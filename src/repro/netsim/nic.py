@@ -46,6 +46,10 @@ _STREAM_TX = 0
 _STREAM_RX = 1
 _STREAM_CTL = 2
 
+# Hot-path records are built C-level: a NamedTuple's generated ``__new__``
+# is a Python function (one frame per record), ``tuple.__new__`` is not.
+_new = tuple.__new__
+
 
 class CompletionKind(enum.Enum):
     """What a completion-queue entry signifies."""
@@ -171,7 +175,8 @@ class Nic:
                 ev.succeed()
 
     def _burst_at(
-        self, stream: int, when: float, fn: typing.Callable[[Event], None]
+        self, stream: int, when: float, fn: typing.Callable[[Event], None],
+        keys: int = 1,
     ) -> None:
         """Run ``fn`` at absolute time ``when`` on this NIC's ``stream`` burst.
 
@@ -185,7 +190,8 @@ class Nic:
         cannot tail-extend (``when`` regressed, which the monotone stream
         clocks make rare-to-impossible), the burst is closed and a fresh
         one opened: per-packet behavior is the degenerate one-sub-burst
-        case.
+        case.  ``keys`` is :meth:`~repro.sim.engine.Burst.try_at`'s: ``fn``
+        stands for that many same-instant completions with adjacent keys.
         """
         engine = self.engine
         if when < engine.now:
@@ -193,11 +199,11 @@ class Nic:
         burst = self._bursts[stream]
         if burst is None:
             burst = self._bursts[stream] = engine.new_burst()
-        ev = burst.try_at(when)
+        ev = burst.try_at(when, keys)
         if ev is None:
             burst.close()
             burst = self._bursts[stream] = engine.new_burst()
-            ev = burst.try_at(when)
+            ev = burst.try_at(when, keys)
         ev.callbacks.append(fn)  # type: ignore[union-attr]
 
     # -- timing helpers ------------------------------------------------------
@@ -293,7 +299,8 @@ class Nic:
         self.messages_sent += 1
 
         def local_complete(_ev: Event) -> None:
-            self.cq.append(CompletionEntry(CompletionKind.SEND_DONE, context, nbytes))
+            self.cq.append(_new(
+                CompletionEntry, (CompletionKind.SEND_DONE, context, nbytes)))
             self._kick()
 
         if self._channel:
@@ -329,7 +336,7 @@ class Nic:
             arrival += self._inj.plan.reorder_delay
 
         def deliver(_ev: Event) -> None:
-            dst.inbound.append(InboundPacket(self.node, payload, nbytes))
+            dst.inbound.append(_new(InboundPacket, (self.node, payload, nbytes)))
             dst.bytes_received += nbytes
             dst.messages_received += 1
             dst._kick()
@@ -338,7 +345,8 @@ class Nic:
         dst._burst_at(_STREAM_RX, arrival, deliver)
         if verdict is not None and verdict.duplicate:
             dst._burst_at(_STREAM_RX, arrival, deliver)
-        self._record(dst, nbytes, tx_end, arrival, "send")
+        if self._transfer_log is not None:
+            self._record(self.node, dst.node, nbytes, tx_end, arrival, "send")
 
     def post_rdma_write(
         self,
@@ -378,24 +386,28 @@ class Nic:
 
         arrival = self._rx_stream(dst, first_byte, nbytes)
 
-        def remote_placed(_ev: Event) -> None:
+        def placed(_ev: Event) -> None:
             dst.bytes_received += nbytes
             dst.messages_received += 1
             if notify_payload is not None:
-                dst.inbound.append(InboundPacket(self.node, notify_payload, nbytes))
-                dst._kick()
+                dst.inbound.append(
+                    _new(InboundPacket, (self.node, notify_payload, nbytes)))
+                if dst._waiters:
+                    dst._kick()
+            # Reliable-connection semantics: local completion once remotely
+            # placed.
+            self.cq.append(_new(
+                CompletionEntry,
+                (CompletionKind.RDMA_WRITE_DONE, context, nbytes)))
+            if self._waiters:
+                self._kick()
 
-        def local_complete(_ev: Event) -> None:
-            self.cq.append(
-                CompletionEntry(CompletionKind.RDMA_WRITE_DONE, context, nbytes)
-            )
-            self._kick()
-
-        dst._burst_at(_STREAM_RX, arrival, remote_placed)
-        # Reliable-connection semantics: local completion once remotely
-        # placed -- same arrival instant, so it rides the same burst.
-        dst._burst_at(_STREAM_RX, arrival, local_complete)
-        self._record(dst, nbytes, tx_end, arrival, "rdma_write")
+        # Remote placement and local completion are two events at the same
+        # instant with adjacent keys: one sub-event that holds both keys.
+        dst._burst_at(_STREAM_RX, arrival, placed, 2)
+        if self._transfer_log is not None:
+            self._record(self.node, dst.node, nbytes, tx_end, arrival,
+                         "rdma_write")
 
     def post_rdma_read(
         self,
@@ -439,15 +451,17 @@ class Nic:
             def data_arrived(_ev: Event) -> None:
                 self.bytes_received += nbytes
                 self.messages_received += 1
-                self.cq.append(
-                    CompletionEntry(CompletionKind.RDMA_READ_DONE, context, nbytes)
-                )
+                self.cq.append(_new(
+                    CompletionEntry,
+                    (CompletionKind.RDMA_READ_DONE, context, nbytes)))
                 self._kick()
 
             # Data lands at the initiator, paced by its RX port.
             self._burst_at(_STREAM_RX, arrival, data_arrived)
-            # The read moves data target -> initiator.
-            target._record(self, nbytes, tx_end, arrival, "rdma_read")
+            if self._transfer_log is not None:
+                # The read moves data target -> initiator.
+                self._record(target.node, self.node, nbytes, tx_end, arrival,
+                             "rdma_read")
 
         self._burst_at(_STREAM_CTL, request_arrival, service_read)
 
@@ -473,7 +487,7 @@ class Nic:
             payload = msg.payload
 
             def deliver(_ev: Event) -> None:
-                self.inbound.append(InboundPacket(src_node, payload, nbytes))
+                self.inbound.append(_new(InboundPacket, (src_node, payload, nbytes)))
                 self.bytes_received += nbytes
                 self.messages_received += 1
                 self._kick()
@@ -481,7 +495,8 @@ class Nic:
             self._burst_at(_STREAM_RX, arrival, deliver)
             if duplicate:
                 self._burst_at(_STREAM_RX, arrival, deliver)
-            self._record_from(msg.src_node, nbytes, tx_end, arrival, "send")
+            if self._transfer_log is not None:
+                self._record(src_node, self.node, nbytes, tx_end, arrival, "send")
         elif kind == _ch.PLACE:
             tx_end, token = typing.cast(tuple, msg.extra)
             arrival = Nic._rx_stream(self, msg.when, nbytes)
@@ -492,7 +507,8 @@ class Nic:
                 self.bytes_received += nbytes
                 self.messages_received += 1
                 if notify is not None:
-                    self.inbound.append(InboundPacket(src_node, notify, nbytes))
+                    self.inbound.append(
+                        _new(InboundPacket, (src_node, notify, nbytes)))
                     self._kick()
 
             self._burst_at(_STREAM_RX, arrival, remote_placed)
@@ -509,12 +525,14 @@ class Nic:
                 dst_node=msg.src_node, dst_port=msg.src_port,
                 nbytes=nbytes, payload=None, extra=token,
             ))
-            self._record_from(msg.src_node, nbytes, tx_end, arrival, "rdma_write")
+            if self._transfer_log is not None:
+                self._record(src_node, self.node, nbytes, tx_end, arrival,
+                             "rdma_write")
         elif kind == _ch.ACK:
             context = self._rdma_ctx.pop(typing.cast(int, msg.extra))
-            self.cq.append(
-                CompletionEntry(CompletionKind.RDMA_WRITE_DONE, context, nbytes)
-            )
+            self.cq.append(_new(
+                CompletionEntry,
+                (CompletionKind.RDMA_WRITE_DONE, context, nbytes)))
             self._kick()
         elif kind == _ch.READ_REQ:
             tx_end = self._tx_stream(nbytes)
@@ -541,34 +559,25 @@ class Nic:
             def data_arrived(_ev: Event) -> None:
                 self.bytes_received += nbytes
                 self.messages_received += 1
-                self.cq.append(
-                    CompletionEntry(CompletionKind.RDMA_READ_DONE, context, nbytes)
-                )
+                self.cq.append(_new(
+                    CompletionEntry,
+                    (CompletionKind.RDMA_READ_DONE, context, nbytes)))
                 self._kick()
 
             self._burst_at(_STREAM_RX, arrival, data_arrived)
-            self._record_from(msg.src_node, nbytes, tx_end, arrival, "rdma_read")
-
-    def _record_from(
-        self, src_node: int, nbytes: float, tx_end: float, arrival: float, kind: str
-    ) -> None:
-        """Receiver-side ground-truth transfer record (channel mode)."""
-        if self._transfer_log is None:
-            return
-        start = tx_end - self.params.wire_time(nbytes) - self.params.per_message_overhead
-        self._transfer_log.append(
-            TransferRecord(src_node, self.node, nbytes, start, arrival, kind)
-        )
+            if self._transfer_log is not None:
+                self._record(msg.src_node, self.node, nbytes, tx_end, arrival,
+                             "rdma_read")
 
     def _record(
-        self, dst: "Nic", nbytes: float, tx_end: float, arrival: float, kind: str
+        self, src_node: int, dst_node: int, nbytes: float, tx_end: float,
+        arrival: float, kind: str,
     ) -> None:
-        """Log a ground-truth transfer interval (if the fabric records)."""
-        if self._transfer_log is None:
-            return
+        """Log a ground-truth transfer interval.  Callers test
+        ``_transfer_log is not None`` first: most fabrics do not record."""
         start = tx_end - self.params.wire_time(nbytes) - self.params.per_message_overhead
-        self._transfer_log.append(
-            TransferRecord(self.node, dst.node, nbytes, start, arrival, kind)
+        self._transfer_log.append(  # type: ignore[union-attr]
+            _new(TransferRecord, (src_node, dst_node, nbytes, start, arrival, kind))
         )
 
     def _check_dst(self, dst: "Nic") -> None:

@@ -29,7 +29,7 @@ import time
 import typing
 
 from repro.sim.events import Event, SimulationError, Timeout
-from repro.sim.process import Process
+from repro.sim.process import ClockSync, Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.metrics import MetricsRegistry
@@ -71,7 +71,7 @@ class Burst:
         self.closed = False
         self.last_when = -_INF
 
-    def try_at(self, when: float) -> "Event | None":
+    def try_at(self, when: float, keys: int = 1) -> "Event | None":
         """Append a sub-event at absolute time ``when``; return it.
 
         Returns ``None`` when the burst cannot accept the sub-event --
@@ -80,6 +80,11 @@ class Burst:
         this burst and open a new one, or fall back to a plain post).
         The returned event is already triggered (like a ``Timeout``);
         attach callbacks to its ``callbacks`` list.
+
+        ``keys`` > 1 makes the sub-event stand for that many same-instant
+        events with adjacent keys -- nothing can sort between those, so
+        one dispatch is enough -- and draws all their sequence numbers,
+        so every later key is the one individual posts would have given.
         """
         if self.closed or when < self.last_when:
             return None
@@ -91,7 +96,7 @@ class Burst:
         ev._ok = True
         ev._defused = False
         seq = engine._seq
-        engine._seq = seq + 1
+        engine._seq = seq + keys
         self.subs.append((when, seq, ev))
         self.last_when = when
         if self.state == _BURST_IDLE:
@@ -175,6 +180,9 @@ class Engine:
         #: not advance time inline -- the remaining callbacks still have to
         #: run at the current instant.
         self._multi_cb: int = 0
+        #: The process whose generator is executing (None in engine
+        #: context): :meth:`advance_to` arms that process's clock sync.
+        self._running: "Process | None" = None
         #: Inline advances may not cross the active ``run(until=...)``
         #: boundary; -inf disables them entirely (event-bounded runs).
         self._until: float = _INF
@@ -342,11 +350,16 @@ class Engine:
         if event.callbacks is None:
             return False  # already fired (or already cancelled)
         event.callbacks = None
+        self._note_dead()
+        return True
+
+    def _note_dead(self) -> None:
+        """Account one store entry -- a cancelled timeout, an abandoned
+        clock sync -- that is now dead and will be discarded when popped."""
         self.cancelled_count += 1
         dead = self._dead_pending = self._dead_pending + 1
         if dead >= 64 and dead * 2 >= self.pending_count:
             self._compact()
-        return True
 
     def _dispatch_multi(self, callbacks: list, event: Event) -> None:
         """Dispatch an event with several callbacks.
@@ -363,13 +376,21 @@ class Engine:
         finally:
             self._multi_cb -= 1
 
+    @staticmethod
+    def _is_dead(entry: "tuple[float, int, typing.Any]") -> bool:
+        """True for a store entry that is discarded when popped: a
+        cancelled timeout, or a clock sync abandoned since it was keyed."""
+        _when, seq, item = entry
+        if item.callbacks is not None:
+            return False
+        cls = item.__class__
+        return cls is not Burst and (cls is not ClockSync or item.seq != seq)
+
     def _compact(self) -> None:
-        """Physically remove dead (cancelled) entries from the store."""
+        """Physically remove dead entries from the store."""
         heap = self._heap
-        live = [
-            e for e in heap
-            if e[2].callbacks is not None or e[2].__class__ is Burst
-        ]
+        is_dead = self._is_dead
+        live = [e for e in heap if not is_dead(e)]
         if len(live) != len(heap):
             heap[:] = live
             heapq.heapify(heap)
@@ -379,7 +400,7 @@ class Engine:
         """Create a :class:`Timeout` firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def advance_to(self, when: float) -> "Timeout | None":
+    def advance_to(self, when: float) -> "ClockSync | Timeout | None":
         """Bring the engine to absolute time ``when`` for the running process
         (a rank whose :class:`RankClock` ran ahead, about to touch shared
         state)::
@@ -395,9 +416,12 @@ class Engine:
         and ``None`` is returned; one sequence number and one
         processed-count tick are consumed as the elided event would have,
         so ordering, FIFO tie-breaks and event counts do not depend on
-        whether the advance was inline.  Otherwise one :class:`Timeout` is
+        whether the advance was inline.  Otherwise one store entry is
         scheduled at exactly ``when`` (no ``now + (when - now)`` round
-        trip) and returned for the caller to yield.
+        trip) and something to yield is returned: the calling process's
+        reusable :class:`~repro.sim.process.ClockSync`, or -- called from
+        outside a process, or with that entry still armed -- a
+        :class:`Timeout`.
         """
         now = self.now
         if when <= now:
@@ -410,21 +434,25 @@ class Engine:
             self.now = when
             self.processed_count += 1
             return None
-        # Timeout.__init__ and _post inlined: after the NIC's bursts this is
-        # the most frequently scheduled event in a run.
-        ev = Timeout.__new__(Timeout)
-        ev.engine = self
-        ev.callbacks = []
-        ev._ok = True
-        ev._value = None
-        ev._defused = False
-        ev.delay = when - now
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(heap, (when, seq, ev))
+        proc = self._running
+        entry: "ClockSync | Timeout"
+        if proc is not None and (entry := proc._sync).seq < 0:
+            entry.seq = seq  # the most frequently scheduled entry of a run
+        else:
+            # Timeout.__init__ inlined.
+            entry = Timeout.__new__(Timeout)
+            entry.engine = self
+            entry.callbacks = []
+            entry._ok = True
+            entry._value = None
+            entry._defused = False
+            entry.delay = when - now
+        heapq.heappush(heap, (when, seq, entry))
         if len(heap) > self.heap_high_water:
             self.heap_high_water = len(heap)
-        return ev
+        return entry
 
     def event(self) -> Event:
         """Create a fresh untriggered :class:`Event`."""
@@ -447,17 +475,16 @@ class Engine:
     def live_peek(self) -> float:
         """Time of the next *live* entry, or ``inf`` when drained.
 
-        Unlike :attr:`peek`, discards cancelled-but-undiscarded timeouts
-        off the head of the store first, so the reported time is one at
-        which something will actually fire.  Sharded workers
-        (:mod:`repro.sim.parallel`) rely on this: a stale dead-head time
-        would freeze the conservative fence below the shard's own window
-        and stall the whole run.
+        Unlike :attr:`peek`, discards dead entries (cancelled timeouts,
+        abandoned clock syncs) off the head of the store first, so the
+        reported time is one at which something will actually fire.
+        Sharded workers (:mod:`repro.sim.parallel`) rely on this: a stale
+        dead-head time would freeze the conservative fence below the
+        shard's own window and stall the whole run.
         """
         heap = self._heap
         while heap:
-            ev = heap[0][2]
-            if ev.callbacks is None and ev.__class__ is not Burst:
+            if self._is_dead(heap[0]):
                 heapq.heappop(heap)
                 self._dead_pending -= 1
                 continue
@@ -555,13 +582,20 @@ class Engine:
         while True:
             if not self._heap:
                 raise EmptySchedule("no more events scheduled")
-            when, _seq, event = heapq.heappop(self._heap)
+            when, seq, event = heapq.heappop(self._heap)
             callbacks = event.callbacks
             if callbacks is None:
-                if event.__class__ is Burst:
+                cls = event.__class__
+                if cls is ClockSync and event.seq == seq:
+                    event.seq = -1
+                    self.now = when
+                    event.wake(event)
+                    self.processed_count += 1
+                    return
+                if cls is Burst:
                     self._step_burst(event)
                     return
-                if self._dead_pending:  # cancelled timeout: discard
+                if self._dead_pending:  # cancelled or abandoned: discard
                     self._dead_pending -= 1
                 continue
             event.callbacks = None
@@ -704,15 +738,17 @@ class Engine:
             if drain_only:
                 # -- heap drain loop: no per-event boundary checks --
                 while heap:
-                    # Fast path: the head is the only runnable event, so it
-                    # can be popped directly without going through heapq.
-                    if len(heap) == 1:
-                        when, _seq, event = heap.pop()
-                    else:
-                        when, _seq, event = heappop(heap)
+                    when, seq, event = heappop(heap)
                     callbacks = event.callbacks
                     if callbacks is None:
-                        if event.__class__ is Burst:
+                        cls = event.__class__
+                        if cls is ClockSync and event.seq == seq:
+                            # A rank's clock sync: most of a run's entries.
+                            event.seq = -1
+                            self.now = when
+                            event.wake(event)
+                            processed += 1
+                        elif cls is Burst:
                             subs = event.subs
                             if len(subs) - event.idx == 1:
                                 # Single-sub burst: the popped entry's key
@@ -758,13 +794,16 @@ class Engine:
                         self.dispatch_tail = self.now
                         self.now = deadline
                         return None
-                    if len(heap) == 1:
-                        when, _seq, event = heap.pop()
-                    else:
-                        when, _seq, event = heappop(heap)
+                    when, seq, event = heappop(heap)
                     callbacks = event.callbacks
                     if callbacks is None:
-                        if event.__class__ is Burst:
+                        cls = event.__class__
+                        if cls is ClockSync and event.seq == seq:
+                            event.seq = -1
+                            self.now = when
+                            event.wake(event)
+                            processed += 1
+                        elif cls is Burst:
                             if self._retire_burst(
                                     event, stop_event, deadline) == 2:
                                 break

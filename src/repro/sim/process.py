@@ -18,10 +18,37 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
 
+class ClockSync:
+    """A process's one reusable pending-store entry for clock syncs.
+
+    :meth:`Engine.advance_to <repro.sim.engine.Engine.advance_to>`, called
+    by a running process, arms its entry (``seq`` takes the sequence
+    number just drawn, ``(when, seq, entry)`` goes into the store) and
+    hands it back to be yielded.  The run loops recognise the class, like
+    :class:`~repro.sim.engine.Burst` through the class-level ``callbacks
+    = None``, and resume the process with the entry itself as the event
+    (``_ok`` / ``_value``: a sync succeeds, with no value) -- no
+    ``Timeout``, no callbacks list, nothing to validate.  ``seq`` is -1
+    while idle; a store entry whose key is not ``seq`` was abandoned
+    (:meth:`Process.interrupt`) and is discarded when popped.
+    """
+
+    callbacks = None  # class-level: run-loop discriminant, never assigned
+    _ok = True
+    _value = None
+    __slots__ = ("wake", "seq")
+
+    def __init__(self, wake: "typing.Callable[[ClockSync], None]") -> None:
+        #: The owning process's resume callback, called with this entry.
+        self.wake = wake
+        self.seq = -1
+
+
 class Process(Event):
     """A running simulated activity driven by a generator."""
 
-    __slots__ = ("generator", "_target", "name", "_send", "_throw", "_bound_resume")
+    __slots__ = ("generator", "_target", "name", "_send", "_throw",
+                 "_bound_resume", "_sync")
 
     def __init__(
         self,
@@ -43,9 +70,10 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self._bound_resume = self._resume
-        #: The event this process is currently suspended on (None if running
+        self._sync = ClockSync(self._bound_resume)
+        #: What this process is currently suspended on (None if running
         #: or finished).
-        self._target: Event | None = None
+        self._target: "Event | ClockSync | None" = None
         # Kick off at the current time.
         init = Event(engine)
         init.callbacks.append(self._bound_resume)  # type: ignore[union-attr]
@@ -66,7 +94,12 @@ class Process(Event):
             raise SimulationError(f"{self!r} is not suspended on an event")
         # Detach from the current target and schedule the interrupt.
         target = self._target
-        if target.callbacks is not None and self._resume in target.callbacks:
+        if target is self._sync:
+            # Abandon the clock sync: its store entry no longer matches and
+            # is discarded when popped, counted like a cancelled timeout.
+            target.seq = -1
+            self.engine._note_dead()
+        elif target.callbacks is not None and self._resume in target.callbacks:
             target.callbacks.remove(self._resume)
             if not target.callbacks and isinstance(target, Timeout):
                 # Nothing else is waiting: withdraw the timeout so abandoned
@@ -81,57 +114,72 @@ class Process(Event):
         self.engine._post(carrier)
 
     # -- driving ----------------------------------------------------------
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: "Event | ClockSync") -> None:
+        sync = self._sync
+        if event is sync and self._target is not sync:
+            # Armed but never yielded: fires like a timeout nobody awaits.
+            return
         self._target = None
         send = self._send
         throw = self._throw
-        while True:
-            try:
-                if event._ok:
-                    next_ev = send(event._value)
-                else:
-                    event._defused = True
-                    next_ev = throw(typing.cast(BaseException, event._value))
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except BaseException as exc:
-                self.fail(exc)
-                return
-
-            # Exact-Timeout test first: almost everything a rank yields is
-            # one (a clock sync), and the class compare skips isinstance.
-            if next_ev.__class__ is not Timeout and not isinstance(next_ev, Event):
-                exc2 = SimulationError(
-                    f"process {self.name!r} yielded {next_ev!r}, which is not "
-                    "an Event (use engine.timeout(...) for delays)"
-                )
+        engine = self.engine
+        engine._running = self  # advance_to() arms *this* process's entry
+        try:
+            while True:
                 try:
-                    self.generator.throw(exc2)
+                    if event._ok:
+                        next_ev = send(event._value)
+                    else:
+                        event._defused = True  # type: ignore[union-attr]
+                        next_ev = throw(typing.cast(BaseException, event._value))
                 except StopIteration as stop:
                     self.succeed(stop.value)
                     return
                 except BaseException as exc:
                     self.fail(exc)
                     return
-                continue
-            if next_ev.engine is not self.engine:
-                self.fail(
-                    SimulationError(
-                        f"process {self.name!r} yielded an event from a "
-                        "different engine"
-                    )
-                )
-                return
 
-            callbacks = next_ev.callbacks
-            if callbacks is None:
-                # Already settled: continue immediately with its outcome.
-                event = next_ev
-                continue
-            self._target = next_ev
-            callbacks.append(self._bound_resume)
-            return
+                # Its own clock sync first: almost everything a rank yields.
+                if next_ev is sync:
+                    if sync.seq < 0:
+                        event = sync  # already retired: carry on at once
+                        continue
+                    self._target = sync
+                    return
+                # Exact-Timeout test next: the class compare skips isinstance.
+                if next_ev.__class__ is not Timeout and not isinstance(next_ev, Event):
+                    exc2 = SimulationError(
+                        f"process {self.name!r} yielded {next_ev!r}, which is "
+                        "not an Event (use engine.timeout(...) for delays)"
+                    )
+                    try:
+                        self.generator.throw(exc2)
+                    except StopIteration as stop:
+                        self.succeed(stop.value)
+                        return
+                    except BaseException as exc:
+                        self.fail(exc)
+                        return
+                    continue
+                if next_ev.engine is not engine:
+                    self.fail(
+                        SimulationError(
+                            f"process {self.name!r} yielded an event from a "
+                            "different engine"
+                        )
+                    )
+                    return
+
+                callbacks = next_ev.callbacks
+                if callbacks is None:
+                    # Already settled: continue immediately with its outcome.
+                    event = next_ev
+                    continue
+                self._target = next_ev
+                callbacks.append(self._bound_resume)
+                return
+        finally:
+            engine._running = None
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "done"

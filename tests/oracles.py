@@ -12,7 +12,8 @@ import dataclasses
 import pytest
 
 from repro.metrics import MetricsRegistry
-from repro.netsim.nic import Nic
+from repro.netsim.nic import (_STREAM_RX, CompletionEntry, CompletionKind,
+                              InboundPacket, Nic)
 from repro.runtime.launcher import run_app
 from repro.sim.parallel import _Coordinator
 from repro.telemetry.collect import TelemetryConfig
@@ -22,27 +23,73 @@ _INF = float("inf")
 
 # -- per-packet NIC scheduling --------------------------------------------
 
-def _packet_at(self, _stream, when, fn):
+def _packet_at(self, _stream, when, fn, keys=1):
     """``Nic._burst_at`` without bursts: one engine event per completion.
 
     The sequence number is allocated at the same program point
-    (``post_at``), so the ``(when, seq)`` order is the burst path's.
+    (``post_at``), so the ``(when, seq)`` order is the burst path's; a
+    completion standing for ``keys`` adjacent events draws all their keys.
     """
     engine = self.engine
     engine.post_at(max(when, engine.now)).callbacks.append(fn)
+    engine._seq += keys - 1
+
+
+_merged_write = Nic.post_rdma_write
+
+
+def _write_as_pair(self, dst, nbytes, context=None, notify_payload=None):
+    """``Nic.post_rdma_write`` (direct delivery) before its two completions
+    were merged: remote placement and local completion are two events at
+    the arrival instant, with adjacent keys."""
+    if self._channel:
+        return _merged_write(self, dst, nbytes, context, notify_payload)
+    self._check_dst(dst)
+    tx_end = self._tx_stream(nbytes)
+    first_byte = tx_end - self.params.wire_time(nbytes) + self._latency(dst)
+    self.bytes_sent += nbytes
+    self.messages_sent += 1
+    arrival = self._rx_stream(dst, first_byte, nbytes)
+
+    def remote_placed(_ev):
+        dst.bytes_received += nbytes
+        dst.messages_received += 1
+        if notify_payload is not None:
+            dst.inbound.append(InboundPacket(self.node, notify_payload, nbytes))
+            dst._kick()
+
+    def local_complete(_ev):
+        self.cq.append(
+            CompletionEntry(CompletionKind.RDMA_WRITE_DONE, context, nbytes))
+        self._kick()
+
+    dst._burst_at(_STREAM_RX, arrival, remote_placed)
+    dst._burst_at(_STREAM_RX, arrival, local_complete)
+    if self._transfer_log is not None:
+        self._record(self.node, dst.node, nbytes, tx_end, arrival,
+                     "rdma_write")
 
 
 @contextlib.contextmanager
-def packet_path():
-    """Schedule every NIC completion individually while the block runs."""
+def packet_path(write_pairs=False):
+    """Schedule every NIC completion individually while the block runs.
+
+    With ``write_pairs`` an RDMA write is also the two completions it was
+    before they became one sub-event (:func:`_write_as_pair`): the run
+    retires exactly one more engine event per write and must report
+    nothing else differently.
+    """
     with pytest.MonkeyPatch.context() as patches:
         patches.setattr(Nic, "_burst_at", _packet_at)
+        if write_pairs:
+            patches.setattr(Nic, "post_rdma_write", _write_as_pair)
         yield
 
 
 def run_both(app, nprocs, config=None, params=None, app_args=(), seed=0,
-             label=""):
-    """Run ``app`` on the shipped burst path and under :func:`packet_path`.
+             label="", write_pairs=False):
+    """Run ``app`` on the shipped burst path and under :func:`packet_path`
+    (``write_pairs`` is the oracle's).
 
     Returns ``(fast_result, packet_result, fast_metrics, packet_metrics)``
     for :func:`repro.netsim.differential.compare_runs`; telemetry and
@@ -50,7 +97,8 @@ def run_both(app, nprocs, config=None, params=None, app_args=(), seed=0,
     runs is identical by construction.
     """
     results, snapshots = [], []
-    for path in (contextlib.nullcontext, packet_path):
+    for path in (contextlib.nullcontext,
+                 lambda: packet_path(write_pairs=write_pairs)):
         registry = MetricsRegistry()
         with path():
             results.append(run_app(

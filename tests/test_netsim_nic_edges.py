@@ -168,3 +168,155 @@ def test_send_control_rejects_data_packets():
             yield  # pragma: no cover
 
     run_app(app, 2, config=CONFIG, label="edge-ctl-guard")
+
+
+# -- the merged RDMA-write completion -------------------------------------------
+# Direct delivery schedules a write's remote placement and local completion
+# as ONE sub-event holding both keys.  The oracle (``write_pairs``) posts
+# the two events the NIC used to: every observable must match, and the run
+# must retire exactly one more engine event per write.
+
+def _mixed_app(ctx):
+    right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+    reqs = []
+    for tag, size in enumerate((1, 900, EAGER_LIMIT + 1, FRAG, 3 * FRAG + 7)):
+        reqs.append((yield from ctx.comm.isend(right, tag, size, data=tag)))
+        reqs.append((yield from ctx.comm.irecv(left, tag)))
+        if tag % 2:
+            yield from ctx.compute(3e-6)
+    yield from ctx.comm.waitall(reqs)
+
+
+def _count_writes(monkeypatch):
+    """Count ``post_rdma_write`` calls of the shipped (non-oracle) side."""
+    from repro.netsim.nic import Nic
+
+    calls = []
+    shipped = Nic.post_rdma_write
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.node)
+        return shipped(self, *args, **kwargs)
+
+    monkeypatch.setattr(Nic, "post_rdma_write", counting)
+    return calls
+
+
+def _assert_the_old_pair(fast, packet, mf, mp, writes):
+    bad = [d.measure for d in compare_runs(fast, packet, mf, mp) if not d.equal]
+    assert bad == ["metrics.repro_engine_events_processed"]
+    assert writes
+    assert (packet.fabric.engine.processed_count
+            - fast.fabric.engine.processed_count) == len(writes)
+    # The one sub-event drew both keys: every later key is the pair's.
+    assert fast.fabric.engine._seq == packet.fabric.engine._seq
+
+
+@pytest.mark.parametrize("config", [
+    MpiConfig(name="w-eager", eager_limit=EAGER_LIMIT, eager_mode="rdma_write",
+              rndv_mode="rget"),
+    CONFIG,  # pipelined: fragments 1.. are writes
+    MpiConfig(name="w-rput", eager_limit=EAGER_LIMIT, rndv_mode="rput"),
+], ids=lambda c: c.name)
+def test_merged_write_completion_is_the_old_pair(config, monkeypatch):
+    writes = _count_writes(monkeypatch)
+    fast, packet, mf, mp = run_both(
+        _mixed_app, 4, config=config, label="edge-write", write_pairs=True)
+    _assert_the_old_pair(fast, packet, mf, mp, writes)
+
+
+def test_merged_write_completion_under_duplicates_and_reorders(monkeypatch):
+    from repro.faults.plan import FaultPlan, ResilienceParams
+    from repro.netsim.params import NetworkParams
+
+    plan = FaultPlan(seed=7, drop_prob=0.1, dup_prob=0.2, reorder_prob=0.2)
+    config = MpiConfig(name="w-lossy", eager_limit=EAGER_LIMIT,
+                       eager_mode="rdma_write", rndv_mode="pipelined",
+                       frag_size=FRAG, resilience=ResilienceParams())
+    writes = _count_writes(monkeypatch)
+    fast, packet, mf, mp = run_both(
+        _mixed_app, 4, config=config, params=NetworkParams(faults=plan),
+        label="edge-write-faults", write_pairs=True)
+    _assert_the_old_pair(fast, packet, mf, mp, writes)
+    injector = fast.fabric.injector
+    assert injector.packets_duplicated > 0 and injector.packets_reordered > 0
+
+
+def test_channel_delivery_keeps_placement_and_ack_apart(monkeypatch):
+    """Channel delivery is untouched: the ACK crosses the channel as its
+    own message, so there the oracle and the shipped path agree on the
+    event count too."""
+    from repro.netsim.params import NetworkParams
+
+    writes = _count_writes(monkeypatch)
+    fast, packet, mf, mp = run_both(
+        _mixed_app, 4, config=CONFIG, params=NetworkParams(delivery="channel"),
+        label="edge-write-channel", write_pairs=True)
+    _assert_identical(fast, packet, mf, mp)
+    assert writes
+
+
+def test_c_level_records_are_the_constructors_records():
+    """Hot-path records are built with ``tuple.__new__``; they cross the
+    shard wire, so they must compare, pickle and ``_replace`` exactly like
+    constructor-built ones."""
+    import pickle
+
+    from repro.mpisim.endpoint import Endpoint
+    from repro.mpisim.packets import EagerPacket
+    from repro.mpisim.status import Status
+    from repro.netsim import Fabric, NetworkParams
+    from repro.netsim.nic import (CompletionEntry, CompletionKind,
+                                  InboundPacket, TransferRecord)
+    from repro.runtime.launcher import run_app
+    from repro.sim import Engine
+
+    eng = Engine()
+    fab = Fabric(eng, NetworkParams(), num_nodes=2, record_transfers=True)
+    a, b = fab.nic(0), fab.nic(1)
+    a.post_send(b, 64.0, payload="p", context="c")
+    a.post_rdma_write(b, 128.0, context="w", notify_payload="n")
+    b.post_rdma_read(a, 256.0, context="r")
+    eng.run()
+    built = [*a.cq, *b.cq, *b.inbound, *fab.transfer_log]
+    expected = [
+        CompletionEntry(CompletionKind.SEND_DONE, "c", 64.0),
+        CompletionEntry(CompletionKind.RDMA_WRITE_DONE, "w", 128.0),
+        CompletionEntry(CompletionKind.RDMA_READ_DONE, "r", 256.0),
+        InboundPacket(0, "p", 64.0),
+        InboundPacket(0, "n", 128.0),
+    ] + [TransferRecord(*record) for record in fab.transfer_log]
+    assert {r.kind for r in fab.transfer_log} == {"send", "rdma_write",
+                                                  "rdma_read"}
+
+    seen = []
+    on_eager = Endpoint._on_eager
+
+    def spying(self, pkt):
+        seen.append(pkt)
+        on_eager(self, pkt)
+
+    def app(ctx):
+        if ctx.rank == 0:
+            yield from ctx.comm.send(1, 5, 100, data=b"x")
+        else:
+            status, _ = yield from ctx.comm.recv(0, 5)
+            seen.append(status)
+
+    with pytest.MonkeyPatch.context() as patches:
+        patches.setattr(Endpoint, "_on_eager", spying)
+        run_app(app, 2, config=CONFIG, label="edge-records")
+    packet, status = seen
+    built += [packet, status]
+    expected += [EagerPacket(packet.seq, 0, 5, 100, b"x", 0), Status(0, 5, 100)]
+
+    for record, reference in zip(built, expected, strict=True):
+        cls = type(reference)
+        assert type(record) is cls and record == reference
+        assert hash(record) == hash(reference)
+        assert pickle.dumps(record) == pickle.dumps(reference)
+        assert pickle.loads(pickle.dumps(record)) == reference
+        assert record._asdict() == reference._asdict()
+        first = cls._fields[0]
+        changed = record._replace(**{first: getattr(reference, first)})
+        assert type(changed) is cls and changed == reference

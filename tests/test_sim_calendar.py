@@ -1,16 +1,22 @@
 """Pending-store behaviour: FIFO ties at scale, lazy timeout cancellation,
-``advance_to`` and Burst unit tests.
+``advance_to``, clock-sync entries and Burst unit tests.
 
 (The file is named for the calendar queue these tests once also covered;
 the store is now one binary heap.)  Lazy cancellation must keep the
-pending store bounded under cancel-heavy workloads.  Bursts must
+pending store bounded under cancel-heavy workloads.  A process's clock
+sync is one reusable store entry that every dispatch loop resumes the way
+a ``Timeout`` would be, and that is dead once abandoned.  Bursts must
 tail-extend, refuse out-of-order times, and yield/reinsert when a
 competing event holds a smaller key.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.sim import Engine
+from repro.sim.events import Interrupt, Timeout
+from repro.sim.process import ClockSync
 
 
 def test_calendar_preserves_fifo_ties():
@@ -200,6 +206,241 @@ def test_advance_to_refuses_across_a_retiring_burst():
     assert order[0][0] == "first" and order[0][1] is not None
     assert order[1] == ("second", 2e-6)
     assert eng.now == 3e-6
+
+
+# -- clock-sync entries (what advance_to hands a running process) -------------
+
+def _run_drain(eng):
+    eng.run()
+
+
+def _run_deadlines(eng):
+    while eng.pending_count:
+        eng.run(until=eng.now + 2.5e-7)
+
+
+def _run_until_event(eng):
+    eng.run(until=eng.timeout(1.0))
+
+
+def _run_steps(eng):
+    while eng.pending_count:
+        eng.step()
+
+
+@pytest.mark.parametrize("drive", [_run_drain, _run_deadlines,
+                                   _run_until_event, _run_steps])
+def test_every_dispatch_loop_resumes_a_clock_sync_like_a_timeout(drive):
+    """``run()``, ``run(until=t)``, ``run(until=event)`` and ``step()``:
+    the same trace and event count as the same program on ``Timeout``s."""
+
+    def program(sync):
+        eng = Engine()
+        trace = []
+
+        def rank(name, dt, n):
+            for _ in range(n):
+                yield from sync(eng, eng.now + dt, trace)
+                trace.append((name, eng.now))
+
+        def timer():
+            for _ in range(30):
+                yield eng.timeout(5e-7)
+                trace.append(("t", eng.now))
+
+        eng.process(rank("a", 3e-7, 50))
+        eng.process(rank("b", 2e-7, 60))  # ties with "a" every 6e-7
+        eng.process(timer())
+        drive(eng)
+        return trace, eng.processed_count
+
+    def with_entry(eng, when, trace):
+        t = eng.advance_to(when)
+        if t is None:
+            return ()
+        assert t.__class__ is ClockSync
+        trace.append("entry")
+        return (t,)
+
+    def with_timeout(eng, when, _trace):
+        return (eng.timeout(when - eng.now),)
+
+    trace, count = program(with_entry)
+    assert "entry" in trace  # not every advance was inline
+    ref_trace, ref_count = program(with_timeout)
+    assert [x for x in trace if x != "entry"] == ref_trace
+    assert count == ref_count
+
+
+def test_advance_to_outside_a_process_still_returns_a_timeout():
+    eng = Engine()
+    eng.timeout(1e-6)
+    assert eng.advance_to(2e-6).__class__ is Timeout
+
+
+def test_a_sync_armed_but_not_yielded_fires_like_an_unawaited_timeout():
+    eng = Engine()
+    log = []
+
+    def p():
+        first = eng.advance_to(3e-6)           # armed, not yielded yet
+        second = eng.advance_to(2e-6)          # entry busy: a plain Timeout
+        assert first.__class__ is ClockSync and second.__class__ is Timeout
+        yield eng.timeout(5e-6)                # sleeps through both
+        log.append(eng.now)
+        yield first                            # already retired: no wait
+        log.append(eng.now)
+
+    eng.timeout(1e-6)  # keeps the advances from being inline
+    eng.process(p())
+    eng.run()
+    assert log == [5e-6, 5e-6]
+
+
+def _interrupted_sleeper(eng, log, then):
+    def sleeper():
+        try:
+            yield eng.advance_to(5e-6)
+            log.append(("woke", eng.now))
+        except Interrupt as stop:
+            log.append(("interrupted", eng.now, stop.cause))
+        if then is not None:
+            t = eng.advance_to(then)
+            if t is not None:
+                yield t
+            log.append(("resumed", eng.now))
+
+    proc = eng.process(sleeper())
+    eng.timeout(1e-6).callbacks.append(lambda _e: proc.interrupt("stop"))
+    return proc
+
+
+def test_interrupt_abandons_the_sync_and_the_stale_entry_never_fires():
+    eng = Engine()
+    log = []
+    proc = _interrupted_sleeper(eng, log, then=9e-6)
+    eng.run(until=2e-6)
+    assert log == [("interrupted", 1e-6, "stop")]
+    assert eng.cancelled_count == 1 and eng._dead_pending == 1
+    # The entry is armed again under a new key; the old key is still in
+    # the store and must not wake the process at 5e-6.
+    assert proc._sync.seq >= 0 and eng.pending_count == 2
+    eng.run()
+    assert log[1:] == [("resumed", 9e-6)]
+    assert eng._dead_pending == 0 and eng.pending_count == 0
+
+
+def test_live_peek_and_compact_drop_an_abandoned_sync():
+    eng = Engine()
+    _interrupted_sleeper(eng, [], then=None)
+    eng.run(until=2e-6)
+    assert eng.peek == 5e-6             # the stale head, as for a dead timeout
+    assert eng.live_peek() == float("inf")
+    assert eng.pending_count == 0 and eng._dead_pending == 0
+
+    eng = Engine()
+    _interrupted_sleeper(eng, [], then=None)
+    live = eng.timeout(7e-6)
+    eng.run(until=2e-6)
+    assert eng.pending_count == 2
+    eng._compact()
+    assert eng.pending_count == 1 and eng._dead_pending == 0
+    assert eng.live_peek() == 7e-6 and live.callbacks is not None
+
+
+def test_run_guarded_sees_a_store_of_stale_syncs_as_drained():
+    """A watchdog run must not spin (or report ``max_sim_time``) on a
+    store whose only entry is an abandoned sync far in the future."""
+    eng = Engine()
+    log = []
+
+    def sleeper():
+        try:
+            yield eng.advance_to(100.0)
+        except Interrupt:
+            log.append(eng.now)
+
+    proc = eng.process(sleeper())
+    eng.timeout(1e-6).callbacks.append(lambda _e: proc.interrupt())
+    assert eng.run_guarded(max_sim_time=1.0, stall_sim_time=0.5) is None
+    assert log == [1e-6] and eng.now < 1.0
+    assert eng.pending_count == 1  # the stale entry is all that is left
+    assert eng.run_guarded(max_sim_time=1.0) is None
+
+
+_TICK = 2.0 ** -20  # dyadic, so every sum and difference of times is exact
+
+_steps = st.lists(
+    st.tuples(st.sampled_from(["sync", "timeout", "burst"]),
+              st.integers(min_value=0, max_value=6)),
+    min_size=1, max_size=12)
+
+
+@given(
+    st.lists(_steps, min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=8),
+                       st.integers(min_value=0, max_value=3)),
+             max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_dispatch_order_is_the_order_of_individually_posted_timeouts(
+        programs, interrupts):
+    """Syncs, timeouts, burst sub-events and interrupts interleaved, with
+    ties everywhere: the run dispatches in the ``(when, seq)`` order the
+    same program gives when every entry is an individually posted
+    ``Timeout`` / ``post_at`` event."""
+
+    def run(reference):
+        eng = Engine()
+        log = []
+
+        def at(burst, when, label):
+            """Like ``Nic._burst_at``; the reference posts one event."""
+            if reference:
+                ev = eng.post_at(when)
+            else:
+                ev = burst[0].try_at(when)
+                if ev is None:
+                    burst[0].close()
+                    burst[0] = eng.new_burst()
+                    ev = burst[0].try_at(when)
+            ev.callbacks.append(lambda _e: log.append((label, eng.now)))
+
+        def worker(w, steps):
+            burst = [eng.new_burst()]
+            for i, (kind, k) in enumerate(steps):
+                dt = k * _TICK
+                try:
+                    if kind == "burst":
+                        at(burst, eng.now + dt, (w, i, "sub"))
+                        continue
+                    if kind == "timeout" or reference:
+                        if kind == "timeout" or dt > 0.0:
+                            yield eng.timeout(dt)
+                    else:
+                        t = eng.advance_to(eng.now + dt)
+                        if t is not None:
+                            assert t.__class__ is ClockSync
+                            yield t
+                    log.append((w, i, kind, eng.now))
+                except Interrupt as stop:
+                    log.append((w, i, "interrupted", eng.now, stop.cause))
+
+        workers = [eng.process(worker(w, steps))
+                   for w, steps in enumerate(programs)]
+
+        def interrupter():
+            for n, (k, w) in enumerate(interrupts):
+                yield eng.timeout(k * _TICK)
+                victim = workers[w % len(workers)]
+                if victim.is_alive and victim._target is not None:
+                    victim.interrupt(n)
+
+        eng.process(interrupter())
+        eng.run()
+        return log, eng.now, eng.processed_count, eng.cancelled_count
+
+    assert run(reference=False) == run(reference=True)
 
 
 # -- Burst unit behaviour ------------------------------------------------------

@@ -15,27 +15,7 @@ import sys
 import types
 import typing
 
-if typing.TYPE_CHECKING:
-    from repro.core import Monitor, OverlapMeasures, OverlapReport, XferTable
-    from repro.mpisim import MpiConfig, mvapich2_like, openmpi_like
-    from repro.netsim import NetworkParams
-    from repro.runtime import RunResult, run_app
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Monitor",
-    "MpiConfig",
-    "NetworkParams",
-    "OverlapMeasures",
-    "OverlapReport",
-    "RunResult",
-    "XferTable",
-    "__version__",
-    "mvapich2_like",
-    "openmpi_like",
-    "run_app",
-]
 
 
 class _ExportsOutrankSubmodules(types.ModuleType):
@@ -55,13 +35,16 @@ class _ExportsOutrankSubmodules(types.ModuleType):
 
 def _lazy_surface(
     package: str, exports: "dict[str, tuple[str, ...]]",
+    own: "tuple[str, ...]" = (),
 ) -> "tuple[typing.Callable[[str], object], typing.Callable[[], list[str]]]":
     """Module ``__getattr__`` and ``__dir__`` (PEP 562) for ``package``.
 
     ``exports`` maps a submodule of ``package`` to the names the package
-    re-exports from it.  The first lookup of such a name imports that
-    submodule and stores the object in the package's globals, so later
-    lookups are plain attribute reads.
+    re-exports from it -- the only place those names are written.  The
+    first lookup of such a name imports that submodule and stores the
+    object in the package's globals, so later lookups are plain attribute
+    reads.  Also installs the package's ``__all__``: the table's names
+    plus ``own`` (public names the ``__init__`` defines itself), sorted.
     """
     module = sys.modules[package]
     namespace = module.__dict__
@@ -69,6 +52,7 @@ def _lazy_surface(
         name: f"{package}.{sub}"
         for sub, names in exports.items() for name in names
     }
+    namespace["__all__"] = sorted(origin.keys() | set(own))
     if origin.keys() & exports.keys():
         module.__class__ = _ExportsOutrankSubmodules
 
@@ -92,4 +76,4 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     "mpisim": ("MpiConfig", "mvapich2_like", "openmpi_like"),
     "netsim": ("NetworkParams",),
     "runtime": ("RunResult", "run_app"),
-})
+}, own=("__version__",))

@@ -19,26 +19,7 @@ computation available for overlap.  That is why the paper's non-blocking
 MG code reports ~99% maximum overlap (Fig. 19).
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.armci.api import ArmciConfig, ArmciEndpoint, Region
-    from repro.armci.handles import NbHandle
-    from repro.armci.runtime import ArmciContext, ArmciRunResult, run_armci_app
-    from repro.armci.strided import StridedSpec
-
-__all__ = [
-    "ArmciConfig",
-    "ArmciContext",
-    "ArmciEndpoint",
-    "ArmciRunResult",
-    "NbHandle",
-    "Region",
-    "StridedSpec",
-    "run_armci_app",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "api": ("ArmciConfig", "ArmciEndpoint", "Region"),

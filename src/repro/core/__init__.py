@@ -24,42 +24,7 @@ know whether timestamps come from a wall clock inside a real library or from
 the simulation clock of :mod:`repro.mpisim`.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.core.diff import MeasureDelta, diff_reports, render_diff
-    from repro.core.events import EventColumns, EventKind, TimedEvent
-    from repro.core.equeue import CircularEventQueue
-    from repro.core.measures import OverlapMeasures, SizeBins
-    from repro.core.monitor import Monitor
-    from repro.core.peruse import PeruseHub, PeruseSubscription
-    from repro.core.processor import DataProcessor
-    from repro.core.report import OverlapReport, aggregate_reports
-    from repro.core.trace import TraceSink, replay_overlap
-    from repro.core.xfer_table import XferTable
-
-__all__ = [
-    "CircularEventQueue",
-    "DataProcessor",
-    "EventColumns",
-    "EventKind",
-    "MeasureDelta",
-    "Monitor",
-    "OverlapMeasures",
-    "OverlapReport",
-    "PeruseHub",
-    "PeruseSubscription",
-    "SizeBins",
-    "TimedEvent",
-    "TraceSink",
-    "XferTable",
-    "aggregate_reports",
-    "diff_reports",
-    "render_diff",
-    "replay_overlap",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "diff": ("MeasureDelta", "diff_reports", "render_diff"),

@@ -16,36 +16,7 @@ Each driver returns plain data records; rendering (text tables/plots)
 lives in :mod:`repro.analysis`.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.experiments.micro import (
-        MicroPoint,
-        build_xfer_table,
-        measure_one_way_time,
-        overlap_sweep,
-    )
-    from repro.experiments.runner import (
-        ResultCache,
-        Task,
-        content_key,
-        overlap_sweep_parallel,
-        run_tasks,
-    )
-
-__all__ = [
-    "MicroPoint",
-    "ResultCache",
-    "Task",
-    "build_xfer_table",
-    "content_key",
-    "measure_one_way_time",
-    "overlap_sweep",
-    "overlap_sweep_parallel",
-    "run_tasks",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "micro": (

@@ -57,18 +57,13 @@ def halo_app(
     return steps
 
 
-def halo_edges(nprocs: int) -> list[tuple[int, int]]:
-    """The ring's communication graph (for the topology partitioner)."""
-    return [(r, (r + 1) % nprocs) for r in range(nprocs)]
-
-
 def main(argv: "typing.Sequence[str] | None" = None) -> int:
     """CLI: run (and optionally differential-check) a sharded halo run.
 
     The CI high-rank smoke job drives this::
 
         python -m repro.experiments.halo --ranks 1024 --shards 4 \\
-            --steps 3 --sync null --check --json
+            --steps 3 --check --json
 
     ``--check`` runs the full sharded differential
     (:func:`repro.netsim.differential.run_sharded_pair` compared by
@@ -97,8 +92,6 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     parser.add_argument("--nbytes", type=float, default=4096.0)
     parser.add_argument("--compute-us", type=float, default=20.0)
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--sync", choices=("window", "null"),
-                        default="window")
     parser.add_argument("--backend",
                         choices=("process", "inline", "socket"),
                         default="process")
@@ -169,7 +162,7 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
 
             single, result = run_sharded_pair(
                 _app, args.ranks, args.shards, config=config,
-                app_args=app_args, sync=args.sync, backend=args.backend,
+                app_args=app_args, backend=args.backend,
                 hosts=hosts, transport=transport,
             )
             try:
@@ -183,8 +176,8 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
             result = run_app(
                 _app, args.ranks, config=config, app_args=app_args,
                 label=f"halo.{args.ranks}", shards=args.shards,
-                shard_sync=args.sync, shard_backend=args.backend,
-                shard_hosts=hosts, shard_transport=transport,
+                shard_backend=args.backend, shard_hosts=hosts,
+                shard_transport=transport,
             )
     except ShardHostLost as exc:
         if exc.diagnostic is not None:
@@ -201,12 +194,10 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     summary = {
         "ranks": args.ranks,
         "shards": args.shards,
-        "sync": args.sync,
         "checked": args.check,
         "events": st["events"],
         "rounds": st["rounds"],
         "messages": st["messages"],
-        "fence_recomputes": st["fence_recomputes"],
         "events_per_busy_s": round(st["events"] / max(st["busy_s"])),
         "elapsed_sim_s": result.elapsed,
     }
@@ -216,7 +207,7 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
         checked = " [bit-identity checked]" if args.check else ""
         print(
             f"halo {args.ranks} ranks x {args.steps} steps, "
-            f"shards={args.shards} sync={args.sync}{checked}: "
+            f"shards={args.shards}{checked}: "
             f"{summary['events']} events in {summary['rounds']} rounds, "
             f"{summary['events_per_busy_s']} ev/s per busy-CPU"
         )

@@ -13,53 +13,7 @@ runs.  ``faults=None`` (the default) is bit-identical to a fault-free
 build.  See docs/robustness.md.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.faults.checks import InvariantViolation, check_run_invariants
-    from repro.faults.inject import FaultInjector, PacketVerdict, StampLoss
-    from repro.faults.plan import (
-        FaultPlan,
-        LinkDegradation,
-        NicStall,
-        ResilienceParams,
-        parse_fault_spec,
-    )
-    from repro.faults.transport import (
-        TransportFaultInjected,
-        TransportFaultPlan,
-        TransportInjector,
-        parse_transport_fault_spec,
-    )
-    from repro.faults.watchdog import (
-        RankSnapshot,
-        WatchdogConfig,
-        WatchdogDiagnostic,
-        diagnose,
-    )
-
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "InvariantViolation",
-    "LinkDegradation",
-    "NicStall",
-    "PacketVerdict",
-    "RankSnapshot",
-    "ResilienceParams",
-    "StampLoss",
-    "TransportFaultInjected",
-    "TransportFaultPlan",
-    "TransportInjector",
-    "WatchdogConfig",
-    "WatchdogDiagnostic",
-    "check_run_invariants",
-    "diagnose",
-    "parse_fault_spec",
-    "parse_transport_fault_spec",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "checks": ("InvariantViolation", "check_run_invariants"),

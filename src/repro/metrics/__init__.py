@@ -11,43 +11,7 @@ sweep state for ``repro.tools.watch``.
 See ``docs/metrics.md`` for the metric catalog.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.metrics.openmetrics import (
-        MetricsAggregator,
-        aggregate_files,
-        parse_openmetrics,
-        render_openmetrics,
-        write_json_snapshot,
-        write_openmetrics,
-    )
-    from repro.metrics.progress import SweepProgress, load_status
-    from repro.metrics.registry import (
-        Counter,
-        Gauge,
-        Histogram,
-        MetricsError,
-        MetricsRegistry,
-    )
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsAggregator",
-    "MetricsError",
-    "MetricsRegistry",
-    "SweepProgress",
-    "aggregate_files",
-    "load_status",
-    "parse_openmetrics",
-    "render_openmetrics",
-    "write_json_snapshot",
-    "write_openmetrics",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "openmetrics": (

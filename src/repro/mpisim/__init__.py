@@ -25,27 +25,7 @@ subjects -- Open MPI 1.0.1 and MVAPICH2 0.6.5 -- on top of the
 Applications are generator coroutines: ``yield from comm.send(...)``.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.mpisim.config import MpiConfig, mvapich2_like, openmpi_like
-    from repro.mpisim.communicator import Comm
-    from repro.mpisim.request import Request
-    from repro.mpisim.status import ANY_SOURCE, ANY_TAG, MpiError, Status
-
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Comm",
-    "MpiConfig",
-    "MpiError",
-    "Request",
-    "Status",
-    "mvapich2_like",
-    "openmpi_like",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "config": ("MpiConfig", "mvapich2_like", "openmpi_like"),

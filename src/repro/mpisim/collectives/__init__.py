@@ -10,41 +10,10 @@ the communication in FT is done by the Alltoall collective ...  These
 transfers do not get overlapped with computation").
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.mpisim.collectives.allgather import allgather
-    from repro.mpisim.collectives.allreduce import allreduce
-    from repro.mpisim.collectives.alltoall import alltoall, alltoallv
-    from repro.mpisim.collectives.barrier import barrier
-    from repro.mpisim.collectives.bcast import bcast
-    from repro.mpisim.collectives.gather import gather, gatherv
-    from repro.mpisim.collectives.reduce import reduce
-    from repro.mpisim.collectives.reduce_scatter import reduce_scatter
-    from repro.mpisim.collectives.scan import scan
-    from repro.mpisim.collectives.scatter import scatter, scatterv
 
 #: Tag space reserved for collectives (application tags must stay below).
 COLL_TAG_BASE = 1 << 20
-
-__all__ = [
-    "COLL_TAG_BASE",
-    "allgather",
-    "allreduce",
-    "alltoall",
-    "alltoallv",
-    "barrier",
-    "bcast",
-    "gather",
-    "gatherv",
-    "reduce",
-    "reduce_scatter",
-    "scan",
-    "scatter",
-    "scatterv",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "allgather": ("allgather",),
@@ -57,4 +26,4 @@ __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "reduce_scatter": ("reduce_scatter",),
     "scan": ("scan",),
     "scatter": ("scatter", "scatterv"),
-})
+}, own=("COLL_TAG_BASE",))

@@ -15,12 +15,6 @@ import typing
 
 import repro
 
-if typing.TYPE_CHECKING:
-    from repro.mpisim.protocols.base import RendezvousProtocol
-    from repro.mpisim.protocols.rendezvous_pipelined import PipelinedRdmaProtocol
-    from repro.mpisim.protocols.rendezvous_rget import RdmaReadProtocol
-    from repro.mpisim.protocols.rendezvous_rput import RdmaWriteProtocol
-
 _REGISTRY = {
     "pipelined": "PipelinedRdmaProtocol",
     "rget": "RdmaReadProtocol",
@@ -38,17 +32,9 @@ def make_protocol(mode: str) -> "RendezvousProtocol":
     return cls()
 
 
-__all__ = [
-    "PipelinedRdmaProtocol",
-    "RdmaReadProtocol",
-    "RdmaWriteProtocol",
-    "RendezvousProtocol",
-    "make_protocol",
-]
-
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "base": ("RendezvousProtocol",),
     "rendezvous_pipelined": ("PipelinedRdmaProtocol",),
     "rendezvous_rget": ("RdmaReadProtocol",),
     "rendezvous_rput": ("RdmaWriteProtocol",),
-})
+}, own=("make_protocol",))

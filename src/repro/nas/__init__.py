@@ -12,21 +12,7 @@ Kernels: BT, CG, LU, FT, SP (MPI), MG (ARMCI), EP and IS (MPI; the paper
 omits their plots -- EP barely communicates, IS behaves like FT).
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.nas.base import CpuModel, square_grid_side
-    from repro.nas.classes import CLASSES, ProblemClass, problem
-
-__all__ = [
-    "CLASSES",
-    "CpuModel",
-    "ProblemClass",
-    "problem",
-    "square_grid_side",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "base": ("CpuModel", "square_grid_side"),

@@ -18,25 +18,7 @@ Everything above this layer (MPI protocols, ARMCI, the progress engine)
 lives in :mod:`repro.mpisim` and :mod:`repro.armci`.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.netsim.fabric import Fabric
-    from repro.netsim.memory import RegistrationCache
-    from repro.netsim.nic import CompletionEntry, CompletionKind, InboundPacket, Nic
-    from repro.netsim.params import NetworkParams
-
-__all__ = [
-    "CompletionEntry",
-    "CompletionKind",
-    "Fabric",
-    "InboundPacket",
-    "NetworkParams",
-    "Nic",
-    "RegistrationCache",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "fabric": ("Fabric",),

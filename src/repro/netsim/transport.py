@@ -15,10 +15,10 @@ in whatever chunks the kernel feels like.  This module owns that gap:
   ``tests/test_netsim_transport.py``; the sharded engine's cross-host
   bit-identity guarantee rests on it).
 * :class:`FrameStream`: a socket wrapper with the decoder behind it --
-  blocking receive with deadline, non-blocking drain (for the
-  null-message protocol's readiness loop), thread-safe send (the worker
-  heartbeat thread shares the stream with the command loop), and
-  traffic counters for ``sync_stats``.
+  blocking receive with deadline, non-blocking drain (heartbeats queue
+  up while the coordinator waits on another shard), thread-safe send
+  (the worker heartbeat thread shares the stream with the command
+  loop), and traffic counters for ``sync_stats``.
 * :func:`connect_with_retry`: exponential backoff with deterministic
   seeded jitter -- a worker that is still booting is retried, a dead
   address fails with the attempt history in the message.
@@ -246,9 +246,6 @@ class FrameStream:
         self.bytes_in = 0
         self.last_recv = time.monotonic()
         self._closed = False
-
-    def fileno(self) -> int:
-        return self.sock.fileno()
 
     # -- sending -----------------------------------------------------------
     def send(self, obj: object) -> None:

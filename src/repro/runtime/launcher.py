@@ -1,10 +1,10 @@
 """Launch N simulated ranks and harvest their overlap reports.
 
 ``run_app`` is the simulated ``mpiexec``: it builds one engine, one
-fabric, one endpoint+monitor per rank, drives every rank's generator to
-completion, and finalizes the monitors into per-process
-:class:`~repro.core.report.OverlapReport` objects -- the paper's
-"output file ... generated for each process".
+fabric, one endpoint+monitor per rank (a :class:`RankSet`), drives every
+rank's generator to completion, and finalizes the monitors into
+per-process :class:`~repro.core.report.OverlapReport` objects -- the
+paper's "output file ... generated for each process".
 """
 
 from __future__ import annotations
@@ -114,13 +114,10 @@ def build_rank_stack(
 ) -> "tuple[Monitor | NullMonitor, Endpoint, RankContext, TraceSink | None]":
     """Build one simulated rank: monitor, endpoint, context (and sink).
 
-    Shared by :func:`run_app` and the sharded launcher
-    (:mod:`repro.sim.parallel`): a shard worker must assemble each rank
-    *exactly* as the single-process path does, or reports stop being
-    bit-comparable.  Degraded-instrumentation knobs (stamp loss, bounded
-    ring) are derived from the fabric's injector, per rank.  The parts
-    share one :class:`~repro.sim.engine.RankClock`: endpoint and context
-    spend CPU on it, the monitor stamps from it.
+    :class:`RankSet`'s per-rank step.  Degraded-instrumentation knobs
+    (stamp loss, bounded ring) are derived from the fabric's injector,
+    per rank.  The parts share one :class:`~repro.sim.engine.RankClock`:
+    endpoint and context spend CPU on it, the monitor stamps from it.
     """
     injector = fabric.injector
     degraded = injector is not None and injector.plan.degrades_instrumentation
@@ -155,6 +152,97 @@ def build_rank_stack(
     return monitor, endpoint, context, sink
 
 
+class RankSet:
+    """The ranks one engine owns: their stacks, processes and reports.
+
+    The one place a simulated rank is assembled and started --
+    :func:`run_app` builds every rank of the job with it, a
+    :class:`repro.sim.parallel.ShardWorker` its own slice -- so a sharded
+    run cannot drift from the single-process run it owes bit-identical
+    reports to.  All stacks are built first, then all processes spawned,
+    both in ascending rank order (the order fixes the engine's event
+    keys).  Everything per-rank is a dict keyed by rank.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        fabric: Fabric,
+        ranks: "typing.Iterable[int]",
+        nprocs: int,
+        config: MpiConfig,
+        table: XferTable,
+        app: AppFn,
+        app_args: tuple = (),
+        processor_factory: "typing.Callable | None" = None,
+        metrics: "MetricsRegistry | None" = None,
+        collect_trace: bool = False,
+    ) -> None:
+        self.engine = engine
+        self.monitors: "dict[int, Monitor | NullMonitor]" = {}
+        self.endpoints: "dict[int, Endpoint]" = {}
+        self.contexts: "dict[int, RankContext]" = {}
+        self.sinks: "dict[int, TraceSink | None]" = {}
+        for rank in ranks:
+            monitor, endpoint, context, sink = build_rank_stack(
+                engine, fabric, rank, nprocs, config, table,
+                processor_factory=processor_factory, metrics=metrics,
+                collect_trace=collect_trace,
+            )
+            if metrics is not None and config.resilience is not None:
+                endpoint.attach_metrics(metrics, {"rank": str(rank)})
+            self.monitors[rank] = monitor
+            self.endpoints[rank] = endpoint
+            self.contexts[rank] = context
+            self.sinks[rank] = sink
+        #: Simulation time at which each rank's code finished.
+        self.finish_times = dict.fromkeys(self.contexts, 0.0)
+        #: Each rank's application return value.
+        self.returns: "dict[int, object]" = dict.fromkeys(self.contexts)
+
+        def rank_main(rank: int) -> typing.Generator:
+            context = self.contexts[rank]
+            result = yield from app(context, *app_args)
+            yield from context.comm.finalize()
+            # The job ends when the engine gets here.
+            yield from context.endpoint.sync()
+            self.finish_times[rank] = engine.now
+            self.returns[rank] = result
+            return result
+
+        self.procs = {
+            rank: engine.process(rank_main(rank)) for rank in self.contexts
+        }
+
+    def raise_if_stuck(self) -> None:
+        """The deadlock error: the event store drained with ranks blocked."""
+        stuck = sum(1 for proc in self.procs.values() if proc.is_alive)
+        if stuck:
+            raise RuntimeError(
+                f"deadlock: {stuck} rank(s) never finished "
+                "(blocked on communication that cannot arrive)"
+            )
+
+    def finalize(self, label: str) -> "dict[int, OverlapReport | None]":
+        """Finalize every monitor at ``engine.now``, the job's global end.
+
+        Monitors read their rank's clock, but wall_time and the closing
+        computation interval run to the *global* end: an early finisher
+        idles until the slowest rank is done.  (A rank the watchdog
+        stopped mid-call may already be past it, and keeps its own time.)
+        A shard worker sets ``engine.now`` to the global last-event time
+        first -- its own clock sits at its last fence.
+        """
+        end = self.engine.now
+        reports: "dict[int, OverlapReport | None]" = {}
+        for rank, monitor in self.monitors.items():
+            clock = self.contexts[rank].clock
+            clock.now = max(clock.now, end)
+            reports[rank] = (monitor.finalize(rank=rank, label=label)
+                             if isinstance(monitor, Monitor) else None)
+        return reports
+
+
 def run_app(
     app: AppFn,
     nprocs: int,
@@ -170,7 +258,6 @@ def run_app(
     watchdog: "WatchdogConfig | None" = None,
     shards: int | None = None,
     shard_sync: str = "window",
-    shard_strategy: str = "contiguous",
     shard_backend: str = "process",
     shard_partition: "list[list[int]] | None" = None,
     shard_hosts: "typing.Sequence | None" = None,
@@ -196,6 +283,10 @@ def run_app(
     Without a watchdog, raises whatever any rank's generator raises; a
     hang (every rank blocked with no scheduled events) surfaces as a
     deadlock error from the engine.
+    ``shards=N`` runs the job on the sharded engine
+    (:func:`repro.sim.parallel.run_app_sharded`): ``shard_backend``,
+    ``shard_partition``, ``shard_hosts`` and ``shard_transport`` are its
+    ``backend`` / ``partition`` / ``hosts`` / ``transport``.
     ``tracer`` (optional :class:`~repro.tracing.Tracer`) records host-time
     phase spans -- ``launcher.build`` / ``launcher.run`` /
     ``launcher.finalize`` here, coordinator and per-shard spans in the
@@ -203,6 +294,16 @@ def run_app(
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
+    # There is one fence protocol (barrier rounds).  The keyword survives,
+    # pinned to its one value, only because the byte-frozen
+    # bench/workloads.py passes it; the [benchmark] PR of ROADMAP item 5
+    # removes the last mention.
+    if shard_sync != "window":
+        raise ValueError(
+            f"shard_sync={shard_sync!r}: the 'null' fence protocol was "
+            "removed (never resolvably faster, docs/performance.md); "
+            "'window' is the only one"
+        )
     if shards is not None:
         from repro.sim.parallel import run_app_sharded
 
@@ -212,7 +313,6 @@ def run_app(
             label=label, app_args=app_args, seed=seed,
             record_transfers=record_transfers,
             telemetry=telemetry, metrics=metrics, watchdog=watchdog,
-            sync=shard_sync, strategy=shard_strategy,
             backend=shard_backend, partition=shard_partition,
             hosts=shard_hosts, transport=shard_transport,
             tracer=tracer,
@@ -247,35 +347,11 @@ def run_app(
     injector = fabric.injector
     if injector is not None and metrics is not None:
         injector.attach_metrics(metrics)
-    monitors: list[Monitor | NullMonitor] = []
-    contexts: list[RankContext] = []
-    endpoints: list[Endpoint] = []
-    sinks: list[TraceSink | None] = []
-    for rank in range(nprocs):
-        monitor, endpoint, context, sink = build_rank_stack(
-            engine, fabric, rank, nprocs, config, table,
-            processor_factory=processor_factory, metrics=metrics,
-            collect_trace=telemetry is not None and telemetry.collect_trace,
-        )
-        if metrics is not None and config.resilience is not None:
-            endpoint.attach_metrics(metrics, {"rank": str(rank)})
-        monitors.append(monitor)
-        endpoints.append(endpoint)
-        sinks.append(sink)
-        contexts.append(context)
-
-    finish_times = [0.0] * nprocs
-    returns: list[object] = [None] * nprocs
-
-    def rank_main(rank: int) -> typing.Generator:
-        result = yield from app(contexts[rank], *app_args)
-        yield from contexts[rank].comm.finalize()
-        yield from endpoints[rank].sync()  # the job ends when the engine gets here
-        finish_times[rank] = engine.now
-        returns[rank] = result
-        return result
-
-    procs = [engine.process(rank_main(rank)) for rank in range(nprocs)]
+    ranks = RankSet(
+        engine, fabric, range(nprocs), nprocs, config, table, app, app_args,
+        processor_factory=processor_factory, metrics=metrics,
+        collect_trace=telemetry is not None and telemetry.collect_trace,
+    )
     if sp_build is not None:
         sp_build.end()
     sp_run = (tracer.begin("engine run", "launcher.run", nprocs=nprocs)
@@ -283,17 +359,14 @@ def run_app(
     diag = None
     if watchdog is None:
         engine.run()
-        stuck = [p.name for p in procs if p.is_alive]
-        if stuck:
-            raise RuntimeError(
-                f"deadlock: {len(stuck)} rank(s) never finished "
-                "(blocked on communication that cannot arrive)"
-            )
+        ranks.raise_if_stuck()
     else:
         # Progress = useful work, not engine activity: events stamped by
         # the monitors plus packets received by any NIC.  A retransmission
         # storm keeps the engine busy but moves neither, so it trips the
         # stall guard instead of spinning forever.
+        monitors = list(ranks.monitors.values())
+
         def progress() -> int:
             stamped = sum(m.event_count for m in monitors)
             received = sum(
@@ -309,32 +382,24 @@ def run_app(
             check_interval=watchdog.check_interval,
             progress=progress,
         )
+        procs = list(ranks.procs.values())
         if reason is None and any(p.is_alive for p in procs):
             # Event store drained with ranks still blocked: a true deadlock
             # (the unguarded path would have raised here).
             reason = "deadlock"
         if reason is not None:
-            diag = diagnose(engine, reason, procs, endpoints)
+            diag = diagnose(engine, reason, procs,
+                            list(ranks.endpoints.values()))
 
     if sp_run is not None:
         sp_run.annotate(sim_time=engine.now).end()
     sp_fin = (tracer.begin("finalize reports", "launcher.finalize")
               if tracer is not None else None)
-    # Monitors read their rank's clock, but wall_time and the closing
-    # computation interval run to the *global* end: an early finisher idles
-    # until the slowest rank is done.  (A rank the watchdog stopped mid-call
-    # may already be past it, and keeps its own time.)
-    for context in contexts:
-        context.clock.now = max(context.clock.now, engine.now)
-    reports: list[OverlapReport | None] = []
-    for rank, monitor in enumerate(monitors):
-        if isinstance(monitor, Monitor):
-            reports.append(monitor.finalize(rank=rank, label=label))
-        else:
-            reports.append(None)
+    reports = list(ranks.finalize(label).values())
+    finish_times = list(ranks.finish_times.values())
     result = RunResult(
         reports=reports,
-        returns=returns,
+        returns=list(ranks.returns.values()),
         rank_finish_times=finish_times,
         elapsed=max(finish_times),
         config=config,
@@ -342,13 +407,13 @@ def run_app(
     )
     result.watchdog = diag
     #: Per-rank ground-truth computation intervals (bound validation).
-    result.compute_logs = [ctx.compute_log for ctx in contexts]
+    result.compute_logs = [ctx.compute_log for ctx in ranks.contexts.values()]
     if telemetry is not None:
         from repro.telemetry.collect import RankTelemetry, TelemetryResult
         from repro.telemetry.windows import WindowedProcessor
 
         per_rank = []
-        for rank, monitor in enumerate(monitors):
+        for rank, monitor in ranks.monitors.items():
             if not isinstance(monitor, Monitor):
                 continue
             processor = monitor.processor
@@ -357,7 +422,7 @@ def run_app(
                 RankTelemetry(
                     rank=rank,
                     series=processor.series(rank=rank, label=label),
-                    sink=sinks[rank],
+                    sink=ranks.sinks[rank],
                     names=monitor.names,
                 )
             )

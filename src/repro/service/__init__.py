@@ -10,38 +10,7 @@ bounded result cache, and streamed results.
 Start it with ``python -m repro.tools.serve``; see ``docs/service.md``.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.service.client import Response, ServiceClient, ServiceError
-    from repro.service.core import Job, OverlapService
-    from repro.service.jobs import (
-        Submission,
-        SubmissionError,
-        job_content_key,
-        parse_submission,
-    )
-    from repro.service.queue import Admission, QuotaConfig, TenantQueue
-    from repro.service.server import ServerThread, ServiceHTTPServer
-
-__all__ = [
-    "Admission",
-    "Job",
-    "OverlapService",
-    "QuotaConfig",
-    "Response",
-    "ServerThread",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceHTTPServer",
-    "Submission",
-    "SubmissionError",
-    "TenantQueue",
-    "job_content_key",
-    "parse_submission",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "client": ("Response", "ServiceClient", "ServiceError"),

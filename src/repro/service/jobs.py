@@ -18,7 +18,7 @@ Kinds
 ``nas``
     One NAS benchmark sweep cell per ``np`` value -- mirrors
     ``repro.tools.nas`` (benchmark, klass, np grid, niter, library,
-    modified/nonblocking, faults + fault_seed, shards + shard_sync).
+    modified/nonblocking, faults + fault_seed, shards).
 ``micro``
     The Sec. 3 overlap micro-benchmark: one cell per inserted-computation
     value -- mirrors ``overlap_sweep_parallel``.
@@ -38,7 +38,6 @@ from repro.experiments.runner import Task
 KINDS = ("nas", "micro", "paper")
 KLASSES = ("S", "W", "A", "B")
 LIBRARIES = ("paper", "openmpi", "mvapich2")
-SHARD_SYNCS = ("window", "null")
 
 #: Upper bound on cells per submission: a "job" is one user question,
 #: not a bulk import channel.
@@ -121,8 +120,6 @@ def _parse_nas(payload: dict) -> "tuple[dict, list[Task], str]":
     shards = payload.get("shards")
     if shards is not None:
         shards = _require_int(payload, "shards", 1, lo=1, hi=64)
-    shard_sync = _require_str(payload, "shard_sync", "window",
-                              choices=SHARD_SYNCS)
     if shards is not None and benchmark == "mg":
         raise SubmissionError("'shards' is not supported for mg (ARMCI)")
     if shards is not None and faults is not None:
@@ -139,14 +136,13 @@ def _parse_nas(payload: dict) -> "tuple[dict, list[Task], str]":
         "benchmark": benchmark, "klass": klass, "np": nprocs, "niter": niter,
         "library": library, "modified": modified, "nonblocking": nonblocking,
         "faults": faults, "fault_seed": fault_seed,
-        "shards": shards, "shard_sync": shard_sync,
+        "shards": shards,
     }
     # The exact argument tuple repro.tools.nas builds (emit_metrics=False:
     # the service's metrics live on the server, not inside the cells).
     tasks = [
         Task(_run_cell, (benchmark, klass, np, niter, library, modified,
-                         nonblocking, False, faults, fault_seed,
-                         shards, shard_sync))
+                         nonblocking, False, faults, fault_seed, shards))
         for np in nprocs
     ]
     label = f"nas.{benchmark}.{klass}.x{len(nprocs)}"

@@ -18,26 +18,7 @@ kernel never consults wall-clock time or global RNG state, so a simulation
 is a pure function of its inputs.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.sim.engine import Engine, RankClock
-    from repro.sim.events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
-    from repro.sim.process import Process
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Engine",
-    "Event",
-    "Interrupt",
-    "Process",
-    "RankClock",
-    "SimulationError",
-    "Timeout",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "engine": ("Engine", "RankClock"),

@@ -577,64 +577,6 @@ class Engine:
                                  "every": self._trace_sample_every})
         return status
 
-    def step(self) -> None:
-        """Process one (sub-)event; raises :class:`EmptySchedule` when idle."""
-        while True:
-            if not self._heap:
-                raise EmptySchedule("no more events scheduled")
-            when, seq, event = heapq.heappop(self._heap)
-            callbacks = event.callbacks
-            if callbacks is None:
-                cls = event.__class__
-                if cls is ClockSync and event.seq == seq:
-                    event.seq = -1
-                    self.now = when
-                    event.wake(event)
-                    self.processed_count += 1
-                    return
-                if cls is Burst:
-                    self._step_burst(event)
-                    return
-                if self._dead_pending:  # cancelled or abandoned: discard
-                    self._dead_pending -= 1
-                continue
-            event.callbacks = None
-            self.now = when
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                self._dispatch_multi(callbacks, event)
-            self.processed_count += 1
-            if not event._ok and not event._defused:
-                raise typing.cast(BaseException, event._value)
-            return
-
-    def _step_burst(self, burst: Burst) -> None:
-        """step() helper: retire exactly one sub-event of a popped burst."""
-        subs = burst.subs
-        i = burst.idx
-        when, _seq, event = subs[i]
-        callbacks = event.callbacks
-        event.callbacks = None
-        self.now = when
-        i += 1
-        if i < len(subs):
-            burst.idx = i
-            nwhen, nseq, _ev = subs[i]
-            self._post_entry(nwhen, nseq, burst)
-            burst.state = _BURST_QUEUED
-        else:
-            del subs[:]
-            burst.idx = 0
-            burst.state = _BURST_IDLE
-        if len(callbacks) == 1:  # type: ignore[arg-type]
-            callbacks[0](event)  # type: ignore[index]
-        else:
-            self._dispatch_multi(callbacks, event)  # type: ignore[arg-type]
-        self.processed_count += 1
-        if not event._ok and not event._defused:
-            raise typing.cast(BaseException, event._value)
-
     def run_guarded(
         self,
         max_sim_time: "float | None" = None,
@@ -696,8 +638,8 @@ class Engine:
         time), or an :class:`Event` (run until it is processed; returns its
         value).
 
-        The event loop is inlined here rather than delegating to
-        :meth:`step`: dispatching one event is a handful of operations, so
+        The event loop is inlined here rather than calling a per-event
+        method: dispatching one event is a handful of operations, so
         per-event call/property overhead dominated the kernel profile.  The
         drain case (no deadline, no stop event -- what ``run_app`` uses)
         additionally skips the head-of-store checks entirely.
@@ -842,7 +784,3 @@ class Engine:
             self.dispatch_tail = self.now
             self.now = deadline
         return None
-
-
-class EmptySchedule(SimulationError):
-    """Raised by :meth:`Engine.step` when nothing is scheduled."""

@@ -2,8 +2,9 @@
 
 One Python process retiring every event caps the rank counts the
 framework can characterize.  This module splits a run across *shards*:
-each shard is a worker process owning a contiguous (or topology-derived)
-set of ranks with its own :class:`~repro.sim.engine.Engine` and
+each shard is a worker process owning a set of ranks (contiguous blocks
+of rank order unless the caller supplies a partition) with its own
+:class:`~repro.sim.engine.Engine` and
 :class:`~repro.netsim.fabric.Fabric`; cross-shard NIC effects travel as
 explicit :class:`~repro.netsim.channel.ChannelMsg` records through the
 coordinator (the ``ShardLink`` boundary replacing direct NIC-to-NIC
@@ -15,18 +16,14 @@ and its effect (per-message overhead plus jitter-reduced latency, or the
 RDMA-read request latency, whichever is smaller).  If every shard has
 executed up to ``T`` and the earliest pending event anywhere is
 ``T_min``, then no message generated from here on can take effect before
-``T_min + LA`` -- so every shard may safely run to that *fence*.  Two
-protocols expose this bound:
-
-* ``sync="window"``: global barrier rounds.  Each round computes
-  ``T_min`` over all shards (and in-flight messages), grants every shard
-  a window ``[now, fence)``, collects generated messages, repeats.
-  Because ``T_min`` is the true next event time, idle gaps are skipped in
-  one hop (time windows never creep through empty regions).
-* ``sync="null"``: the same bound, granted asynchronously -- shards are
-  re-armed the moment their fence improves, without waiting for the
-  slowest shard each round (a parent-mediated variant of null-message
-  pacing).  Results are identical; only scheduling differs.
+``T_min + LA`` -- so every shard may safely run to that *fence*.  One
+protocol exposes this bound: global barrier rounds.  Each round computes
+``T_min`` over all shards (and in-flight messages), grants every shard a
+window ``[now, fence)``, collects generated messages, repeats.  Because
+``T_min`` is the true next event time, idle gaps are skipped in one hop
+(time windows never creep through empty regions); why there is no
+asynchronous variant is measured in ``docs/performance.md``, "Why there
+is one fence protocol".
 
 One message class undercuts ``LA``: an RDMA-write placement ACK takes
 effect only ``wire_time(nbytes)`` after the placement event that emits
@@ -41,10 +38,12 @@ Determinism: a sharded run is bit-identical to a single-process run with
 ``delivery="channel"`` on the same seed -- same event times, same report
 bytes -- because (a) all cross-rank interaction flows through channel
 messages whose ``(when, key)`` is a pure per-link function, (b) channel
-keys sort below every engine-allocated key at equal times, and (c)
-same-time app-band events on different ranks touch disjoint state.  The
-differential harness (:func:`repro.netsim.differential.run_sharded_pair`)
-is the referee.
+keys sort below every engine-allocated key at equal times, (c)
+same-time app-band events on different ranks touch disjoint state, and
+(d) a shard's ranks are built and started by the same
+:class:`~repro.runtime.launcher.RankSet` the single-process launcher
+uses.  The differential harness
+(:func:`repro.netsim.differential.run_sharded_pair`) is the referee.
 
 Not supported with ``shards``: telemetry, metrics registries, watchdogs
 (all assume one engine) and the ARMCI runtime (shared region directory).
@@ -65,9 +64,7 @@ import threading
 import time
 import traceback
 import typing
-from multiprocessing.connection import wait as _wait_readable
 
-from repro.core.monitor import Monitor
 from repro.faults.transport import TransportFaultInjected
 from repro.mpisim.config import MpiConfig
 from repro.netsim import channel as _ch
@@ -75,7 +72,7 @@ from repro.netsim import transport as _tp
 from repro.netsim import wire as _wire
 from repro.netsim.fabric import Fabric
 from repro.netsim.params import NetworkParams
-from repro.runtime.launcher import RunResult, build_rank_stack, default_xfer_table
+from repro.runtime.launcher import RankSet, RunResult, default_xfer_table
 from repro.sim.engine import Engine
 
 _INF = float("inf")
@@ -174,85 +171,35 @@ class ShardLossDiagnostic:
 
 # -- partitioning ----------------------------------------------------------
 
-def partition_ranks(
-    nprocs: int,
-    shards: int,
-    strategy: str = "contiguous",
-    edges: "typing.Iterable[tuple] | None" = None,
-) -> list[list[int]]:
-    """Split ``range(nprocs)`` into at most ``shards`` rank sets.
+def partition_ranks(nprocs: int, shards: int) -> list[list[int]]:
+    """Split ``range(nprocs)`` into at most ``shards`` contiguous blocks.
 
-    ``"contiguous"`` cuts rank order into near-equal blocks (sizes differ
-    by at most one) -- the right default for NAS kernels, whose heaviest
-    traffic is nearest-neighbor in rank order.  ``"topology"`` takes
-    ``edges`` -- ``(a, b)`` or ``(a, b, weight)`` tuples describing the
-    application's communication graph -- orders ranks by a
-    heaviest-neighbor-first traversal, and cuts *that* order into blocks,
-    keeping tightly coupled ranks co-resident.  More shards than ranks
-    collapses to one rank per shard.  Every shard list is ascending (rank
-    creation order inside a shard must match the single-process run).
+    Near-equal blocks of rank order (sizes differ by at most one) -- the
+    right cut for stencils and the NAS kernels, whose heaviest traffic is
+    nearest-neighbor in rank order.  More shards than ranks collapses to
+    one rank per shard.  Any other cut is an explicit ``partition=`` to
+    :func:`run_app_sharded`.
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
     if shards < 1:
         raise ValueError("need at least one shard")
     shards = min(shards, nprocs)
-    if strategy == "contiguous":
-        order = list(range(nprocs))
-    elif strategy == "topology":
-        order = _topology_order(nprocs, edges or ())
-    else:
-        raise ValueError(
-            f"unknown partition strategy {strategy!r} "
-            "(expected 'contiguous' or 'topology')"
-        )
     base, extra = divmod(nprocs, shards)
     out: list[list[int]] = []
     start = 0
     for s in range(shards):
         n = base + (1 if s < extra else 0)
-        out.append(sorted(order[start:start + n]))
+        out.append(list(range(start, start + n)))
         start += n
     return out
 
 
-def _topology_order(nprocs: int, edges: typing.Iterable[tuple]) -> list[int]:
-    """Rank order by heaviest-neighbor-first traversal of the comm graph."""
-    weight: dict[int, dict[int, float]] = {}
-    for edge in edges:
-        try:
-            a, b = int(edge[0]), int(edge[1])
-            w = float(edge[2]) if len(edge) > 2 else 1.0
-        except (IndexError, TypeError, ValueError):
-            raise ValueError(f"bad edge {edge!r}") from None
-        if not (0 <= a < nprocs and 0 <= b < nprocs) or a == b:
-            raise ValueError(f"bad edge {edge!r}")
-        weight.setdefault(a, {})[b] = weight.setdefault(a, {}).get(b, 0.0) + w
-        weight.setdefault(b, {})[a] = weight.setdefault(b, {}).get(a, 0.0) + w
-    order: list[int] = []
-    seen = [False] * nprocs
-    for root in range(nprocs):
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            neigh = [
-                n for n in weight.get(node, ())
-                if not seen[n]
-            ]
-            # Heaviest edge visited first (popped last -> reverse sort);
-            # ties break on rank index for determinism.
-            neigh.sort(key=lambda n: (weight[node][n], -n))
-            for n in neigh:
-                seen[n] = True
-            stack.extend(neigh)
-    return order
-
-
-def _validate_partition(partition: list[list[int]], nprocs: int) -> None:
+def _validate_partition(partition: list[list[int]], nprocs: int,
+                        shards: int) -> None:
+    if len(partition) != shards:
+        raise ValueError(
+            f"partition has {len(partition)} shard(s) but shards={shards}")
     seen: set[int] = set()
     for ranks in partition:
         if not ranks:
@@ -346,32 +293,12 @@ class ShardWorker:
             owned_nodes=task.ranks, shard_of=task.shard_of,
             shard_id=task.shard_id,
         )
-        self.monitors: dict[int, object] = {}
-        self.contexts: dict[int, object] = {}
-        self.finish_times: dict[int, float] = {r: 0.0 for r in task.ranks}
-        self.returns: dict[int, object] = {r: None for r in task.ranks}
-        self.procs: dict[int, object] = {}
         self.busy = 0.0
         self.tail = 0.0
-        for rank in task.ranks:
-            monitor, _endpoint, context, _sink = build_rank_stack(
-                engine, fabric, rank, task.nprocs, task.config,
-                task.xfer_table,
-            )
-            self.monitors[rank] = monitor
-            self.contexts[rank] = context
-
-        def rank_main(rank: int) -> typing.Generator:
-            ctx = self.contexts[rank]
-            result = yield from task.app(ctx, *task.app_args)
-            yield from ctx.comm.finalize()
-            yield from ctx.endpoint.sync()
-            self.finish_times[rank] = engine.now
-            self.returns[rank] = result
-            return result
-
-        for rank in task.ranks:
-            self.procs[rank] = engine.process(rank_main(rank))
+        self.ranks = RankSet(
+            engine, fabric, task.ranks, task.nprocs, task.config,
+            task.xfer_table, task.app, task.app_args,
+        )
 
     def next_event(self) -> float:
         """Earliest *live* pending event time (``inf`` when drained)."""
@@ -425,30 +352,19 @@ class ShardWorker:
         reports to be bit-identical (each worker's own clock sits at its
         last fence, past its last event).
         """
-        self.engine.now = final_time
-        for context in self.contexts.values():
-            context.clock.now = final_time
         task = self.task
-        stuck = sum(1 for p in self.procs.values() if p.is_alive)
-        if stuck:
-            raise RuntimeError(
-                f"deadlock: {stuck} rank(s) never finished "
-                "(blocked on communication that cannot arrive)"
-            )
-        reports = {}
-        for rank, monitor in self.monitors.items():
-            if isinstance(monitor, Monitor):
-                reports[rank] = monitor.finalize(rank=rank, label=task.label)
-            else:
-                reports[rank] = None
+        ranks = self.ranks
+        ranks.raise_if_stuck()
+        self.engine.now = final_time
         router = self.fabric.router
         return _ShardResult(
             shard_id=task.shard_id,
             ranks=list(task.ranks),
-            reports=reports,
-            returns=dict(self.returns),
-            finish_times=dict(self.finish_times),
-            compute_logs={r: self.contexts[r].compute_log for r in task.ranks},
+            reports=ranks.finalize(task.label),
+            returns=ranks.returns,
+            finish_times=ranks.finish_times,
+            compute_logs={r: ctx.compute_log
+                          for r, ctx in ranks.contexts.items()},
             transfer_log=self.fabric.transfer_log,
             bytes_on_wire=self.fabric.total_bytes_on_wire(),
             events=self.engine.processed_count,
@@ -741,18 +657,12 @@ class _SessionHandle:
         self.payload_bytes += _wire.frame_nbytes(frame)
         self._send(("advance", fence, frame))
 
-    def _adopt_reply(self, reply: _AdvanceReply) -> _AdvanceReply:
+    def collect(self) -> _AdvanceReply:
+        reply = self._expect("reply")
         self.payload_bytes += _wire.frame_nbytes(reply.msgs)
         self.events = reply.events
         self.busy = reply.busy
         return reply._replace(msgs=_wire.unpack_frame(reply.msgs))
-
-    def collect(self) -> _AdvanceReply:
-        return self._adopt_reply(self._expect("reply"))
-
-    def collect_ready(self) -> "_AdvanceReply | None":
-        ok, reply = self._poll("reply")
-        return self._adopt_reply(reply) if ok else None
 
     def finish(self, final_time: float) -> _ShardResult:
         self._send(("finish", final_time))
@@ -793,7 +703,7 @@ class _SessionHandle:
 # -- coordinator -----------------------------------------------------------
 
 class _Coordinator:
-    """Conservative-fence bookkeeping shared by both sync protocols.
+    """Conservative-fence bookkeeping of the barrier-round protocol.
 
     Every per-round quantity is maintained *incrementally* so one
     synchronization round costs O(shards), never O(shards²) and never a
@@ -809,11 +719,7 @@ class _Coordinator:
       and refreshed from a per-creditor lazy-deletion min-heap only when
       an ACK retires (each obligation is pushed and popped exactly once
       over its lifetime, so the amortized cost is O(log m) -- not the
-      O(shards * m) full scan the per-shard fence cap used to pay);
-    * a ``fences_dirty`` short-circuit -- :meth:`fences_now` returns the
-      cached fence vector untouched while no input (next events, inboxes,
-      obligations) changed, which the null-message protocol hits whenever
-      it re-arms without new replies.
+      O(shards * m) full scan the per-shard fence cap used to pay).
 
     The contiguous layout is load-bearing, not a style choice: a fence
     recompute runs once per round, right after a context switch or a
@@ -852,9 +758,6 @@ class _Coordinator:
         ]
         self.rounds = 0
         self.messages = 0
-        #: Rounds whose fence vector was recomputed (cache misses).
-        self.fence_recomputes = 0
-        self._fences_cache: "list[float] | None" = None
         #: Global last-event time seen so far (the finalize anchor).
         self.tail = 0.0
 
@@ -886,7 +789,6 @@ class _Coordinator:
             if entry is None:
                 raise ShardError(f"unmatched placement ACK {key!r}")
             self._refresh_ob_floor(entry[0])
-        self._fences_cache = None
 
     def _refresh_ob_floor(self, shard: int) -> None:
         """Recompute the obligation floor after an obligation retired.
@@ -944,9 +846,6 @@ class _Coordinator:
         -- identical floats to the nested-scan formulation in
         ``tests/oracles.py``, which the tests compare against at every call.
         """
-        cached = self._fences_cache
-        if cached is not None:
-            return cached
         n = self.nshards
         n2 = 2 * n
         la = self.la
@@ -989,13 +888,10 @@ class _Coordinator:
                 b2 = v
         # Pass 3: everyone-else bound plus lookahead, capped by own
         # outstanding obligation horizons.
-        fences = [
+        return [
             min((b2 if i == bi1 else b1) + la, bounds[n2 + i])
             for i in range(n)
         ]
-        self._fences_cache = fences
-        self.fence_recomputes += 1
-        return fences
 
     def absorb(self, shard: int, reply: _AdvanceReply) -> None:
         self._bounds[shard] = reply.next_event
@@ -1003,7 +899,6 @@ class _Coordinator:
             self.tail = reply.tail
         for msg in reply.msgs:
             self.route(msg)
-        self._fences_cache = None
 
     def grant(self, shard: int, fence: float) -> None:
         msgs = self.inbox[shard]
@@ -1018,7 +913,6 @@ class _Coordinator:
             bounds[shard] = bounds[im]
         bounds[im] = _INF
         self.fences[shard] = fence
-        self._fences_cache = None
         self.handles[shard].advance_async(fence, msgs)
 
     def done(self) -> bool:
@@ -1027,11 +921,11 @@ class _Coordinator:
         )
 
 
-def _coordinate_window(co: _Coordinator, tracer=None) -> None:
+def _coordinate(co: _Coordinator, tracer=None) -> None:
     """Global barrier rounds: grant every eligible shard, collect all.
 
     With a ``tracer``, each round records three spans: ``coord.fence``
-    (the O(shards²) bound recomputation), ``coord.dispatch`` (issuing
+    (the O(shards) bound recomputation), ``coord.dispatch`` (issuing
     grants -- with the inline backend this *is* shard execution, so the
     explain CLI treats it like wait time), and ``coord.wait`` (blocking
     on shard replies).
@@ -1073,83 +967,6 @@ def _coordinate_window(co: _Coordinator, tracer=None) -> None:
             ch_wait.append(tc)
             ch_wait.append(td)
         co.rounds += 1
-
-
-def _coordinate_null(co: _Coordinator, tracer=None) -> None:
-    """Asynchronous pacing: re-arm each shard as soon as its fence moves.
-
-    The fence bound is the same as the window protocol's; what changes is
-    that a shard with a bigger safe window keeps running while slower
-    shards catch up, instead of everyone pausing at a global barrier --
-    the coordinator plays the role null messages play in CMB-style
-    distributed simulations.
-
-    Needs :class:`_SessionHandle` shards (the inline backend steps
-    shards sequentially and has nothing to wait on).  The readiness wait
-    times out at the heartbeat period so liveness is re-checked between
-    replies; a wake-up may carry only a heartbeat (``collect_ready``
-    returns ``None``), and a shard gone silent raises
-    :class:`ShardHostLost` within ``host_timeout``.
-    """
-    handles = co.handles
-    n = len(handles)
-    shard_by_stream = {id(h.stream): i for i, h in enumerate(handles)}
-    poll = min(h.options.heartbeat_interval for h in handles)
-    if tracer is not None:
-        ch_fence = tracer.channel("fences", "coord.fence")
-        ch_disp = tracer.channel("dispatch", "coord.dispatch")
-        ch_wait = tracer.channel("wait", "coord.wait")
-    busy: set[int] = set()
-    while True:
-        granted = 0
-        cand = co.horizon_min()
-        if cand == _INF and not busy:
-            if not co.obligations:
-                return
-            raise ShardError(
-                "sync wedged: obligations outstanding with no pending events"
-            )
-        if cand != _INF:
-            ta = tracer.now() if tracer is not None else 0.0
-            safe = co.fences_now()
-            tb = tracer.now() if tracer is not None else 0.0
-            for i in range(n):
-                if i in busy:
-                    continue
-                fence = safe[i]
-                if co.inbox[i] or fence > co.fences[i]:
-                    co.grant(i, max(fence, co.fences[i]))
-                    busy.add(i)
-                    granted += 1
-            if tracer is not None:
-                tc = tracer.now()
-                ch_fence.append(ta)
-                ch_fence.append(tb)
-                ch_disp.append(tb)
-                ch_disp.append(tc)
-        if not busy:
-            if granted == 0:
-                raise ShardError("sync stalled: no shard can advance")
-            continue
-        tw = tracer.now() if tracer is not None else 0.0
-        ready = _wait_readable([handles[i].stream for i in busy],
-                               timeout=poll)
-        if tracer is not None:
-            ch_wait.append(tw)
-            ch_wait.append(tracer.now())
-        absorbed = 0
-        for stream in ready:
-            shard = shard_by_stream[id(stream)]
-            reply = handles[shard].collect_ready()
-            if reply is None:
-                continue
-            co.absorb(shard, reply)
-            busy.discard(shard)
-            absorbed += 1
-        for i in busy:
-            handles[i].check_alive()
-        if absorbed:
-            co.rounds += 1
 
 
 # -- launcher --------------------------------------------------------------
@@ -1241,11 +1058,8 @@ def run_app_sharded(
     telemetry: object = None,
     metrics: object = None,
     watchdog: object = None,
-    sync: str = "window",
-    strategy: str = "contiguous",
     backend: str = "process",
     partition: "list[list[int]] | None" = None,
-    edges: "typing.Iterable[tuple] | None" = None,
     tracer: "typing.Any | None" = None,
     hosts: "typing.Sequence | None" = None,
     transport: "typing.Any | None" = None,
@@ -1262,7 +1076,10 @@ def run_app_sharded(
     per shard; ``"socket"`` drives workers started elsewhere with
     ``python -m repro.sim.remote --listen`` (possibly on other hosts),
     ``hosts`` listing their ``"host:port"`` addresses, assigned to shards
-    round-robin.  See the module docstring for the ``sync`` protocols.
+    round-robin.  ``partition`` (one rank list per shard, ``shards`` of
+    them, covering every rank once) replaces the contiguous
+    :func:`partition_ranks` cut.  See the module docstring for the fence
+    protocol.
 
     Both out-of-process backends speak one framed session
     (:func:`serve_session`): each round's cross-shard messages travel as
@@ -1291,8 +1108,6 @@ def run_app_sharded(
                 f"{name} is not supported with shards (it assumes one "
                 "engine); run single-process or drop the option"
             )
-    if sync not in ("window", "null"):
-        raise ValueError(f"sync must be 'window' or 'null', got {sync!r}")
     if backend not in ("process", "inline", "socket"):
         raise ValueError(
             f"backend must be 'process', 'inline', or 'socket', "
@@ -1313,10 +1128,12 @@ def run_app_sharded(
             "per_message_overhead+latency and rdma_read_request_latency"
         )
     if partition is None:
-        partition = partition_ranks(nprocs, shards, strategy, edges)
+        partition = partition_ranks(nprocs, shards)
     else:
+        # Ascending inside a shard: rank creation order must match the
+        # single-process run.
         partition = [sorted(ranks) for ranks in partition]
-    _validate_partition(partition, nprocs)
+        _validate_partition(partition, nprocs, shards)
     nshards = len(partition)
     shard_of = [0] * nprocs
     for s, ranks in enumerate(partition):
@@ -1324,7 +1141,7 @@ def run_app_sharded(
             shard_of[r] = s
     table = xfer_table or default_xfer_table(params)
     sp_run = (tracer.begin("sharded run", "coord.run", shards=nshards,
-                           sync=sync, backend=backend)
+                           backend=backend)
               if tracer is not None else None)
     tasks = [
         _ShardTask(
@@ -1364,12 +1181,7 @@ def run_app_sharded(
                         f"shard {i} worker {where}: {exc}") from exc
         co = _Coordinator(handles, shard_of, params, la)
         try:
-            if sync == "null" and backend != "inline":
-                _coordinate_null(co, tracer)
-            else:
-                # The inline backend steps shards sequentially, so barrier
-                # rounds and asynchronous pacing coincide.
-                _coordinate_window(co, tracer)
+            _coordinate(co, tracer)
             sp_fin = (tracer.begin("finalize shards", "coord.finish")
                       if tracer is not None else None)
             results = [h.finish(co.tail) for h in handles]
@@ -1441,7 +1253,6 @@ def run_app_sharded(
     result.compute_logs = compute_logs
     result.shard_stats = shard_stats
     result.sync_stats = {
-        "mode": sync,
         "backend": backend,
         "shards": nshards,
         "lookahead": la,
@@ -1450,7 +1261,6 @@ def run_app_sharded(
         "host_elapsed_s": host_elapsed,
         "events": sum(res.events for res in results),
         "busy_s": [res.busy for res in results],
-        "fence_recomputes": co.fence_recomputes,
     }
     if tstats is not None:
         result.sync_stats["transport"] = {

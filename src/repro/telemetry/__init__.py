@@ -17,56 +17,7 @@ Entry points: ``run_app(..., telemetry=TelemetryConfig())`` and the
 ``python -m repro.tools.timeline`` CLI.  See ``docs/telemetry.md``.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.telemetry.collect import (
-        RankTelemetry,
-        TelemetryConfig,
-        TelemetryResult,
-        write_run_telemetry,
-    )
-    from repro.telemetry.perfetto import ChromeTraceExporter
-    from repro.telemetry.rollup import (
-        ClusterRollup,
-        StreamStats,
-        load_rank_telemetry,
-        rollup_files,
-        save_rank_telemetry,
-    )
-    from repro.telemetry.validate import (
-        WindowBoundCheck,
-        check_windowed_bounds,
-        render_windowed_validation,
-    )
-    from repro.telemetry.windows import (
-        WINDOW_METRICS,
-        Window,
-        WindowSeries,
-        WindowedProcessor,
-    )
-
-__all__ = [
-    "ChromeTraceExporter",
-    "ClusterRollup",
-    "RankTelemetry",
-    "StreamStats",
-    "TelemetryConfig",
-    "TelemetryResult",
-    "WINDOW_METRICS",
-    "Window",
-    "WindowBoundCheck",
-    "WindowSeries",
-    "WindowedProcessor",
-    "check_windowed_bounds",
-    "load_rank_telemetry",
-    "render_windowed_validation",
-    "rollup_files",
-    "save_rank_telemetry",
-    "write_run_telemetry",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "collect": (

@@ -39,7 +39,6 @@ def _run_cell(
     faults: "str | None" = None,
     fault_seed: int = 0,
     shards: "int | None" = None,
-    shard_sync: str = "window",
 ) -> dict:
     """Worker: one (benchmark, class, np) cell; returns a plain-data payload.
 
@@ -129,8 +128,7 @@ def _run_cell(
             )
         result = run_app(app, nprocs, config=config, params=params, label=label,
                          app_args=app_args, metrics=registry,
-                         watchdog=watchdog, shards=shards,
-                         shard_sync=shard_sync, tracer=tracer)
+                         watchdog=watchdog, shards=shards, tracer=tracer)
 
     payload = {
         "label": label,
@@ -231,10 +229,6 @@ def make_parser() -> argparse.ArgumentParser:
                         "available for mg/ARMCI, --metrics-dir, or fault "
                         "watchdogs; reports are bit-identical to the "
                         "single-process run)")
-    parser.add_argument("--shard-sync", choices=["window", "null"],
-                        default="window",
-                        help="shard synchronization protocol (default: "
-                        "window barriers; null = asynchronous pacing)")
     parser.add_argument("--trace-dir", default=None,
                         help="record host-time spans for the whole sweep "
                         "(runner, launcher, coordinator, shards) and write "
@@ -282,8 +276,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         Task(_run_cell, (args.benchmark, args.klass, nprocs, args.niter,
                          args.library, args.modified, args.nonblocking,
                          args.metrics_dir is not None,
-                         args.faults, args.fault_seed,
-                         args.shards, args.shard_sync))
+                         args.faults, args.fault_seed, args.shards))
         for nprocs in args.nprocs
     ]
     payloads = run_tasks(tasks, jobs=args.jobs, cache=cache, progress=progress,

@@ -59,10 +59,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=None,
                         help="with --compare: shard count of the "
                         "sharded side (channel delivery on both sides)")
-    parser.add_argument("--shard-sync", choices=("window", "null"),
-                        default="window",
-                        help="shard synchronization protocol for "
-                        "--compare --shards")
     return parser
 
 
@@ -86,7 +82,6 @@ def _compare(args: argparse.Namespace) -> int:
     single, sharded = run_sharded_pair(
         app, args.nprocs, args.shards, app_args=app_args,
         label=f"{args.benchmark}.{args.klass}.{args.nprocs}",
-        sync=args.shard_sync,
     )
     host_s = time.perf_counter() - t0
     deltas = compare_sharded(single, sharded)
@@ -95,7 +90,7 @@ def _compare(args: argparse.Namespace) -> int:
     width = max(len(d.measure) for d in deltas)
     print(f"differential: {args.benchmark}.{args.klass} np={args.nprocs} "
           f"niter={args.niter} (single vs {args.shards} shards, "
-          f"sync={args.shard_sync}, {host_s:.2f} s host)")
+          f"{host_s:.2f} s host)")
     for d in deltas:
         mark = "==" if d.equal else "!="
         print(f"  {d.measure:<{width}}  {mark}")

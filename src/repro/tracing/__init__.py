@@ -14,36 +14,7 @@ Public surface:
   the ``repro.tools.explain`` CLI.
 """
 
-import typing
-
 import repro
-
-if typing.TYPE_CHECKING:
-    from repro.tracing.explain import (explain_trace, render_explain,
-                                       validate_trace)
-    from repro.tracing.merge import build_trace, flatten_payloads, save_trace
-    from repro.tracing.span import (PAYLOAD_VERSION, Span, SpanContext,
-                                    SpanRecord, Tracer, current_tracer,
-                                    payload_spans, set_current_tracer,
-                                    use_tracer)
-
-__all__ = [
-    "PAYLOAD_VERSION",
-    "Span",
-    "SpanContext",
-    "SpanRecord",
-    "Tracer",
-    "build_trace",
-    "current_tracer",
-    "explain_trace",
-    "flatten_payloads",
-    "payload_spans",
-    "render_explain",
-    "save_trace",
-    "set_current_tracer",
-    "use_tracer",
-    "validate_trace",
-]
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "explain": ("explain_trace", "render_explain", "validate_trace"),

@@ -117,7 +117,7 @@ def fences_reference(co):
 
     Recomputed from first principles -- every boxed message and every
     outstanding obligation rescanned -- so it checks the maintained
-    bound array and the recompute cache as well as the fence arithmetic.
+    bound array as well as the fence arithmetic.
     """
     n = co.nshards
     la = co.la
@@ -158,9 +158,8 @@ class FenceChecks:
 
 @contextlib.contextmanager
 def checking_fences():
-    """Assert every ``fences_now`` call -- cached or recomputed -- returns
-    the floats :func:`fences_reference` does; yields the
-    :class:`FenceChecks` tally."""
+    """Assert every ``fences_now`` call returns the floats
+    :func:`fences_reference` does; yields the :class:`FenceChecks` tally."""
     fences_now = _Coordinator.fences_now
     checks = FenceChecks()
 

@@ -139,6 +139,24 @@ def test_pending_store_stays_a_few_entries_per_rank():
         assert 0 < shard["heap_high_water"] <= 4 * len(shard["ranks"])
 
 
+def test_no_knob_comes_back_unnoticed():
+    """``run_app`` is down to 17 keywords after ``app`` and ``nprocs`` (the
+    ``ShardConfig`` / ``Observe`` bundle of ROADMAP item 6 shrinks it, no
+    PR grows it), and the sharded launcher selects neither a fence
+    protocol nor a partition strategy."""
+    import inspect
+
+    from repro.sim.parallel import partition_ranks, run_app_sharded
+
+    names = list(inspect.signature(run_app).parameters)
+    assert names[:2] == ["app", "nprocs"] and len(names) == 2 + 17
+    assert sum(name.startswith("shard_") for name in names) == 5
+    sharded = inspect.signature(run_app_sharded).parameters
+    assert not {"sync", "strategy", "edges"} & set(sharded)
+    assert list(inspect.signature(partition_ranks).parameters) == [
+        "nprocs", "shards"]
+
+
 # -- the discipline -----------------------------------------------------------
 class _Watch:
     """Who is running, and whose clock must agree with the engine."""

@@ -36,10 +36,21 @@ def test_task_carrying_an_xfer_table_keeps_its_key():
      "2bca96d9fd1cfc69c93191c90aa01157079443836545c3e5e2ef61ce8adb9c3f"),
     ({"kind": "nas", "benchmark": "lu", "klass": "S", "np": [2, 4],
       "niter": 2},
-     "cc473c6b4bd7c90bf3c58b9d03063f646fd2723ffbcdccdadaf9ac01a3a7aa16"),
+     # Re-pinned in PR 22: the cell's argument tuple lost ``shard_sync``.
+     "9069708195716fff8b63ec5d87fbabe5bf278b6421d1edf0727aaddc68e6a90a"),
     ({"kind": "paper", "section": "fig04", "quick": True},
      "a256be9f27c1802baecbff3f15f5f8783a06b746695b1a71ee499e0e8f1bb459"),
 ], ids=["micro", "nas", "paper"])
 def test_job_content_keys_are_unchanged(spec, pinned):
     sub, tasks = parse_submission(spec)
     assert job_content_key(sub.kind, tasks) == pinned
+
+
+def test_a_leftover_shard_sync_field_is_ignored_like_any_unknown_field():
+    spec = {"kind": "nas", "benchmark": "lu", "klass": "S", "np": 2,
+            "shards": 2}
+    plain, tasks = parse_submission(spec)
+    old, old_tasks = parse_submission({**spec, "shard_sync": "null"})
+    assert old.spec == plain.spec and "shard_sync" not in plain.spec
+    assert job_content_key(old.kind, old_tasks) == job_content_key(
+        plain.kind, tasks)

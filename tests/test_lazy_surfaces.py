@@ -1,10 +1,10 @@
 """The contract of the lazy package surfaces (``repro._lazy_surface``).
 
 Every package ``__init__`` under ``repro`` imports nothing; the names in
-its ``__all__`` are imported from their defining submodule on first
-lookup and cached in the package's globals.  These tests hold the table,
-``__all__`` and the ``TYPE_CHECKING`` imports of each package together,
-and pin the behaviour callers see.
+its lazy table -- the one place they are written, ``__all__`` is
+generated from it -- are imported from their defining submodule on first
+lookup and cached in the package's globals.  These tests pin the
+behaviour callers see.
 """
 
 import ast
@@ -34,10 +34,6 @@ NO_SURFACE = {"repro.tools"}
 SURFACES = [name for name in PACKAGES if name not in NO_SURFACE]
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    return ast.unparse(test) in ("typing.TYPE_CHECKING", "TYPE_CHECKING")
-
-
 def test_every_package_is_covered():
     assert len(SURFACES) == 17
     for name in NO_SURFACE:
@@ -46,38 +42,25 @@ def test_every_package_is_covered():
 
 @pytest.mark.parametrize("path", INITS, ids=PACKAGES)
 def test_init_imports_nothing_from_repro_at_run_time(path):
-    """No ``from repro...`` outside ``if typing.TYPE_CHECKING:``, and what
-    is inside that block is exactly the lazy table."""
+    """No ``from repro...`` and no ``import repro.x`` anywhere in it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    declared: "dict[str, str]" = {}
-    for node in tree.body:
-        if isinstance(node, ast.If) and _is_type_checking(node.test):
-            for stmt in node.body:
-                assert isinstance(stmt, ast.ImportFrom), ast.unparse(stmt)
-                for alias in stmt.names:
-                    assert alias.asname is None
-                    declared[alias.name] = stmt.module
-            continue
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.ImportFrom):
-                assert not (inner.module or "").startswith("repro"), (
-                    f"{path}: run-time `{ast.unparse(inner)}`")
-                assert inner.level == 0, f"{path}: relative import"
-            elif isinstance(inner, ast.Import):
-                for alias in inner.names:
-                    assert alias.name == "repro" or not alias.name.startswith(
-                        "repro."), f"{path}: run-time `{ast.unparse(inner)}`"
-    package = PACKAGES[INITS.index(path)]
-    exports = getattr(importlib.import_module(package), "_exports", {})
-    assert declared == exports
+    for inner in ast.walk(tree):
+        if isinstance(inner, ast.ImportFrom):
+            assert not (inner.module or "").startswith("repro"), (
+                f"{path}: run-time `{ast.unparse(inner)}`")
+            assert inner.level == 0, f"{path}: relative import"
+        elif isinstance(inner, ast.Import):
+            for alias in inner.names:
+                assert alias.name == "repro" or not alias.name.startswith(
+                    "repro."), f"{path}: run-time `{ast.unparse(inner)}`"
 
 
 @pytest.mark.parametrize("package", SURFACES)
 def test_all_is_the_lazy_table(package):
+    """``_lazy_surface`` installs ``__all__``: table + own names, sorted."""
     pkg = importlib.import_module(package)
     own = OWN_NAMES.get(package, set())
-    assert set(pkg.__all__) == set(pkg._exports) | own
-    assert len(pkg.__all__) == len(set(pkg.__all__))
+    assert pkg.__all__ == sorted(set(pkg._exports) | own)
     assert own <= set(vars(pkg))
     assert set(pkg.__all__) <= set(dir(pkg))
 

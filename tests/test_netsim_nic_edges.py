@@ -93,7 +93,7 @@ def _arrival_trace():
     seen = 0
     trace = []
     while eng.pending_count:
-        eng.step()
+        eng.run(until=eng.peek)  # one instant at a time
         while len(c.inbound) > seen:
             trace.append((eng.now, c.inbound[seen].src_node))
             seen += 1

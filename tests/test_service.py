@@ -296,7 +296,7 @@ def _direct_cell(**overrides):
     args = dict(benchmark="lu", klass="S", nprocs=2, niter=1,
                 library="paper", modified=False, nonblocking=False,
                 emit_metrics=False, faults=None, fault_seed=0,
-                shards=None, shard_sync="window")
+                shards=None)
     args.update(overrides)
     return _run_cell(*args.values())
 

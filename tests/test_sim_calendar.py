@@ -224,15 +224,17 @@ def _run_until_event(eng):
 
 
 def _run_steps(eng):
+    # One instant per call: the deadline is exactly the head's time.
     while eng.pending_count:
-        eng.step()
+        eng.run(until=eng.peek)
 
 
 @pytest.mark.parametrize("drive", [_run_drain, _run_deadlines,
                                    _run_until_event, _run_steps])
 def test_every_dispatch_loop_resumes_a_clock_sync_like_a_timeout(drive):
-    """``run()``, ``run(until=t)``, ``run(until=event)`` and ``step()``:
-    the same trace and event count as the same program on ``Timeout``s."""
+    """``run()``, ``run(until=t)`` (deadlines between and exactly on event
+    times) and ``run(until=event)``: the same trace and event count as the
+    same program on ``Timeout``s."""
 
     def program(sync):
         eng = Engine()
@@ -483,12 +485,17 @@ def test_burst_yields_to_competing_smaller_key():
 
 
 def test_burst_interleaved_with_step():
+    # Stepped one instant per run(until=...) call: each deadline cuts the
+    # burst after exactly one sub-event and requeues the rest.
     eng = Engine()
     burst = eng.new_burst()
     evs = [burst.try_at(i * 1e-6) for i in range(1, 6)]
     seen: list[float] = []
     for ev in evs:
         ev.callbacks.append(lambda _e: seen.append(eng.now))
+    steps = 0
     while eng.pending_count:
-        eng.step()
+        eng.run(until=eng.peek)
+        steps += 1
+        assert len(seen) == steps
     assert seen == [i * 1e-6 for i in range(1, 6)]

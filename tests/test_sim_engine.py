@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Engine, Event, SimulationError
-from repro.sim.engine import EmptySchedule
 
 
 def test_clock_starts_at_zero():
@@ -45,11 +44,6 @@ def test_run_until_past_time_raises():
     eng.run()
     with pytest.raises(SimulationError):
         eng.run(until=1.0)
-
-
-def test_step_on_empty_schedule_raises():
-    with pytest.raises(EmptySchedule):
-        Engine().step()
 
 
 def test_fifo_tie_break_for_equal_times():

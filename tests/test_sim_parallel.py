@@ -19,13 +19,12 @@ import signal
 import struct
 import threading
 import time
-import types
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.experiments.halo import halo_app, halo_edges
+from repro.experiments.halo import halo_app
 from repro.mpisim.config import MpiConfig, mvapich2_like
 from repro.mpisim.packets import EagerPacket
 from repro.netsim import channel as ch
@@ -34,12 +33,7 @@ from repro.netsim.params import NetworkParams
 from repro.netsim.transport import TransportOptions
 from repro.netsim.wire import pack_frame, unpack_frame
 from repro.runtime import run_app
-from repro.sim.parallel import (
-    ShardHostLost,
-    _Coordinator,
-    partition_ranks,
-    run_app_sharded,
-)
+from repro.sim.parallel import ShardHostLost, partition_ranks, run_app_sharded
 from tests.oracles import checking_fences
 
 _TAG = 61
@@ -76,32 +70,11 @@ def test_partition_one_rank_per_shard():
     assert partition_ranks(3, 7) == [[0], [1], [2]]
 
 
-def test_partition_topology_ring_stays_contiguous():
-    # On a ring the heaviest-neighbor traversal is rank order, so the
-    # topology strategy reproduces the contiguous cut.
-    parts = partition_ranks(8, 2, strategy="topology", edges=halo_edges(8))
-    assert parts == [[0, 1, 2, 3], [4, 5, 6, 7]]
-
-
-def test_partition_topology_groups_heavy_pairs():
-    # Pairs (0,3) and (1,2) talk heavily; a contiguous cut of 4 ranks
-    # into 2 shards would split both pairs, the topology cut splits none.
-    edges = [(0, 3, 100.0), (1, 2, 100.0), (3, 1, 1.0)]
-    parts = partition_ranks(4, 2, strategy="topology", edges=edges)
-    for a, b, _w in edges[:2]:
-        shard_of = {r: i for i, p in enumerate(parts) for r in p}
-        assert shard_of[a] == shard_of[b], parts
-
-
 def test_partition_validation():
     with pytest.raises(ValueError):
         partition_ranks(0, 1)
     with pytest.raises(ValueError):
         partition_ranks(4, 0)
-    with pytest.raises(ValueError):
-        partition_ranks(4, 2, strategy="hilbert")
-    with pytest.raises(ValueError, match="bad edge"):
-        partition_ranks(4, 2, strategy="topology", edges=[(0,)])
 
 
 def test_explicit_partition_must_cover_every_rank():
@@ -116,6 +89,17 @@ def test_explicit_partition_must_cover_every_rank():
                         partition=[[0, 1, 2, 3], []])
 
 
+def test_explicit_partition_must_have_one_list_per_shard():
+    # Used to run len(partition) shards without a word.
+    halves = [[0, 1], [2, 3]]
+    for shards in (1, 3):
+        with pytest.raises(ValueError, match=f"2 shard.*shards={shards}"):
+            run_app(_pair_app, 4, shards=shards, shard_backend="inline",
+                    shard_partition=halves)
+    assert run_app(_pair_app, 4, shards=2, shard_backend="inline",
+                   shard_partition=halves).sync_stats["shards"] == 2
+
+
 # ------------------------------------------------------------- option surface
 
 def test_unsupported_observers_raise():
@@ -123,10 +107,18 @@ def test_unsupported_observers_raise():
 
     with pytest.raises(ValueError, match="metrics"):
         run_app(_pair_app, 4, shards=2, metrics=MetricsRegistry())
-    with pytest.raises(ValueError, match="sync"):
-        run_app_sharded(_pair_app, 4, 2, sync="optimistic")
     with pytest.raises(ValueError, match="backend"):
         run_app_sharded(_pair_app, 4, 2, backend="thread")
+
+
+def test_there_is_one_fence_protocol():
+    # run_app keeps the keyword only for the frozen bench/workloads.py.
+    for shards in (None, 2):
+        with pytest.raises(ValueError, match="removed.*'window' is the only"):
+            run_app(_pair_app, 4, shards=shards, shard_sync="null")
+    result = run_app(_pair_app, 4, shards=2, shard_sync="window",
+                     shard_backend="inline")
+    assert "mode" not in result.sync_stats
 
 
 def test_zero_lookahead_rejected():
@@ -139,6 +131,43 @@ def test_zero_lookahead_rejected():
 
 def test_one_rank_per_shard_matches_single():
     assert_sharded_identical(_pair_app, 4, 4, backend="inline")
+
+
+def test_both_entry_points_build_their_ranks_with_the_one_builder(monkeypatch):
+    # run_app builds all ranks with RankSet, each shard worker its slice:
+    # one set for the single-process side, one per rank for the other.
+    from repro.runtime import launcher
+    from repro.sim import parallel
+
+    built = []
+
+    class Counting(launcher.RankSet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(sorted(self.contexts))
+
+    monkeypatch.setattr(launcher, "RankSet", Counting)
+    monkeypatch.setattr(parallel, "RankSet", Counting)
+    assert_sharded_identical(halo_app, 6, 6, backend="inline",
+                             config=mvapich2_like(),
+                             app_args=(3, 2048.0, 15.0e-6))
+    assert built == [list(range(6))] + [[r] for r in range(6)]
+
+
+def _wedged_app(ctx):
+    if ctx.rank < 2:
+        yield from ctx.comm.recv(3, _TAG)  # the message that never comes
+    return ctx.rank
+
+
+def test_a_deadlock_reads_the_same_from_both_entry_points():
+    messages = []
+    for shards in (None, 2):
+        with pytest.raises(RuntimeError, match="deadlock") as info:
+            run_app(_wedged_app, 4, shards=shards, shard_backend="inline")
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "2 rank(s) never finished" in messages[0]
 
 
 def test_non_divisible_ranks_match_single():
@@ -161,11 +190,6 @@ def test_cross_shard_traffic_counted():
     result = run_app_sharded(halo_app, 6, 2, backend="inline",
                              app_args=(3, 1024.0, 15.0e-6))
     assert result.sync_stats["messages"] > 0
-
-
-def test_null_sync_matches_single():
-    assert_sharded_identical(halo_app, 6, 3, backend="inline", sync="null",
-                             app_args=(3, 2048.0, 15.0e-6))
 
 
 def test_process_backend_matches_single():
@@ -197,16 +221,15 @@ _CONFIGS = (
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     jitter=st.sampled_from((0.0, 0.25)),
     nbytes=st.sampled_from((64.0, 1024.0, 8192.0)),
-    sync=st.sampled_from(("window", "null")),
 )
 def test_hypothesis_sharded_bit_identical(nprocs, shards, config, seed,
-                                          jitter, nbytes, sync):
+                                          jitter, nbytes):
     """Random small configs: sharded reports must equal single-process."""
     params = NetworkParams(latency_jitter_frac=jitter)
     assert_sharded_identical(
         halo_app, nprocs, shards, config=config,
         params=dataclasses.replace(params),
-        app_args=(3, nbytes, 12.0e-6), seed=seed, sync=sync,
+        app_args=(3, nbytes, 12.0e-6), seed=seed,
         backend="inline", record_transfers=True,
     )
 
@@ -226,23 +249,6 @@ def test_partition_4096_non_divisible_balance():
     assert max(sizes) - min(sizes) <= 1
     assert sum(sizes) == 4096
     assert sorted(r for p in parts for r in p) == list(range(4096))
-
-
-def test_partition_4096_topology_disconnected_graph():
-    # A communication graph touching only a handful of the 4096 ranks:
-    # the traversal must still emit every isolated vertex exactly once,
-    # keep the +-1 balance, and co-locate the connected heavy pairs.
-    edges = [(0, 4095, 10.0), (1, 2048, 5.0), (7, 9, 1.0)]
-    parts = partition_ranks(4096, 8, strategy="topology", edges=edges)
-    sizes = [len(p) for p in parts]
-    assert max(sizes) - min(sizes) <= 1
-    assert sorted(r for p in parts for r in p) == list(range(4096))
-    shard_of = {r: i for i, p in enumerate(parts) for r in p}
-    for a, b, _w in edges:
-        assert shard_of[a] == shard_of[b]
-    # Shard lists stay ascending (rank creation order inside a shard).
-    for p in parts:
-        assert p == sorted(p)
 
 
 # ------------------------------------------------------ wire codec round-trip
@@ -322,19 +328,17 @@ def test_hypothesis_wire_codec_round_trip(msgs):
 
 # ----------------------------------------------------- high-rank differential
 
-@pytest.mark.parametrize("sync", ("window", "null"))
-def test_high_rank_process_backend_matches_single(sync):
+def test_high_rank_process_backend_matches_single():
     # 256 ranks through forked workers exercises the batched wire frames
     # end to end (RDMA-write eager mode floods the coordinator with
     # PLACE/ACK obligations as well as hot eager deliveries).
     assert_sharded_identical(
-        halo_app, 256, 4, backend="process", sync=sync,
+        halo_app, 256, 4, backend="process",
         config=mvapich2_like(), app_args=(3, 2048.0, 15.0e-6),
     )
 
 
-@pytest.mark.parametrize("sync", ("window", "null"))
-def test_backends_three_way_bit_identical(sync):
+def test_backends_three_way_bit_identical():
     # inline hands message lists over by reference (no codec, no
     # transport); process and socket both speak the framed session.  All
     # three must agree bit for bit -- with the single-process ground
@@ -342,14 +346,13 @@ def test_backends_three_way_bit_identical(sync):
     from repro.sim.remote import WorkerServer
 
     kwargs = dict(config=mvapich2_like(), app_args=(3, 2048.0, 15.0e-6))
-    assert_sharded_identical(halo_app, 16, 4, backend="inline", sync=sync,
-                             **kwargs)
+    assert_sharded_identical(halo_app, 16, 4, backend="inline", **kwargs)
     with WorkerServer() as w0, WorkerServer() as w1:
         extra = {"inline": {}, "process": {},
                  "socket": {"shard_hosts": [w0.address, w1.address]}}
         runs = {
-            backend: run_app(halo_app, 16, shards=4, shard_sync=sync,
-                             shard_backend=backend, **more, **kwargs)
+            backend: run_app(halo_app, 16, shards=4, shard_backend=backend,
+                             **more, **kwargs)
             for backend, more in extra.items()
         }
     inline = runs["inline"]
@@ -370,13 +373,12 @@ def test_backends_three_way_bit_identical(sync):
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    sync=st.sampled_from(("window", "null")),
     config=st.sampled_from((_CONFIGS[0], mvapich2_like())),
 )
-def test_hypothesis_high_rank_bit_identical(seed, sync, config):
-    """256-rank sharded runs must equal single-process, any seed/sync."""
+def test_hypothesis_high_rank_bit_identical(seed, config):
+    """256-rank sharded runs must equal single-process, any seed."""
     assert_sharded_identical(
-        halo_app, 256, 4, config=config, seed=seed, sync=sync,
+        halo_app, 256, 4, config=config, seed=seed,
         backend="inline", app_args=(2, 2048.0, 10.0e-6),
     )
 
@@ -387,51 +389,20 @@ def test_hypothesis_high_rank_bit_identical(seed, sync, config):
 _SCATTERED = [[r for r in range(24) if r % 3 == s] for s in range(3)]
 
 
-def _fence_checked_halo(sync, backend, partition):
+@pytest.mark.parametrize("partition", [None, _SCATTERED],
+                         ids=["contiguous", "scattered"])
+def test_fences_equal_the_reference_at_every_call(partition):
     # mvapich2_like sends eager data by RDMA write, so placement-ACK
     # obligations are in flight at many of the compared fence vectors.
     with checking_fences() as checks:
         result = run_app(
-            halo_app, 24, shards=3, shard_sync=sync, shard_backend=backend,
+            halo_app, 24, shards=3, shard_backend="inline",
             shard_partition=partition, config=mvapich2_like(),
             app_args=(4, 2048.0, 15.0e-6),
         )
     assert checks.with_obligations > 0
-    return checks, result.sync_stats
-
-
-@pytest.mark.parametrize("partition", [None, _SCATTERED],
-                         ids=["contiguous", "scattered"])
-@pytest.mark.parametrize("sync", ["window", "null"])
-def test_fences_equal_the_reference_at_every_call(sync, partition):
-    checks, stats = _fence_checked_halo(sync, "inline", partition)
-    assert checks.compared >= stats["rounds"] > 0
-    assert stats["fence_recomputes"] > 0
-
-
-def test_fences_equal_the_reference_under_null_pacing():
-    # Inline runs pace both protocols with the barrier loop; only forked
-    # workers reach the asynchronous coordinator.  Its rounds depend on
-    # reply timing, its fences must not.
-    checks, stats = _fence_checked_halo("null", "process", None)
-    assert checks.compared >= stats["fence_recomputes"] > 0
-
-
-def test_cached_fence_vector_equals_the_reference():
-    # The asynchronous coordinator re-reads the fences after a
-    # heartbeat-only wake-up; nothing changed, so the cached vector is
-    # served -- and must still be what a rescan of the live state gives.
-    idle = types.SimpleNamespace(begin=lambda: 1.0e-3)
-    co = _Coordinator([idle, idle], [0, 1], NetworkParams(), 6.0e-6)
-    with checking_fences() as checks:
-        first = co.fences_now()
-        assert co.fences_now() is first
-        co.route(ch.ChannelMsg(2.0e-4, 0, ch.PLACE, 0, 0, 1, 0, 4096.0,
-                               None, (1.9e-4, 0)))
-        moved = co.fences_now()
-        assert moved is not first and moved != first
-    assert (checks.compared, co.fence_recomputes) == (3, 2)
-    assert checks.with_obligations == 1
+    # One fence vector per barrier round, each on changed inputs.
+    assert checks.compared == result.sync_stats["rounds"] > 0
 
 
 # ----------------------------------------------------------- halo smoke CLI
@@ -467,10 +438,13 @@ def test_halo_cli_plain_run(capsys):
     from repro.experiments import halo
 
     rc = halo.main(["--ranks", "8", "--steps", "2", "--shards", "2",
-                    "--backend", "inline", "--sync", "null"])
+                    "--backend", "inline"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "halo 8 ranks" in out and "sync=null" in out
+    assert "halo 8 ranks" in out and "shards=2:" in out
+    # No flag selects a fence protocol any more.
+    with pytest.raises(SystemExit):
+        halo.main(["--ranks", "8", "--sync", "window"])
 
 
 # ------------------------------------------- fork-worker loss trichotomy
@@ -498,12 +472,11 @@ def _self_signalling_app(ctx, signum, victim=5, at_step=2, steps=6):
     return steps
 
 
-@pytest.mark.parametrize("sync", ("window", "null"))
 @pytest.mark.parametrize("signum,reason", (
     pytest.param(signal.SIGKILL, "connection-lost", id="sigkill"),
     pytest.param(signal.SIGSTOP, "heartbeat-timeout", id="sigstop"),
 ))
-def test_lost_fork_worker_is_diagnosed_within_deadline(sync, signum, reason):
+def test_lost_fork_worker_is_diagnosed_within_deadline(signum, reason):
     # Right answer or a clean, diagnosed failure inside the deadline:
     # a killed fork worker reads as EOF at once, a stopped one (its
     # heartbeat thread stops with it) as silence past host_timeout.
@@ -512,7 +485,7 @@ def test_lost_fork_worker_is_diagnosed_within_deadline(sync, signum, reason):
     with pytest.raises(ShardHostLost) as info:
         run_app(_self_signalling_app, 8, config=mvapich2_like(),
                 app_args=(signum,), shards=2, shard_backend="process",
-                shard_sync=sync, shard_transport=_FAST)
+                shard_transport=_FAST)
     elapsed = time.monotonic() - t0
     exc = info.value
     assert exc.reason == reason

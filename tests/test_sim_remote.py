@@ -54,21 +54,20 @@ _FAST = TransportOptions(
 )
 
 
-def _run_socket(hosts, sync="window", transport=_FAST, ranks=8, shards=2):
+def _run_socket(hosts, transport=_FAST, ranks=8, shards=2):
     return run_app(
         halo_app, ranks, config=mvapich2_like(), app_args=_APP_ARGS,
-        shards=shards, shard_sync=sync, shard_backend="socket",
+        shards=shards, shard_backend="socket",
         shard_hosts=hosts, shard_transport=transport,
     )
 
 
 # ---------------------------------------------------------------- bit identity
 
-@pytest.mark.parametrize("sync", ("window", "null"))
-def test_socket_backend_bit_identical(sync):
+def test_socket_backend_bit_identical():
     with WorkerServer() as w0, WorkerServer() as w1:
         assert_sharded_identical(
-            halo_app, 8, 2, backend="socket", sync=sync,
+            halo_app, 8, 2, backend="socket",
             config=mvapich2_like(), app_args=_APP_ARGS,
             hosts=[w0.address, w1.address], transport=_FAST,
         )
@@ -113,7 +112,7 @@ def test_stalled_worker_is_lost_within_host_timeout():
     with WorkerServer(fault_plan=plan) as bad, WorkerServer() as good:
         t0 = time.monotonic()
         with pytest.raises(ShardHostLost) as info:
-            _run_socket([bad.address, good.address], sync="null")
+            _run_socket([bad.address, good.address])
         elapsed = time.monotonic() - t0
     exc = info.value
     assert exc.reason == "heartbeat-timeout"
@@ -155,7 +154,7 @@ def _slow_first_shard_app(ctx, stall_s):
 
 @pytest.mark.parametrize("backend", ("process", "socket"))
 def test_waiting_on_a_slow_shard_does_not_condemn_the_others(backend):
-    # Window sync collects shard 0 first.  While that takes longer than
+    # A barrier round collects shard 0 first.  While that takes longer than
     # host_timeout, shard 1's heartbeats queue up unread -- they must be
     # drained before its silence is judged, or a healthy worker is
     # declared lost.
@@ -163,7 +162,7 @@ def test_waiting_on_a_slow_shard_does_not_condemn_the_others(backend):
     with WorkerServer() as worker:
         result = run_app(
             _slow_first_shard_app, 4, app_args=(1.2,), shards=2,
-            shard_sync="window", shard_backend=backend,
+            shard_backend=backend,
             shard_hosts=[worker.address] if backend == "socket" else None,
             shard_transport=tight,
         )

@@ -24,6 +24,6 @@ import repro
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "api": ("ArmciConfig", "ArmciEndpoint", "Region"),
     "handles": ("NbHandle",),
-    "runtime": ("ArmciContext", "ArmciRunResult", "run_armci_app"),
+    "runtime": ("ArmciContext", "run_armci_app"),
     "strided": ("StridedSpec",),
 })

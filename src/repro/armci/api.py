@@ -35,6 +35,8 @@ class ArmciConfig:
     overhead_per_event: float = 25e-9
     queue_capacity: int = 4096
     bin_edges: tuple[float, ...] = DEFAULT_BIN_EDGES
+    #: ARMCI drives one rail: a constant of the library, not a field.
+    nics_per_node = 1
 
     def __post_init__(self) -> None:
         if self.overhead_per_event < 0:
@@ -89,6 +91,12 @@ class ArmciEndpoint:
         self._mailbox: dict[int, collections.deque] = {}
         self._msg_seq = 0
         self.pending_local = 0
+
+    def backlog(self) -> "tuple[int, int, int, int, list]":
+        """What a watchdog diagnostic shows of this rank (as
+        :meth:`repro.mpisim.endpoint.Endpoint.backlog`): one-sided, so no
+        receives, and no reliable transport, so nothing unacked."""
+        return len(self.outstanding), 0, self.pending_local, 0, [self.nic]
 
     # -- region management ------------------------------------------------
     def register_region(self, name: str, array: np.ndarray) -> Region:

@@ -20,10 +20,8 @@ import argparse
 import dataclasses
 import typing
 
-from repro.faults import WatchdogConfig, check_run_invariants
-from repro.faults.plan import FaultPlan, ResilienceParams, parse_fault_spec
+from repro.faults import arm_faults, check_run_invariants
 from repro.mpisim.config import MpiConfig, openmpi_like
-from repro.netsim.params import NetworkParams
 from repro.runtime.launcher import run_app
 
 #: Wire protocols under test.  The rendezvous configs force every message
@@ -73,20 +71,16 @@ def run_cell(
     niter: int = 1,
 ) -> MatrixCell:
     """Run one matrix cell: NAS LU tiny under one fault kind and protocol."""
-    from repro.experiments.nas_char import MPI_BENCHMARKS
+    from repro.experiments.nas_char import nas_cell
 
-    plan = parse_fault_spec(FAULT_SPECS[fault], seed=seed)
-    config = PROTOCOL_CONFIGS[protocol]
-    if plan.has_packet_faults:
-        config = dataclasses.replace(config, resilience=ResilienceParams())
-    app, _ = MPI_BENCHMARKS["lu"]
+    params, config, watchdog = arm_faults(
+        FAULT_SPECS[fault], seed, PROTOCOL_CONFIGS[protocol])
+    app, _, app_args = nas_cell("lu", klass, niter)
     try:
         result = run_app(
-            app, nprocs, config=config,
-            params=NetworkParams(faults=plan),
+            app, nprocs, config=config, params=params,
             label=f"faultmatrix.{fault}.{protocol}",
-            app_args=(klass, niter, None, None),
-            watchdog=WatchdogConfig(stall_sim_time=0.05, max_sim_time=60.0),
+            app_args=app_args, watchdog=watchdog,
         )
     except Exception as exc:
         return MatrixCell(fault, protocol, f"error: {type(exc).__name__}: {exc}",

@@ -12,9 +12,14 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.armci import ArmciConfig, run_armci_app
+from repro.armci import ArmciConfig
 from repro.core.report import OverlapReport
-from repro.mpisim.config import MpiConfig, mvapich2_like, openmpi_like
+from repro.mpisim.config import (
+    MpiConfig,
+    library_config,
+    mvapich2_like,
+    openmpi_like,
+)
 from repro.nas.base import CpuModel
 from repro.nas.bt import bt_app
 from repro.nas.cg import cg_app
@@ -37,16 +42,46 @@ MPI_BENCHMARKS: dict[str, tuple[typing.Callable, typing.Callable[[], MpiConfig]]
     "is": (is_app, mvapich2_like),
 }
 
-#: Processor counts the paper plots per benchmark (class S is dropped for
-#: the biggest grids to keep decompositions legal).
-PAPER_PROC_COUNTS: dict[str, tuple[int, ...]] = {
-    "bt": (4, 9, 16),
-    "sp": (4, 9, 16),
-    "cg": (4, 8, 16),
-    "lu": (4, 8, 16),
-    "ft": (4, 8, 16),
-    "mg": (4, 8, 16),
-}
+
+
+def nas_cell(
+    benchmark: str,
+    klass: str,
+    niter: int | None,
+    library: str = "paper",
+    cpu: CpuModel | None = None,
+    modified: bool = False,
+    nonblocking: bool = False,
+    lu_planes: int | None = None,
+) -> "tuple[typing.Callable, typing.Any, tuple]":
+    """What a NAS cell spec runs: ``(app, config, app_args)`` for ``run_app``.
+
+    The one mapping every front end (CLIs, service, experiment drivers)
+    goes through.  ``library="paper"`` is the paper's Sec.-4 pairing,
+    anything else a :func:`~repro.mpisim.config.library_config` name; MG
+    always runs on ARMCI.  ``modified`` is SP's Iprobe fix,
+    ``nonblocking`` MG's non-blocking calls, ``lu_planes`` LU's pipeline
+    depth.
+    """
+    if benchmark == "mg":
+        return mg_app, ArmciConfig(), (klass, niter, cpu, not nonblocking)
+    try:
+        app, config_factory = MPI_BENCHMARKS[benchmark]
+    except KeyError:
+        raise ValueError(
+            f"unknown NAS benchmark {benchmark!r}; choose from "
+            f"{sorted(MPI_BENCHMARKS) + ['mg']}"
+        ) from None
+    config = config_factory() if library == "paper" else library_config(library)
+    if benchmark == "lu":
+        args: tuple = (klass, niter, cpu, lu_planes)
+    elif benchmark == "ep":
+        args = (klass, cpu, 1e-3)
+    elif benchmark == "sp":
+        args = (klass, niter, cpu, modified)
+    else:
+        args = (klass, niter, cpu)
+    return app, config, args
 
 
 @dataclasses.dataclass
@@ -80,29 +115,17 @@ def characterize(
     lu_planes: int | None = None,
     shards: int | None = None,
 ) -> CharPoint:
-    """Run one MPI NAS benchmark cell and return its characterization.
+    """Run one NAS benchmark cell and return its characterization.
 
     ``shards`` routes the cell through the sharded parallel-DES engine
     (:mod:`repro.sim.parallel`); reports are bit-identical to the
     single-process channel-delivery run by construction.
     """
-    try:
-        app, config_factory = MPI_BENCHMARKS[benchmark]
-    except KeyError:
-        raise ValueError(
-            f"unknown MPI benchmark {benchmark!r}; choose from "
-            f"{sorted(MPI_BENCHMARKS)} (mg runs via characterize_mg)"
-        ) from None
-    cfg = config or config_factory()
-    if benchmark == "lu":
-        args: tuple = (klass, niter, cpu, lu_planes)
-    elif benchmark == "ep":
-        args = (klass, cpu, 1e-3)
-    else:
-        args = (klass, niter, cpu)
+    app, paper_config, args = nas_cell(
+        benchmark, klass, niter, cpu=cpu, lu_planes=lu_planes)
     result = run_app(
-        app, nprocs, config=cfg, label=f"{benchmark}.{klass}.{nprocs}",
-        app_args=args, shards=shards,
+        app, nprocs, config=config or paper_config,
+        label=f"{benchmark}.{klass}.{nprocs}", app_args=args, shards=shards,
     )
     return CharPoint(benchmark, klass, nprocs, "", result.report(0), result.elapsed)
 
@@ -129,10 +152,11 @@ def characterize_mg(
     cpu: CpuModel | None = None,
 ) -> CharPoint:
     """One NAS-MG-on-ARMCI cell (Fig. 19: blocking vs non-blocking)."""
-    result = run_armci_app(
-        mg_app, nprocs, config=ArmciConfig(),
-        label=f"mg.{klass}.{nprocs}.{'b' if blocking else 'nb'}",
-        app_args=(klass, niter, cpu, blocking),
+    app, config, args = nas_cell(
+        "mg", klass, niter, cpu=cpu, nonblocking=not blocking)
+    result = run_app(
+        app, nprocs, config=config,
+        label=f"mg.{klass}.{nprocs}.{'b' if blocking else 'nb'}", app_args=args,
     )
     variant = "blocking" if blocking else "nonblocking"
     return CharPoint("mg", klass, nprocs, variant, result.report(0), result.elapsed)

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.armci import ArmciConfig, run_armci_app
-from repro.experiments.nas_char import MPI_BENCHMARKS
+from repro.experiments.nas_char import nas_cell
 from repro.nas.base import CpuModel
-from repro.nas.mg import mg_app
 from repro.runtime.launcher import run_app
 
 
@@ -48,30 +46,14 @@ def measure_overhead(
     cpu: CpuModel | None = None,
 ) -> OverheadPoint:
     """Run one benchmark twice -- instrumented and not -- and compare."""
-    if benchmark == "mg":
-        times = {}
-        events = 0
-        for instrument in (True, False):
-            cfg = ArmciConfig(instrument=instrument)
-            result = run_armci_app(
-                mg_app, nprocs, config=cfg, app_args=(klass, niter, cpu, False)
-            )
-            times[instrument] = result.elapsed
-            if instrument:
-                events = result.report(0).event_count
-        return OverheadPoint(benchmark, klass, nprocs, times[True], times[False], events)
-
-    app, config_factory = MPI_BENCHMARKS[benchmark]
-    if benchmark == "lu":
-        args: tuple = (klass, niter, cpu, None)
-    elif benchmark == "ep":
-        args = (klass, cpu, 1e-3)
-    else:
-        args = (klass, niter, cpu)
+    # ``nonblocking`` only reaches MG, whose overhead cell is the
+    # non-blocking code.
+    app, config, args = nas_cell(benchmark, klass, niter, cpu=cpu,
+                                 nonblocking=True)
     times = {}
     events = 0
     for instrument in (True, False):
-        cfg = dataclasses.replace(config_factory(), instrument=instrument)
+        cfg = dataclasses.replace(config, instrument=instrument)
         result = run_app(app, nprocs, config=cfg, app_args=args)
         times[instrument] = result.elapsed
         if instrument:

@@ -35,6 +35,7 @@ import json
 import multiprocessing
 import multiprocessing.connection
 import os
+import pathlib
 import pickle
 import sys
 import tempfile
@@ -885,3 +886,78 @@ def overlap_sweep_parallel(
             )
         )
     return points
+
+
+# -- what the sweep CLIs share -----------------------------------------------
+
+def add_sweep_arguments(parser: "typing.Any") -> None:
+    """The arguments every sweep CLI (``tools.nas``, ``tools.paper``) takes
+    for its cache, live status and span trace; :class:`CliSweep` reads them."""
+    parser.add_argument("--no-cache", action="store_true",
+                        help="ignore and do not update the on-disk result "
+                        "cache")
+    parser.add_argument("--cache-dir", default=None,
+                        help="result cache directory (default: "
+                        "$REPRO_CACHE_DIR or .repro_cache)")
+    parser.add_argument("--metrics-dir", default=None,
+                        help="publish live sweep status (and whatever "
+                        "OpenMetrics files the tool writes) here; tail with "
+                        "`python -m repro.tools.watch`")
+    parser.add_argument("--live", action="store_true",
+                        help="render the sweep dashboard in-place on stderr "
+                        "while the sweep runs")
+    parser.add_argument("--trace-dir", default=None,
+                        help="record host-time spans for the whole sweep "
+                        "(runner, launcher, coordinator, shards) and write "
+                        "one merged Perfetto trace_event JSON here; inspect "
+                        "with `python -m repro.tools.explain`")
+
+
+class CliSweep:
+    """One CLI sweep: the cache, live progress and root span that
+    :func:`add_sweep_arguments` configured, opened here, closed by
+    :meth:`run`.
+
+    ``label`` names the sweep (``nas.lu``, ``paper``): the progress label
+    and the ``<label>.trace.json`` file; ``title`` and ``span_attrs``
+    describe the root span.
+    """
+
+    def __init__(self, args: "typing.Any", label: str, title: str,
+                 **span_attrs: object) -> None:
+        self.cache = None if args.no_cache else ResultCache(args.cache_dir)
+        self.progress = None
+        if args.metrics_dir or args.live:
+            from repro.metrics import SweepProgress
+
+            on_update = None
+            if args.live:
+                from repro.tools.watch import LiveRenderer
+
+                on_update = LiveRenderer().update
+            self.progress = SweepProgress(args.metrics_dir, label=label,
+                                          on_update=on_update)
+        self.tracer = None
+        if args.trace_dir:
+            from repro.tracing import Tracer
+
+            self.tracer = Tracer(process=f"{label.partition('.')[0]} sweep")
+            self._root = self.tracer.begin(title, "runner.root", **span_attrs)
+            self._trace_path = (pathlib.Path(args.trace_dir)
+                                / f"{label}.trace.json")
+
+    def run(self, tasks: "typing.Sequence[Task]", jobs: "int | None",
+            on_error: str = "raise") -> list:
+        """:func:`run_tasks` under this sweep's cache, progress and tracer;
+        then the root span ends and the merged trace is written."""
+        results = run_tasks(tasks, jobs=jobs, cache=self.cache,
+                            progress=self.progress, on_error=on_error,
+                            tracer=self.tracer)
+        if self.tracer is not None:
+            from repro.tracing import save_trace
+
+            self._root.end()
+            self._trace_path.parent.mkdir(parents=True, exist_ok=True)
+            save_trace(self._trace_path, self.tracer)
+            print(f"wrote span trace to {self._trace_path}")
+        return results

@@ -6,11 +6,13 @@ what goes wrong, seeded, hashable, cache-key-able), live machinery
 watchdog policy/diagnostics (:mod:`~repro.faults.watchdog`), and report
 invariant checks for degraded runs (:mod:`~repro.faults.checks`).
 
-Entry points: set ``NetworkParams(faults=FaultPlan(...))`` to arm the
-fabric, ``MpiConfig(resilience=ResilienceParams())`` to arm ack/retransmit,
-and pass ``watchdog=WatchdogConfig(...)`` to ``run_app`` to bound wedged
-runs.  ``faults=None`` (the default) is bit-identical to a fault-free
-build.  See docs/robustness.md.
+Entry points: ``arm_faults(spec, seed, config)`` returns the ``params`` /
+``config`` / ``watchdog`` of a faulted ``run_app`` call in one step; by
+hand, ``NetworkParams(faults=FaultPlan(...))`` arms the fabric,
+``MpiConfig(resilience=ResilienceParams())`` ack/retransmit, and a
+``WatchdogConfig`` passed as ``watchdog=`` bounds wedged runs.
+``faults=None`` (the default) is bit-identical to a fault-free build.
+See docs/robustness.md.
 """
 
 import repro
@@ -23,6 +25,7 @@ __getattr__, __dir__ = repro._lazy_surface(__name__, {
         "LinkDegradation",
         "NicStall",
         "ResilienceParams",
+        "arm_faults",
         "parse_fault_spec",
     ),
     "transport": (

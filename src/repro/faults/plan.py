@@ -219,3 +219,31 @@ def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
         stragglers=tuple(stragglers),
         **kwargs,
     )
+
+
+def arm_faults(
+    faults: "str | FaultPlan | None", seed: int = 0, config: typing.Any = None,
+) -> "tuple[typing.Any, typing.Any, typing.Any]":
+    """The one recipe for a faulted run: ``(params, config, watchdog)``.
+
+    ``faults`` is a :func:`parse_fault_spec` string (parsed with ``seed``)
+    or a ready plan.  The result is what ``run_app`` takes: the
+    ``NetworkParams`` carrying the plan; ``config`` with the reliable
+    transport armed when the plan has packet faults and the library has
+    one (a lossy fabric without retransmission cannot complete -- an
+    ARMCI job under drops ends in the watchdog's partial report); and the
+    watchdog every faulted run carries, so a wedged job terminates with a
+    diagnostic instead of hanging.  ``faults=None`` arms nothing:
+    ``(None, config, None)``.
+    """
+    if not faults:
+        return None, config, None
+    from repro.faults.watchdog import WatchdogConfig
+    from repro.netsim.params import NetworkParams
+
+    plan = parse_fault_spec(faults, seed=seed) if isinstance(faults, str) else faults
+    has_transport = hasattr(config, "resilience")
+    if plan.has_packet_faults and has_transport and config.resilience is None:
+        config = dataclasses.replace(config, resilience=ResilienceParams())
+    watchdog = WatchdogConfig(stall_sim_time=0.05, max_sim_time=60.0)
+    return NetworkParams(faults=plan), config, watchdog

@@ -94,18 +94,18 @@ def diagnose(
     ranks: list[RankSnapshot] = []
     for proc, ep in zip(procs, endpoints):
         target = getattr(proc, "_target", None)
-        unacked = getattr(ep, "_unacked", None)
+        sends, recvs, local, unacked, nics = ep.backlog()
         ranks.append(
             RankSnapshot(
                 rank=ep.rank,
                 alive=proc.is_alive,
                 waiting_on=repr(target) if target is not None else "",
-                outstanding_sends=len(ep.sends),
-                outstanding_recvs=len(ep.recvs),
-                pending_local=int(ep.pending_local_completions),
-                unacked_packets=len(unacked) if unacked else 0,
-                inbound_depth=sum(len(nic.inbound) for nic in ep.nics),
-                cq_depth=sum(len(nic.cq) for nic in ep.nics),
+                outstanding_sends=sends,
+                outstanding_recvs=recvs,
+                pending_local=local,
+                unacked_packets=unacked,
+                inbound_depth=sum(len(nic.inbound) for nic in nics),
+                cq_depth=sum(len(nic.cq) for nic in nics),
             )
         )
     return WatchdogDiagnostic(

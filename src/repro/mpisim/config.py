@@ -123,3 +123,24 @@ def mvapich2_like(**overrides: object) -> MpiConfig:
     )
     base.update(overrides)
     return MpiConfig(**base)  # type: ignore[arg-type]
+
+
+#: Library names the CLIs and the service accept.
+LIBRARY_NAMES = ("openmpi", "mvapich2", "rput")
+
+
+def library_config(library: str, leave_pinned: bool = False) -> MpiConfig:
+    """The preset a front end's ``--library`` / ``"library"`` value names.
+
+    ``leave_pinned`` applies to ``openmpi`` only (its direct-RDMA
+    rendezvous); ``rput`` is the bare RDMA-write rendezvous the paper's
+    stacks do not use, kept for protocol comparisons.
+    """
+    if library == "openmpi":
+        return openmpi_like(leave_pinned=leave_pinned)
+    if library == "mvapich2":
+        return mvapich2_like()
+    if library == "rput":
+        return MpiConfig(name="rput", rndv_mode="rput")
+    raise ValueError(
+        f"unknown library {library!r}; choose from {list(LIBRARY_NAMES)}")

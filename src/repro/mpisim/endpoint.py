@@ -748,6 +748,13 @@ class Endpoint:
             and all(not nic.cq and not nic.inbound for nic in self.nics)
         )
 
+    def backlog(self) -> "tuple[int, int, int, int, list[Nic]]":
+        """What a watchdog diagnostic shows of this rank: outstanding
+        sends and receives, pending local completions, unacked reliable
+        packets, and the NICs whose queues it drains."""
+        return (len(self.sends), len(self.recvs),
+                self.pending_local_completions, len(self._unacked), self.nics)
+
     def finalize(self) -> typing.Generator:
         """Drain outstanding protocol state (the body of ``MPI_Finalize``).
 

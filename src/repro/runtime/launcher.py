@@ -42,7 +42,7 @@ class RunResult:
         returns: list[object],
         rank_finish_times: list[float],
         elapsed: float,
-        config: MpiConfig,
+        config: "typing.Any",
         fabric: Fabric,
     ) -> None:
         #: Per-rank overlap reports (None when uninstrumented).
@@ -101,6 +101,50 @@ def default_xfer_table(params: NetworkParams) -> XferTable:
 _xfer_table_cache: "dict[tuple[float, float, float], XferTable]" = {}
 
 
+def build_monitor(
+    fabric: Fabric,
+    rank: int,
+    config: "typing.Any",
+    table: XferTable,
+    clock: "typing.Any",
+    init_call: str,
+    processor_factory: "typing.Callable | None" = None,
+    metrics: "MetricsRegistry | None" = None,
+    collect_trace: bool = False,
+) -> "tuple[Monitor | NullMonitor, TraceSink | None]":
+    """One rank's monitor (and trace sink), whatever library it serves.
+
+    Degraded-instrumentation knobs (stamp loss, bounded ring) are derived
+    from the fabric's injector, per rank.  ``init_call`` is the library's
+    init routine (``MPI_Init`` / ``ARMCI_Init``): interval attribution is
+    anchored at startup, as the real framework does inside it (this is
+    also where the transfer-time table would be read from disk).
+    """
+    if not config.instrument:
+        return NullMonitor(), None
+    injector = fabric.injector
+    degraded = injector is not None and injector.plan.degrades_instrumentation
+    ring_capacity = injector.plan.ring_capacity if degraded else 0
+    monitor = Monitor(
+        clock=clock,
+        xfer_table=table,
+        queue_capacity=ring_capacity or config.queue_capacity,
+        bin_edges=config.bin_edges,
+        processor_factory=processor_factory,
+        metrics=metrics,
+        metrics_labels={"rank": str(rank)} if metrics is not None else None,
+        stamp_loss=injector.stamp_loss(rank) if degraded else None,
+        ring_mode=ring_capacity > 0,
+    )
+    sink = None
+    if collect_trace:
+        sink = TraceSink()
+        sink.attach(monitor)
+    monitor.call_enter(init_call)
+    monitor.call_exit(init_call)
+    return monitor, sink
+
+
 def build_rank_stack(
     engine: Engine,
     fabric: Fabric,
@@ -112,44 +156,63 @@ def build_rank_stack(
     metrics: "MetricsRegistry | None" = None,
     collect_trace: bool = False,
 ) -> "tuple[Monitor | NullMonitor, Endpoint, RankContext, TraceSink | None]":
-    """Build one simulated rank: monitor, endpoint, context (and sink).
+    """Build one simulated MPI rank: monitor, endpoint, context (and sink).
 
-    :class:`RankSet`'s per-rank step.  Degraded-instrumentation knobs
-    (stamp loss, bounded ring) are derived from the fabric's injector,
-    per rank.  The parts share one :class:`~repro.sim.engine.RankClock`:
-    endpoint and context spend CPU on it, the monitor stamps from it.
+    The MPI stack builder of :class:`RankSet`.  The parts share one
+    :class:`~repro.sim.engine.RankClock`: endpoint and context spend CPU
+    on it, the monitor stamps from it.
     """
-    injector = fabric.injector
-    degraded = injector is not None and injector.plan.degrades_instrumentation
-    ring_capacity = injector.plan.ring_capacity if degraded else 0
-    monitor: Monitor | NullMonitor
-    sink: TraceSink | None = None
     clock = RankClock(engine.now)
-    if config.instrument:
-        monitor = Monitor(
-            clock=clock,
-            xfer_table=table,
-            queue_capacity=ring_capacity or config.queue_capacity,
-            bin_edges=config.bin_edges,
-            processor_factory=processor_factory,
-            metrics=metrics,
-            metrics_labels={"rank": str(rank)} if metrics is not None else None,
-            stamp_loss=injector.stamp_loss(rank) if degraded else None,
-            ring_mode=ring_capacity > 0,
-        )
-        if collect_trace:
-            sink = TraceSink()
-            sink.attach(monitor)
-        # Anchor interval attribution at startup, as the real framework
-        # does inside MPI_Init (this is also where the transfer-time
-        # table would be read from disk).
-        monitor.call_enter("MPI_Init")
-        monitor.call_exit("MPI_Init")
-    else:
-        monitor = NullMonitor()
+    monitor, sink = build_monitor(
+        fabric, rank, config, table, clock, "MPI_Init",
+        processor_factory, metrics, collect_trace,
+    )
     endpoint = Endpoint(engine, fabric, rank, nprocs, config, monitor, clock)
-    context = RankContext(engine, endpoint, monitor)
-    return monitor, endpoint, context, sink
+    if metrics is not None and config.resilience is not None:
+        endpoint.attach_metrics(metrics, {"rank": str(rank)})
+    return monitor, endpoint, RankContext(engine, endpoint), sink
+
+
+def _stack_builder(config: "typing.Any") -> "typing.Callable":
+    """The per-library half of a launch, chosen by the config's type.
+
+    A library is a stack builder ``(engine, fabric, rank, nprocs, config,
+    table, processor_factory, metrics, collect_trace) -> (monitor,
+    endpoint, context, sink)`` plus its context's ``finalize()``
+    generator; everything else about a launch is :class:`RankSet`'s.
+    """
+    if isinstance(config, MpiConfig):
+        return build_rank_stack
+    # At first use: an MPI job never loads the ARMCI package.
+    from repro.armci.runtime import armci_stack_builder
+
+    return armci_stack_builder()
+
+
+def shards_refusal(config: "typing.Any", **observers: object) -> "str | None":
+    """Why a job cannot run on the sharded engine (``None``: it can).
+
+    The one owner of the rule and its wording: the sharded launcher
+    raises it as a ``ValueError``, the service answers 400 with it and
+    the CLIs ``parser.error`` it.  ``observers`` are the job's
+    ``telemetry`` / ``metrics`` / ``watchdog``; any value but ``None``
+    counts as armed (a fault spec arms a watchdog).
+    """
+    if config is not None and not isinstance(config, MpiConfig):
+        return (
+            "shards: an ARMCI job cannot be sharded -- its ranks share one "
+            "region directory (every put and get resolves its target array "
+            "there), and that cannot be partitioned across engines; run it "
+            "single-process"
+        )
+    for name, value in observers.items():
+        if value is not None:
+            return (
+                f"shards: {name} is not supported on the sharded engine (it "
+                "assumes one engine, and a faulted run always carries a "
+                "watchdog); run single-process or drop the option"
+            )
+    return None
 
 
 class RankSet:
@@ -170,7 +233,7 @@ class RankSet:
         fabric: Fabric,
         ranks: "typing.Iterable[int]",
         nprocs: int,
-        config: MpiConfig,
+        config: "typing.Any",
         table: XferTable,
         app: AppFn,
         app_args: tuple = (),
@@ -180,17 +243,15 @@ class RankSet:
     ) -> None:
         self.engine = engine
         self.monitors: "dict[int, Monitor | NullMonitor]" = {}
-        self.endpoints: "dict[int, Endpoint]" = {}
-        self.contexts: "dict[int, RankContext]" = {}
+        self.endpoints: "dict[int, typing.Any]" = {}
+        self.contexts: "dict[int, typing.Any]" = {}
         self.sinks: "dict[int, TraceSink | None]" = {}
+        build = _stack_builder(config)
         for rank in ranks:
-            monitor, endpoint, context, sink = build_rank_stack(
+            monitor, endpoint, context, sink = build(
                 engine, fabric, rank, nprocs, config, table,
-                processor_factory=processor_factory, metrics=metrics,
-                collect_trace=collect_trace,
+                processor_factory, metrics, collect_trace,
             )
-            if metrics is not None and config.resilience is not None:
-                endpoint.attach_metrics(metrics, {"rank": str(rank)})
             self.monitors[rank] = monitor
             self.endpoints[rank] = endpoint
             self.contexts[rank] = context
@@ -203,9 +264,8 @@ class RankSet:
         def rank_main(rank: int) -> typing.Generator:
             context = self.contexts[rank]
             result = yield from app(context, *app_args)
-            yield from context.comm.finalize()
             # The job ends when the engine gets here.
-            yield from context.endpoint.sync()
+            yield from context.finalize()
             self.finish_times[rank] = engine.now
             self.returns[rank] = result
             return result
@@ -246,7 +306,7 @@ class RankSet:
 def run_app(
     app: AppFn,
     nprocs: int,
-    config: MpiConfig | None = None,
+    config: "typing.Any | None" = None,
     params: NetworkParams | None = None,
     xfer_table: XferTable | None = None,
     label: str = "",
@@ -266,6 +326,10 @@ def run_app(
 ) -> RunResult:
     """Run ``app(ctx, *app_args)`` on ``nprocs`` simulated ranks.
 
+    ``config`` names the library: an :class:`~repro.mpisim.config.MpiConfig`
+    (the default) gives every rank an MPI stack, an
+    :class:`~repro.armci.api.ArmciConfig` an ARMCI one; observers, watchdog
+    and result are the same either way.
     ``seed`` feeds the fabric RNG (only relevant with latency jitter).
     ``telemetry`` enables time-resolved collection (windowed measures and,
     unless disabled, per-rank raw event capture for Perfetto export); the

@@ -14,29 +14,26 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.monitor import Monitor, NullMonitor
 from repro.mpisim.communicator import Comm
 from repro.mpisim.endpoint import Endpoint
 from repro.sim import Engine
 
 
-class RankContext:
-    """Everything one simulated MPI process sees."""
+class ProcessContext:
+    """What every simulated process sees, whatever library it runs on.
 
-    def __init__(
-        self,
-        engine: Engine,
-        endpoint: Endpoint,
-        monitor: "Monitor | NullMonitor",
-    ) -> None:
+    A library's context adds its communication object, ``compute`` and a
+    ``finalize()`` generator (what a rank does after its code returns).
+    """
+
+    def __init__(self, engine: Engine, endpoint: typing.Any,
+                 clock: typing.Any) -> None:
         self.engine = engine
         self.endpoint = endpoint
-        #: The rank's CPU clock (shared with the endpoint and the monitor).
-        self.clock = endpoint.clock
-        #: The instrumented communicator.
-        self.comm = Comm(endpoint)
+        #: The rank's clock (shared with the endpoint and the monitor).
+        self.clock = clock
         #: The per-process monitor (section control lives here).
-        self.monitor = monitor
+        self.monitor = endpoint.monitor
         #: Ground-truth computation intervals (for bound validation).
         self.compute_log: list[tuple[float, float]] = []
 
@@ -53,6 +50,19 @@ class RankContext:
         """Current simulation time of this rank (seconds)."""
         return self.clock.now
 
+    def section(self, name: str):
+        """Context manager marking a monitored code region (Sec. 2.3)."""
+        return self.monitor.section(name)
+
+
+class RankContext(ProcessContext):
+    """Everything one simulated MPI process sees."""
+
+    def __init__(self, engine: Engine, endpoint: Endpoint) -> None:
+        super().__init__(engine, endpoint, endpoint.clock)
+        #: The instrumented communicator.
+        self.comm = Comm(endpoint)
+
     def compute(self, seconds: float) -> "typing.Iterable[typing.Any]":
         """Spend ``seconds`` of user computation (outside the library).
 
@@ -68,6 +78,8 @@ class RankContext:
             self.compute_log.append((start, clock.now))
         return ()
 
-    def section(self, name: str):
-        """Context manager marking a monitored code region (Sec. 2.3)."""
-        return self.monitor.section(name)
+    def finalize(self) -> typing.Generator:
+        """``MPI_Finalize``, then catch the event queue up with the rank:
+        the job ends when the engine gets here."""
+        yield from self.comm.finalize()
+        yield from self.endpoint.sync()

@@ -32,8 +32,9 @@ import dataclasses
 import hashlib
 import typing
 
-from repro.experiments.nas_char import MPI_BENCHMARKS
+from repro.experiments.nas_char import MPI_BENCHMARKS, nas_cell
 from repro.experiments.runner import Task
+from repro.runtime.launcher import shards_refusal
 
 KINDS = ("nas", "micro", "paper")
 KLASSES = ("S", "W", "A", "B")
@@ -120,10 +121,11 @@ def _parse_nas(payload: dict) -> "tuple[dict, list[Task], str]":
     shards = payload.get("shards")
     if shards is not None:
         shards = _require_int(payload, "shards", 1, lo=1, hi=64)
-    if shards is not None and benchmark == "mg":
-        raise SubmissionError("'shards' is not supported for mg (ARMCI)")
-    if shards is not None and faults is not None:
-        raise SubmissionError("'shards' cannot be combined with 'faults'")
+    if shards is not None:
+        refusal = shards_refusal(nas_cell(benchmark, klass, niter)[1],
+                                 watchdog=faults)
+        if refusal is not None:
+            raise SubmissionError(refusal)
     if faults is not None:
         # Fail a bad spec at submit time (HTTP 400), not in the worker.
         from repro.faults.plan import parse_fault_spec
@@ -152,7 +154,7 @@ def _parse_nas(payload: dict) -> "tuple[dict, list[Task], str]":
 def _parse_micro(payload: dict) -> "tuple[dict, list[Task], str]":
     from repro.experiments.micro import PATTERNS
     from repro.experiments.runner import _sweep_point
-    from repro.mpisim.config import mvapich2_like, openmpi_like
+    from repro.mpisim.config import library_config
 
     pattern = _require_str(payload, "pattern", choices=tuple(PATTERNS))
     nbytes = payload.get("nbytes", 4096)
@@ -169,7 +171,7 @@ def _parse_micro(payload: dict) -> "tuple[dict, list[Task], str]":
                            choices=("openmpi", "mvapich2"))
     iters = _require_int(payload, "iters", 50, lo=1, hi=10_000)
     warmup = _require_int(payload, "warmup", 3, lo=0, hi=1000)
-    config = openmpi_like() if library == "openmpi" else mvapich2_like()
+    config = library_config(library)
     spec = {
         "pattern": pattern, "nbytes": float(nbytes),
         "computes": [float(c) for c in computes], "library": library,

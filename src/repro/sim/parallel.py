@@ -72,7 +72,8 @@ from repro.netsim import transport as _tp
 from repro.netsim import wire as _wire
 from repro.netsim.fabric import Fabric
 from repro.netsim.params import NetworkParams
-from repro.runtime.launcher import RankSet, RunResult, default_xfer_table
+from repro.runtime.launcher import (RankSet, RunResult, default_xfer_table,
+                                    shards_refusal)
 from repro.sim.engine import Engine
 
 _INF = float("inf")
@@ -1101,13 +1102,10 @@ def run_app_sharded(
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
-    for name, value in (("telemetry", telemetry), ("metrics", metrics),
-                        ("watchdog", watchdog)):
-        if value is not None:
-            raise ValueError(
-                f"{name} is not supported with shards (it assumes one "
-                "engine); run single-process or drop the option"
-            )
+    refusal = shards_refusal(config, telemetry=telemetry, metrics=metrics,
+                             watchdog=watchdog)
+    if refusal is not None:
+        raise ValueError(refusal)
     if backend not in ("process", "inline", "socket"):
         raise ValueError(
             f"backend must be 'process', 'inline', or 'socket', "

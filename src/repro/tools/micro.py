@@ -15,7 +15,7 @@ import typing
 from repro.analysis.tables import render_micro_series
 from repro.analysis.textplot import ascii_plot
 from repro.experiments.micro import PATTERNS, overlap_sweep
-from repro.mpisim.config import MpiConfig, mvapich2_like, openmpi_like
+from repro.mpisim.config import LIBRARY_NAMES, library_config
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -28,8 +28,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="message size in bytes")
     parser.add_argument("--computes", default="0,0.25e-3,0.5e-3,1e-3,1.5e-3",
                         help="comma-separated inserted-computation seconds")
-    parser.add_argument("--library", choices=["openmpi", "mvapich2", "rput"],
-                        default="openmpi")
+    parser.add_argument("--library", choices=LIBRARY_NAMES, default="openmpi")
     parser.add_argument("--leave-pinned", action="store_true",
                         help="Open MPI: select the direct-RDMA rendezvous")
     parser.add_argument("--iters", type=int, default=50)
@@ -40,18 +39,10 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> MpiConfig:
-    if args.library == "openmpi":
-        return openmpi_like(leave_pinned=args.leave_pinned)
-    if args.library == "mvapich2":
-        return mvapich2_like()
-    return MpiConfig(name="rput", rndv_mode="rput")
-
-
 def main(argv: typing.Sequence[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     computes = [float(c) for c in args.computes.split(",") if c.strip()]
-    config = _config(args)
+    config = library_config(args.library, args.leave_pinned)
     points = overlap_sweep(
         args.pattern, args.size, computes, config, iters=args.iters
     )

@@ -23,8 +23,14 @@ import typing
 
 from repro.analysis.tables import render_size_breakdown
 from repro.core.report import OverlapReport
-from repro.experiments.nas_char import MPI_BENCHMARKS
-from repro.experiments.runner import FailedTask, ResultCache, Task, run_tasks
+from repro.experiments.nas_char import MPI_BENCHMARKS, nas_cell
+from repro.experiments.runner import (
+    CliSweep,
+    FailedTask,
+    Task,
+    add_sweep_arguments,
+)
+from repro.runtime.launcher import shards_refusal
 
 
 def _run_cell(
@@ -47,17 +53,12 @@ def _run_cell(
     pool and live in the result cache.  With ``emit_metrics`` the run
     carries a :class:`~repro.metrics.MetricsRegistry` and the payload
     gains the rendered OpenMetrics text plus the JSON snapshot.
-    ``faults`` is a :func:`repro.faults.plan.parse_fault_spec` string;
-    packet faults auto-arm the reliable transport, and every faulted run
-    is guarded by a watchdog so a wedged cell terminates with a partial
-    report plus diagnostic instead of hanging the sweep.
+    ``faults`` is a :func:`repro.faults.plan.parse_fault_spec` string,
+    armed by :func:`repro.faults.plan.arm_faults` (reliable transport for
+    packet faults, and a watchdog so a wedged cell terminates with a
+    partial report plus diagnostic instead of hanging the sweep).
     """
-    import dataclasses as _dc
-
-    from repro.armci import ArmciConfig, run_armci_app
-    from repro.mpisim.config import mvapich2_like, openmpi_like
-    from repro.nas.mg import mg_app
-    from repro.nas.sp import sp_app
+    from repro.faults import arm_faults
     from repro.runtime.launcher import run_app
     from repro.tracing.span import current_tracer
 
@@ -72,63 +73,13 @@ def _run_cell(
 
         registry = MetricsRegistry()
 
-    params = None
-    watchdog = None
-    plan = None
-    if faults:
-        from repro.faults import FaultPlan  # noqa: F401 (import check)
-        from repro.faults.plan import parse_fault_spec
-        from repro.faults.watchdog import WatchdogConfig
-        from repro.netsim.params import NetworkParams
-
-        plan = parse_fault_spec(faults, seed=fault_seed)
-        params = NetworkParams(faults=plan)
-        watchdog = WatchdogConfig(stall_sim_time=0.05, max_sim_time=60.0)
-
+    app, config, app_args = nas_cell(benchmark, klass, niter, library,
+                                     modified=modified, nonblocking=nonblocking)
+    params, config, watchdog = arm_faults(faults, fault_seed, config)
     label = f"{benchmark}.{klass}.{nprocs}"
-    if benchmark == "mg":
-        if shards is not None:
-            raise ValueError(
-                "--shards is not supported for mg: the ARMCI runtime keeps "
-                "a cross-rank shared region directory that cannot be "
-                "partitioned (see docs/performance.md)"
-            )
-        result = run_armci_app(
-            mg_app, nprocs, config=ArmciConfig(), params=params, label=label,
-            app_args=(klass, niter, None, not nonblocking),
-            metrics=registry,
-        )
-    else:
-        app, config_factory = MPI_BENCHMARKS[benchmark]
-        if library == "openmpi":
-            config = openmpi_like()
-        elif library == "mvapich2":
-            config = mvapich2_like()
-        else:
-            config = config_factory()
-        if plan is not None and plan.has_packet_faults and config.resilience is None:
-            # A lossy fabric without retransmission cannot complete: arm
-            # the reliable transport with its defaults.
-            from repro.faults.plan import ResilienceParams
-
-            config = _dc.replace(config, resilience=ResilienceParams())
-        if benchmark == "sp":
-            app_args: tuple = (klass, niter, None, modified)
-            app = sp_app
-        elif benchmark == "lu":
-            app_args = (klass, niter, None, None)
-        elif benchmark == "ep":
-            app_args = (klass, None, 1e-3)
-        else:
-            app_args = (klass, niter, None)
-        if shards is not None and (registry is not None or watchdog is not None):
-            raise ValueError(
-                "--shards cannot be combined with --metrics-dir or --faults "
-                "watchdogs: both observe one engine (see docs/performance.md)"
-            )
-        result = run_app(app, nprocs, config=config, params=params, label=label,
-                         app_args=app_args, metrics=registry,
-                         watchdog=watchdog, shards=shards, tracer=tracer)
+    result = run_app(app, nprocs, config=config, params=params, label=label,
+                     app_args=app_args, metrics=registry,
+                     watchdog=watchdog, shards=shards, tracer=tracer)
 
     payload = {
         "label": label,
@@ -138,7 +89,7 @@ def _run_cell(
             for rep in result.reports
         ],
     }
-    injector = getattr(result.fabric, "injector", None)
+    injector = result.fabric.injector
     if injector is not None:
         payload["faults"] = {
             "spec": faults,
@@ -147,9 +98,8 @@ def _run_cell(
             "packets_duplicated": injector.packets_duplicated,
             "packets_reordered": injector.packets_reordered,
         }
-    diag = getattr(result, "watchdog", None)
-    if diag is not None:
-        payload["watchdog"] = diag.render_text()
+    if result.watchdog is not None:
+        payload["watchdog"] = result.watchdog.render_text()
     if registry is not None:
         from repro.metrics import render_openmetrics
 
@@ -213,65 +163,30 @@ def make_parser() -> argparse.ArgumentParser:
                         help="'continue' turns a crashed/failed grid cell "
                         "into a reported failure instead of aborting the "
                         "sweep")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update the on-disk result "
-                        "cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default: "
-                        "$REPRO_CACHE_DIR or .repro_cache)")
-    parser.add_argument("--metrics-dir", default=None,
-                        help="publish live sweep status here and write one "
-                        "OpenMetrics file + JSON metrics snapshot per cell "
-                        "(tail with `python -m repro.tools.watch`)")
     parser.add_argument("--shards", type=int, default=None,
                         help="run each cell on the sharded parallel-DES "
                         "engine with this many worker processes (not "
-                        "available for mg/ARMCI, --metrics-dir, or fault "
-                        "watchdogs; reports are bit-identical to the "
+                        "available for mg/ARMCI, --metrics-dir, or "
+                        "--faults; reports are bit-identical to the "
                         "single-process run)")
-    parser.add_argument("--trace-dir", default=None,
-                        help="record host-time spans for the whole sweep "
-                        "(runner, launcher, coordinator, shards) and write "
-                        "one merged Perfetto trace_event JSON here; inspect "
-                        "with `python -m repro.tools.explain`")
-    parser.add_argument("--live", action="store_true",
-                        help="render the sweep dashboard in-place on stderr "
-                        "while cells run")
+    add_sweep_arguments(parser)
     return parser
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
     if args.shards is not None:
         if args.shards < 1:
-            make_parser().error("--shards must be >= 1")
-        if args.benchmark == "mg":
-            make_parser().error(
-                "--shards is not supported for mg: the ARMCI runtime keeps "
-                "a cross-rank shared region directory that cannot be "
-                "partitioned")
-        if args.metrics_dir is not None or args.faults is not None:
-            make_parser().error(
-                "--shards cannot be combined with --metrics-dir or --faults")
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    progress = None
-    if args.metrics_dir or args.live:
-        from repro.metrics import SweepProgress
-        on_update = None
-        if args.live:
-            from repro.tools.watch import LiveRenderer
-            on_update = LiveRenderer().update
-        progress = SweepProgress(args.metrics_dir, label=f"nas.{args.benchmark}",
-                                 on_update=on_update)
-    tracer = None
-    sp_root = None
-    if args.trace_dir:
-        from repro.tracing import Tracer
-
-        tracer = Tracer(process="nas sweep")
-        sp_root = tracer.begin(f"nas {args.benchmark}", "runner.root",
-                               klass=args.klass, cells=len(args.nprocs),
-                               jobs=args.jobs)
+            parser.error("--shards must be >= 1")
+        refusal = shards_refusal(
+            nas_cell(args.benchmark, args.klass, args.niter)[1],
+            metrics=args.metrics_dir, watchdog=args.faults)
+        if refusal is not None:
+            parser.error(refusal)
+    sweep = CliSweep(args, f"nas.{args.benchmark}", f"nas {args.benchmark}",
+                     klass=args.klass, cells=len(args.nprocs), jobs=args.jobs)
+    cache = sweep.cache
     tasks = [
         Task(_run_cell, (args.benchmark, args.klass, nprocs, args.niter,
                          args.library, args.modified, args.nonblocking,
@@ -279,18 +194,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                          args.faults, args.fault_seed, args.shards))
         for nprocs in args.nprocs
     ]
-    payloads = run_tasks(tasks, jobs=args.jobs, cache=cache, progress=progress,
-                         on_error=args.on_error, tracer=tracer)
-    if tracer is not None:
-        from repro.tracing import save_trace
-
-        assert sp_root is not None
-        sp_root.end()
-        tdir = pathlib.Path(args.trace_dir)
-        tdir.mkdir(parents=True, exist_ok=True)
-        trace_path = tdir / f"nas.{args.benchmark}.trace.json"
-        save_trace(trace_path, tracer)
-        print(f"wrote span trace to {trace_path}")
+    payloads = sweep.run(tasks, args.jobs, on_error=args.on_error)
 
     failed = 0
     for i, payload in enumerate(payloads):

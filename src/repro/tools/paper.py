@@ -34,7 +34,7 @@ from repro.experiments.faultmatrix import fault_matrix, render_fault_matrix
 from repro.experiments.micro import overlap_sweep
 from repro.experiments.nas_char import characterize_matrix, characterize_mg
 from repro.experiments.overhead import overhead_suite
-from repro.experiments.runner import ResultCache, Task, run_tasks
+from repro.experiments.runner import CliSweep, Task, add_sweep_arguments
 from repro.experiments.sp_tuning import sp_tuning
 from repro.mpisim.config import openmpi_like
 
@@ -130,27 +130,12 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=os.cpu_count(),
                         help="worker processes for independent figures "
                         "(default: CPU count; 1 = serial)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update the on-disk result "
-                        "cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default: "
-                        "$REPRO_CACHE_DIR or .repro_cache)")
-    parser.add_argument("--metrics-dir", default=None,
-                        help="publish live sweep status + OpenMetrics here "
-                        "(tail with `python -m repro.tools.watch`)")
-    parser.add_argument("--live", action="store_true",
-                        help="render the sweep dashboard in-place on stderr "
-                        "while figures run")
     parser.add_argument("--shards", type=int, default=None,
                         help="run the MPI NAS characterization cells on the "
                         "sharded parallel-DES engine with this many worker "
                         "processes (reports are bit-identical; see "
                         "docs/performance.md)")
-    parser.add_argument("--trace-dir", default=None,
-                        help="record host-time spans for the reproduction "
-                        "run and write a merged Perfetto trace_event JSON "
-                        "here (inspect with `python -m repro.tools.explain`)")
+    add_sweep_arguments(parser)
     return parser
 
 
@@ -178,43 +163,15 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     ]
     t0 = time.perf_counter()
     keys = list(sections)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    sweep = CliSweep(args, "paper", "paper reproduction",
+                     figures=len(keys), jobs=args.jobs)
+    cache = sweep.cache
     print(f"running {len(keys)} figures "
           f"(jobs={args.jobs}, cache={'off' if cache is None else cache.root})",
           flush=True)
-    progress = None
-    if args.metrics_dir or args.live:
-        from repro.metrics import SweepProgress
-        on_update = None
-        if args.live:
-            from repro.tools.watch import LiveRenderer
-            on_update = LiveRenderer().update
-        progress = SweepProgress(args.metrics_dir, label="paper",
-                                 on_update=on_update)
-    tracer = None
-    sp_root = None
-    if args.trace_dir:
-        from repro.tracing import Tracer
-
-        tracer = Tracer(process="paper sweep")
-        sp_root = tracer.begin("paper reproduction", "runner.root",
-                               figures=len(keys), jobs=args.jobs)
     tasks = [Task(_render_section, (key, args.quick, args.shards))
              for key in keys]
-    texts = run_tasks(tasks, jobs=args.jobs, cache=cache, progress=progress,
-                      tracer=tracer)
-    if tracer is not None:
-        import pathlib
-
-        from repro.tracing import save_trace
-
-        assert sp_root is not None
-        sp_root.end()
-        tdir = pathlib.Path(args.trace_dir)
-        tdir.mkdir(parents=True, exist_ok=True)
-        trace_path = tdir / "paper.trace.json"
-        save_trace(trace_path, tracer)
-        print(f"wrote span trace to {trace_path}")
+    texts = sweep.run(tasks, args.jobs)
     for key, text in zip(keys, texts):
         blocks.append(f"\n## {key}\n\n```\n{text}\n```")
     elapsed = time.perf_counter() - t0

@@ -66,21 +66,14 @@ def _compare(args: argparse.Namespace) -> int:
     """Run one workload single-process and sharded; print the equality report."""
     import time
 
+    from repro.experiments.nas_char import nas_cell
     from repro.netsim.differential import compare_sharded, run_sharded_pair
 
-    if args.benchmark == "lu":
-        from repro.nas.lu import lu_app as app
-        app_args: tuple = (args.klass, args.niter, None, None)
-    elif args.benchmark == "cg":
-        from repro.nas.cg import cg_app as app
-        app_args = (args.klass, args.niter, None)
-    else:
-        from repro.nas.sp import sp_app as app
-        app_args = (args.klass, args.niter, None, False)
+    app, config, app_args = nas_cell(args.benchmark, args.klass, args.niter)
 
     t0 = time.perf_counter()
     single, sharded = run_sharded_pair(
-        app, args.nprocs, args.shards, app_args=app_args,
+        app, args.nprocs, args.shards, config=config, app_args=app_args,
         label=f"{args.benchmark}.{args.klass}.{args.nprocs}",
     )
     host_s = time.perf_counter() - t0

@@ -23,7 +23,7 @@ import argparse
 import typing
 
 from repro.analysis.textplot import DEFAULT_TIMELINE_METRICS, timeline_plot
-from repro.experiments.nas_char import MPI_BENCHMARKS
+from repro.experiments.nas_char import MPI_BENCHMARKS, nas_cell
 from repro.telemetry import (
     TelemetryConfig,
     check_windowed_bounds,
@@ -32,16 +32,6 @@ from repro.telemetry import (
     write_run_telemetry,
 )
 from repro.telemetry.windows import WINDOW_METRICS
-
-
-def _app_args(benchmark: str, klass: str, niter: int) -> tuple:
-    if benchmark == "lu":
-        return (klass, niter, None, None)
-    if benchmark == "ep":
-        return (klass, None, 1e-3)
-    if benchmark == "sp":
-        return (klass, niter, None, False)
-    return (klass, niter, None)
 
 
 def _parse_metrics(text: str) -> list[str]:
@@ -93,7 +83,7 @@ def make_parser() -> argparse.ArgumentParser:
 def _run_mode(args: argparse.Namespace) -> int:
     from repro.runtime.launcher import run_app
 
-    app, config_factory = MPI_BENCHMARKS[args.benchmark]
+    app, config, app_args = nas_cell(args.benchmark, args.klass, args.niter)
     overrides = {}
     if args.width is not None:
         overrides["window_width"] = args.width
@@ -102,8 +92,7 @@ def _run_mode(args: argparse.Namespace) -> int:
     telemetry_cfg = TelemetryConfig(**overrides)
     label = f"{args.benchmark}.{args.klass}.{args.nprocs}"
     result = run_app(
-        app, args.nprocs, config=config_factory(), label=label,
-        app_args=_app_args(args.benchmark, args.klass, args.niter),
+        app, args.nprocs, config=config, label=label, app_args=app_args,
         record_transfers=args.ground_truth, telemetry=telemetry_cfg,
     )
     assert result.telemetry is not None

@@ -22,16 +22,13 @@ Example::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import typing
 
+from repro.experiments.nas_char import nas_cell
 from repro.experiments.validation import render_validation, validate_bounds
-from repro.faults import WatchdogConfig, check_run_invariants
-from repro.faults.plan import ResilienceParams, parse_fault_spec
-from repro.mpisim.config import MpiConfig, mvapich2_like, openmpi_like
+from repro.faults import arm_faults, check_run_invariants
+from repro.mpisim.config import LIBRARY_NAMES, library_config
 from repro.nas.base import CpuModel
-from repro.nas.sp import sp_app
-from repro.netsim.params import NetworkParams
 from repro.runtime.launcher import run_app
 
 
@@ -47,8 +44,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--compute", type=float, default=1.5e-3,
                         help="micro: inserted computation in seconds")
     parser.add_argument("--iters", type=int, default=30)
-    parser.add_argument("--library", choices=["openmpi", "mvapich2", "rput"],
-                        default="openmpi")
+    parser.add_argument("--library", choices=LIBRARY_NAMES, default="openmpi")
     parser.add_argument("--leave-pinned", action="store_true")
     parser.add_argument("--klass", default="A", choices=["S", "W", "A", "B"],
                         help="sp: problem class")
@@ -66,28 +62,8 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> MpiConfig:
-    if args.library == "openmpi":
-        return openmpi_like(leave_pinned=args.leave_pinned)
-    if args.library == "mvapich2":
-        return mvapich2_like()
-    return MpiConfig(name="rput", rndv_mode="rput")
-
-
 def main(argv: typing.Sequence[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    params = None
-    watchdog = None
-    if args.faults:
-        plan = parse_fault_spec(args.faults, seed=args.fault_seed)
-        params = NetworkParams(faults=plan)
-        watchdog = WatchdogConfig(stall_sim_time=0.05, max_sim_time=60.0)
-
-    def with_resilience(config: MpiConfig) -> MpiConfig:
-        if params is None or not params.faults.has_packet_faults:
-            return config
-        return dataclasses.replace(config, resilience=ResilienceParams())
-
     if args.workload == "micro":
         size, compute, iters = args.size, args.compute, args.iters
 
@@ -100,19 +76,20 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                 else:
                     yield from ctx.comm.recv(0, 0)
 
-        result = run_app(app, 2, config=with_resilience(_config(args)),
-                         params=params, record_transfers=True,
-                         watchdog=watchdog)
+        nprocs, app_args = 2, ()
+        config = library_config(args.library, args.leave_pinned)
         title = (f"micro {int(size)}B / {compute * 1e3:g}ms compute / "
-                 f"{_config(args).name}")
+                 f"{config.name}")
     else:
-        result = run_app(
-            sp_app, args.nprocs, config=with_resilience(mvapich2_like()),
-            params=params, record_transfers=True, watchdog=watchdog,
-            app_args=(args.klass, 2, CpuModel(10e9), args.modified),
-        )
+        nprocs = args.nprocs
+        app, config, app_args = nas_cell(
+            "sp", args.klass, 2, cpu=CpuModel(10e9), modified=args.modified)
         title = (f"SP class {args.klass}, {args.nprocs} ranks, "
                  f"{'modified' if args.modified else 'original'}")
+    params, config, watchdog = arm_faults(args.faults, args.fault_seed, config)
+    result = run_app(app, nprocs, config=config, params=params,
+                     record_transfers=True, watchdog=watchdog,
+                     app_args=app_args)
 
     if args.faults:
         # Degraded fabric: retransmitted/duplicated physical transfers have

@@ -157,6 +157,33 @@ def test_no_knob_comes_back_unnoticed():
         "nprocs", "shards"]
 
 
+def test_there_is_one_launcher_and_one_fault_recipe():
+    """``run_armci_app`` is ``run_app`` with an ARMCI config, not a second
+    launcher with options of its own; and the watchdog every faulted run
+    carries is written in one place (``repro.faults.plan.arm_faults``), so
+    a front end cannot grow a private copy of half the recipe."""
+    import inspect
+    import pathlib
+
+    import repro
+    from repro.armci import run_armci_app
+
+    kinds = inspect.Parameter
+    armci = inspect.signature(run_armci_app).parameters
+    named = [name for name, param in armci.items()
+             if param.kind is not kinds.VAR_KEYWORD]
+    assert named == ["app", "nprocs", "config"]
+    assert named == list(inspect.signature(run_app).parameters)[:3]
+    assert [p.kind for p in armci.values()][3:] == [kinds.VAR_KEYWORD]
+
+    package = pathlib.Path(repro.__file__).parent
+    builders = sorted(
+        str(path.relative_to(package)) for path in package.rglob("*.py")
+        if "WatchdogConfig(" in path.read_text(encoding="utf-8")
+        and path.relative_to(package) != pathlib.Path("faults/watchdog.py"))
+    assert builders == ["faults/plan.py"]
+
+
 # -- the discipline -----------------------------------------------------------
 class _Watch:
     """Who is running, and whose clock must agree with the engine."""

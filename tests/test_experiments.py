@@ -25,8 +25,8 @@ class TestNasChar:
         assert p.report.rank == 0
 
     def test_unknown_benchmark_rejected(self):
-        with pytest.raises(ValueError, match="unknown MPI benchmark"):
-            characterize("mg", "S", 4)
+        with pytest.raises(ValueError, match="unknown NAS benchmark.*'mg'"):
+            characterize("dt", "S", 4)
 
     def test_matrix_covers_grid(self):
         points = characterize_matrix(

@@ -376,3 +376,58 @@ def test_degraded_timing_faults_keep_invariants():
     slowed = result.elapsed
     clean = run_app(_exchange, 2, config=openmpi_like()).elapsed
     assert slowed > clean  # the degradation actually cost time
+
+
+# ---------------------------------------------------------------------------
+# ARMCI jobs run on the same launcher: watchdog and degraded monitors reach mg
+# ---------------------------------------------------------------------------
+def _mg_cell(faults):
+    """``nas --benchmark mg --klass S --np 4 --niter 1 [--faults SPEC]``."""
+    from repro.core.report import OverlapReport
+    from repro.tools.nas import _run_cell
+
+    payload = _run_cell("mg", "S", 4, 1, "paper", False, False, faults=faults)
+    return payload, [OverlapReport.from_dict(d) for d in payload["reports"]]
+
+
+def test_mg_under_packet_faults_ends_in_a_diagnosis_not_a_traceback():
+    """At the parent: ``RuntimeError: deadlock: 4 ARMCI rank(s) never
+    finished`` -- the second launcher never got the watchdog.  ARMCI has no
+    reliable transport, so a dropped barrier packet wedges the job."""
+    payload, _ = _mg_cell("drop=0.2")
+    assert payload["faults"]["packets_dropped"] > 0
+    assert "watchdog: run stopped (deadlock)" in payload["watchdog"]
+
+    from repro.experiments.nas_char import nas_cell
+    from repro.faults import arm_faults
+
+    app, config, app_args = nas_cell("mg", "S", 1)
+    params, config, watchdog = arm_faults("drop=0.2", 0, config)
+    result = run_app(app, 4, config=config, params=params,
+                     app_args=app_args, watchdog=watchdog)
+    assert result.watchdog.reason in ("deadlock", "stalled")
+    assert [snap.rank for snap in result.watchdog.ranks] == [0, 1, 2, 3]
+    assert any(snap.alive for snap in result.watchdog.ranks)
+    assert all(report is not None for report in result.reports)
+    assert check_run_invariants(result) == []
+
+
+def test_instrumentation_faults_reach_armci_monitors():
+    """At the parent the faulted report was byte-for-byte the healthy one:
+    ARMCI monitors were built without ``stamp_loss`` / ring capacity."""
+    healthy_payload, healthy = _mg_cell(None)
+    payload, degraded = _mg_cell("events=0.5,ring=64")
+    assert "watchdog" not in payload and "faults" not in healthy_payload
+    assert degraded[0].event_count < healthy[0].event_count
+    assert degraded[0].total.case_counts[CASE_ONE_EVENT] > 0
+
+    from repro.experiments.nas_char import nas_cell
+    from repro.faults import arm_faults
+
+    app, config, app_args = nas_cell("mg", "S", 1)
+    params, config, watchdog = arm_faults("events=0.5,ring=64", 0, config)
+    result = run_app(app, 4, config=config, params=params, label="mg.S.4",
+                     app_args=app_args, watchdog=watchdog)
+    assert result.watchdog is None
+    assert check_run_invariants(result) == []
+    assert [r.to_dict() for r in result.reports] == payload["reports"]

@@ -1,0 +1,93 @@
+"""A job spec becomes a run in one place.
+
+The recipes -- ``nas_cell`` (spec -> app, config, arguments) and
+``arm_faults`` (fault spec -> params, resilient config, watchdog) -- are
+the only copies: every front end that launches the same cell must launch
+the same job.  Before they existed only the report pins tied the front
+ends together, one front end at a time.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.experiments import faultmatrix, nas_char, overhead
+from repro.experiments.nas_char import MPI_BENCHMARKS
+from repro.runtime import launcher
+from repro.tools import nas as nas_cli
+from repro.tools import timeline as timeline_cli
+from repro.tools import validate as validate_cli
+
+
+@pytest.fixture()
+def launches(monkeypatch):
+    """Every ``run_app`` call made while the test runs: ``(kwargs, result)``."""
+    seen = []
+
+    def recording(app, nprocs, config=None, **kwargs):
+        result = launcher.run_app.__wrapped__(app, nprocs, config, **kwargs)
+        seen.append(({"config": config, **kwargs}, result))
+        return result
+
+    recording.__wrapped__ = launcher.run_app
+    # Function-level importers read the launcher's attribute; the rest
+    # bound the name at import.
+    for module in (launcher, nas_char, overhead, faultmatrix, validate_cli):
+        monkeypatch.setattr(module, "run_app", recording)
+    return seen
+
+
+def _digest(report) -> str:
+    """Everything rank 0 reports except the label front ends choose."""
+    payload = report.to_dict()
+    del payload["label"]
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("kernel", sorted(MPI_BENCHMARKS) + ["mg"])
+def test_every_front_end_launches_the_same_cell(kernel, launches, tmp_path):
+    if kernel == "mg":
+        point = nas_char.characterize_mg("S", 4, blocking=False, niter=1)
+    else:
+        point = nas_char.characterize(kernel, "S", 4, niter=1)
+    payload = nas_cli._run_cell(kernel, "S", 4, 1, "paper", False,
+                                kernel == "mg")
+    measured = overhead.measure_overhead(kernel, "S", 4, niter=1)
+    if kernel != "mg":  # the timeline CLI is MPI-only
+        assert timeline_cli.main([
+            "--benchmark", kernel, "--klass", "S", "--np", "4",
+            "--niter", "1", "--no-plot", "--out", str(tmp_path)]) == 0
+
+    instrumented = [result.reports[0] for _kwargs, result in launches
+                    if result.reports[0] is not None]
+    assert len(instrumented) == (3 if kernel == "mg" else 4)
+    assert {_digest(report) for report in instrumented} == {
+        _digest(point.report)}
+    assert payload["reports"][0] == {**point.report.to_dict(),
+                                     "label": payload["label"]}
+    assert measured.events == point.report.event_count
+    assert measured.time_instrumented == point.elapsed == payload["elapsed"]
+
+
+def test_every_front_end_arms_faults_the_same_way(launches, capsys):
+    spec, seed = faultmatrix.FAULT_SPECS["drop"], 3
+    assert validate_cli.main(["--workload", "sp", "--klass", "S", "--np", "4",
+                              "--faults", spec, "--fault-seed", str(seed)]) == 0
+    capsys.readouterr()
+    faultmatrix.run_cell("drop", "eager", seed=seed)
+    nas_cli._run_cell("lu", "S", 2, 1, "paper", False, False,
+                      faults=spec, fault_seed=seed)
+    nas_cli._run_cell("mg", "S", 4, 1, "paper", False, False,
+                      faults=spec, fault_seed=seed)
+
+    armed = [(kwargs["params"].faults,
+              getattr(kwargs["config"], "resilience", None),
+              kwargs["watchdog"]) for kwargs, _result in launches]
+    assert len(armed) == 4 and all(entry == armed[0] for entry in armed[:3])
+    plan, resilience, watchdog = armed[0]
+    assert plan.seed == seed and plan.drop_prob == 0.1
+    assert resilience is not None and watchdog.max_sim_time == 60.0
+    # ARMCI has no reliable transport to arm; the rest is the same recipe.
+    assert armed[3] == (plan, None, watchdog)

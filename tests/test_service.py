@@ -133,6 +133,42 @@ def test_invalid_submissions_are_400(client):
         assert "error" in resp.body
 
 
+def test_shards_refusal_is_one_message_everywhere(client, capsys):
+    """Service (400), ``nas`` CLI (``parser.error``) and the direct call
+    refuse the same jobs with the same text, the launcher's."""
+    from repro.armci import ArmciConfig
+    from repro.faults import arm_faults
+    from repro.mpisim.config import mvapich2_like
+    from repro.nas.mg import mg_app
+    from repro.runtime.launcher import run_app, shards_refusal
+    from repro.tools import nas as nas_cli
+
+    def cli_error(*argv):
+        with pytest.raises(SystemExit) as exit_info:
+            nas_cli.main(["--klass", "S", "--shards", "2", *argv])
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
+    mg = shards_refusal(ArmciConfig())
+    assert "region directory" in mg
+    with pytest.raises(ValueError) as direct:
+        run_app(mg_app, 4, ArmciConfig(), app_args=("S", 1, None, True),
+                shards=2)
+    assert str(direct.value) == mg
+    resp = client.submit({"kind": "nas", "benchmark": "mg", "shards": 2})
+    assert (resp.status, resp.body["error"]) == (400, mg)
+    assert mg in cli_error("--benchmark", "mg")
+
+    _, config, watchdog = arm_faults("drop=0.1", 0, mvapich2_like())
+    faulted = shards_refusal(config, watchdog=watchdog)
+    assert "watchdog" in faulted and faulted != mg
+    resp = client.submit({"kind": "nas", "benchmark": "lu", "shards": 2,
+                          "faults": "drop=0.1"})
+    assert (resp.status, resp.body["error"]) == (400, faulted)
+    assert faulted in cli_error("--benchmark", "lu", "--faults", "drop=0.1")
+    assert shards_refusal(mvapich2_like(), watchdog=None) is None
+
+
 def test_quota_exhaustion_returns_429_with_retry_after(tmp_path):
     service = OverlapService(
         cache_root=tmp_path / "c", workers=1,

@@ -194,9 +194,13 @@ class OverlapMeasures:
         self.max_overlap_time += max_ov
         self.transfer_count += 1
         self.case_counts[case] += 1
-        bins = self.bins  # SizeBins.add, without its two frames per transfer
-        bins.bins[bisect.bisect_right(bins.edges, nbytes)].add(
-            nbytes, xfer_time, min_ov, max_ov)
+        bins = self.bins  # SizeBins.add, without its three frames per transfer
+        stats = bins.bins[bisect.bisect_right(bins.edges, nbytes)]
+        stats.count += 1
+        stats.bytes += nbytes
+        stats.xfer_time += xfer_time
+        stats.min_overlap += min_ov
+        stats.max_overlap += max_ov
 
     def add_interval(self, duration: float, in_call: bool) -> None:
         """Attribute a wall interval to computation or communication call time."""

@@ -72,6 +72,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 _TIME_EPS = 1e-12
 
+_new = tuple.__new__  # builds per-transfer records C-level, as in netsim.nic
+
 #: Internal pseudo-kind: attribute the interval up to ``t`` and nothing
 #: else (how ``finalize`` closes the run).  An object, so no stored or
 #: replayed record can carry it.
@@ -99,26 +101,15 @@ def _window(now: list[float], begin: tuple[float, ...]) -> float:
     return math.fsum(itertools.chain(now, map(operator.neg, begin)))
 
 
-class _ActiveXfer:
-    """A data-transfer operation whose ``XFER_END`` has not been seen yet."""
+class _ActiveXfer(typing.NamedTuple):
+    """A data-transfer operation whose ``XFER_END`` has not been seen yet
+    (built with ``tuple.__new__``: a record per transfer, no frame)."""
 
-    __slots__ = ("begin_time", "begin_call", "nbytes", "comp0", "noncomp0", "sections")
-
-    def __init__(
-        self,
-        begin_time: float,
-        begin_call: int,
-        nbytes: float,
-        comp0: tuple[float, ...],
-        noncomp0: tuple[float, ...],
-        sections: tuple[int, ...],
-    ) -> None:
-        self.begin_time = begin_time
-        self.begin_call = begin_call  # outermost call sequence no., -1 if outside
-        self.nbytes = nbytes
-        self.comp0 = comp0  # computation-clock snapshot at begin
-        self.noncomp0 = noncomp0  # in-call-clock snapshot at begin
-        self.sections = sections
+    begin_call: int  # outermost call sequence no., -1 if outside
+    nbytes: float
+    comp0: tuple[float, ...]  # computation-clock snapshot at begin
+    noncomp0: tuple[float, ...]  # in-call-clock snapshot at begin
+    sections: tuple[int, ...]
 
 
 class CallStats:
@@ -241,17 +232,18 @@ class DataProcessor:
     def _digest(self, rows: "typing.Iterable[Row]") -> None:
         """The one event loop: interval attribution, then the event itself.
 
-        Runs once per stamp of every instrumented run, so what changes per
-        event lives in locals: written back before a transfer handler needs
-        it and once when the rows are exhausted (or the stream turns out
-        malformed).  Interval attribution is O(1) in active transfers:
-        bump one cumulative clock and recover per-transfer windows by
-        subtraction at ``XFER_END``.  A clock is a Shewchuk partial-sum
-        list: it always represents the exact real value of everything
-        added so far (``math.fsum`` over it is the correctly rounded
-        total) and stays a handful of non-overlapping floats long.
-        Branches are ordered by frequency in real streams (calls, then
-        transfers).
+        Runs once per stamp of every instrumented run, so everything it
+        reads or changes per event lives in locals, written back once when
+        the rows are exhausted (or the stream turns out malformed).
+        Interval attribution is O(1) in active transfers: bump one
+        cumulative clock and recover per-transfer windows by subtraction
+        at ``XFER_END``.  A clock is a Shewchuk partial-sum list: it
+        always represents the exact real value of everything added so far
+        (``math.fsum`` over it is the correctly rounded total) and stays a
+        handful of non-overlapping floats long -- mostly one, where a
+        two-sum adds ``dt`` and a window against an empty or one-float
+        snapshot is one correctly rounded subtraction.  Branches are
+        ordered by frequency in real streams (calls, then transfers).
         """
         total = self.total
         comp_time = total.computation_time
@@ -264,6 +256,11 @@ class DataProcessor:
         active = self._active
         last = self._last_time
         depth = self._depth
+        call_seq = self._call_seq
+        enter_time = self._call_enter_time
+        call_name = self._call_name
+        time_for = self.xfer_table.time_for
+        add_transfer = total.add_transfer
         ops = 0
         try:
             for kind, t, a, b in rows:
@@ -281,9 +278,23 @@ class DataProcessor:
                         else:
                             comp_time += dt
                             partials = comp_clock
-                        for sec in section_stack:
-                            sections[sec].add_interval(dt, depth > 0)
-                        if active:  # the clocks only matter to open windows
+                        if section_stack:
+                            for sec in section_stack:
+                                sections[sec].add_interval(dt, depth > 0)
+                        # The clocks only matter to open windows.  A
+                        # one-float clock takes dt by two-sum (no magnitude
+                        # test), a longer one by the general pass.
+                        if active and len(partials) == 1:
+                            y = partials[0]
+                            hi = y + dt
+                            bp = hi - y
+                            lo = (y - (hi - bp)) + (dt - bp)
+                            if lo:
+                                partials[0] = lo
+                                partials.append(hi)
+                            else:
+                                partials[0] = hi
+                        elif active:
                             x = dt
                             i = 0
                             for y in partials:
@@ -305,9 +316,9 @@ class DataProcessor:
                 if kind == CALL_ENTER:
                     depth += 1
                     if depth == 1:
-                        self._call_seq += 1
-                        self._call_enter_time = t
-                        self._call_name = a
+                        call_seq += 1
+                        enter_time = t
+                        call_name = a
                 elif kind == CALL_EXIT:
                     if depth <= 0:
                         raise InstrumentationError(
@@ -315,17 +326,82 @@ class DataProcessor:
                         )
                     depth -= 1
                     if depth == 0:
-                        stats = call_stats.get(self._call_name)
+                        stats = call_stats.get(call_name)
                         if stats is None:
-                            stats = call_stats[self._call_name] = CallStats()
+                            stats = call_stats[call_name] = CallStats()
                         stats.count += 1
-                        stats.total_time += t - self._call_enter_time
+                        stats.total_time += t - enter_time
                 elif kind == XFER_END:
-                    self._depth = depth
-                    self._on_xfer_end(a, float(b))
+                    nbytes = float(b)
+                    xfer = active.pop(a, None)
+                    min_ov = 0.0
+                    if xfer is None:
+                        # Case 3: END without a BEGIN (e.g. the eager
+                        # receiver, for whom initiation is transparent).
+                        max_ov = xfer_time = time_for(nbytes)
+                        case = CASE_ONE_EVENT
+                        in_sections: "typing.Sequence[int]" = section_stack
+                    else:
+                        begin_call, begin_bytes, comp0, noncomp0, in_sections = xfer
+                        if begin_bytes != nbytes and nbytes > 0:
+                            raise InstrumentationError(
+                                f"transfer {a} size mismatch: begin={begin_bytes} "
+                                f"end={nbytes}"
+                            )
+                        nbytes = begin_bytes
+                        xfer_time = time_for(nbytes)
+                        if depth > 0 and begin_call == call_seq and begin_call != -1:
+                            # Case 1: the application never left the library.
+                            max_ov = 0.0
+                            case = CASE_SAME_CALL
+                        else:
+                            # Case 2: bounded by interleaved computation /
+                            # in-library time.  A one-float window is one
+                            # correctly rounded subtraction, as fsum's is.
+                            if len(comp_clock) == 1 and len(comp0) <= 1:
+                                comp = (comp_clock[0] - comp0[0] if comp0
+                                        else comp_clock[0])
+                            else:
+                                comp = _window(comp_clock, comp0)
+                            if len(call_clock) == 1 and len(noncomp0) <= 1:
+                                noncomp = (call_clock[0] - noncomp0[0] if noncomp0
+                                           else call_clock[0])
+                            else:
+                                noncomp = _window(call_clock, noncomp0)
+                            # max_ov = min(comp, xfer_time) and min_ov =
+                            # min(max(0.0, xfer_time - noncomp), max_ov),
+                            # spelled without three builtin calls.  The
+                            # bounds must nest: min <= max always holds
+                            # because comp + noncomp == end - begin >=
+                            # xfer_time - noncomp whenever min > 0; clamp
+                            # defensively against float noise.
+                            max_ov = xfer_time if xfer_time < comp else comp
+                            min_ov = xfer_time - noncomp
+                            if not min_ov > 0.0:
+                                min_ov = 0.0
+                            if max_ov < min_ov:
+                                min_ov = max_ov
+                            case = CASE_SPLIT_CALL
+                    add_transfer(nbytes, xfer_time, min_ov, max_ov, case)
+                    for sec in in_sections:
+                        sections[sec].add_transfer(
+                            nbytes, xfer_time, min_ov, max_ov, case)
                 elif kind == XFER_BEGIN:
-                    self._depth = depth
-                    self._on_xfer_begin(t, a, float(b))
+                    if a in active:
+                        raise InstrumentationError(
+                            f"duplicate XFER_BEGIN for transfer {a}")
+                    if not active:
+                        # Nothing in flight: a window is a *difference* of
+                        # the clocks, so they restart from zero (in place:
+                        # this loop holds them) and stay a float or two long.
+                        del comp_clock[:]
+                        del call_clock[:]
+                    active[a] = _new(_ActiveXfer, (
+                        call_seq if depth > 0 else -1, float(b),
+                        tuple(comp_clock), tuple(call_clock),
+                        tuple(section_stack)))
+                    if len(active) > self.active_high_water:
+                        self.active_high_water = len(active)
                 elif kind == SECTION_BEGIN:
                     section_stack.append(a)
                     sections.setdefault(a, OverlapMeasures(self._bin_edges))
@@ -344,67 +420,9 @@ class DataProcessor:
             self.interval_ops += ops
             self._last_time = last
             self._depth = depth
-
-    # -- event handlers -----------------------------------------------------
-    def _on_xfer_begin(self, t: float, ident: int, nbytes: float) -> None:
-        if ident in self._active:
-            raise InstrumentationError(f"duplicate XFER_BEGIN for transfer {ident}")
-        if not self._active:
-            # Nothing in flight: a window is a *difference* of the clocks,
-            # so they restart from zero (in place: the event loop holds
-            # them) and stay a float or two long.
-            del self._comp_clock[:]
-            del self._call_clock[:]
-        begin_call = self._call_seq if self._depth > 0 else -1
-        self._active[ident] = _ActiveXfer(
-            t,
-            begin_call,
-            nbytes,
-            tuple(self._comp_clock),
-            tuple(self._call_clock),
-            tuple(self._section_stack),
-        )
-        if len(self._active) > self.active_high_water:
-            self.active_high_water = len(self._active)
-
-    def _on_xfer_end(self, ident: int, nbytes: float) -> None:
-        xfer = self._active.pop(ident, None)
-        min_ov = 0.0
-        if xfer is None:
-            # Case 3: END without a BEGIN (e.g. the eager receiver, for whom
-            # initiation is transparent).
-            max_ov = xfer_time = self.xfer_table.time_for(nbytes)
-            case = CASE_ONE_EVENT
-            sections: "typing.Iterable[int]" = self._section_stack
-        else:
-            if xfer.nbytes != nbytes and nbytes > 0:
-                raise InstrumentationError(
-                    f"transfer {ident} size mismatch: begin={xfer.nbytes} "
-                    f"end={nbytes}"
-                )
-            nbytes = xfer.nbytes
-            sections = xfer.sections
-            xfer_time = self.xfer_table.time_for(nbytes)
-            if (self._depth > 0 and xfer.begin_call == self._call_seq
-                    and xfer.begin_call != -1):
-                # Case 1: the application never left the library.
-                max_ov = 0.0
-                case = CASE_SAME_CALL
-            else:
-                # Case 2: bounded by interleaved computation / in-library
-                # time.
-                comp = _window(self._comp_clock, xfer.comp0)
-                noncomp = _window(self._call_clock, xfer.noncomp0)
-                max_ov = min(comp, xfer_time)
-                # The bounds must nest: min <= max always holds because
-                # comp + noncomp == end - begin >= xfer_time - noncomp
-                # whenever min > 0; clamp defensively against float noise.
-                min_ov = min(max(0.0, xfer_time - noncomp), max_ov)
-                case = CASE_SPLIT_CALL
-        self.total.add_transfer(nbytes, xfer_time, min_ov, max_ov, case)
-        for sec in sections:
-            self.sections[sec].add_transfer(
-                nbytes, xfer_time, min_ov, max_ov, case)
+            self._call_seq = call_seq
+            self._call_enter_time = enter_time
+            self._call_name = call_name
 
     # -- introspection -------------------------------------------------------
     @property

@@ -438,8 +438,8 @@ class Endpoint:
         req = self.matching.match_arrival(pkt.src, pkt.tag, pkt.ctx)
         if req is None:
             self.matching.add_unexpected(
-                UnexpectedMsg("eager", pkt.seq, pkt.src, pkt.tag, pkt.nbytes,
-                              pkt.data, 0.0, pkt.ctx)
+                _new(UnexpectedMsg, ("eager", pkt.seq, pkt.src, pkt.tag,
+                                     pkt.nbytes, pkt.data, 0.0, pkt.ctx))
             )
             return
         self._deliver_eager(req, pkt.src, pkt.tag, pkt.nbytes, pkt.data)
@@ -464,8 +464,9 @@ class Endpoint:
         req = self.matching.match_arrival(pkt.src, pkt.tag, pkt.ctx)
         if req is None:
             self.matching.add_unexpected(
-                UnexpectedMsg("rts", pkt.seq, pkt.src, pkt.tag, pkt.nbytes,
-                              pkt.frag_data, pkt.frag_nbytes, pkt.ctx)
+                _new(UnexpectedMsg, ("rts", pkt.seq, pkt.src, pkt.tag,
+                                     pkt.nbytes, pkt.frag_data,
+                                     pkt.frag_nbytes, pkt.ctx))
             )
             return None
         return self._start_rendezvous_recv(
@@ -567,8 +568,8 @@ class Endpoint:
             posted.complete(Status(self.rank, tag, nbytes), snapshot)
         else:
             self.matching.add_unexpected(
-                UnexpectedMsg("eager", self.next_seq(), self.rank, tag, nbytes,
-                              snapshot, 0.0, context)
+                _new(UnexpectedMsg, ("eager", self.next_seq(), self.rank, tag,
+                                     nbytes, snapshot, 0.0, context))
             )
         req.complete()
 

@@ -28,6 +28,8 @@ from repro.mpisim.packets import CtsPacket, FinPacket, RtsPacket
 from repro.mpisim.protocols.base import RendezvousProtocol
 from repro.mpisim.status import Status
 
+_new = tuple.__new__  # per-message records C-level, as in netsim.nic
+
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.endpoint import Endpoint, RecvState, SendState
 
@@ -46,8 +48,8 @@ class PipelinedRdmaProtocol(RendezvousProtocol):
         ep.post_send_channel(
             st.dest,
             frag0 + ep.control_size,
-            RtsPacket(st.seq, ep.rank, st.tag, st.nbytes, frag0, st.data,
-                      st.req.context),
+            _new(RtsPacket, (st.seq, ep.rank, st.tag, st.nbytes, frag0,
+                             st.data, st.req.context)),
             context=frag0_sent,
         )
 
@@ -95,7 +97,7 @@ class PipelinedRdmaProtocol(RendezvousProtocol):
         """All fragments placed: tell the receiver, finish the send."""
         yield from ep.send_control(
             st.dest,
-            FinPacket(st.seq, ep.rank, to_sender=False, data=st.data),
+            _new(FinPacket, (st.seq, ep.rank, False, st.data)),
         )
         ep.sends.pop(st.seq, None)
         st.req.complete()
@@ -119,9 +121,11 @@ class PipelinedRdmaProtocol(RendezvousProtocol):
         if rst.remaining <= 0:
             # Whole message came with the RTS; still acknowledge so the
             # sender's request can finish.
-            yield from ep.send_control(rst.src, CtsPacket(rst.seq, ep.rank))
+            yield from ep.send_control(
+                rst.src, _new(CtsPacket, (rst.seq, ep.rank)))
             ep.recvs.pop((rst.src, rst.seq), None)
-            rst.req.complete(Status(rst.src, rst.tag, rst.nbytes), frag_data)
+            rst.req.complete(
+                _new(Status, (rst.src, rst.tag, rst.nbytes)), frag_data)
             return
         # Pin the receive buffer and acknowledge; the ACK is the receiver's
         # best approximation of when the bulk transfer starts.
@@ -130,14 +134,14 @@ class PipelinedRdmaProtocol(RendezvousProtocol):
         )
         if pin_cost > 0:
             ep.spend(pin_cost)
-        yield from ep.send_control(rst.src, CtsPacket(rst.seq, ep.rank))
+        yield from ep.send_control(rst.src, _new(CtsPacket, (rst.seq, ep.rank)))
         rst.xfer_id = ep.monitor.xfer_begin(rst.remaining)
 
     def on_fin_to_receiver(
         self, ep: "Endpoint", rst: "RecvState", data: object
     ) -> None:
         ep.monitor.xfer_end(rst.xfer_id, rst.remaining)
-        rst.req.complete(Status(rst.src, rst.tag, rst.nbytes), data)
+        rst.req.complete(_new(Status, (rst.src, rst.tag, rst.nbytes)), data)
 
 
 def _fragments(total: float, frag_size: float) -> list[float]:

@@ -22,6 +22,8 @@ from repro.mpisim.packets import FinPacket, RtsPacket
 from repro.mpisim.protocols.base import RendezvousProtocol
 from repro.mpisim.status import Status
 
+_new = tuple.__new__  # per-message records C-level, as in netsim.nic
+
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.endpoint import Endpoint, RecvState, SendState
 
@@ -39,8 +41,8 @@ class RdmaReadProtocol(RendezvousProtocol):
         # the bytes only "move" when the read completes).
         yield from ep.send_control(
             st.dest,
-            RtsPacket(st.seq, ep.rank, st.tag, st.nbytes, 0.0, st.data,
-                      st.req.context),
+            _new(RtsPacket, (st.seq, ep.rank, st.tag, st.nbytes, 0.0,
+                             st.data, st.req.context)),
         )
         st.xfer_id = ep.monitor.xfer_begin(st.nbytes)
 
@@ -72,10 +74,10 @@ class RdmaReadProtocol(RendezvousProtocol):
             ep.monitor.xfer_end(rst.xfer_id, rst.nbytes)
             # Notify the sender its buffer is free.
             yield from ep.send_control(
-                rst.src, FinPacket(rst.seq, ep.rank, to_sender=True, data=None)
+                rst.src, _new(FinPacket, (rst.seq, ep.rank, True, None))
             )
             ep.recvs.pop((rst.src, rst.seq), None)
-            rst.req.complete(Status(rst.src, rst.tag, rst.nbytes), data)
+            rst.req.complete(_new(Status, (rst.src, rst.tag, rst.nbytes)), data)
 
         yield from ep.sync()
         ep.nics[0].post_rdma_read(

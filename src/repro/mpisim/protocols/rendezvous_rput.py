@@ -17,6 +17,8 @@ from repro.mpisim.packets import CtsPacket, FinPacket, RtsPacket
 from repro.mpisim.protocols.base import RendezvousProtocol
 from repro.mpisim.status import Status
 
+_new = tuple.__new__  # per-message records C-level, as in netsim.nic
+
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.endpoint import Endpoint, RecvState, SendState
 
@@ -31,8 +33,8 @@ class RdmaWriteProtocol(RendezvousProtocol):
             ep.spend(pin_cost)
         yield from ep.send_control(
             st.dest,
-            RtsPacket(st.seq, ep.rank, st.tag, st.nbytes, 0.0, None,
-                      st.req.context),
+            _new(RtsPacket, (st.seq, ep.rank, st.tag, st.nbytes, 0.0, None,
+                             st.req.context)),
         )
         # The sender knows precisely when it will initiate the write (after
         # the CTS), so no XFER_BEGIN yet -- it is stamped at the write post.
@@ -44,7 +46,7 @@ class RdmaWriteProtocol(RendezvousProtocol):
         def on_written() -> typing.Generator:
             ep.monitor.xfer_end(st.xfer_id, st.nbytes)
             yield from ep.send_control(
-                st.dest, FinPacket(st.seq, ep.rank, to_sender=False, data=st.data)
+                st.dest, _new(FinPacket, (st.seq, ep.rank, False, st.data))
             )
             ep.sends.pop(st.seq, None)
             st.req.complete()
@@ -70,7 +72,7 @@ class RdmaWriteProtocol(RendezvousProtocol):
         )
         if pin_cost > 0:
             ep.spend(pin_cost)
-        yield from ep.send_control(rst.src, CtsPacket(rst.seq, ep.rank))
+        yield from ep.send_control(rst.src, _new(CtsPacket, (rst.seq, ep.rank)))
         # The receiver's best approximation of transfer start is its CTS.
         rst.remaining = rst.nbytes
         rst.xfer_id = ep.monitor.xfer_begin(rst.nbytes)
@@ -79,4 +81,4 @@ class RdmaWriteProtocol(RendezvousProtocol):
         self, ep: "Endpoint", rst: "RecvState", data: object
     ) -> None:
         ep.monitor.xfer_end(rst.xfer_id, rst.nbytes)
-        rst.req.complete(Status(rst.src, rst.tag, rst.nbytes), data)
+        rst.req.complete(_new(Status, (rst.src, rst.tag, rst.nbytes)), data)

@@ -17,12 +17,19 @@ inputs:
   wait-heavy workloads that abandon guard timeouts keep a bounded pending
   population.
 
-The pending store is one binary heap: the population is two to four
-entries per rank (``heap_high_water``), where nothing beats ``heapq``.
+The pending store is one binary heap of ``(when, seq, entry)`` tuples, two
+to four logical entries per rank (``heap_high_water``).  Lockstep ranks
+sync their clocks to the instant already pending, one after another, so
+every sift would compare hundreds of tuples whose ``when`` ties: a clock
+sync keyed at the previous sync's instant joins a :class:`_SyncGroup`
+instead, one heap entry retired member by member in ``(when, seq)`` order
+like a burst.  Counts (``pending_count``, ``heap_high_water``) stay those
+of one entry per sync.
 """
 
 from __future__ import annotations
 
+import collections
 import gc
 import heapq
 import time
@@ -126,6 +133,23 @@ class Burst:
         )
 
 
+class _SyncGroup(collections.deque):
+    """Pending clock syncs at one instant, scheduled as one store entry.
+
+    Members are ``(seq, ClockSync)`` in key order; the store entry is keyed
+    by the oldest.  A member whose entry no longer carries its ``seq`` was
+    abandoned, exactly as for a lone sync.
+    """
+
+    callbacks = None  # class-level: run-loop discriminant, never assigned
+    __slots__ = ()
+
+    def drop_dead(self) -> None:
+        live = [m for m in self if m[1].seq == m[0]]
+        self.clear()
+        self.extend(live)
+
+
 class RankClock:
     """One simulated process's CPU clock: how far its own code has run.
 
@@ -158,6 +182,13 @@ class Engine:
         self._seq: int = 0
         #: Cancelled timeouts still awaiting lazy removal from the store.
         self._dead_pending: int = 0
+        #: Grouped syncs pending beyond one per queued group.
+        self._grouped: int = 0
+        #: Instant of the last clock sync, and the group collecting there.
+        self._sync_when: float = -_INF
+        self._sync_group: "_SyncGroup | None" = None
+        #: The group whose members are being woken (out of the store).
+        self._retiring: "_SyncGroup | None" = None
         #: Number of events processed so far (useful for tests/diagnostics).
         self.processed_count: int = 0
         #: Simulation time when the last deadline-bounded run() stopped
@@ -247,8 +278,9 @@ class Engine:
     # -- scheduling -------------------------------------------------------
     @property
     def pending_count(self) -> int:
-        """Number of pending entries (macro-events count once)."""
-        return len(self._heap)
+        """Number of pending entries (bursts count once, grouped syncs
+        one each)."""
+        return len(self._heap) + self._grouped
 
     def _post(self, event: Event, delay: float = 0.0) -> None:
         """Schedule a triggered event for processing ``delay`` from now.
@@ -261,15 +293,15 @@ class Engine:
         self._seq = seq + 1
         heap = self._heap
         heapq.heappush(heap, (self.now + delay, seq, event))
-        if len(heap) > self.heap_high_water:
-            self.heap_high_water = len(heap)
+        if len(heap) + self._grouped > self.heap_high_water:
+            self.heap_high_water = len(heap) + self._grouped
 
     def _post_entry(self, when: float, seq: int, item: object) -> None:
         """Insert an entry with a caller-allocated sequence number."""
         heap = self._heap
         heapq.heappush(heap, (when, seq, item))
-        if len(heap) > self.heap_high_water:
-            self.heap_high_water = len(heap)
+        if len(heap) + self._grouped > self.heap_high_water:
+            self.heap_high_water = len(heap) + self._grouped
 
     def post_at(self, when: float, value: object = None) -> Event:
         """Schedule a fresh already-triggered event at absolute time ``when``.
@@ -378,22 +410,38 @@ class Engine:
 
     @staticmethod
     def _is_dead(entry: "tuple[float, int, typing.Any]") -> bool:
-        """True for a store entry that is discarded when popped: a
-        cancelled timeout, or a clock sync abandoned since it was keyed."""
+        """True for a store entry whose key is discarded when popped: a
+        cancelled timeout, a clock sync abandoned since it was keyed, or a
+        group whose oldest member is such a sync."""
         _when, seq, item = entry
         if item.callbacks is not None:
             return False
         cls = item.__class__
+        if cls is _SyncGroup:
+            item, cls = item[0][1], ClockSync
         return cls is not Burst and (cls is not ClockSync or item.seq != seq)
 
     def _compact(self) -> None:
-        """Physically remove dead entries from the store."""
-        heap = self._heap
-        is_dead = self._is_dead
-        live = [e for e in heap if not is_dead(e)]
-        if len(live) != len(heap):
-            heap[:] = live
-            heapq.heapify(heap)
+        """Physically remove dead entries from the store, and dead members
+        from its groups and from the group being woken."""
+        live = []
+        for entry in self._heap:
+            item = entry[2]
+            if item.__class__ is _SyncGroup:
+                item.drop_dead()
+                if item:  # re-keyed at its oldest live member
+                    live.append((entry[0], item[0][0], item))
+            elif not self._is_dead(entry):
+                live.append(entry)
+        heapq.heapify(live)
+        self._heap[:] = live
+        running = self._retiring
+        if running is not None:
+            running.drop_dead()
+            if not running:
+                self._floor = _INF
+        self._grouped = len(running or ()) + sum(
+            len(e[2]) - 1 for e in live if e[2].__class__ is _SyncGroup)
         self._dead_pending = 0
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
@@ -421,7 +469,8 @@ class Engine:
         trip) and something to yield is returned: the calling process's
         reusable :class:`~repro.sim.process.ClockSync`, or -- called from
         outside a process, or with that entry still armed -- a
-        :class:`Timeout`.
+        :class:`Timeout`.  A sync keyed at the previous sync's instant
+        joins that instant's :class:`_SyncGroup`.
         """
         now = self.now
         if when <= now:
@@ -438,8 +487,19 @@ class Engine:
         self._seq = seq + 1
         proc = self._running
         entry: "ClockSync | Timeout"
+        item: "object | None"
         if proc is not None and (entry := proc._sync).seq < 0:
             entry.seq = seq  # the most frequently scheduled entry of a run
+            item = entry
+            if when != self._sync_when:
+                self._sync_when = when
+                self._sync_group = None
+            elif group := self._sync_group:
+                group.append((seq, entry))
+                self._grouped += 1
+                item = None
+            else:
+                item = self._sync_group = _SyncGroup(((seq, entry),))
         else:
             # Timeout.__init__ inlined.
             entry = Timeout.__new__(Timeout)
@@ -449,9 +509,11 @@ class Engine:
             entry._value = None
             entry._defused = False
             entry.delay = when - now
-        heapq.heappush(heap, (when, seq, entry))
-        if len(heap) > self.heap_high_water:
-            self.heap_high_water = len(heap)
+            item = entry
+        if item is not None:
+            heapq.heappush(heap, (when, seq, item))
+        if len(heap) + self._grouped > self.heap_high_water:
+            self.heap_high_water = len(heap) + self._grouped
         return entry
 
     def event(self) -> Event:
@@ -484,11 +546,17 @@ class Engine:
         """
         heap = self._heap
         while heap:
-            if self._is_dead(heap[0]):
-                heapq.heappop(heap)
-                self._dead_pending -= 1
-                continue
-            return heap[0][0]
+            when, _seq, item = head = heap[0]
+            if not self._is_dead(head):
+                return when
+            self._dead_pending -= 1
+            if item.__class__ is _SyncGroup:
+                item.popleft()  # its dead oldest member
+                if item:  # re-key the rest
+                    self._grouped -= 1
+                    heapq.heapreplace(heap, (when, item[0][0], item))
+                    continue
+            heapq.heappop(heap)
         return _INF
 
     def _retire_burst(
@@ -576,6 +644,47 @@ class Engine:
                                 {"subs": processed,
                                  "every": self._trace_sample_every})
         return status
+
+    def _retire_group(self, when: float, group: _SyncGroup) -> None:
+        """Wake a popped group's members in exact global order.
+
+        Members share the group's instant, so only a store entry at that
+        instant with a smaller sequence number comes first (a run's stop
+        event among them: the run loop stops after dispatching it); at the
+        first one the remainder goes back to the store keyed at its oldest
+        member.  Members out of the store count in ``_grouped`` and hold
+        ``_floor`` at the instant, so the last one may still advance inline.
+        """
+        heap = self._heap
+        processed = 0
+        self._retiring = group
+        self._grouped += 1  # out of the store: every member counts
+        self._floor = when
+        try:
+            while group:
+                seq, entry = group[0]
+                if heap:
+                    head = heap[0]
+                    if head[0] <= when and (head[0] < when or head[1] < seq):
+                        break
+                group.popleft()
+                self._grouped -= 1
+                if not group:
+                    self._floor = _INF
+                if entry.seq == seq:
+                    entry.seq = -1
+                    self.now = when
+                    entry.wake(entry)
+                    processed += 1
+                elif self._dead_pending:
+                    self._dead_pending -= 1
+        finally:
+            self._floor = _INF
+            self._retiring = None
+            self.processed_count += processed
+            if group:
+                heapq.heappush(heap, (when, group[0][0], group))
+                self._grouped -= 1
 
     def run_guarded(
         self,
@@ -690,6 +799,8 @@ class Engine:
                             self.now = when
                             event.wake(event)
                             processed += 1
+                        elif cls is _SyncGroup:
+                            self._retire_group(when, event)
                         elif cls is Burst:
                             subs = event.subs
                             if len(subs) - event.idx == 1:
@@ -745,6 +856,8 @@ class Engine:
                             self.now = when
                             event.wake(event)
                             processed += 1
+                        elif cls is _SyncGroup:
+                            self._retire_group(when, event)
                         elif cls is Burst:
                             if self._retire_burst(
                                     event, stop_event, deadline) == 2:

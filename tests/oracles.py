@@ -1,13 +1,15 @@
 """Test oracles: the slow formulations the shipped fast paths must equal.
 
 A referee is a test oracle, never a runtime option: the package ships one
-NIC scheduling path (burst macro-events) and one fence routine (the
-incremental :meth:`_Coordinator.fences_now`); what each must be
-bit-identical to lives here and is patched in by the tests that compare.
+NIC scheduling path (burst macro-events), one pending store (same-instant
+clock syncs grouped) and one fence routine (the incremental
+:meth:`_Coordinator.fences_now`); what each must be bit-identical to lives
+here and is patched in by the tests that compare.
 """
 
 import contextlib
 import dataclasses
+import sys
 
 import pytest
 
@@ -15,10 +17,13 @@ from repro.metrics import MetricsRegistry
 from repro.netsim.nic import (_STREAM_RX, CompletionEntry, CompletionKind,
                               InboundPacket, Nic)
 from repro.runtime.launcher import run_app
+from repro.sim import Engine
+from repro.sim.events import Event
 from repro.sim.parallel import _Coordinator
 from repro.telemetry.collect import TelemetryConfig
 
 _INF = float("inf")
+_NAN = float("nan")
 
 
 # -- per-packet NIC scheduling --------------------------------------------
@@ -108,6 +113,65 @@ def run_both(app, nprocs, config=None, params=None, app_args=(), seed=0,
             ))
         snapshots.append(registry.snapshot())
     return results[0], results[1], snapshots[0], snapshots[1]
+
+
+# -- one store entry per clock sync ------------------------------------------
+
+@contextlib.contextmanager
+def one_entry_per_sync():
+    """Key every clock sync as its own heap tuple while the block runs.
+
+    The store before same-instant syncs were grouped: ``advance_to`` never
+    sees the previous sync's instant (NaN equals nothing), so no
+    ``_SyncGroup`` is ever built and every sync takes the lone path.
+    """
+    advance_to = Engine.advance_to
+
+    def lone(self, when):
+        self._sync_when = _NAN
+        return advance_to(self, when)
+
+    with pytest.MonkeyPatch.context() as patches:
+        patches.setattr(Engine, "advance_to", lone)
+        yield
+
+
+_DISPATCH_LOOPS = frozenset(fn.__code__ for fn in (
+    Engine.run, Engine._retire_burst, Engine._retire_group))
+_NOT_CALLBACKS = frozenset(fn.__code__ for fn in (
+    Engine._retire_burst, Engine._retire_group, Engine._dispatch_multi,
+    Engine._post_entry, Event.processed.fget, Event.ok.fget,
+    Event.value.fget))
+
+
+@contextlib.contextmanager
+def recording_dispatch():
+    """Yield a list that fills with the ``(when, seq)`` store key of every
+    callback the engine dispatches while the block runs, in order.
+
+    A profile hook reads the key from the dispatching loop's own locals
+    (``when``, ``seq`` in ``run``, ``_retire_burst`` and
+    ``_retire_group``), so the log is the engine's, not a reconstruction.
+    """
+    multi = Engine._dispatch_multi.__code__
+    log = []
+
+    def hook(frame, event, _arg):
+        if event != "call" or frame.f_code in _NOT_CALLBACKS:
+            return
+        caller = frame.f_back
+        if caller is not None and caller.f_code is multi:
+            caller = caller.f_back
+        if caller is not None and caller.f_code in _DISPATCH_LOOPS:
+            where = caller.f_locals
+            log.append((where["when"], where["seq"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield log
+    finally:
+        sys.setprofile(previous)
 
 
 # -- conservative fences ----------------------------------------------------

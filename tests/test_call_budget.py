@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import heapq
 import sys
+import types
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import repro.sim.engine as engine_module
 from repro.core.monitor import Monitor
 from repro.experiments.halo import halo_app
 from repro.mpisim.config import MpiConfig, mvapich2_like
@@ -31,6 +34,7 @@ from repro.mpisim.endpoint import Endpoint
 from repro.netsim.nic import Nic
 from repro.runtime.launcher import run_app
 from repro.sim import Engine
+from repro.sim.engine import _SyncGroup
 from repro.sim.events import Timeout
 from repro.sim.process import ClockSync, Process
 from tests.test_report_pins import CASES
@@ -39,10 +43,16 @@ from tests.test_report_pins import CASES
 #: Every CPU cost a scheduler round trip: 4 896 events and 174 039 calls.
 #: Per-rank clocks synchronised lazily: 3 008 and 105 078.  A sync that is
 #: one reusable store entry and a write completion that is one sub-event:
-#: 2 624 and 85 687; the budgets sit ~3 % above that.
+#: 2 624 and 85 687.  Same-instant syncs in one store entry and transfers
+#: resolved inside the digest loop: 2 624 and 83 917; the budgets sit ~3 %
+#: above that.
 MAX_ENGINE_EVENTS = 2_700
-MAX_CALLS = 88_200
+MAX_CALLS = 86_400
 STAMPS = 3_200
+#: Clock syncs the budget job schedules, and how many join the store entry
+#: of the sync before them (exact: both repeat run to run).
+SYNCS = 2_176
+GROUPED_SYNCS = 2_040
 
 
 def _budget_job():
@@ -82,6 +92,46 @@ def measure_budget_job() -> "dict[str, int]":
 def test_python_calls_per_job():
     calls = measure_budget_job()["calls"]
     assert calls <= MAX_CALLS, calls
+
+
+def measure_sync_store() -> "dict[str, int]":
+    """How the budget job's clock syncs met the pending store: syncs
+    scheduled, those that joined a same-instant group, heap pushes, engine
+    events (``python -m tests.test_call_budget`` prints the share and the
+    pushes per event)."""
+    counts = collections.Counter()
+    append, advance_to = _SyncGroup.append, Engine.advance_to
+
+    def joined(group, member):
+        counts["grouped"] += 1
+        append(group, member)
+
+    def pushed(heap, entry):
+        counts["pushes"] += 1
+        heapq.heappush(heap, entry)
+
+    def synced(self, when):
+        entry = advance_to(self, when)
+        counts["syncs"] += entry.__class__ is ClockSync
+        return entry
+
+    with pytest.MonkeyPatch.context() as patches:
+        patches.setattr(_SyncGroup, "append", joined)
+        patches.setattr(engine_module, "heapq", types.SimpleNamespace(
+            heappush=pushed, heappop=heapq.heappop, heapify=heapq.heapify,
+            heapreplace=heapq.heapreplace))
+        patches.setattr(Engine, "advance_to", synced)
+        result = _budget_job()
+    counts["events"] = result.fabric.engine.processed_count
+    return dict(counts)
+
+
+def test_lockstep_syncs_share_store_entries():
+    """Grouping is decided by an observable fact only (a sync lands on the
+    previous sync's instant); a change that silently stops it fails here."""
+    counts = measure_sync_store()
+    assert (counts["syncs"], counts["grouped"]) == (SYNCS, GROUPED_SYNCS)
+    assert counts["events"] <= MAX_ENGINE_EVENTS
 
 
 def test_a_rank_sync_constructs_no_timeout(monkeypatch):
@@ -341,3 +391,8 @@ if __name__ == "__main__":
     print("budget job (32 ranks x 6 steps): "
           + ", ".join(f"{count:,} {what}"
                       for what, count in measure_budget_job().items()))
+    store = measure_sync_store()
+    print(f"budget job clock syncs: {store['grouped']:,} of {store['syncs']:,} "
+          f"({store['grouped'] / store['syncs']:.1%}) joined a same-instant "
+          f"group; heap pushes per engine event: "
+          f"{store['pushes'] / store['events']:.3f}")

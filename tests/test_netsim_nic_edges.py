@@ -311,12 +311,80 @@ def test_c_level_records_are_the_constructors_records():
     expected += [EagerPacket(packet.seq, 0, 5, 100, b"x", 0), Status(0, 5, 100)]
 
     for record, reference in zip(built, expected, strict=True):
-        cls = type(reference)
-        assert type(record) is cls and record == reference
-        assert hash(record) == hash(reference)
-        assert pickle.dumps(record) == pickle.dumps(reference)
-        assert pickle.loads(pickle.dumps(record)) == reference
-        assert record._asdict() == reference._asdict()
-        first = cls._fields[0]
-        changed = record._replace(**{first: getattr(reference, first)})
-        assert type(changed) is cls and changed == reference
+        _assert_is_the_constructors(record, reference)
+
+
+def _assert_is_the_constructors(record, reference):
+    import pickle
+
+    cls = type(reference)
+    assert type(record) is cls and record == reference
+    assert len(record) == len(cls._fields)
+    assert hash(record) == hash(reference)
+    assert pickle.dumps(record) == pickle.dumps(reference)
+    assert pickle.loads(pickle.dumps(record)) == reference
+    assert record._asdict() == reference._asdict()
+    first = cls._fields[0]
+    changed = record._replace(**{first: getattr(reference, first)})
+    assert type(changed) is cls and changed == reference
+
+
+@pytest.mark.parametrize("mode", ["pipelined", "rget", "rput"])
+def test_c_level_protocol_records_are_the_constructors_records(mode):
+    """The per-message records of the matching queue and the rendezvous
+    protocols -- ``UnexpectedMsg`` at all three arrival-before-receive
+    sites, ``Status``, ``RtsPacket``, ``CtsPacket``, ``FinPacket`` -- are
+    ``tuple.__new__``-built with every field, defaulted ones included."""
+    import dataclasses
+
+    from repro.mpisim.endpoint import Endpoint
+    from repro.mpisim.matching import MatchingEngine, UnexpectedMsg
+    from repro.mpisim.packets import CtsPacket, FinPacket, RtsPacket
+    from repro.mpisim.request import Request
+    from repro.mpisim.status import Status
+    from repro.runtime.launcher import run_app
+
+    records = []
+    spied = {
+        (MatchingEngine, "add_unexpected"): lambda args: args[1],
+        (Endpoint, "_dispatch_packet"): lambda args: args[1],
+        (Request, "complete"): lambda args: args[1] if len(args) > 1 else None,
+    }
+
+    def app(ctx):
+        comm = ctx.comm
+        if ctx.rank == 0:
+            small = yield from comm.isend(1, 1, 100.0, data=b"e")
+            big = yield from comm.isend(1, 2, 3.5 * FRAG, data=b"r")
+            mine = yield from comm.isend(0, 3, 64.0, data=b"s")
+            yield from ctx.compute(50e-6)
+            yield from comm.recv(0, 3)
+            yield from comm.waitall([small, big, mine])
+        else:
+            yield from ctx.compute(200e-6)  # both arrive before the receives
+            yield from comm.recv(0, 1)
+            yield from comm.recv(0, 2)
+
+    with pytest.MonkeyPatch.context() as patches:
+        for (cls, name), pick in spied.items():
+            original = getattr(cls, name)
+
+            def spy(*args, _original=original, _pick=pick, **kwargs):
+                record = _pick(args)
+                if isinstance(record, tuple):
+                    records.append(record)
+                return _original(*args, **kwargs)
+
+            patches.setattr(cls, name, spy)
+        run_app(app, 2, config=dataclasses.replace(CONFIG, rndv_mode=mode),
+                label=f"edge-records-{mode}")
+
+    kinds = {type(record) for record in records}
+    assert {UnexpectedMsg, Status, RtsPacket, CtsPacket, FinPacket} - kinds <= (
+        {CtsPacket} if mode == "rget" else set())
+    assert {(m.kind, m.src, m.tag, m.nbytes) for m in records
+            if type(m) is UnexpectedMsg} == {
+        ("eager", 0, 1, 100.0), ("rts", 0, 2, 3.5 * FRAG), ("eager", 0, 3, 64.0)}
+    for record in records:
+        if type(record).__module__.startswith("repro.mpisim"):
+            _assert_is_the_constructors(record, type(record)(**record._asdict()))

@@ -580,41 +580,27 @@ def shutdown_shared_pool() -> None:
 atexit.register(shutdown_shared_pool)
 
 
-def _progress_done(progress: "SweepProgress | None", dur: float,
-                   task: Task, value: object) -> None:
-    if progress is None:
-        return
-    if isinstance(value, FailedTask):
-        progress.task_done(dur, name=_task_name(task), failed=True)
-    else:
-        progress.task_done(dur, name=_task_name(task))
-
-
 def _run_on_workers(
     tasks: "list[Task]",
     pending: "list[int]",
     jobs: int,
-    progress: "SweepProgress | None",
+    settle: "typing.Callable[[int, float, object], None]",
     cancel: "typing.Any | None",
     tracer: "Tracer | None",
     on_error: str,
-) -> "list[tuple[float, object]]":
+) -> None:
     """Fan tasks across at most ``jobs`` borrowed worker processes.
 
     The out-of-process half of :func:`run_tasks` (which documents the
     failure and cancel policies).  A worker that dies outright --
     segfault, OOM kill, ``os._exit`` -- surfaces as ``EOFError`` on the
     parent's end of its pipe and takes only its in-flight cell with it.
-    Results are slotted positionally, so ordering stays deterministic,
-    and no path leaves a borrowed worker running.
+    Each cell is handed to ``settle(task index, seconds, value)`` the
+    moment it lands, so ordering stays deterministic, and no path leaves
+    a borrowed worker running.
     """
-    timed: "list[typing.Any]" = [None] * len(pending)  # (seconds, value)
     inflight: "dict[object, tuple[int, _Worker, float]]" = {}  # by parent conn
     next_slot = 0
-
-    def settle(slot: int, dur: float, value: object) -> None:
-        timed[slot] = (dur, value)
-        _progress_done(progress, dur, tasks[pending[slot]], value)
 
     try:
         while next_slot < len(pending) or inflight:
@@ -625,11 +611,12 @@ def _run_on_workers(
                         f"of {len(pending)} pending tasks")
                 for slot, worker, t0 in inflight.values():
                     _WORKERS.retire(worker, "cancel")
-                    settle(slot, time.perf_counter() - t0,
+                    settle(pending[slot], time.perf_counter() - t0,
                            _cancelled_cell(tasks[pending[slot]]))
                 inflight.clear()
                 for slot in range(next_slot, len(pending)):
-                    settle(slot, 0.0, _cancelled_cell(tasks[pending[slot]]))
+                    settle(pending[slot], 0.0,
+                           _cancelled_cell(tasks[pending[slot]]))
                 break
             while next_slot < len(pending) and len(inflight) < jobs:
                 task = tasks[pending[next_slot]]
@@ -669,11 +656,10 @@ def _run_on_workers(
                         exc = RuntimeError(f"task {value.name}: {value.error}")
                     raise exc from RuntimeError(
                         f"in a worker process:\n{value.traceback}")
-                settle(slot, dur, value)
+                settle(pending[slot], dur, value)
     finally:
         for _slot, worker, _t0 in inflight.values():
             _WORKERS.retire(worker, "cancel")
-    return timed
 
 
 def run_tasks(
@@ -694,8 +680,8 @@ def run_tasks(
     :class:`_WorkerSet`, which outlives the call -- a CLI invocation
     that renders several sweeps, or a service that runs thousands of
     jobs, pays process startup once per worker.  ``cache`` (optional) is
-    consulted before any work and updated after; only cache misses are
-    executed.  ``progress`` (optional
+    consulted before any work and updated as each cell finishes; only
+    cache misses are executed.  ``progress`` (optional
     :class:`~repro.metrics.SweepProgress`) receives one ``task_done``
     per task -- cache hits immediately, executed tasks with their
     measured duration as results stream back -- and is ``finish()``-ed
@@ -747,9 +733,10 @@ def run_tasks(
     results: list[object] = [None] * len(tasks)
     pending: list[int] = []
     keys: list[str | None] = [None] * len(tasks)
+    jobs = jobs or 1
 
     if progress is not None:
-        progress.start(len(tasks), jobs or 1)
+        progress.start(len(tasks), jobs)
 
     if cache is not None:
         probe_t0 = tracer.now() if tracer is not None else 0.0
@@ -770,20 +757,22 @@ def run_tasks(
     else:
         pending = list(range(len(tasks)))
 
-    if not pending:
+    def settle(i: int, dur: float, value: object) -> None:
+        # Cached the moment it lands: an interrupt or a raising cell
+        # later in the sweep must not throw finished cells away.
+        results[i] = value
+        failed = isinstance(value, FailedTask)
+        if cache is not None and not failed:
+            cache.put(typing.cast(str, keys[i]), value)
         if progress is not None:
-            progress.finish()
-        return results
+            progress.task_done(dur, name=_task_name(tasks[i]), failed=failed)
 
-    if jobs is None:
-        jobs = 1
     if isolate or (jobs > 1 and len(pending) > 1):
-        timed = _run_on_workers(
-            tasks, pending, max(1, min(jobs, len(pending))), progress, cancel,
+        _run_on_workers(
+            tasks, pending, max(1, min(jobs, len(pending))), settle, cancel,
             tracer, on_error,
         )
     else:
-        timed = []
         for n, i in enumerate(pending):
             if cancel is not None and cancel.is_set():
                 if on_error == "raise":
@@ -792,21 +781,12 @@ def run_tasks(
                         "pending tasks"
                     )
                 for j in pending[n:]:
-                    value = _cancelled_cell(tasks[j])
-                    _progress_done(progress, 0.0, tasks[j], value)
-                    timed.append((0.0, value))
+                    settle(j, 0.0, _cancelled_cell(tasks[j]))
                 break
             dur, value, _exc = _run_task(tasks[i], on_error == "continue",
                                          tracer)
-            _progress_done(progress, dur, tasks[i], value)
-            timed.append((dur, value))
+            settle(i, dur, value)
 
-    for i, (_dur, value) in zip(pending, timed):
-        results[i] = value
-        if cache is not None and not isinstance(value, FailedTask):
-            key = keys[i]
-            assert key is not None
-            cache.put(key, value)
     if progress is not None:
         progress.finish()
     return results

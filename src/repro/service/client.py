@@ -158,29 +158,29 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 60.0,
              poll: float = 0.05) -> Response:
-        """Poll until the job leaves queued/running; returns final status.
+        """Wait until the job leaves queued/running; returns final status.
 
-        The pause between status reads starts at 2 ms and doubles up to
-        ``poll``: a job that takes milliseconds is seen milliseconds
-        after it finishes, a long one costs ``1 / poll`` reads a second.
-        No pause runs past ``timeout``.
+        Each status read asks the server to hold its answer until the job
+        is final (``GET /v1/jobs/{id}?wait=S``), so the job is seen one
+        wake-up after it finishes and the client never sleeps.  ``poll``
+        is the longest one read is held (kept under the socket timeout):
+        a long job costs about ``1 / poll`` reads a second.  No read is
+        held past ``timeout``.
         """
         deadline = time.monotonic() + timeout
-        pause = min(0.002, poll)
+        hold = min(poll, self.timeout / 2)
         while True:
-            resp = self.job(job_id)
+            wait = max(0.0, min(hold, deadline - time.monotonic()))
+            resp = self.request("GET", f"/v1/jobs/{job_id}?wait={wait:.6f}")
             if resp.status != 200:
                 raise ServiceError(
                     f"wait({job_id!r}): HTTP {resp.status}: {resp.body}")
             if resp.body.get("state") not in ("queued", "running"):
                 return resp
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if deadline - time.monotonic() <= 0:
                 raise ServiceError(
                     f"wait({job_id!r}): still {resp.body.get('state')} "
                     f"after {timeout}s")
-            time.sleep(min(pause, remaining))
-            pause = min(2 * pause, poll)
 
     def submit_and_wait(self, spec: "dict[str, typing.Any]",
                         timeout: float = 60.0) -> "tuple[Response, Response]":

@@ -18,11 +18,13 @@ Life of a submission
 4. **Admission control**: per-tenant and global queue budgets; over
    budget -> HTTP 429 with a ``Retry-After`` estimate.
 5. **Execution**: a bounded worker-thread pool drains the queue, running
-   each job's cells through :func:`repro.experiments.runner.run_tasks`
-   in a supervised worker process reused between cells (``isolate=True,
+   each job's cells side by side (:attr:`OverlapService.cell_slots`)
+   through :func:`repro.experiments.runner.run_tasks` in supervised
+   worker processes reused between cells (``isolate=True,
    on_error="continue"``) -- a segfaulting cell fails its own job and
    costs that one worker, never the server -- with a cooperative cancel
    event behind ``DELETE /v1/jobs/{id}``.
+6. **Notification**: a job's finish hooks answer its held ``?wait=`` reads.
 
 Every execution publishes the standard ``sweep.json``/``metrics.om``
 artifacts (when the service has a metrics dir), so ``repro.tools.watch``
@@ -32,6 +34,7 @@ tails a server exactly like it tails a CLI sweep.
 from __future__ import annotations
 
 import collections.abc
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -39,6 +42,7 @@ import pickle
 import threading
 import time
 import typing
+import zlib
 
 from repro.experiments.runner import (
     FailedTask,
@@ -67,24 +71,26 @@ def _new_job_id() -> str:
 
 
 class PackedRows(collections.abc.Sequence):
-    """A finished execution's result rows, one pickle blob per row.
+    """A finished execution's result rows, one compressed pickle per row.
 
     A finished job stays addressable for a long time
     (:data:`DEFAULT_MAX_FINISHED_JOBS`) and is fetched once or never;
     its rows as live object graphs cost several times their serialized
-    size, so they are held packed and decoded per requested page.
+    size, so they are held packed (zlib's fastest level halves a report
+    row's pickle) and decoded per requested page.
     Compares equal to any sequence of the same rows.
     """
 
     __slots__ = ("_blobs",)
 
     def __init__(self, rows: "typing.Iterable[object]") -> None:
-        # The copy is the point: dumps() returns its 4 KiB-granular write
-        # buffer shrunk in place, and keeping thousands of those pins the
-        # freed tails between them (measured: 9.3 -> 5.6 KiB RSS per
-        # two-row job); an exact-size copy lets the buffer be reused.
+        # The copy is the point: compress() returns its output buffer
+        # shrunk in place, and keeping thousands of those pins the freed
+        # tails between them (measured: 2.2 -> 1.6 KiB RSS per two-row
+        # job); an exact-size copy lets the buffer be reused.
         self._blobs = [
-            bytes(memoryview(pickle.dumps(row, pickle.HIGHEST_PROTOCOL)))
+            bytes(memoryview(zlib.compress(
+                pickle.dumps(row, pickle.HIGHEST_PROTOCOL), 1)))
             for row in rows]
 
     def __len__(self) -> int:
@@ -92,8 +98,9 @@ class PackedRows(collections.abc.Sequence):
 
     def __getitem__(self, index):  # type: ignore[override]
         if isinstance(index, slice):
-            return [pickle.loads(blob) for blob in self._blobs[index]]
-        return pickle.loads(self._blobs[index])
+            return [pickle.loads(zlib.decompress(blob))
+                    for blob in self._blobs[index]]
+        return pickle.loads(zlib.decompress(self._blobs[index]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, collections.abc.Sequence):
@@ -122,7 +129,8 @@ class _Execution:
         self.created = time.time()
         self.started: "float | None" = None
         self.finished: "float | None" = None
-        self.cancel_event = threading.Event()
+        #: Dropped once finalized (an Event with its Condition: ~1.2 KiB).
+        self.cancel_event: "threading.Event | None" = threading.Event()
         self.waiters: "list[Job]" = [job]
         self.results: "PackedRows | None" = None
         #: One automatic re-queue has been spent on a retryable failure
@@ -244,6 +252,11 @@ class OverlapService:
             max_bytes=cache_max_bytes, metrics=self.registry)
         self.queue = TenantQueue(quotas)
         self.workers = workers
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        #: Worker processes one job's cells may use at once: an equal share
+        #: of the CPUs per job slot, so at most max(workers, CPUs) cells run.
+        self.cell_slots = max(1, cpus // workers)
         self.metrics_dir = os.fspath(metrics_dir) if metrics_dir else None
         self.max_finished_jobs = max_finished_jobs
         self.started_unix = time.time()
@@ -261,6 +274,7 @@ class OverlapService:
         self._cond = threading.Condition(self._lock)
         self._stop = False
         self._threads: "list[threading.Thread]" = []
+        self._finish_hooks: "dict[str, set]" = {}  # job id -> finish hooks
 
         # Service-level progress: one "task" per submitted job, published
         # as the standard sweep.json/metrics.om pair when metrics_dir is
@@ -451,6 +465,33 @@ class OverlapService:
             rows.append(value)
         return rows
 
+    def add_finish_hook(self, job_id: str,
+                        hook: "typing.Callable[[], None]") -> bool:
+        """Call ``hook()`` once, under the service lock (so it must not
+        block), when the job is final; False when it is unknown or final
+        already.  A ``RuntimeError`` from it (its loop closed) is dropped."""
+        with self._lock:
+            job = self.jobs.get(job_id)
+            if job is None or job.state not in ("queued", "running"):
+                return False
+            self._finish_hooks.setdefault(job_id, set()).add(hook)
+            return True
+
+    def remove_finish_hook(self, job_id: str,
+                           hook: "typing.Callable[[], None]") -> None:
+        """Forget a hook that has not fired (no-op when it has)."""
+        with self._lock:
+            hooks = self._finish_hooks.get(job_id, set())
+            hooks.discard(hook)
+            if not hooks:
+                self._finish_hooks.pop(job_id, None)
+
+    def _job_final(self, job: Job) -> None:
+        """Fire (and forget) the job's finish hooks.  (Held lock.)"""
+        for hook in self._finish_hooks.pop(job.id, ()):
+            with contextlib.suppress(RuntimeError):  # its loop has closed
+                hook()
+
     def _make_job(self, sub: Submission, key: str, cached: bool = False,
                   deduped: bool = False) -> Job:
         job = Job(id=_new_job_id(), tenant=sub.tenant, kind=sub.kind,
@@ -542,6 +583,7 @@ class OverlapService:
             self.progress.task_done(0.0, name=job.label, failed=True)
             self._finished["cancelled"].inc()
             self._remember_finished(job)
+            self._job_final(job)
             execution = job.execution
             assert execution is not None
             if job in execution.waiters:
@@ -658,7 +700,7 @@ class OverlapService:
             t0 = time.perf_counter()
             try:
                 values = run_tasks(
-                    execution.tasks, jobs=1, cache=self.cache,
+                    execution.tasks, jobs=self.cell_slots, cache=self.cache,
                     on_error="continue", isolate=True,
                     cancel=execution.cancel_event, progress=progress,
                     tracer=tracer,
@@ -725,6 +767,7 @@ class OverlapService:
         # (config dataclasses and all) are of no further use.
         execution.tasks = []
         cancelled = execution.cancel_event.is_set()
+        execution.cancel_event = None
         hard_failures = any(
             isinstance(v, FailedTask) and not v.cancelled for v in values)
         if cancelled and not execution.waiters:
@@ -762,3 +805,4 @@ class OverlapService:
                 self.progress.task_done(duration if n == 0 else 0.0,
                                         name=job.label, failed=True)
             self._remember_finished(job)
+            self._job_final(job)

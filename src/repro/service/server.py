@@ -15,7 +15,7 @@ GET         ``/v1/metrics``                OpenMetrics text (``repro.metrics``)
 GET         ``/v1/progress``               service-level ``sweep.json`` payload
 GET         ``/v1/jobs``                   job listing (``?tenant=`` filter)
 POST        ``/v1/jobs``                   submit (200 cached / 202 queued / 429)
-GET         ``/v1/jobs/{id}``              job status
+GET         ``/v1/jobs/{id}``              status (``?wait=S``: held until final)
 DELETE      ``/v1/jobs/{id}``              cancel
 GET         ``/v1/jobs/{id}/result``       rows (``?offset=&limit=``; ``?stream=1``
                                            for chunked NDJSON)
@@ -26,7 +26,8 @@ GET         ``/v1/jobs/{id}/trace``        merged Perfetto trace JSON (when the
 
 Blocking service calls (cache probes are disk reads) run on the event
 loop's default thread-pool executor, keeping the accept loop responsive
-while a submission hashes and probes.
+while a submission hashes and probes.  A held status read uses none: it
+parks on a future that the job's finish hook resolves.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ import urllib.parse
 from repro.service.core import OverlapService
 
 MAX_BODY_BYTES = 1 << 20  # 1 MiB: submissions are small JSON objects
+#: Longest a ``GET /v1/jobs/{id}?wait=S`` is held (``S`` is clamped to it).
+MAX_WAIT_S = 30.0
 SERVER_NAME = "repro-service"
 
 _REASONS = {
@@ -131,27 +134,30 @@ class ServiceHTTPServer:
         return self.port
 
     async def close(self) -> None:
+        """Stop listening.  (Not ``wait_closed()``: from Python 3.12 on it
+        waits for every open connection, held reads included.)"""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
 
     # -- connection handling ------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        ahead: "asyncio.Task | None" = None  # read begun by a held read
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
+                    request = await (ahead or _read_request(reader))
                 except (ValueError, asyncio.IncompleteReadError):
                     await self._send_json(writer, 413,
                                           {"error": "request too large"})
                     break
+                ahead = None
                 if request is None:
                     break
                 keep_alive = request.headers.get(
                     "connection", "keep-alive").lower() != "close"
                 try:
-                    await self._dispatch(request, writer)
+                    ahead = await self._dispatch(request, reader, writer)
                 except ConnectionError:
                     break
                 except Exception as exc:  # route bug: report, keep serving
@@ -167,6 +173,8 @@ class ServiceHTTPServer:
             # callback log a spurious "Exception in callback".
             pass
         finally:
+            if ahead is not None:
+                ahead.cancel()
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -176,16 +184,14 @@ class ServiceHTTPServer:
     async def _send_json(self, writer: asyncio.StreamWriter, status: int,
                          payload: object,
                          extra: "dict[str, str] | None" = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        writer.write(_head(status, "application/json", len(body), extra))
-        writer.write(body)
-        await writer.drain()
-        self._count(status)
+        await self._send_text(writer, status, json.dumps(payload),
+                              "application/json", extra)
 
     async def _send_text(self, writer: asyncio.StreamWriter, status: int,
-                         text: str, content_type: str) -> None:
+                         text: str, content_type: str,
+                         extra: "dict[str, str] | None" = None) -> None:
         body = text.encode("utf-8")
-        writer.write(_head(status, content_type, len(body)))
+        writer.write(_head(status, content_type, len(body), extra))
         writer.write(body)
         await writer.drain()
         self._count(status)
@@ -218,8 +224,32 @@ class ServiceHTTPServer:
             counter.inc()
 
     # -- routing -------------------------------------------------------------
+    async def _hold(self, job_id: str, seconds: float,
+                    reader: asyncio.StreamReader) -> "asyncio.Task | None":
+        """Park until the job is final, ``seconds`` pass, or the client
+        hangs up or sends its next request; returns the task reading that
+        request, which :meth:`_dispatch` hands back to the connection loop
+        (None when the job is unknown or final already)."""
+        loop = asyncio.get_running_loop()
+        woken: "asyncio.Future[None]" = loop.create_future()
+        # Runs on a service thread under its lock: it only schedules.
+        hook = functools.partial(loop.call_soon_threadsafe,
+                                 woken.set_result, None)
+        if not self.service.add_finish_hook(job_id, hook):
+            return None
+        # A hang-up shows as the next read ending (a waiting client sends
+        # nothing), and that read is the connection's next one anyway.
+        ahead = asyncio.ensure_future(_read_request(reader))
+        try:
+            await asyncio.wait((woken, ahead), timeout=seconds,
+                               return_when=asyncio.FIRST_COMPLETED)
+        finally:  # cancelled at shutdown: the loop's owner cancels ``ahead``
+            self.service.remove_finish_hook(job_id, hook)
+        return ahead
+
     async def _dispatch(self, request: _Request,
-                        writer: asyncio.StreamWriter) -> None:
+                        reader: asyncio.StreamReader,
+                        writer: asyncio.StreamWriter) -> "asyncio.Task | None":
         loop = asyncio.get_running_loop()
         service = self.service
         method, path = request.method, request.path
@@ -267,9 +297,18 @@ class ServiceHTTPServer:
             job_id = segments[2]
             tail = segments[3:]
             if not tail and method == "GET":
+                try:
+                    wait = min(float(request.query.get("wait", 0)),
+                               MAX_WAIT_S)
+                except ValueError:
+                    await self._send_json(writer, 400,
+                                          {"error": "wait must be a number"})
+                    return
+                ahead = (await self._hold(job_id, wait, reader)
+                         if wait > 0 else None)
                 status, payload = service.job_status(job_id)
                 await self._send_json(writer, status, payload)
-                return
+                return ahead
             if not tail and method == "DELETE":
                 status, payload = service.cancel(job_id)
                 await self._send_json(writer, status, payload)

@@ -7,8 +7,8 @@
 
     # CI / self-test: start a real server on a loopback port, drive a
     # tiny LU job through submit -> poll -> result -> metrics -> warm
-    # resubmit, then a few cold micro jobs (which must share warm
-    # workers), and exit 0 only if every step behaved.
+    # resubmit, then a few cold micro jobs (warm workers, held status
+    # reads), and exit 0 only if every step behaved.
     python -m repro.tools.serve --smoke
 
 The server answers on ``/v1/jobs`` (see ``docs/service.md`` for the API
@@ -38,8 +38,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="TCP port (0 picks a free one)")
     parser.add_argument("--workers", type=int, default=2,
                         help="concurrent job executions (each runs its "
-                        "job's cells in a supervised worker process that "
-                        "is reused between cells)")
+                        "job's cells side by side on CPUs // workers "
+                        "supervised, reused worker processes)")
     parser.add_argument("--cache-dir", default=None,
                         help="result-cache root (default: "
                         "$REPRO_CACHE_DIR or .repro_cache)")
@@ -102,6 +102,7 @@ async def _serve_forever(service: OverlapService, host: str,
 def run_smoke(args: argparse.Namespace) -> int:
     """End-to-end self-test against a real loopback server."""
     import tempfile
+    import time
 
     from repro.service.client import ServiceClient
     from repro.service.server import ServerThread
@@ -166,21 +167,27 @@ def run_smoke(args: argparse.Namespace) -> int:
                   "cached rows identical to executed rows")
 
             # Cold jobs run on warm workers: N never-seen jobs may cost
-            # at most one fork per service worker, not one per cell.
+            # at most one fork per cell slot, not one per cell.  A held
+            # status read answers the moment its job is final.
             cold = 6
             for index in range(cold):
-                _sub, done = client.submit_and_wait(
+                sub = client.submit(
                     {"tenant": "smoke", "kind": "micro",
                      "pattern": "isend_irecv", "nbytes": 1024 + index,
-                     "computes": [0.0, 1e-5], "iters": 3}, timeout=60.0)
-                check(done.body.get("state") == "done",
-                      f"cold micro job {index} completes")
+                     "computes": [0.0, 1e-5], "iters": 3})
+                done = client.request(
+                    "GET", f"/v1/jobs/{sub.body.get('job_id')}?wait=5").body
+                lag = 1e3 * (time.time() - (done.get("finished_unix") or 0))
+                check(done.get("state") == "done" and lag < 50, f"cold micro "
+                      f"job {index} done, ?wait=5 answered {lag:.1f} ms on")
+            slots = service.workers * service.cell_slots
             spawns = [float(line.split()[-1])
                       for line in client.metrics_text().splitlines()
                       if line.startswith("repro_runner_worker_spawns_total ")]
-            check(len(spawns) == 1 and 1 <= spawns[0] <= service.workers,
+            check(len(spawns) == 1 and 1 <= spawns[0] <= slots,
                   f"{cold + 1} cold jobs ({2 * cold + 1} cells) forked "
-                  f"<= {service.workers} workers (got {spawns})")
+                  f"<= {service.workers} x {service.cell_slots} workers "
+                  f"(got {spawns})")
 
             rc = watch.main(["--once", "--url", server.url])
             check(rc == 0, "repro.tools.watch --once --url")

@@ -181,7 +181,7 @@ class _Recorder:
     def start(self, total, jobs=1):
         self.events.append(("start", total, jobs))
 
-    def task_done(self, duration, cached=False, name=""):
+    def task_done(self, duration, cached=False, name="", failed=False):
         self.events.append(("done", cached, duration >= 0.0))
 
     def finish(self):
@@ -320,6 +320,43 @@ def test_failed_cells_are_not_cached(tmp_path):
     second = run_tasks(tasks, cache=again, on_error="continue")
     assert second[0] == 10 and isinstance(second[1], FailedTask)
     assert again.hits == 1  # only the good cell was cached; the bad re-ran
+
+
+def _cursed_late(x):
+    """Cell 2 raises once the cells dispatched before it have finished."""
+    import time
+
+    if x == 2:
+        time.sleep(0.3)
+        raise ValueError(f"cell {x} is cursed")
+    return x * 10
+
+
+def _interrupted_at(x):
+    if x == 2:
+        raise KeyboardInterrupt
+    return x * 10
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cells_finished_before_a_raising_cell_stay_cached(tmp_path, jobs):
+    """The third of five cells raises: the cells that finished before it
+    were cached as they landed, so a rerun only runs what is missing."""
+    cache = ResultCache(tmp_path / "cache")
+    tasks = [Task(_cursed_late, (i,)) for i in range(5)]
+    with pytest.raises(ValueError, match="cursed"):
+        run_tasks(tasks, jobs=jobs, cache=cache)
+    assert [cache.get(task.key) for task in tasks[:3]] \
+        == [(True, 0), (True, 10), (False, None)]
+
+
+def test_an_interrupted_sweep_keeps_the_cells_it_finished(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    tasks = [Task(_interrupted_at, (i,)) for i in range(5)]
+    with pytest.raises(KeyboardInterrupt):
+        run_tasks(tasks, cache=cache)
+    assert [cache.get(task.key)[0] for task in tasks] \
+        == [True, True, False, False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ same configuration run through the CLI worker.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 
@@ -21,6 +22,7 @@ from repro.service import (
     ServerThread,
 )
 from repro.tools import watch
+from tests.test_service_queue import _sub
 
 #: The tiny LU cell used throughout: one simulation, two ranks.
 LU_SPEC = {"tenant": "t1", "kind": "nas", "benchmark": "lu",
@@ -630,7 +632,7 @@ def test_watch_url_gives_up_after_consecutive_failures():
 
 
 # ---------------------------------------------------------------------------
-# ServiceClient.wait: back-off from 2 ms up to ``poll``
+# ServiceClient.wait: held status reads
 # ---------------------------------------------------------------------------
 def _micro_spec(nbytes):
     return {"kind": "micro", "pattern": "isend_irecv", "nbytes": nbytes,
@@ -656,22 +658,24 @@ def test_wait_sees_a_short_job_soon_after_it_finishes(client):
 
 
 def test_wait_polls_a_long_job_at_the_poll_cap(tmp_path, monkeypatch):
+    """A 1 s job at ``poll=0.05`` costs about ``1 / poll`` held reads, and
+    the last one answers within 20 ms of the job's finish."""
     from repro.experiments.runner import Task
-    from repro.service.jobs import Submission
 
     service = OverlapService(cache_root=tmp_path / "c", workers=1)
     with ServerThread(service) as srv, ServiceClient(srv.url) as c:
-        reads, read_status = [], c.job
+        reads, request = [], c.request
         monkeypatch.setattr(
-            c, "job", lambda job_id: reads.append(job_id) or read_status(job_id))
-        sleeper = Submission(tenant="t", kind="nas", priority=0,
-                             label="sleeper", spec={})
+            c, "request", lambda method, path, payload=None:
+            reads.append(path) or request(method, path, payload))
         _status, body = service.submit_tasks(
-            sleeper, [Task(_sleep_worker, (1.0,))])
-        final = c.wait(body["job_id"], timeout=30.0)
+            _sub("t", "sleeper"), [Task(_sleep_worker, (1.0,))])
+        final = c.wait(body["job_id"], timeout=30.0, poll=0.05)
+        seen = time.time()
         assert final.body["state"] == "done"
-        # 2+4+8+16+32 ms of ramp, then one read per 50 ms.
-        assert 5 <= len(reads) <= 30, len(reads)
+        assert all("?wait=0.05" in path for path in reads), reads
+        assert 15 <= len(reads) <= 30, len(reads)
+        assert seen - final.body["finished_unix"] < 0.020
 
 
 def test_wait_never_sleeps_past_its_timeout(tmp_path):
@@ -689,3 +693,170 @@ def test_wait_never_sleeps_past_its_timeout(tmp_path):
         with pytest.raises(ServiceError, match="still"):
             c.wait(body["job_id"], timeout=0.3, poll=5.0)
         assert time.monotonic() - t0 < 0.3 + 0.25
+
+
+# ---------------------------------------------------------------------------
+# GET /v1/jobs/{id}?wait=S: held until the job is final
+# ---------------------------------------------------------------------------
+def _hold(port, job_id, seconds):
+    """Send a held status read on a connection of its own; the caller
+    reads the answer (``_answer``) or hangs up (``close``)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
+    conn.request("GET", f"/v1/jobs/{job_id}?wait={seconds}")
+    return conn
+
+
+def _answer(conn):
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
+
+
+def _until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _sleeper(service, seconds):
+    """Start a job that sleeps ``seconds``; returns once its worker is
+    forked.  A socket the test opens before that fork would be inherited
+    by the worker, and closing it then would not hang up."""
+    import multiprocessing
+
+    from repro.experiments.runner import Task
+
+    _status, body = service.submit_tasks(
+        _sub("t", "sleeper"), [Task(_sleep_worker, (seconds,))])
+    _until(lambda: multiprocessing.active_children())
+    return body["job_id"]
+
+
+def test_held_read_expires_and_needless_holds_answer_at_once(tmp_path):
+    from repro.experiments.runner import Task
+
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    with ServerThread(service) as srv, ServiceClient(srv.url) as c:
+        job_id = _sleeper(service, 1.5)
+        t0 = time.monotonic()
+        resp = c.request("GET", f"/v1/jobs/{job_id}?wait=0.2")
+        took = time.monotonic() - t0
+        assert resp.status == 200 and resp.body["state"] == "running"
+        assert 0.2 <= took < 0.35, took
+        assert service._finish_hooks == {}  # forgotten on expiry
+
+        t0 = time.monotonic()
+        assert c.request("GET", "/v1/jobs/job-99999999?wait=5").status == 404
+        assert time.monotonic() - t0 < 0.1
+        assert c.request("GET", f"/v1/jobs/{job_id}?wait=soon").status == 400
+
+        tasks = [Task(_ok_worker, (21,))]
+        _status, executed = service.submit_tasks(_sub("t", "ok"), tasks)
+        assert c.wait(executed["job_id"], timeout=30.0).body["state"] == "done"
+        status, hit = service.submit_tasks(_sub("u", "ok"), tasks)
+        assert status == 200 and hit["cached"] is True
+        for final_id in (executed["job_id"], hit["job_id"]):
+            t0 = time.monotonic()
+            resp = c.request("GET", f"/v1/jobs/{final_id}?wait=5")
+            assert resp.body["state"] == "done"
+            assert time.monotonic() - t0 < 0.1
+        assert service._finish_hooks == {}
+
+
+def test_delete_wakes_every_held_read_on_the_job(tmp_path):
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    with ServerThread(service) as srv, ServiceClient(srv.url) as c:
+        job_id = _sleeper(service, 10.0)
+        holds = [_hold(srv.port, job_id, 20) for _ in range(3)]
+        _until(lambda: len(service._finish_hooks.get(job_id, ())) == 3)
+        t0 = time.monotonic()
+        assert c.cancel(job_id).status == 200
+        for conn in holds:
+            status, body = _answer(conn)
+            assert status == 200 and body["state"] == "cancelled"
+            conn.close()
+        assert time.monotonic() - t0 < 1.0
+        assert service._finish_hooks == {}
+
+
+def test_held_read_of_a_dedupe_waiter_wakes_with_the_shared_run(tmp_path):
+    from repro.experiments.runner import Task
+
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    with ServerThread(service) as srv, ServiceClient(srv.url) as c:
+        tasks = [Task(_sleep_worker, (0.5,))]
+        service.submit_tasks(_sub("a", "twin"), tasks)
+        status, twin = service.submit_tasks(_sub("b", "twin"), tasks)
+        assert status == 202 and twin["deduped"] is True
+        resp = c.request("GET", f"/v1/jobs/{twin['job_id']}?wait=10")
+        seen = time.time()
+        assert resp.body["state"] == "done"
+        assert seen - resp.body["finished_unix"] < 0.1
+        assert service._finish_hooks == {}  # fired and forgotten
+
+
+def test_held_reads_take_no_executor_thread(tmp_path):
+    """64 open holds, far more than the loop's executor threads: a
+    submission (which runs on the executor) is still answered at once."""
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    with ServerThread(service) as srv, ServiceClient(srv.url) as c:
+        job_id = _sleeper(service, 10.0)
+        assert c.submit(_micro_spec(3000)).status == 202  # warm imports
+        holds = [_hold(srv.port, job_id, 20) for _ in range(64)]
+        try:
+            _until(lambda: len(service._finish_hooks.get(job_id, ())) == 64)
+            t0 = time.monotonic()
+            assert c.submit(_micro_spec(3001)).status == 202
+            assert time.monotonic() - t0 < 0.1
+        finally:
+            for conn in holds:
+                conn.close()
+        _until(lambda: service._finish_hooks == {})
+
+
+def test_finish_hooks_are_forgotten_on_hang_up_and_server_stop(tmp_path):
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    srv = ServerThread(service).start()
+    try:
+        job_id = _sleeper(service, 10.0)
+        conn = _hold(srv.port, job_id, 20)
+        _until(lambda: job_id in service._finish_hooks)
+        conn.close()  # the client hangs up mid-hold
+        _until(lambda: service._finish_hooks == {})
+        conn = _hold(srv.port, job_id, 20)
+        _until(lambda: job_id in service._finish_hooks)
+    finally:
+        srv.stop()
+    assert service._finish_hooks == {}
+    conn.close()
+
+
+def test_a_hook_whose_loop_closed_does_not_break_finalize(tmp_path):
+    import asyncio
+    import functools
+
+    from repro.experiments.runner import Task
+
+    service = OverlapService(cache_root=tmp_path / "c", workers=1)
+    _status, body = service.submit_tasks(_sub("t", "ok"),
+                                         [Task(_ok_worker, (2,))])
+    job_id = body["job_id"]  # queued: the workers are not started
+    loop = asyncio.new_event_loop()
+    woken = loop.create_future()
+    loop.close()
+    # What a held read registers (``ServiceHTTPServer._hold``).
+    hook = functools.partial(loop.call_soon_threadsafe, woken.set_result,
+                             None)
+    assert service.add_finish_hook(job_id, hook)
+    assert not service.add_finish_hook("job-99999999", lambda: None)
+    service.start()
+    try:
+        assert _wait_finished(service, job_id) == "done"
+        assert not service.add_finish_hook(job_id, lambda: None)
+        assert service._finish_hooks == {} and not woken.done()
+        # The worker thread that fired the hook lives on.
+        _status, body = service.submit_tasks(_sub("t", "next"),
+                                             [Task(_ok_worker, (1,))])
+        assert _wait_finished(service, body["job_id"]) == "done"
+    finally:
+        service.shutdown()

@@ -231,6 +231,9 @@ def test_rejected_handshake_closes_the_dialled_socket():
 
 def test_worker_server_prunes_finished_session_threads():
     # A serve-forever worker must not grow one Thread per session served.
+    # The accept loop prunes right after starting the next session, and
+    # the handshake can finish before it gets there: so a session's
+    # thread may be listed for one session more, never for good.
     with WorkerServer() as worker:
         for _ in range(12):
             sock, _ = connect_with_retry(worker.host, worker.port, _FAST)
@@ -241,8 +244,8 @@ def test_worker_server_prunes_finished_session_threads():
             while (any(t.is_alive() for t in worker._threads)
                    and time.monotonic() < deadline):
                 time.sleep(0.005)
-            assert len(worker._threads) == 1
-        assert not any(t.is_alive() for t in worker._threads)
+            assert len(worker._threads) <= 2
+    assert not any(t.is_alive() for t in worker._threads)
 
 
 def test_unreachable_host_is_shard_error():

@@ -43,12 +43,34 @@ class ArmciConfig:
             raise ValueError("overhead_per_event must be non-negative")
 
 
-class Region(typing.NamedTuple):
-    """A remotely accessible memory region owned by one rank."""
+class Region:
+    """A remotely accessible memory region owned by one rank.  One from
+    :meth:`zeros` builds its array at the first ``array`` read: a window
+    only size-only RMA targets never allocates, nor imports numpy."""
 
-    owner: int
-    name: str
-    array: np.ndarray
+    __slots__ = ("owner", "name", "_array", "_zeros")
+
+    def __init__(self, owner: int, name: str, array: np.ndarray) -> None:
+        self.owner, self.name, self._array, self._zeros = owner, name, array, None
+
+    @classmethod
+    def zeros(cls, owner: int, name: str, shape: object, dtype: object) -> Region:
+        """``np.zeros(shape, dtype)``, made at the first data access: a bad
+        ``shape`` raises ``ValueError`` here, a bad ``dtype`` there."""
+        dims = tuple(shape) if isinstance(shape, (tuple, list)) else (shape,)
+        if not all(hasattr(d, "__index__") and d >= 0 for d in dims):
+            raise ValueError(f"region shape must be non-negative ints, got {shape!r}")
+        region = cls(owner, name, None)  # type: ignore[arg-type]
+        region._zeros = (dims, dtype)
+        return region
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._zeros is not None:
+            import numpy as np
+
+            self._array, self._zeros = np.zeros(self._zeros[0], dtype=self._zeros[1]), None
+        return self._array
 
 
 class _MsgPacket(typing.NamedTuple):
@@ -102,10 +124,12 @@ class ArmciEndpoint:
     def register_region(self, name: str, array: np.ndarray) -> Region:
         """Expose ``array`` for remote access under ``name`` (collective in
         spirit: every rank registers its own piece)."""
-        key = (self.rank, name)
+        return self._register(Region(self.rank, name, array))
+
+    def _register(self, region: Region) -> Region:
+        key = (self.rank, region.name)
         if key in self.directory:
-            raise ArmciError(f"region {name!r} already registered on rank {self.rank}")
-        region = Region(self.rank, name, array)
+            raise ArmciError(f"region {key[1]!r} already registered on rank {self.rank}")
         self.directory[key] = region
         return region
 

@@ -30,10 +30,9 @@ class ArmciContext(ProcessContext):
             self.compute_log.append((start, self.engine.now))
 
     def malloc(self, name: str, shape: object, dtype: object = "float64") -> Region:
-        """Create and register this rank's piece of a shared region."""
-        import numpy as np
-
-        return self.armci.register_region(name, np.zeros(shape, dtype=dtype))
+        """Create and register this rank's piece of a shared region, zeroed
+        at its first data access (:meth:`Region.zeros`)."""
+        return self.armci._register(Region.zeros(self.rank, name, shape, dtype))
 
     def finalize(self) -> typing.Generator:
         """``ARMCI_Finalize``: drain everything outstanding."""

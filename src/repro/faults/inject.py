@@ -17,6 +17,7 @@ from __future__ import annotations
 import typing
 
 from repro.faults.plan import FaultPlan
+from repro.sim.pcg64 import Pcg64
 
 # Stream-family discriminators mixed into derived seeds so link rolls,
 # stamp loss, and any future family never share an RNG stream.
@@ -35,21 +36,13 @@ class PacketVerdict(typing.NamedTuple):
 _CLEAN = PacketVerdict(False, False, False)
 
 
-def _default_rng(seed: tuple) -> typing.Any:
-    """``numpy.random.default_rng(seed)``; numpy loads with the first
-    stream a fault-injected run asks for, not with this module."""
-    import numpy as np
-
-    return np.random.default_rng(seed)
-
-
 class FaultInjector:
     """Per-fabric fault state derived from one :class:`FaultPlan`."""
 
     def __init__(self, plan: FaultPlan, num_nodes: int) -> None:
         self.plan = plan
         self.num_nodes = num_nodes
-        self._links: dict[tuple[int, int], typing.Any] = {}
+        self._links: dict[tuple[int, int], Pcg64] = {}
         self._straggler = {rank: factor for rank, factor in plan.stragglers}
         # Per-node windows, sorted by start (lookups scan; plans are tiny).
         self._degradations: dict[int, list] = {}
@@ -64,12 +57,11 @@ class FaultInjector:
         self.packets_reordered = 0
 
     # -- packet verdicts ---------------------------------------------------
-    def _link_rng(self, src: int, dst: int) -> typing.Any:
+    def _link_rng(self, src: int, dst: int) -> Pcg64:
         rng = self._links.get((src, dst))
         if rng is None:
-            rng = self._links[(src, dst)] = _default_rng(
-                (self.plan.seed, _FAMILY_LINK, src, dst)
-            )
+            rng = self._links[(src, dst)] = Pcg64(
+                (self.plan.seed, _FAMILY_LINK, src, dst))
         return rng
 
     def roll(self, src: int, dst: int) -> PacketVerdict:
@@ -129,9 +121,9 @@ class FaultInjector:
         return start
 
     # -- instrumentation loss ----------------------------------------------
-    def stamp_rng(self, rank: int) -> typing.Any:
+    def stamp_rng(self, rank: int) -> Pcg64:
         """Independent stream for rank-local event-stamp loss."""
-        return _default_rng((self.plan.seed, _FAMILY_STAMP, rank))
+        return Pcg64((self.plan.seed, _FAMILY_STAMP, rank))
 
     def stamp_loss(self, rank: int) -> "StampLoss | None":
         """Rank-local stamp-loss state, or None when the plan has none."""
@@ -175,7 +167,7 @@ class StampLoss:
     simulation interleaving.
     """
 
-    def __init__(self, rng: typing.Any, prob: float) -> None:
+    def __init__(self, rng: Pcg64, prob: float) -> None:
         self._rng = rng
         self.prob = prob
         #: Stamps dropped, by endpoint kind (diagnostics / reconciliation).

@@ -123,6 +123,8 @@ class FaultPlan:
     ring_capacity: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
         for name in ("drop_prob", "dup_prob", "reorder_prob", "event_drop_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -63,6 +63,8 @@ class Fabric:
             raise ValueError("need at least one node")
         if nics_per_node < 1:
             raise ValueError("need at least one NIC per node")
+        if not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {seed!r}")
         self.engine = engine
         self.params = params
         self.num_nodes = num_nodes

@@ -26,6 +26,7 @@ import typing
 from repro.netsim import channel as _ch
 from repro.netsim.params import NetworkParams
 from repro.sim import Engine, Event
+from repro.sim.pcg64 import Pcg64
 
 if typing.TYPE_CHECKING:
     from repro.faults.inject import FaultInjector
@@ -115,7 +116,7 @@ class Nic:
         #: Per-destination jitter RNGs, keyed by (dst_node, dst_port).
         #: Seeding each directed link independently keeps jitter replayable
         #: even when sweep workers interleave traffic differently.
-        self._jitter: dict[tuple[int, int], typing.Any] = {}
+        self._jitter: dict[tuple[int, int], Pcg64] = {}
         #: Live fault state shared across the fabric (None = healthy).
         self._inj = injector
         #: Fabric-wide ground-truth transfer log (None = not recording).
@@ -223,12 +224,9 @@ class Nic:
             key = (dst.node, dst.port)
             rng = self._jitter.get(key)
             if rng is None:
-                import numpy as np  # only a jittered run needs it
-
-                rng = self._jitter[key] = np.random.default_rng(
-                    (self._seed, _FAMILY_JITTER, self.node, self.port,
-                     dst.node, dst.port)
-                )
+                rng = self._jitter[key] = Pcg64((
+                    self._seed, _FAMILY_JITTER, self.node, self.port,
+                    dst.node, dst.port))
             swing = p.latency_jitter_frac * (2.0 * rng.random() - 1.0)
             lat = p.latency * (1.0 + swing)
         if self._inj is not None:

@@ -30,6 +30,7 @@ from repro.experiments.runner import (
     Task,
     add_sweep_arguments,
 )
+from repro.faults import parse_fault_spec
 from repro.runtime.launcher import shards_refusal
 
 
@@ -176,6 +177,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: typing.Sequence[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    try:
+        parse_fault_spec(args.faults or "", args.fault_seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.shards is not None:
         if args.shards < 1:
             parser.error("--shards must be >= 1")

@@ -26,7 +26,7 @@ import typing
 
 from repro.experiments.nas_char import nas_cell
 from repro.experiments.validation import render_validation, validate_bounds
-from repro.faults import arm_faults, check_run_invariants
+from repro.faults import arm_faults, check_run_invariants, parse_fault_spec
 from repro.mpisim.config import LIBRARY_NAMES, library_config
 from repro.nas.base import CpuModel
 from repro.runtime.launcher import run_app
@@ -63,7 +63,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    try:
+        parse_fault_spec(args.faults or "", args.fault_seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.workload == "micro":
         size, compute, iters = args.size, args.compute, args.iters
 

@@ -150,6 +150,91 @@ class TestErrors:
             run_armci_app(app, 2, config=CFG)
 
 
+class TestLazyRegions:
+    """A ``malloc``'d region builds ``np.zeros(shape, dtype)`` at its first
+    data access; size-only RMA never makes it."""
+
+    @pytest.mark.parametrize("blocking,strided", [
+        (False, None), (True, None), (False, "auto")])
+    def test_a_whole_mg_run_allocates_no_region(self, blocking, strided):
+        from repro.nas.mg import mg_app
+
+        directories = []
+
+        def app(ctx):
+            directories.append(ctx.armci.directory)
+            return (yield from mg_app(ctx, "S", 1, None, blocking, 2, strided))
+
+        run_armci_app(app, 4, config=CFG)
+        regions = directories[0].values()
+        assert len(regions) == 4
+        assert all(region._array is None for region in regions)
+
+    def test_a_data_put_builds_the_zeroed_array_of_the_asked_shape(self):
+        def app(ctx):
+            region = ctx.malloc("win", (2, 3), dtype="int32")
+            yield from ctx.armci.barrier()
+            if ctx.rank == 0:
+                data = np.array([7, 8], dtype=np.int32)
+                h = yield from ctx.armci.nbput(1, "win", data, offset=2)
+                yield from ctx.armci.wait(h)
+            yield from ctx.armci.barrier()
+            if ctx.rank == 0:
+                assert region._array is None  # nobody touched rank 0's
+            else:
+                assert region.array.shape == (2, 3)
+                assert region.array.dtype == np.int32
+                np.testing.assert_array_equal(
+                    region.array.reshape(-1), [0, 0, 7, 8, 0, 0])
+
+        run_armci_app(app, 2, config=CFG)
+
+    def test_a_counted_get_sizes_by_the_lazy_arrays_itemsize(self):
+        def app(ctx):
+            ctx.malloc("win", 16, dtype="float32")
+            yield from ctx.armci.barrier()
+            if ctx.rank == 0:
+                h = yield from ctx.armci.nbget(1, "win", offset=4, count=3)
+                assert h.nbytes == 12.0
+                data = yield from ctx.armci.wait(h)
+                assert data.dtype == np.float32
+                np.testing.assert_array_equal(data, np.zeros(3))
+            yield from ctx.armci.barrier()
+
+        run_armci_app(app, 2, config=CFG)
+
+    @pytest.mark.parametrize("shape", [-1, (4, -2), 2.5, (3, "x")])
+    def test_a_bad_shape_raises_at_malloc(self, shape):
+        def app(ctx):
+            ctx.malloc("win", shape)
+            yield from ctx.armci.barrier()
+
+        with pytest.raises(ValueError, match="shape"):
+            run_armci_app(app, 2, config=CFG)
+
+    def test_a_bad_dtype_raises_at_the_first_data_access(self):
+        def app(ctx, with_data):
+            ctx.malloc("win", 4, dtype="no-such-dtype")
+            yield from ctx.armci.barrier()
+            if ctx.rank == 0:
+                yield from ctx.armci.put(1, "win", nbytes=32)
+                if with_data:
+                    yield from ctx.armci.put(1, "win", np.ones(4))
+            yield from ctx.armci.barrier()
+
+        run_armci_app(app, 2, config=CFG, app_args=(False,))
+        with pytest.raises(TypeError):
+            run_armci_app(app, 2, config=CFG, app_args=(True,))
+
+    def test_a_registered_array_is_the_regions_array(self):
+        def app(ctx):
+            array = np.arange(4.0)
+            assert ctx.armci.register_region("mine", array).array is array
+            yield from ctx.armci.barrier()
+
+        run_armci_app(app, 2, config=CFG)
+
+
 class TestMessageLayer:
     @pytest.mark.parametrize("nprocs", [2, 3, 4, 5, 8])
     def test_barrier_synchronizes(self, nprocs):

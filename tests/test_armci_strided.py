@@ -84,6 +84,29 @@ class TestStridedDataPath:
 
         run_armci_app(app, 2, config=CFG)
 
+    @pytest.mark.parametrize("strategy", [PACKED, DIRECT])
+    def test_round_trip_through_a_lazy_int_region(self, strategy):
+        spec = spec_for(seg_elems=3, stride_elems=5, count=2, start_elems=1)
+
+        def app(ctx):
+            ctx.malloc("win", (2, 8), dtype="int64")
+            yield from ctx.armci.barrier()
+            if ctx.rank == 0:
+                yield from ctx.armci.put_strided(
+                    1, "win", spec, np.arange(1, 7), strategy=strategy)
+                data = yield from ctx.armci.get_strided(
+                    1, "win", spec, want_data=True, strategy=strategy)
+                assert data.dtype == np.int64
+                np.testing.assert_array_equal(data, np.arange(1, 7))
+            yield from ctx.armci.barrier()
+            if ctx.rank == 1:
+                win = ctx.armci.region_of(1, "win").array
+                assert win.shape == (2, 8)
+                np.testing.assert_array_equal(
+                    win.reshape(-1), [0, 1, 2, 3, 0, 0, 4, 5, 6] + [0] * 7)
+
+        run_armci_app(app, 2, config=CFG)
+
     def test_nonblocking_strided_put_completes_on_wait(self):
         spec = spec_for(count=2)
 

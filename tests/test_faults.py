@@ -73,6 +73,13 @@ def test_parse_fault_spec_rejects_garbage():
         FaultPlan(drop_prob=1.5)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_a_bad_seed_is_rejected_when_the_plan_is_built(seed):
+    """Not at the first packet roll, mid-simulation."""
+    with pytest.raises(ValueError, match="seed"):
+        parse_fault_spec("drop=0.1", seed=seed)
+
+
 def test_injector_verdicts_deterministic_per_link():
     a = FaultInjector(FaultPlan(seed=4, drop_prob=0.2, dup_prob=0.1), 3)
     b = FaultInjector(FaultPlan(seed=4, drop_prob=0.2, dup_prob=0.1), 3)

@@ -71,6 +71,18 @@ def test_every_front_end_launches_the_same_cell(kernel, launches, tmp_path):
     assert measured.time_instrumented == point.elapsed == payload["elapsed"]
 
 
+@pytest.mark.parametrize("cli,argv", [
+    (nas_cli, ["--benchmark", "lu", "--klass", "S", "--np", "2"]),
+    (validate_cli, []),
+])
+def test_a_negative_fault_seed_is_a_usage_error(cli, argv, launches, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--faults", "drop=0.1", "--fault-seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "seed must be a non-negative int" in capsys.readouterr().err
+    assert launches == []
+
+
 def test_every_front_end_arms_faults_the_same_way(launches, capsys):
     spec, seed = faultmatrix.FAULT_SPECS["drop"], 3
     assert validate_cli.main(["--workload", "sp", "--klass", "S", "--np", "4",

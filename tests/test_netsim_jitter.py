@@ -41,6 +41,18 @@ class TestJitterMechanics:
         times = {_one_way(params, seed=s) for s in range(8)}
         assert len(times) > 1
 
+    def test_a_negative_seed_fails_before_any_rank_is_built(self):
+        started = []
+
+        def app(ctx):
+            started.append(ctx.rank)
+            yield from ctx.compute(1e-6)
+
+        with pytest.raises(ValueError, match="seed"):
+            run_app(app, 2, params=NetworkParams(latency_jitter_frac=0.1),
+                    seed=-5)
+        assert started == []
+
     def test_jitter_validation(self):
         with pytest.raises(ValueError):
             NetworkParams(latency_jitter_frac=1.0)

@@ -148,18 +148,14 @@ class Process(Event):
                     return
                 # Exact-Timeout test next: the class compare skips isinstance.
                 if next_ev.__class__ is not Timeout and not isinstance(next_ev, Event):
-                    exc2 = SimulationError(
+                    # Thrown in at the yield, like a failed event; whatever
+                    # the generator yields next is what it waits on.
+                    event = Event(engine)
+                    event._ok = False
+                    event._value = SimulationError(
                         f"process {self.name!r} yielded {next_ev!r}, which is "
                         "not an Event (use engine.timeout(...) for delays)"
                     )
-                    try:
-                        self.generator.throw(exc2)
-                    except StopIteration as stop:
-                        self.succeed(stop.value)
-                        return
-                    except BaseException as exc:
-                        self.fail(exc)
-                        return
                     continue
                 if next_ev.engine is not engine:
                     self.fail(

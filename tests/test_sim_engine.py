@@ -1,8 +1,21 @@
-"""Unit tests for the discrete-event engine (clock, heap, run loop)."""
+"""Unit tests for the discrete-event engine: clock, run loop, FIFO ties at
+scale, lazy timeout cancellation, ``advance_to``, clock-sync entries and
+Burst.
 
+Lazy cancellation must keep the pending store bounded under cancel-heavy
+workloads.  A process's clock sync is one reusable store entry that every
+dispatch loop resumes the way a ``Timeout`` would be, and that is dead once
+abandoned.  Bursts must tail-extend, refuse out-of-order times, and
+yield/reinsert when a competing event holds a smaller key.
+"""
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.sim import Engine, Event, SimulationError
+from repro.sim.events import Interrupt, Timeout
+from repro.sim.process import ClockSync
 
 
 def test_clock_starts_at_zero():
@@ -153,3 +166,485 @@ def test_event_repr_shows_state():
     ev2._defused = True
     ev2.fail(RuntimeError())
     assert "failed" in repr(ev2)
+
+
+def test_calendar_preserves_fifo_ties():
+    eng = Engine()
+    order: list[int] = []
+    for i in range(4196):
+        t = eng.timeout(5e-6)  # every event at the same instant
+        t.callbacks.append(lambda ev, i=i: order.append(i))
+    eng.run()
+    assert order == list(range(4196))
+
+
+# -- lazy cancellation / compaction -------------------------------------------
+
+def test_cancelled_timeouts_keep_heap_bounded():
+    """Cancel-heavy workload: the store must not grow with total cancels.
+
+    This is the guard-timeout pattern: every operation arms a long guard
+    and cancels it on completion.  With eager deletion the heap would hold
+    one dead entry per cancel until its distant deadline; lazy deletion
+    plus compaction keeps the high-water mark near the live population.
+    """
+    eng = Engine()
+    n = 20_000
+
+    def driver():
+        for _ in range(n):
+            guard = eng.timeout(1e3)  # distant guard, always cancelled
+            yield eng.timeout(1e-7)   # the real (short) operation
+            assert guard.cancel()
+
+    eng.process(driver())
+    eng.run()
+    assert eng.cancelled_count == n
+    # Live population is ~2 per iteration; compaction must keep the store
+    # within a small constant factor of that, not O(n).
+    assert eng.heap_high_water < 256
+    assert eng.pending_count == 0
+
+
+def test_cancel_is_idempotent_and_fired_timeouts_refuse():
+    eng = Engine()
+    t = eng.timeout(1.0)
+    assert t.cancel()
+    assert not t.cancel()  # second cancel: already dead
+    fired = eng.timeout(1e-9)
+    fired.callbacks.append(lambda ev: None)
+    eng.run()
+    assert not fired.cancel()  # already fired
+    assert eng.cancelled_count == 1
+
+
+# -- lazy synchronisation (Engine.advance_to) ---------------------------------
+
+def _sync(eng, when):
+    """The caller's idiom, as a helper for generator bodies."""
+    t = eng.advance_to(when)
+    return () if t is None else (t,)
+
+
+def test_advance_to_matches_timeout_schedule_bit_for_bit():
+    """advance_to() and timeout() produce the identical event schedule.
+
+    Two workers with co-prime periods generate interleavings and exact
+    ``when`` ties; the advance_to-based run must resolve every one the
+    same way (same timestamps, same FIFO order) as the pure-timeout run.
+    """
+
+    def program(eng, tick):
+        trace = []
+
+        def a():
+            for _ in range(50):
+                yield from tick(eng, 3e-7)
+                trace.append(("a", eng.now))
+
+        def b():
+            for _ in range(30):
+                yield eng.timeout(5e-7)
+                trace.append(("b", eng.now))
+
+        eng.process(a())
+        eng.process(b())
+        eng.run()
+        return trace, eng.processed_count
+
+    with_timeout = program(Engine(), lambda eng, dt: (eng.timeout(dt),))
+    with_advance = program(Engine(), lambda eng, dt: _sync(eng, eng.now + dt))
+    assert with_advance == with_timeout
+
+
+def test_advance_to_inline_only_when_provably_next():
+    eng = Engine()
+    # Empty store: inline advance, no Timeout allocated; it still consumes
+    # one sequence number and one processed-count tick.
+    assert eng.advance_to(1e-6) is None
+    assert eng.now == 1e-6
+    assert (eng._seq, eng.processed_count) == (1, 1)
+    # A pending event before the target: must fall back to a real Timeout.
+    eng.timeout(1.5e-6).callbacks.append(lambda _e: None)
+    t = eng.advance_to(3e-6)
+    assert t is not None
+    # An entry at exactly the target is not "strictly later": no inline.
+    assert eng.advance_to(2.5e-6) is not None
+    eng.run()
+    assert eng.now == 3e-6
+
+
+def test_advance_to_at_or_behind_now_is_a_no_op():
+    eng = Engine()
+    eng.advance_to(2e-6)
+    before = (eng.now, eng._seq, eng.processed_count, eng.pending_count)
+    assert eng.advance_to(2e-6) is None
+    assert eng.advance_to(1e-6) is None
+    assert (eng.now, eng._seq, eng.processed_count, eng.pending_count) == before
+
+
+def test_advance_to_posts_the_absolute_time_bit_exactly():
+    # 0.1 + 0.2 != 0.3 in floats: the scheduled time must be the ``when``
+    # the caller computed, not ``now + (when - now)``.
+    eng = Engine()
+    eng.timeout(0.05).callbacks.append(lambda _e: None)
+    eng.run()
+    when = 0.05
+    for dt in (0.1, 0.2, 1e-9, 3e-7):
+        when = when + dt
+    eng.timeout(0.01).callbacks.append(lambda _e: None)  # forces a real post
+    seen = []
+    t = eng.advance_to(when)
+    assert t is not None and t.delay == when - eng.now
+    t.callbacks.append(lambda _e: seen.append(eng.now))
+    eng.run()
+    assert seen == [when]
+
+
+def test_advance_to_respects_run_deadline():
+    eng = Engine()
+    log = []
+
+    def p():
+        while True:
+            yield from _sync(eng, eng.now + 1e-6)
+            log.append(eng.now)
+
+    eng.process(p())
+    eng.run(until=5.5e-6)
+    assert eng.now == 5.5e-6
+    assert log == [pytest.approx(i * 1e-6) for i in range(1, 6)]
+    # Event-bounded runs disable inline advances outright.
+    stop = eng.timeout(10e-6)
+    counts = []
+
+    def q():
+        t = eng.advance_to(eng.now + 1e-6)
+        counts.append(t is not None)
+        yield t
+
+    eng.process(q())
+    eng.run(until=stop)
+    assert counts == [True]
+
+
+def test_advance_to_refuses_inside_a_multi_callback_dispatch():
+    # While an event with several callbacks is being dispatched the
+    # remaining callbacks still owe work at the current instant.
+    eng = Engine()
+    ev = eng.timeout(1e-6)
+    seen = []
+    ev.callbacks.append(lambda _e: seen.append(eng.advance_to(2e-6)))
+    ev.callbacks.append(lambda _e: seen.append(eng.now))
+    eng.run()
+    assert seen[0] is not None  # a real Timeout, not an inline jump
+    assert seen[1] == 1e-6
+
+
+def test_advance_to_refuses_across_a_retiring_burst():
+    # Sub-events of a burst being retired are not in the store; the floor
+    # keeps an inline advance from jumping past the next one.
+    eng = Engine()
+    burst = eng.new_burst()
+    first = burst.try_at(1e-6)
+    second = burst.try_at(2e-6)
+    order = []
+    first.callbacks.append(lambda _e: order.append(("first", eng.advance_to(3e-6))))
+    second.callbacks.append(lambda _e: order.append(("second", eng.now)))
+    eng.run()
+    assert order[0][0] == "first" and order[0][1] is not None
+    assert order[1] == ("second", 2e-6)
+    assert eng.now == 3e-6
+
+
+# -- clock-sync entries (what advance_to hands a running process) -------------
+
+def _run_drain(eng):
+    eng.run()
+
+
+def _run_deadlines(eng):
+    while eng.pending_count:
+        eng.run(until=eng.now + 2.5e-7)
+
+
+def _run_until_event(eng):
+    eng.run(until=eng.timeout(1.0))
+
+
+def _run_steps(eng):
+    # One instant per call: the deadline is exactly the head's time.
+    while eng.pending_count:
+        eng.run(until=eng.peek)
+
+
+@pytest.mark.parametrize("drive", [_run_drain, _run_deadlines,
+                                   _run_until_event, _run_steps])
+def test_every_dispatch_loop_resumes_a_clock_sync_like_a_timeout(drive):
+    """``run()``, ``run(until=t)`` (deadlines between and exactly on event
+    times) and ``run(until=event)``: the same trace and event count as the
+    same program on ``Timeout``s."""
+
+    def program(sync):
+        eng = Engine()
+        trace = []
+
+        def rank(name, dt, n):
+            for _ in range(n):
+                yield from sync(eng, eng.now + dt, trace)
+                trace.append((name, eng.now))
+
+        def timer():
+            for _ in range(30):
+                yield eng.timeout(5e-7)
+                trace.append(("t", eng.now))
+
+        eng.process(rank("a", 3e-7, 50))
+        eng.process(rank("b", 2e-7, 60))  # ties with "a" every 6e-7
+        eng.process(timer())
+        drive(eng)
+        return trace, eng.processed_count
+
+    def with_entry(eng, when, trace):
+        t = eng.advance_to(when)
+        if t is None:
+            return ()
+        assert t.__class__ is ClockSync
+        trace.append("entry")
+        return (t,)
+
+    def with_timeout(eng, when, _trace):
+        return (eng.timeout(when - eng.now),)
+
+    trace, count = program(with_entry)
+    assert "entry" in trace  # not every advance was inline
+    ref_trace, ref_count = program(with_timeout)
+    assert [x for x in trace if x != "entry"] == ref_trace
+    assert count == ref_count
+
+
+def test_advance_to_outside_a_process_still_returns_a_timeout():
+    eng = Engine()
+    eng.timeout(1e-6)
+    assert eng.advance_to(2e-6).__class__ is Timeout
+
+
+def test_a_sync_armed_but_not_yielded_fires_like_an_unawaited_timeout():
+    eng = Engine()
+    log = []
+
+    def p():
+        first = eng.advance_to(3e-6)           # armed, not yielded yet
+        second = eng.advance_to(2e-6)          # entry busy: a plain Timeout
+        assert first.__class__ is ClockSync and second.__class__ is Timeout
+        yield eng.timeout(5e-6)                # sleeps through both
+        log.append(eng.now)
+        yield first                            # already retired: no wait
+        log.append(eng.now)
+
+    eng.timeout(1e-6)  # keeps the advances from being inline
+    eng.process(p())
+    eng.run()
+    assert log == [5e-6, 5e-6]
+
+
+def _interrupted_sleeper(eng, log, then):
+    def sleeper():
+        try:
+            yield eng.advance_to(5e-6)
+            log.append(("woke", eng.now))
+        except Interrupt as stop:
+            log.append(("interrupted", eng.now, stop.cause))
+        if then is not None:
+            t = eng.advance_to(then)
+            if t is not None:
+                yield t
+            log.append(("resumed", eng.now))
+
+    proc = eng.process(sleeper())
+    eng.timeout(1e-6).callbacks.append(lambda _e: proc.interrupt("stop"))
+    return proc
+
+
+def test_interrupt_abandons_the_sync_and_the_stale_entry_never_fires():
+    eng = Engine()
+    log = []
+    proc = _interrupted_sleeper(eng, log, then=9e-6)
+    eng.run(until=2e-6)
+    assert log == [("interrupted", 1e-6, "stop")]
+    assert eng.cancelled_count == 1 and eng._dead_pending == 1
+    # The entry is armed again under a new key; the old key is still in
+    # the store and must not wake the process at 5e-6.
+    assert proc._sync.seq >= 0 and eng.pending_count == 2
+    eng.run()
+    assert log[1:] == [("resumed", 9e-6)]
+    assert eng._dead_pending == 0 and eng.pending_count == 0
+
+
+def test_live_peek_and_compact_drop_an_abandoned_sync():
+    eng = Engine()
+    _interrupted_sleeper(eng, [], then=None)
+    eng.run(until=2e-6)
+    assert eng.peek == 5e-6             # the stale head, as for a dead timeout
+    assert eng.live_peek() == float("inf")
+    assert eng.pending_count == 0 and eng._dead_pending == 0
+
+    eng = Engine()
+    _interrupted_sleeper(eng, [], then=None)
+    live = eng.timeout(7e-6)
+    eng.run(until=2e-6)
+    assert eng.pending_count == 2
+    eng._compact()
+    assert eng.pending_count == 1 and eng._dead_pending == 0
+    assert eng.live_peek() == 7e-6 and live.callbacks is not None
+
+
+def test_run_guarded_sees_a_store_of_stale_syncs_as_drained():
+    """A watchdog run must not spin (or report ``max_sim_time``) on a
+    store whose only entry is an abandoned sync far in the future."""
+    eng = Engine()
+    log = []
+
+    def sleeper():
+        try:
+            yield eng.advance_to(100.0)
+        except Interrupt:
+            log.append(eng.now)
+
+    proc = eng.process(sleeper())
+    eng.timeout(1e-6).callbacks.append(lambda _e: proc.interrupt())
+    assert eng.run_guarded(max_sim_time=1.0, stall_sim_time=0.5) is None
+    assert log == [1e-6] and eng.now < 1.0
+    assert eng.pending_count == 1  # the stale entry is all that is left
+    assert eng.run_guarded(max_sim_time=1.0) is None
+
+
+_TICK = 2.0 ** -20  # dyadic, so every sum and difference of times is exact
+
+_steps = st.lists(
+    st.tuples(st.sampled_from(["sync", "timeout", "burst"]),
+              st.integers(min_value=0, max_value=6)),
+    min_size=1, max_size=12)
+
+
+@given(
+    st.lists(_steps, min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=8),
+                       st.integers(min_value=0, max_value=3)),
+             max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_dispatch_order_is_the_order_of_individually_posted_timeouts(
+        programs, interrupts):
+    """Syncs, timeouts, burst sub-events and interrupts interleaved, with
+    ties everywhere: the run dispatches in the ``(when, seq)`` order the
+    same program gives when every entry is an individually posted
+    ``Timeout`` / ``post_at`` event."""
+
+    def run(reference):
+        eng = Engine()
+        log = []
+
+        def at(burst, when, label):
+            """Like ``Nic._burst_at``; the reference posts one event."""
+            if reference:
+                ev = eng.post_at(when)
+            else:
+                ev = burst[0].try_at(when)
+                if ev is None:
+                    burst[0].close()
+                    burst[0] = eng.new_burst()
+                    ev = burst[0].try_at(when)
+            ev.callbacks.append(lambda _e: log.append((label, eng.now)))
+
+        def worker(w, steps):
+            burst = [eng.new_burst()]
+            for i, (kind, k) in enumerate(steps):
+                dt = k * _TICK
+                try:
+                    if kind == "burst":
+                        at(burst, eng.now + dt, (w, i, "sub"))
+                        continue
+                    if kind == "timeout" or reference:
+                        if kind == "timeout" or dt > 0.0:
+                            yield eng.timeout(dt)
+                    else:
+                        t = eng.advance_to(eng.now + dt)
+                        if t is not None:
+                            assert t.__class__ is ClockSync
+                            yield t
+                    log.append((w, i, kind, eng.now))
+                except Interrupt as stop:
+                    log.append((w, i, "interrupted", eng.now, stop.cause))
+
+        workers = [eng.process(worker(w, steps))
+                   for w, steps in enumerate(programs)]
+
+        def interrupter():
+            for n, (k, w) in enumerate(interrupts):
+                yield eng.timeout(k * _TICK)
+                victim = workers[w % len(workers)]
+                if victim.is_alive and victim._target is not None:
+                    victim.interrupt(n)
+
+        eng.process(interrupter())
+        eng.run()
+        return log, eng.now, eng.processed_count, eng.cancelled_count
+
+    assert run(reference=False) == run(reference=True)
+
+
+# -- Burst unit behaviour ------------------------------------------------------
+
+def test_burst_tail_extends_and_refuses_out_of_order():
+    eng = Engine()
+    burst = eng.new_burst()
+    a = burst.try_at(2e-6)
+    b = burst.try_at(2e-6)  # equal time: allowed (FIFO tie-break)
+    c = burst.try_at(3e-6)
+    assert a is not None and b is not None and c is not None
+    assert burst.try_at(1e-6) is None  # precedes the tail: refused
+    assert burst.pending == 3
+    burst.close()
+    assert burst.try_at(5e-6) is None  # closed: refused
+    order: list[str] = []
+    for name, ev in (("a", a), ("b", b), ("c", c)):
+        ev.callbacks.append(lambda _e, name=name: order.append(name))
+    eng.run()
+    assert order == ["a", "b", "c"]
+    assert burst.pending == 0
+    assert eng.now == 3e-6
+
+
+def test_burst_yields_to_competing_smaller_key():
+    # A plain event lands between two burst sub-events: the burst must
+    # yield, let it run at the right instant, and reinsert its remainder.
+    eng = Engine()
+    burst = eng.new_burst()
+    first = burst.try_at(1e-6)
+    second = burst.try_at(5e-6)
+    order: list[str] = []
+    first.callbacks.append(lambda _e: order.append("sub1"))
+    second.callbacks.append(lambda _e: order.append("sub2"))
+    mid = eng.timeout(3e-6)
+    mid.callbacks.append(lambda _e: order.append("mid"))
+    eng.run()
+    assert order == ["sub1", "mid", "sub2"]
+    assert eng.burst_reinserts >= 1
+
+
+def test_burst_interleaved_with_step():
+    # Stepped one instant per run(until=...) call: each deadline cuts the
+    # burst after exactly one sub-event and requeues the rest.
+    eng = Engine()
+    burst = eng.new_burst()
+    evs = [burst.try_at(i * 1e-6) for i in range(1, 6)]
+    seen: list[float] = []
+    for ev in evs:
+        ev.callbacks.append(lambda _e: seen.append(eng.now))
+    steps = 0
+    while eng.pending_count:
+        eng.run(until=eng.peek)
+        steps += 1
+        assert len(seen) == steps
+    assert seen == [i * 1e-6 for i in range(1, 6)]

@@ -129,15 +129,19 @@ def test_uncaught_process_exception_propagates():
 
 
 def test_yielding_non_event_raises_in_process():
+    """The error is thrown in at the bad yield; what the generator yields
+    after catching it is what it waits on -- it is not resumed at once
+    with the previous event's value."""
     eng = Engine()
 
     def worker():
         try:
             yield 123
         except SimulationError:
-            return "rejected"
+            value = yield eng.timeout(1.0, value="slept")
+            return ("rejected", eng.now, value)
 
-    assert eng.run(until=eng.process(worker())) == "rejected"
+    assert eng.run(until=eng.process(worker())) == ("rejected", 1.0, "slept")
 
 
 def test_passing_function_instead_of_generator_is_an_error():

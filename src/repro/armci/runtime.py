@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 import typing
 
 from repro.armci.api import ArmciConfig, ArmciEndpoint, Region
@@ -22,8 +23,9 @@ class ArmciContext(ProcessContext):
 
     def compute(self, seconds: float) -> typing.Generator:
         """Spend user computation time (outside the library)."""
-        if seconds < 0:
-            raise ValueError(f"negative compute time {seconds!r}")
+        if not 0 <= seconds < math.inf:  # NaN fails both
+            raise ValueError(
+                f"compute time must be finite and >= 0, got {seconds!r}")
         if seconds > 0:
             start = self.engine.now
             yield self.engine.timeout(seconds)

@@ -600,10 +600,9 @@ class Endpoint:
         """Event that fires at the next CQ entry or packet on *any* rail.
 
         One event is registered with every rail's waiter list (the rails'
-        ``_kick`` tolerates a waiter another rail already fired), replacing
-        the per-poll-iteration ``AnyOf([nic.wait_activity() ...])`` rebuild
-        -- one allocation instead of ``nics + 1`` on the hottest blocking
-        path in the library.
+        ``_kick`` tolerates a waiter another rail already fired): one
+        allocation per sleep, whatever the number of rails, on the hottest
+        blocking path in the library.
         """
         ev = Event(self.engine)
         for nic in self.nics:

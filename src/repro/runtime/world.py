@@ -12,6 +12,7 @@ when it touches the network.
 
 from __future__ import annotations
 
+import math
 import typing
 
 from repro.mpisim.communicator import Comm
@@ -69,8 +70,9 @@ class RankContext(ProcessContext):
         Only the rank's own clock moves, so there is nothing to wait for;
         the empty iterable keeps ``yield from ctx.compute(dt)`` working.
         """
-        if seconds < 0:
-            raise ValueError(f"negative compute time {seconds!r}")
+        if not 0 <= seconds < math.inf:  # NaN fails both
+            raise ValueError(
+                f"compute time must be finite and >= 0, got {seconds!r}")
         if seconds > 0:
             clock = self.clock
             start = clock.now

@@ -7,11 +7,11 @@ beyond the scientific stack.  The kernel provides:
 * :class:`~repro.sim.engine.Engine` -- the event heap and simulation clock,
 * :class:`~repro.sim.engine.RankClock` -- a process's private CPU clock,
   synchronised with the engine lazily (``Engine.advance_to``),
-* :class:`~repro.sim.events.Event` and friends -- one-shot triggerable
-  events, :class:`~repro.sim.events.Timeout`, and the ``AnyOf`` / ``AllOf``
-  condition combinators,
+* :class:`~repro.sim.events.Event` -- one-shot triggerable events, and
+  :class:`~repro.sim.events.Timeout`, which fires after a delay and can be
+  cancelled before it does,
 * :class:`~repro.sim.process.Process` -- generator-based coroutines that
-  ``yield`` events to suspend until they fire.
+  ``yield`` one event at a time to suspend until it fires.
 
 Determinism: ties in the event heap are broken by insertion order, and the
 kernel never consults wall-clock time or global RNG state, so a simulation
@@ -22,13 +22,6 @@ import repro
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "engine": ("Engine", "RankClock"),
-    "events": (
-        "AllOf",
-        "AnyOf",
-        "Event",
-        "Interrupt",
-        "SimulationError",
-        "Timeout",
-    ),
+    "events": ("Event", "SimulationError", "Timeout"),
     "process": ("Process",),
 })

@@ -1,5 +1,8 @@
 """The simulation engine: clock + pending-event store + run loop.
 
+The simulated libraries make progress only by polling inside library
+calls, so a process waits on one event at a time and is never woken by
+anything but that event; a run drains the store or stops at a deadline.
 Two mechanisms beyond the classic heap loop, both preserving the exact
 ``(when, seq)`` total order that makes simulations pure functions of their
 inputs:
@@ -24,7 +27,8 @@ every sift would compare hundreds of tuples whose ``when`` ties: a clock
 sync keyed at the previous sync's instant joins a :class:`_SyncGroup`
 instead, one heap entry retired member by member in ``(when, seq)`` order
 like a burst.  Counts (``pending_count``, ``heap_high_water``) stay those
-of one entry per sync.
+of one entry per sync.  A sync keeps the key it was armed with until its
+dispatch disarms it, so the only dead entries are cancelled timeouts.
 """
 
 from __future__ import annotations
@@ -136,18 +140,12 @@ class Burst:
 class _SyncGroup(collections.deque):
     """Pending clock syncs at one instant, scheduled as one store entry.
 
-    Members are ``(seq, ClockSync)`` in key order; the store entry is keyed
-    by the oldest.  A member whose entry no longer carries its ``seq`` was
-    abandoned, exactly as for a lone sync.
+    Members are ``(seq, ClockSync)`` in key order, each entry carrying its
+    member's ``seq``; the store entry is keyed by the oldest.
     """
 
     callbacks = None  # class-level: run-loop discriminant, never assigned
     __slots__ = ()
-
-    def drop_dead(self) -> None:
-        live = [m for m in self if m[1].seq == m[0]]
-        self.clear()
-        self.extend(live)
 
 
 class RankClock:
@@ -187,8 +185,6 @@ class Engine:
         #: Instant of the last clock sync, and the group collecting there.
         self._sync_when: float = -_INF
         self._sync_group: "_SyncGroup | None" = None
-        #: The group whose members are being woken (out of the store).
-        self._retiring: "_SyncGroup | None" = None
         #: Number of events processed so far (useful for tests/diagnostics).
         self.processed_count: int = 0
         #: Simulation time when the last deadline-bounded run() stopped
@@ -215,7 +211,7 @@ class Engine:
         #: context): :meth:`advance_to` arms that process's clock sync.
         self._running: "Process | None" = None
         #: Inline advances may not cross the active ``run(until=...)``
-        #: boundary; -inf disables them entirely (event-bounded runs).
+        #: deadline.
         self._until: float = _INF
         #: Optional host-time span tracer (attach_tracer); sampled so the
         #: per-event hot loops never see it.
@@ -382,16 +378,11 @@ class Engine:
         if event.callbacks is None:
             return False  # already fired (or already cancelled)
         event.callbacks = None
-        self._note_dead()
-        return True
-
-    def _note_dead(self) -> None:
-        """Account one store entry -- a cancelled timeout, an abandoned
-        clock sync -- that is now dead and will be discarded when popped."""
         self.cancelled_count += 1
         dead = self._dead_pending = self._dead_pending + 1
         if dead >= 64 and dead * 2 >= self.pending_count:
             self._compact()
+        return True
 
     def _dispatch_multi(self, callbacks: list, event: Event) -> None:
         """Dispatch an event with several callbacks.
@@ -410,38 +401,17 @@ class Engine:
 
     @staticmethod
     def _is_dead(entry: "tuple[float, int, typing.Any]") -> bool:
-        """True for a store entry whose key is discarded when popped: a
-        cancelled timeout, a clock sync abandoned since it was keyed, or a
-        group whose oldest member is such a sync."""
-        _when, seq, item = entry
-        if item.callbacks is not None:
-            return False
-        cls = item.__class__
-        if cls is _SyncGroup:
-            item, cls = item[0][1], ClockSync
-        return cls is not Burst and (cls is not ClockSync or item.seq != seq)
+        """True for a cancelled timeout, whose entry is discarded when
+        popped (bursts, clock syncs and groups have class-level
+        ``callbacks = None`` and are never events)."""
+        item = entry[2]
+        return item.callbacks is None and isinstance(item, Event)
 
     def _compact(self) -> None:
-        """Physically remove dead entries from the store, and dead members
-        from its groups and from the group being woken."""
-        live = []
-        for entry in self._heap:
-            item = entry[2]
-            if item.__class__ is _SyncGroup:
-                item.drop_dead()
-                if item:  # re-keyed at its oldest live member
-                    live.append((entry[0], item[0][0], item))
-            elif not self._is_dead(entry):
-                live.append(entry)
+        """Physically remove cancelled timeouts from the store."""
+        live = [entry for entry in self._heap if not self._is_dead(entry)]
         heapq.heapify(live)
         self._heap[:] = live
-        running = self._retiring
-        if running is not None:
-            running.drop_dead()
-            if not running:
-                self._floor = _INF
-        self._grouped = len(running or ()) + sum(
-            len(e[2]) - 1 for e in live if e[2].__class__ is _SyncGroup)
         self._dead_pending = 0
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
@@ -537,50 +507,34 @@ class Engine:
     def live_peek(self) -> float:
         """Time of the next *live* entry, or ``inf`` when drained.
 
-        Unlike :attr:`peek`, discards dead entries (cancelled timeouts,
-        abandoned clock syncs) off the head of the store first, so the
-        reported time is one at which something will actually fire.
+        Unlike :attr:`peek`, discards cancelled timeouts off the head of
+        the store first, so the reported time is one at which something
+        will actually fire.
         Sharded workers (:mod:`repro.sim.parallel`) rely on this: a stale
         dead-head time would freeze the conservative fence below the
         shard's own window and stall the whole run.
         """
         heap = self._heap
-        while heap:
-            when, _seq, item = head = heap[0]
-            if not self._is_dead(head):
-                return when
-            self._dead_pending -= 1
-            if item.__class__ is _SyncGroup:
-                item.popleft()  # its dead oldest member
-                if item:  # re-key the rest
-                    self._grouped -= 1
-                    heapq.heapreplace(heap, (when, item[0][0], item))
-                    continue
+        while heap and self._is_dead(heap[0]):
             heapq.heappop(heap)
-        return _INF
+            self._dead_pending -= 1
+        return heap[0][0] if heap else _INF
 
-    def _retire_burst(
-        self,
-        burst: Burst,
-        stop_event: "Event | None",
-        deadline: float,
-    ) -> int:
+    def _retire_burst(self, burst: Burst, deadline: float) -> None:
         """Retire a popped burst's sub-events in exact global order.
 
         Each sub-event is dispatched only while its ``(when, seq)`` key is
         the global minimum; at the first competing smaller key -- or a
-        deadline/stop-event boundary -- the remainder is re-inserted into
+        sub-event past ``deadline`` -- the remainder is re-inserted into
         the pending store keyed at the next sub-event, exactly where the
-        equivalent individually-posted events would sit.  Returns 0 to
-        continue the run loop (the loop's own head check handles the
-        deadline), 2 when ``stop_event`` fired.
+        equivalent individually-posted events would sit (the run loop's
+        own head check handles the deadline).
         """
         burst.state = _BURST_RUNNING
         subs = burst.subs
         heap = self._heap
         i = burst.idx
         processed = 0
-        status = 0
         tracer = self._tracer
         sp_t0 = -1.0
         if tracer is not None:
@@ -593,9 +547,6 @@ class Engine:
             # this very burst while it runs.
             while i < len(subs):
                 when, seq, event = subs[i]
-                if stop_event is not None and stop_event.callbacks is None:
-                    status = 2
-                    break
                 if when > deadline:
                     # Not the run's deadline exit: other store entries may
                     # still be due before the deadline.  Re-insert (via the
@@ -643,21 +594,18 @@ class Engine:
                 tracer.add_span("burst", "engine.burst", sp_t0, tracer.now(),
                                 {"subs": processed,
                                  "every": self._trace_sample_every})
-        return status
 
     def _retire_group(self, when: float, group: _SyncGroup) -> None:
         """Wake a popped group's members in exact global order.
 
         Members share the group's instant, so only a store entry at that
-        instant with a smaller sequence number comes first (a run's stop
-        event among them: the run loop stops after dispatching it); at the
-        first one the remainder goes back to the store keyed at its oldest
+        instant with a smaller sequence number comes first; at the first
+        one the remainder goes back to the store keyed at its oldest
         member.  Members out of the store count in ``_grouped`` and hold
         ``_floor`` at the instant, so the last one may still advance inline.
         """
         heap = self._heap
         processed = 0
-        self._retiring = group
         self._grouped += 1  # out of the store: every member counts
         self._floor = when
         try:
@@ -671,16 +619,12 @@ class Engine:
                 self._grouped -= 1
                 if not group:
                     self._floor = _INF
-                if entry.seq == seq:
-                    entry.seq = -1
-                    self.now = when
-                    entry.wake(entry)
-                    processed += 1
-                elif self._dead_pending:
-                    self._dead_pending -= 1
+                entry.seq = -1
+                self.now = when
+                entry.wake(entry)
+                processed += 1
         finally:
             self._floor = _INF
-            self._retiring = None
             self.processed_count += processed
             if group:
                 heapq.heappush(heap, (when, group[0][0], group))
@@ -740,24 +684,20 @@ class Engine:
             elif stall_sim_time is not None and self.now - anchor >= stall_sim_time:
                 return "stalled"
 
-    def run(self, until: "float | Event | None" = None) -> object:
-        """Run until the store drains, a deadline passes, or an event fires.
+    def run(self, until: "float | None" = None) -> None:
+        """Run until the store drains or a deadline passes.
 
-        ``until`` may be ``None`` (drain), a number (absolute simulation
-        time), or an :class:`Event` (run until it is processed; returns its
-        value).
+        ``until`` may be ``None`` (drain) or a number (absolute simulation
+        time; ``now`` ends exactly there).
 
         The event loop is inlined here rather than calling a per-event
         method: dispatching one event is a handful of operations, so
         per-event call/property overhead dominated the kernel profile.  The
-        drain case (no deadline, no stop event -- what ``run_app`` uses)
-        additionally skips the head-of-store checks entirely.
+        drain case (no deadline -- what ``run_app`` uses) additionally
+        skips the head-of-store checks entirely.
         """
-        stop_event: Event | None = None
         deadline = _INF
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
+        if until is not None:
             deadline = float(until)
             if deadline < self.now:
                 raise SimulationError(
@@ -766,7 +706,6 @@ class Engine:
 
         heap = self._heap
         heappop = heapq.heappop
-        drain_only = stop_event is None and deadline == _INF
         processed = 0
         # The loop allocates thousands of short-lived events per simulated
         # millisecond; almost all die by refcount, but the process/event
@@ -780,20 +719,18 @@ class Engine:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        # advance_to() must not move time past a float deadline; an
-        # event-bounded run disables it outright (the stop event may fire
-        # mid-dispatch, and inline advances skip the loop's stop check).
+        # advance_to() must not move time past the deadline.
         prev_until = self._until
-        self._until = -_INF if stop_event is not None else deadline
+        self._until = deadline
         try:
-            if drain_only:
+            if deadline == _INF:
                 # -- heap drain loop: no per-event boundary checks --
                 while heap:
                     when, seq, event = heappop(heap)
                     callbacks = event.callbacks
                     if callbacks is None:
                         cls = event.__class__
-                        if cls is ClockSync and event.seq == seq:
+                        if cls is ClockSync:
                             # A rank's clock sync: most of a run's entries.
                             event.seq = -1
                             self.now = when
@@ -825,7 +762,7 @@ class Engine:
                                 if not sub._ok and not sub._defused:
                                     raise typing.cast(BaseException, sub._value)
                             else:
-                                self._retire_burst(event, None, _INF)
+                                self._retire_burst(event, _INF)
                         elif self._dead_pending:
                             self._dead_pending -= 1
                         continue
@@ -839,19 +776,17 @@ class Engine:
                     if not event._ok and not event._defused:
                         raise typing.cast(BaseException, event._value)
             else:
-                # -- heap loop with stop-event/deadline checks --
+                # -- heap loop with deadline checks --
                 while heap:
-                    if stop_event is not None and stop_event.callbacks is None:
-                        break
                     if heap[0][0] > deadline:
                         self.dispatch_tail = self.now
                         self.now = deadline
-                        return None
+                        return
                     when, seq, event = heappop(heap)
                     callbacks = event.callbacks
                     if callbacks is None:
                         cls = event.__class__
-                        if cls is ClockSync and event.seq == seq:
+                        if cls is ClockSync:
                             event.seq = -1
                             self.now = when
                             event.wake(event)
@@ -859,9 +794,7 @@ class Engine:
                         elif cls is _SyncGroup:
                             self._retire_group(when, event)
                         elif cls is Burst:
-                            if self._retire_burst(
-                                    event, stop_event, deadline) == 2:
-                                break
+                            self._retire_burst(event, deadline)
                         elif self._dead_pending:
                             self._dead_pending -= 1
                         continue
@@ -880,15 +813,6 @@ class Engine:
             self._until = prev_until
             self.processed_count += processed
 
-        if stop_event is not None:
-            if not stop_event.processed:
-                raise SimulationError(
-                    "run() ran out of events before the awaited event fired "
-                    "(deadlock in the simulated program?)"
-                )
-            if not stop_event.ok:
-                raise typing.cast(BaseException, stop_event.value)
-            return stop_event.value
         if deadline != _INF:
             # Remember where dispatching actually stopped before clamping
             # to the deadline: a window-bounded driver (repro.sim.parallel)
@@ -896,4 +820,3 @@ class Engine:
             # run would have.
             self.dispatch_tail = self.now
             self.now = deadline
-        return None

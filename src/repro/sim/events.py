@@ -20,14 +20,6 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (double-trigger, etc.)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`repro.sim.process.Process.interrupt`."""
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot event that callbacks and processes can wait on.
 
@@ -92,14 +84,6 @@ class Event:
         self.engine._post(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome onto this one (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(typing.cast(BaseException, event._value))
-
     def __repr__(self) -> str:
         state = (
             "pending"
@@ -140,93 +124,6 @@ class Timeout(Event):
         Returns True if the timeout was withdrawn, False if it already
         fired (or was already cancelled).  The caller is responsible for
         detaching any waiters first -- cancelling a timeout that a process
-        or condition still sleeps on would strand it.
+        still sleeps on would strand it.
         """
         return self.engine._cancel(self)
-
-
-class _Condition(Event):
-    """Base for AnyOf / AllOf: fires once ``_check`` is satisfied."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, engine: "Engine", events: typing.Iterable[Event]) -> None:
-        super().__init__(engine)
-        self.events = tuple(events)
-        self._count = 0
-        for ev in self.events:
-            if ev.engine is not engine:
-                raise SimulationError("condition mixes events from different engines")
-        if not self.events:
-            self.succeed(self._collect())
-            return
-        for ev in self.events:
-            # Note: a Timeout is "triggered" (has a value) from creation, so
-            # readiness here is keyed on *processed*; pending events get a
-            # callback that fires when the engine processes them.
-            if ev.processed:
-                self._observe(ev)
-            else:
-                ev.callbacks.append(self._observe)  # type: ignore[union-attr]
-        if self.triggered:
-            self._release_pending()
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(typing.cast(BaseException, event._value))
-            return
-        self._count += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-            self._release_pending()
-
-    def _release_pending(self) -> None:
-        """Withdraw guard timeouts the settled condition was sole waiter of.
-
-        The classic ``AnyOf(work, timeout)`` guard pattern would otherwise
-        leave one dead timeout in the engine's pending store per wait until
-        its deadline pops.  Only :class:`Timeout` constituents are touched
-        (they cannot fail, so dropping the observer loses no defusing);
-        other events keep their observer so late failures stay defused.
-        """
-        observe = self._observe
-        for ev in self.events:
-            cbs = ev.callbacks
-            if cbs is not None and isinstance(ev, Timeout):
-                try:
-                    cbs.remove(observe)
-                except ValueError:
-                    continue
-                if not cbs:
-                    ev.cancel()
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, object]:
-        # Keyed on *processed*: Timeouts carry a value from creation, but only
-        # events the engine has fired belong in the condition's result.
-        return {ev: ev._value for ev in self.events if ev.processed and ev._ok}
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any constituent event succeeds (or one fails)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
-class AllOf(_Condition):
-    """Fires once every constituent event has succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self.events)

@@ -5,14 +5,15 @@ A :class:`Process` wraps a generator.  The generator ``yield``-s
 event fires, then resumes with the event's value (or with the event's
 exception raised at the yield point).  A process is itself an event that
 succeeds with the generator's return value, so processes can wait on each
-other and be combined with ``AnyOf`` / ``AllOf``.
+other.  A process waits on one event at a time and wakes only when it
+fires: the simulated libraries make progress by polling.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.sim.events import Event, Interrupt, SimulationError, Timeout
+from repro.sim.events import Event, SimulationError, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -29,8 +30,8 @@ class ClockSync:
     = None``, and resume the process with the entry itself as the event
     (``_ok`` / ``_value``: a sync succeeds, with no value) -- no
     ``Timeout``, no callbacks list, nothing to validate.  ``seq`` is -1
-    while idle; a store entry whose key is not ``seq`` was abandoned
-    (:meth:`Process.interrupt`) and is discarded when popped.
+    while idle; while armed it is the key of the entry's one place in the
+    store, and only that entry's dispatch disarms it.
     """
 
     callbacks = None  # class-level: run-loop discriminant, never assigned
@@ -85,33 +86,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True until the generator has finished."""
         return not self.triggered
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its next resume."""
-        if self.triggered:
-            raise SimulationError(f"{self!r} has already finished")
-        if self._target is None:
-            raise SimulationError(f"{self!r} is not suspended on an event")
-        # Detach from the current target and schedule the interrupt.
-        target = self._target
-        if target is self._sync:
-            # Abandon the clock sync: its store entry no longer matches and
-            # is discarded when popped, counted like a cancelled timeout.
-            target.seq = -1
-            self.engine._note_dead()
-        elif target.callbacks is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-            if not target.callbacks and isinstance(target, Timeout):
-                # Nothing else is waiting: withdraw the timeout so abandoned
-                # guard delays do not pile up in the pending store.
-                target.cancel()
-        self._target = None
-        carrier = Event(self.engine)
-        carrier.callbacks.append(self._bound_resume)  # type: ignore[union-attr]
-        carrier._ok = False
-        carrier._value = Interrupt(cause)
-        carrier._defused = True
-        self.engine._post(carrier)
 
     # -- driving ----------------------------------------------------------
     def _resume(self, event: "Event | ClockSync") -> None:

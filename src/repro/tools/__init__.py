@@ -13,3 +13,21 @@
 * ``python -m repro.tools.paper`` -- regenerate the paper's whole
   evaluation into one consolidated document.
 """
+
+
+def finite_non_negative(text: str) -> float:
+    """``argparse`` type for a size or a time: a number in ``[0, inf)``.
+
+    ``nan``, ``inf``, a negative number and anything unparsable are usage
+    errors (exit 2) naming the value, before anything is simulated.
+    """
+    import argparse
+
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"want a finite number >= 0, got {text!r}")
+    return value

@@ -16,6 +16,11 @@ from repro.analysis.tables import render_micro_series
 from repro.analysis.textplot import ascii_plot
 from repro.experiments.micro import PATTERNS, overlap_sweep
 from repro.mpisim.config import LIBRARY_NAMES, library_config
+from repro.tools import finite_non_negative
+
+
+def _parse_computes(text: str) -> list[float]:
+    return [finite_non_negative(c) for c in text.split(",") if c.strip()]
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -24,9 +29,11 @@ def make_parser() -> argparse.ArgumentParser:
         description="Two-rank computation-communication overlap sweep.",
     )
     parser.add_argument("--pattern", choices=PATTERNS, default="isend_irecv")
-    parser.add_argument("--size", type=float, default=1024 * 1024,
+    parser.add_argument("--size", type=finite_non_negative,
+                        default=1024 * 1024,
                         help="message size in bytes")
-    parser.add_argument("--computes", default="0,0.25e-3,0.5e-3,1e-3,1.5e-3",
+    parser.add_argument("--computes", type=_parse_computes,
+                        default="0,0.25e-3,0.5e-3,1e-3,1.5e-3",
                         help="comma-separated inserted-computation seconds")
     parser.add_argument("--library", choices=LIBRARY_NAMES, default="openmpi")
     parser.add_argument("--leave-pinned", action="store_true",
@@ -41,7 +48,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    computes = [float(c) for c in args.computes.split(",") if c.strip()]
+    computes = args.computes
     config = library_config(args.library, args.leave_pinned)
     points = overlap_sweep(
         args.pattern, args.size, computes, config, iters=args.iters

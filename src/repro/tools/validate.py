@@ -30,6 +30,7 @@ from repro.faults import arm_faults, check_run_invariants, parse_fault_spec
 from repro.mpisim.config import LIBRARY_NAMES, library_config
 from repro.nas.base import CpuModel
 from repro.runtime.launcher import run_app
+from repro.tools import finite_non_negative
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -39,9 +40,10 @@ def make_parser() -> argparse.ArgumentParser:
         "ground truth.",
     )
     parser.add_argument("--workload", choices=["micro", "sp"], default="micro")
-    parser.add_argument("--size", type=float, default=1024 * 1024,
+    parser.add_argument("--size", type=finite_non_negative,
+                        default=1024 * 1024,
                         help="micro: message size in bytes")
-    parser.add_argument("--compute", type=float, default=1.5e-3,
+    parser.add_argument("--compute", type=finite_non_negative, default=1.5e-3,
                         help="micro: inserted computation in seconds")
     parser.add_argument("--iters", type=int, default=30)
     parser.add_argument("--library", choices=LIBRARY_NAMES, default="openmpi")

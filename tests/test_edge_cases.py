@@ -1,8 +1,11 @@
 """Edge-case robustness across layers: zero-byte and huge messages,
 empty compute, request misuse, finalize discipline."""
 
+import math
+
 import pytest
 
+from repro.armci.api import ArmciConfig
 from repro.mpisim import MpiConfig
 from repro.mpisim.config import mvapich2_like, openmpi_like
 from repro.mpisim.request import Request
@@ -63,11 +66,24 @@ class TestComputeAndControl:
         run_app(app, 2)
 
     def test_negative_compute_rejected(self):
-        def app(ctx):
-            yield from ctx.compute(-1.0)
+        for config in (None, ArmciConfig()):
+            def app(ctx):
+                yield from ctx.compute(-1.0)
 
-        with pytest.raises(ValueError):
-            run_app(app, 1)
+            with pytest.raises(ValueError, match="compute time"):
+                run_app(app, 1, config=config)
+
+    @pytest.mark.parametrize("config", [None, ArmciConfig()],
+                             ids=["mpi", "armci"])
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf])
+    def test_non_finite_compute_rejected(self, seconds, config):
+        """A time that is not a number or infinite would otherwise run to
+        a clean-looking report."""
+        def app(ctx):
+            yield from ctx.compute(seconds)
+
+        with pytest.raises(ValueError, match="compute time"):
+            run_app(app, 1, config=config)
 
     def test_single_rank_world(self):
         def app(ctx):

@@ -12,9 +12,10 @@ import json
 
 import pytest
 
-from repro.experiments import faultmatrix, nas_char, overhead
+from repro.experiments import faultmatrix, micro, nas_char, overhead
 from repro.experiments.nas_char import MPI_BENCHMARKS
 from repro.runtime import launcher
+from repro.tools import micro as micro_cli
 from repro.tools import nas as nas_cli
 from repro.tools import timeline as timeline_cli
 from repro.tools import validate as validate_cli
@@ -33,7 +34,8 @@ def launches(monkeypatch):
     recording.__wrapped__ = launcher.run_app
     # Function-level importers read the launcher's attribute; the rest
     # bound the name at import.
-    for module in (launcher, nas_char, overhead, faultmatrix, validate_cli):
+    for module in (launcher, nas_char, overhead, faultmatrix, micro,
+                   validate_cli):
         monkeypatch.setattr(module, "run_app", recording)
     return seen
 
@@ -80,6 +82,30 @@ def test_a_negative_fault_seed_is_a_usage_error(cli, argv, launches, capsys):
         cli.main([*argv, "--faults", "drop=0.1", "--fault-seed", "-1"])
     assert exit_info.value.code == 2
     assert "seed must be a non-negative int" in capsys.readouterr().err
+    assert launches == []
+
+
+@pytest.mark.parametrize("cli,argv", [
+    (validate_cli, ["--compute", "nan"]),
+    (validate_cli, ["--compute=-1e-3"]),
+    (validate_cli, ["--size", "nan"]),
+    (validate_cli, ["--size", "-5"]),
+    (micro_cli, ["--computes", "nan,1e-3"]),
+    (micro_cli, ["--computes", "x"]),
+    (micro_cli, ["--size", "inf"]),
+    (validate_cli, ["--compute", "inf"]),
+    (validate_cli, ["--compute", "x"]),
+    (validate_cli, ["--size", "x"]),
+    (micro_cli, ["--computes=1e-3,-1e-3"]),
+    (micro_cli, ["--computes", "1e-3,inf"]),
+    (micro_cli, ["--size", "-5"]),
+])
+def test_a_bad_size_or_compute_time_is_a_usage_error(cli, argv, launches,
+                                                     capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert "want a finite number >= 0" in capsys.readouterr().err
     assert launches == []
 
 

@@ -72,14 +72,6 @@ def test_engine_event_factory():
     assert ev.value == "x"
 
 
-def test_run_until_already_processed_event():
-    eng = Engine()
-    ev = eng.event()
-    ev.succeed(5)
-    eng.run()
-    assert eng.run(until=ev) == 5  # returns immediately
-
-
 def test_ep_app_is_in_char_table():
     from repro.experiments.nas_char import characterize
 

@@ -192,7 +192,9 @@ class TestWaitActivity:
             return eng.now
 
         t_end = eng.now
-        assert eng.run(until=eng.process(late_waiter())) == t_end
+        proc = eng.process(late_waiter())
+        eng.run()
+        assert proc.value == t_end
 
     def test_waiter_woken_on_local_cq(self, net):
         eng, fab = net

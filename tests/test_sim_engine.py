@@ -4,9 +4,9 @@ Burst.
 
 Lazy cancellation must keep the pending store bounded under cancel-heavy
 workloads.  A process's clock sync is one reusable store entry that every
-dispatch loop resumes the way a ``Timeout`` would be, and that is dead once
-abandoned.  Bursts must tail-extend, refuse out-of-order times, and
-yield/reinsert when a competing event holds a smaller key.
+dispatch loop resumes the way a ``Timeout`` would be.  Bursts must
+tail-extend, refuse out-of-order times, and yield/reinsert when a competing
+event holds a smaller key.
 """
 
 import hypothesis.strategies as st
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.sim import Engine, Event, SimulationError
-from repro.sim.events import Interrupt, Timeout
+from repro.sim.events import Timeout
 from repro.sim.process import ClockSync
 
 
@@ -77,23 +77,6 @@ def test_events_process_in_time_order():
         t.callbacks.append(lambda ev, d=delay: order.append(d))
     eng.run()
     assert order == [1.0, 2.0, 3.0]
-
-
-def test_run_until_event_returns_its_value():
-    eng = Engine()
-    ev = eng.event()
-    t = eng.timeout(1.0)
-    t.callbacks.append(lambda _: ev.succeed("payload"))
-    assert eng.run(until=ev) == "payload"
-    assert eng.now == 1.0
-
-
-def test_run_until_event_that_never_fires_reports_deadlock():
-    eng = Engine()
-    ev = eng.event()
-    eng.timeout(1.0)
-    with pytest.raises(SimulationError, match="deadlock"):
-        eng.run(until=ev)
 
 
 def test_unhandled_failed_event_propagates_from_run():
@@ -218,6 +201,67 @@ def test_cancel_is_idempotent_and_fired_timeouts_refuse():
     assert eng.cancelled_count == 1
 
 
+def test_a_cancelled_timeout_never_runs_its_callbacks_or_counts():
+    eng = Engine()
+    log = []
+    dead = eng.timeout(1.0)
+    dead.callbacks.append(lambda ev: log.append("dead"))
+    live = eng.timeout(2.0)
+    live.callbacks.append(lambda ev: log.append("live"))
+    assert dead.cancel()
+    eng.run()
+    assert log == ["live"] and eng.now == 2.0
+    assert eng.processed_count == 1 and eng.pending_count == 0
+    assert eng._dead_pending == 0
+
+
+def test_compaction_waits_for_64_dead_entries_that_are_a_majority():
+    eng = Engine()
+    live = [eng.timeout(1.0) for _ in range(70)]
+    guards = [eng.timeout(2.0) for _ in range(64)]
+    for guard in guards[:63]:
+        assert guard.cancel()
+    assert eng.pending_count == 134 and eng._dead_pending == 63
+    assert guards[63].cancel()  # 64 dead, but 64 of 134 is no majority
+    assert eng.pending_count == 134 and eng._dead_pending == 64
+    assert live[0].cancel() and live[1].cancel()
+    assert eng.pending_count == 134 and eng._dead_pending == 66
+    assert live[2].cancel()  # 67 of 134: compacted to the 67 live
+    assert eng.pending_count == 67 and eng._dead_pending == 0
+    eng.run()
+    assert eng.processed_count == 67 and eng.now == 1.0
+
+
+def test_a_deadline_past_only_cancelled_entries_lands_exactly():
+    eng = Engine()
+    assert eng.timeout(3.0).cancel()
+    eng.run(until=5.0)
+    assert eng.now == 5.0 and eng.processed_count == 0
+    assert eng.pending_count == 0 and eng._dead_pending == 0
+
+
+def test_run_guarded_sees_a_store_of_cancelled_timeouts_as_drained():
+    """A watchdog run must not spin (or report ``max_sim_time``) on a
+    store whose only entry is a cancelled guard far in the future."""
+    eng = Engine()
+    guard = eng.timeout(100.0)
+    eng.timeout(1e-6).callbacks.append(lambda _e: guard.cancel())
+    assert eng.run_guarded(max_sim_time=1.0, stall_sim_time=0.5) is None
+    assert eng.now < 1.0 and eng.processed_count == 1
+    assert eng.pending_count == 1  # the dead guard is all that is left
+    assert eng.run_guarded(max_sim_time=1.0) is None
+    assert eng.live_peek() == float("inf") and eng.pending_count == 0
+
+
+def test_live_peek_leaves_a_live_head_in_place():
+    eng = Engine()
+    assert eng.live_peek() == float("inf")
+    eng.timeout(2.0)
+    eng.timeout(1.0)
+    assert eng.live_peek() == 1.0 == eng.peek
+    assert eng.pending_count == 2
+
+
 # -- lazy synchronisation (Engine.advance_to) ---------------------------------
 
 def _sync(eng, when):
@@ -314,18 +358,6 @@ def test_advance_to_respects_run_deadline():
     eng.run(until=5.5e-6)
     assert eng.now == 5.5e-6
     assert log == [pytest.approx(i * 1e-6) for i in range(1, 6)]
-    # Event-bounded runs disable inline advances outright.
-    stop = eng.timeout(10e-6)
-    counts = []
-
-    def q():
-        t = eng.advance_to(eng.now + 1e-6)
-        counts.append(t is not None)
-        yield t
-
-    eng.process(q())
-    eng.run(until=stop)
-    assert counts == [True]
 
 
 def test_advance_to_refuses_inside_a_multi_callback_dispatch():
@@ -368,22 +400,17 @@ def _run_deadlines(eng):
         eng.run(until=eng.now + 2.5e-7)
 
 
-def _run_until_event(eng):
-    eng.run(until=eng.timeout(1.0))
-
-
 def _run_steps(eng):
     # One instant per call: the deadline is exactly the head's time.
     while eng.pending_count:
         eng.run(until=eng.peek)
 
 
-@pytest.mark.parametrize("drive", [_run_drain, _run_deadlines,
-                                   _run_until_event, _run_steps])
+@pytest.mark.parametrize("drive", [_run_drain, _run_deadlines, _run_steps])
 def test_every_dispatch_loop_resumes_a_clock_sync_like_a_timeout(drive):
-    """``run()``, ``run(until=t)`` (deadlines between and exactly on event
-    times) and ``run(until=event)``: the same trace and event count as the
-    same program on ``Timeout``s."""
+    """``run()`` and ``run(until=t)`` (deadlines between and exactly on
+    event times): the same trace and event count as the same program on
+    ``Timeout``s."""
 
     def program(sync):
         eng = Engine()
@@ -448,75 +475,39 @@ def test_a_sync_armed_but_not_yielded_fires_like_an_unawaited_timeout():
     assert log == [5e-6, 5e-6]
 
 
-def _interrupted_sleeper(eng, log, then):
-    def sleeper():
-        try:
-            yield eng.advance_to(5e-6)
-            log.append(("woke", eng.now))
-        except Interrupt as stop:
-            log.append(("interrupted", eng.now, stop.cause))
-        if then is not None:
-            t = eng.advance_to(then)
-            if t is not None:
-                yield t
-            log.append(("resumed", eng.now))
+def test_live_peek_and_compact_drop_a_cancelled_timeout():
+    """A cancelled guard at the head goes; the clock syncs behind it -- a
+    lone entry and a group, whose classes also carry ``callbacks = None``
+    -- stay and wake."""
 
-    proc = eng.process(sleeper())
-    eng.timeout(1e-6).callbacks.append(lambda _e: proc.interrupt("stop"))
-    return proc
+    def armed():
+        eng = Engine()
+        log = []
+        guard = eng.timeout(5e-6)
 
-
-def test_interrupt_abandons_the_sync_and_the_stale_entry_never_fires():
-    eng = Engine()
-    log = []
-    proc = _interrupted_sleeper(eng, log, then=9e-6)
-    eng.run(until=2e-6)
-    assert log == [("interrupted", 1e-6, "stop")]
-    assert eng.cancelled_count == 1 and eng._dead_pending == 1
-    # The entry is armed again under a new key; the old key is still in
-    # the store and must not wake the process at 5e-6.
-    assert proc._sync.seq >= 0 and eng.pending_count == 2
-    eng.run()
-    assert log[1:] == [("resumed", 9e-6)]
-    assert eng._dead_pending == 0 and eng.pending_count == 0
-
-
-def test_live_peek_and_compact_drop_an_abandoned_sync():
-    eng = Engine()
-    _interrupted_sleeper(eng, [], then=None)
-    eng.run(until=2e-6)
-    assert eng.peek == 5e-6             # the stale head, as for a dead timeout
-    assert eng.live_peek() == float("inf")
-    assert eng.pending_count == 0 and eng._dead_pending == 0
-
-    eng = Engine()
-    _interrupted_sleeper(eng, [], then=None)
-    live = eng.timeout(7e-6)
-    eng.run(until=2e-6)
-    assert eng.pending_count == 2
-    eng._compact()
-    assert eng.pending_count == 1 and eng._dead_pending == 0
-    assert eng.live_peek() == 7e-6 and live.callbacks is not None
-
-
-def test_run_guarded_sees_a_store_of_stale_syncs_as_drained():
-    """A watchdog run must not spin (or report ``max_sim_time``) on a
-    store whose only entry is an abandoned sync far in the future."""
-    eng = Engine()
-    log = []
-
-    def sleeper():
-        try:
-            yield eng.advance_to(100.0)
-        except Interrupt:
+        def sleeper():
+            yield eng.advance_to(9e-6)
             log.append(eng.now)
 
-    proc = eng.process(sleeper())
-    eng.timeout(1e-6).callbacks.append(lambda _e: proc.interrupt())
-    assert eng.run_guarded(max_sim_time=1.0, stall_sim_time=0.5) is None
-    assert log == [1e-6] and eng.now < 1.0
-    assert eng.pending_count == 1  # the stale entry is all that is left
-    assert eng.run_guarded(max_sim_time=1.0) is None
+        for _ in range(3):
+            eng.process(sleeper())
+        eng.run(until=1e-6)
+        assert guard.cancel()
+        return eng, log
+
+    eng, log = armed()
+    assert eng.peek == 5e-6             # the dead head, until discarded
+    assert eng.live_peek() == 9e-6
+    assert eng.pending_count == 3 and eng._dead_pending == 0
+    eng.run()
+    assert log == [9e-6] * 3 and eng.live_peek() == float("inf")
+
+    eng, log = armed()
+    eng._compact()
+    assert eng.pending_count == 3 and eng._dead_pending == 0
+    assert eng.peek == 9e-6
+    eng.run()
+    assert log == [9e-6] * 3
 
 
 _TICK = 2.0 ** -20  # dyadic, so every sum and difference of times is exact
@@ -535,11 +526,11 @@ _steps = st.lists(
 )
 @settings(max_examples=150, deadline=None)
 def test_dispatch_order_is_the_order_of_individually_posted_timeouts(
-        programs, interrupts):
-    """Syncs, timeouts, burst sub-events and interrupts interleaved, with
-    ties everywhere: the run dispatches in the ``(when, seq)`` order the
-    same program gives when every entry is an individually posted
-    ``Timeout`` / ``post_at`` event."""
+        programs, guards):
+    """Syncs, timeouts, burst sub-events and cancelled guard timeouts
+    interleaved, with ties everywhere: the run dispatches in the
+    ``(when, seq)`` order the same program gives when every entry is an
+    individually posted ``Timeout`` / ``post_at`` event."""
 
     def run(reference):
         eng = Engine()
@@ -561,33 +552,33 @@ def test_dispatch_order_is_the_order_of_individually_posted_timeouts(
             burst = [eng.new_burst()]
             for i, (kind, k) in enumerate(steps):
                 dt = k * _TICK
-                try:
-                    if kind == "burst":
-                        at(burst, eng.now + dt, (w, i, "sub"))
-                        continue
-                    if kind == "timeout" or reference:
-                        if kind == "timeout" or dt > 0.0:
-                            yield eng.timeout(dt)
-                    else:
-                        t = eng.advance_to(eng.now + dt)
-                        if t is not None:
-                            assert t.__class__ is ClockSync
-                            yield t
-                    log.append((w, i, kind, eng.now))
-                except Interrupt as stop:
-                    log.append((w, i, "interrupted", eng.now, stop.cause))
+                if kind == "burst":
+                    at(burst, eng.now + dt, (w, i, "sub"))
+                    continue
+                if kind == "timeout" or reference:
+                    if kind == "timeout" or dt > 0.0:
+                        yield eng.timeout(dt)
+                else:
+                    t = eng.advance_to(eng.now + dt)
+                    if t is not None:
+                        assert t.__class__ is ClockSync
+                        yield t
+                log.append((w, i, kind, eng.now))
 
-        workers = [eng.process(worker(w, steps))
-                   for w, steps in enumerate(programs)]
+        for w, steps in enumerate(programs):
+            eng.process(worker(w, steps))
 
-        def interrupter():
-            for n, (k, w) in enumerate(interrupts):
+        def canceller():
+            """Arms a guard nobody waits on, cancels it ``k`` ticks later:
+            dead entries among the live ones (a guard due by then fires)."""
+            for n, (k, span) in enumerate(guards):
+                guard = eng.timeout((k + span) * _TICK)
+                guard.callbacks.append(
+                    lambda _e, n=n: log.append(("guard", n, eng.now)))
                 yield eng.timeout(k * _TICK)
-                victim = workers[w % len(workers)]
-                if victim.is_alive and victim._target is not None:
-                    victim.interrupt(n)
+                log.append(("cancel", n, eng.now, guard.cancel()))
 
-        eng.process(interrupter())
+        eng.process(canceller())
         eng.run()
         return log, eng.now, eng.processed_count, eng.cancelled_count
 

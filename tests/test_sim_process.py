@@ -1,8 +1,8 @@
-"""Unit tests for generator-coroutine processes and condition events."""
+"""Unit tests for generator-coroutine processes."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Engine, Interrupt, SimulationError
+from repro.sim import Engine, SimulationError
 
 
 def test_process_runs_and_returns_value():
@@ -14,7 +14,8 @@ def test_process_runs_and_returns_value():
         return 42
 
     proc = eng.process(worker())
-    assert eng.run(until=proc) == 42
+    eng.run()
+    assert proc.value == 42
     assert eng.now == 3.0
 
 
@@ -85,7 +86,9 @@ def test_process_waits_on_another_process():
         result = yield eng.process(child())
         return result
 
-    assert eng.run(until=eng.process(parent())) == "child-result"
+    proc = eng.process(parent())
+    eng.run()
+    assert proc.value == "child-result"
 
 
 def test_yield_on_already_processed_event_continues_immediately():
@@ -98,7 +101,9 @@ def test_yield_on_already_processed_event_continues_immediately():
         value = yield done
         return (eng.now, value)
 
-    assert eng.run(until=eng.process(worker())) == (0.0, "early")
+    proc = eng.process(worker())
+    eng.run()
+    assert proc.value == (0.0, "early")
 
 
 def test_failed_event_raises_inside_process():
@@ -113,7 +118,8 @@ def test_failed_event_raises_inside_process():
 
     proc = eng.process(worker())
     bad.fail(ValueError("nope"))
-    assert eng.run(until=proc) == "caught nope"
+    eng.run()
+    assert proc.value == "caught nope"
 
 
 def test_uncaught_process_exception_propagates():
@@ -141,7 +147,70 @@ def test_yielding_non_event_raises_in_process():
             value = yield eng.timeout(1.0, value="slept")
             return ("rejected", eng.now, value)
 
-    assert eng.run(until=eng.process(worker())) == ("rejected", 1.0, "slept")
+    proc = eng.process(worker())
+    eng.run()
+    assert proc.value == ("rejected", 1.0, "slept")
+
+
+def test_process_value_is_unavailable_while_alive():
+    eng = Engine()
+
+    def worker():
+        yield eng.timeout(1.0)
+        return "done"
+
+    proc = eng.process(worker())
+    eng.run(until=0.5)
+    with pytest.raises(SimulationError, match="not yet available"):
+        proc.value
+    eng.run()
+    assert proc.value == "done"
+
+
+def test_a_waiting_process_catches_the_failure_of_the_one_it_waits_on():
+    eng = Engine()
+
+    def child():
+        yield eng.timeout(1.0)
+        raise KeyError("lost")
+
+    def parent():
+        try:
+            yield eng.process(child())
+        except KeyError as exc:
+            return ("caught", eng.now, exc.args[0])
+
+    proc = eng.process(parent())
+    eng.run()  # handled by the waiter: nothing propagates out of run()
+    assert proc.value == ("caught", 1.0, "lost")
+
+
+@pytest.mark.parametrize("arrives,expected", [
+    (0.25, ("arrived", 0.25)), (None, ("gave up", 1.0))])
+def test_a_guard_timeout_bounds_a_polling_wait(arrives, expected):
+    """A rank that must not wait forever polls under a guard timeout and
+    cancels the guard when the work finishes."""
+    eng = Engine()
+    arrived = []
+    expired = []
+
+    def waiter():
+        guard = eng.timeout(1.0)
+        guard.callbacks.append(expired.append)
+        while not arrived and not expired:
+            yield eng.timeout(0.125)
+        if arrived:
+            assert guard.cancel()
+            return ("arrived", eng.now)
+        return ("gave up", eng.now)
+
+    if arrives is not None:
+        eng.timeout(arrives).callbacks.append(arrived.append)
+    proc = eng.process(waiter())
+    eng.run()
+    assert proc.value == expected
+    assert eng.cancelled_count == (arrives is not None)
+    assert eng.pending_count == 0
 
 
 def test_passing_function_instead_of_generator_is_an_error():
@@ -152,112 +221,6 @@ def test_passing_function_instead_of_generator_is_an_error():
 
     with pytest.raises(TypeError):
         eng.process(worker)  # note: no call
-
-
-def test_interrupt_wakes_process_early():
-    eng = Engine()
-    log = []
-
-    def sleeper():
-        try:
-            yield eng.timeout(100.0)
-            log.append("overslept")
-        except Interrupt as intr:
-            log.append(("interrupted", eng.now, intr.cause))
-
-    proc = eng.process(sleeper())
-
-    def alarm():
-        yield eng.timeout(3.0)
-        proc.interrupt(cause="wake up")
-
-    eng.process(alarm())
-    eng.run()
-    assert log == [("interrupted", 3.0, "wake up")]
-
-
-def test_interrupt_finished_process_is_error():
-    eng = Engine()
-
-    def quick():
-        yield eng.timeout(1.0)
-
-    proc = eng.process(quick())
-    eng.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_anyof_fires_on_first_event():
-    eng = Engine()
-    t1 = eng.timeout(1.0, value="fast")
-    t2 = eng.timeout(5.0, value="slow")
-
-    def worker():
-        result = yield AnyOf(eng, [t1, t2])
-        return (eng.now, dict(result))
-
-    when, result = eng.run(until=eng.process(worker()))
-    assert when == 1.0
-    assert result == {t1: "fast"}
-
-
-def test_allof_waits_for_every_event():
-    eng = Engine()
-    t1 = eng.timeout(1.0, value="a")
-    t2 = eng.timeout(5.0, value="b")
-
-    def worker():
-        result = yield AllOf(eng, [t1, t2])
-        return (eng.now, dict(result))
-
-    when, result = eng.run(until=eng.process(worker()))
-    assert when == 5.0
-    assert result == {t1: "a", t2: "b"}
-
-
-def test_empty_allof_fires_immediately():
-    eng = Engine()
-
-    def worker():
-        yield AllOf(eng, [])
-        return eng.now
-
-    assert eng.run(until=eng.process(worker())) == 0.0
-
-
-def test_condition_with_already_triggered_event():
-    eng = Engine()
-    t1 = eng.timeout(0.0, value="x")
-    eng.run()
-
-    def worker():
-        result = yield AnyOf(eng, [t1])
-        return dict(result)
-
-    assert eng.run(until=eng.process(worker())) == {t1: "x"}
-
-
-def test_condition_failure_propagates():
-    eng = Engine()
-    good = eng.timeout(10.0)
-    bad = eng.event()
-
-    def worker():
-        try:
-            yield AllOf(eng, [good, bad])
-        except RuntimeError:
-            return "failed"
-
-    proc = eng.process(worker())
-    bad.fail(RuntimeError("x"))
-    assert eng.run(until=proc) == "failed"
-
-
-def test_condition_rejects_cross_engine_events():
-    eng1, eng2 = Engine(), Engine()
-    with pytest.raises(SimulationError):
-        AnyOf(eng1, [eng2.timeout(1.0)])
 
 
 def test_cross_engine_yield_fails_process():

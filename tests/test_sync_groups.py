@@ -4,9 +4,11 @@ The grouped store must be observationally the store it replaced, where
 every sync is its own heap tuple (``tests.oracles.one_entry_per_sync``):
 the same ``(when, seq)`` dispatch sequence, ``processed_count``, final
 ``_seq``, ``heap_high_water`` and report, on random skewed-ring programs
-and on every single-process report-pin case.  The edge tests below each
-fail on a naive group -- one that wakes abandoned members, counts itself
-once, or runs its members past a competing entry.
+and on every single-process report-pin case -- where, grouped, no store
+entry is ever a stale sync.  The edge tests below each fail on a naive
+group -- one that counts itself once, runs its members past a competing
+entry or a deadline, or loses its count when the store is compacted while
+it is being woken.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from repro.mpisim.config import MpiConfig, mvapich2_like
 from repro.runtime.launcher import run_app
 from repro.sim import Engine
 from repro.sim.engine import _SyncGroup
-from repro.sim.events import Interrupt
 from repro.sim.parallel import ShardWorker
+from repro.sim.process import ClockSync
 from tests.oracles import one_entry_per_sync, recording_dispatch
 from tests.test_call_budget import _skewed_ring_app
 from tests.test_report_pins import CASES, digest
@@ -38,10 +40,38 @@ def _store(grouped: bool):
     return contextlib.nullcontext() if grouped else one_entry_per_sync()
 
 
+def _assert_no_stale_sync(engine: Engine) -> None:
+    """Every armed clock sync in the store, lone or a group member, carries
+    the key it is stored under: no entry is ever a stale sync."""
+    for _when, seq, item in engine._heap:
+        if item.__class__ is ClockSync:
+            assert item.seq == seq
+        elif item.__class__ is _SyncGroup:
+            assert item[0][0] == seq
+            assert all(entry.seq == key for key, entry in item)
+
+
+@contextlib.contextmanager
+def _checking_syncs():
+    advance_to = Engine.advance_to
+
+    def checked(self, when):
+        _assert_no_stale_sync(self)
+        return advance_to(self, when)
+
+    with pytest.MonkeyPatch.context() as patches:
+        patches.setattr(Engine, "advance_to", checked)
+        yield
+
+
 def _observe_job(run, grouped: bool) -> dict:
-    with _store(grouped), recording_dispatch() as log:
+    with _store(grouped), recording_dispatch() as log, \
+            (_checking_syncs() if grouped else contextlib.nullcontext()):
         result = run()
     engine = result.fabric.engine
+    # What is left of the store holds every dead entry counted (none, if
+    # it drained).
+    assert engine._dead_pending == sum(map(engine._is_dead, engine._heap))
     return {"dispatch": log, "events": engine.processed_count,
             "seq": engine._seq, "high_water": engine.heap_high_water,
             "digest": digest(result)}
@@ -155,45 +185,14 @@ def _both(scenario) -> "tuple[object, object]":
     return outcomes[0], outcomes[1]
 
 
-def test_interrupting_a_grouped_member_under_the_watchdog_loop():
-    """An interrupted member is abandoned in place; re-armed at the same
-    instant it joins the same group again under its new key.  A naive
-    group would wake it at its stale position."""
-
-    def scenario(eng):
-        log = []
-
-        def rank(eng, i):
-            try:
-                yield from _sync(eng, _T)
-            except Interrupt:
-                log.append(("interrupted", i, eng.now))
-                yield from _sync(eng, _T)
-            log.append(("woke", i, eng.now))
-
-        procs = _lockstep(eng, 6, rank)
-        eng.timeout(_T / 2).callbacks.append(lambda _e: procs[2].interrupt())
-        eng.run(until=_T / 4)
-        log.append(("groups", [len(g) for g in _groups_in(eng)]))
-        log.append(("guarded", eng.run_guarded(max_sim_time=10.0,
-                                               stall_sim_time=5.0)))
-        return log
-
-    grouped, reference = _both(scenario)
-    assert ("groups", [5]) in grouped[0] and ("groups", []) in reference[0]
-    assert grouped[1:] == reference[1:]
-    assert [x for x in grouped[0] if x[0] != "groups"] == \
-        [x for x in reference[0] if x[0] != "groups"]
-    woke = [x for x in grouped[0] if x[0] == "woke"]
-    assert [i for _w, i, _t in woke] == [0, 1, 3, 4, 5, 2]
-
-
-def test_compaction_drops_abandoned_members_of_queued_and_running_groups():
-    """Abandoned members leave the store at compaction -- those of a queued
-    group, and those of the group being woken -- so ``pending_count`` and
-    every later high-water mark are the one-entry store's, and
-    ``_dead_pending`` never goes negative."""
-    woken_group = []  # per compaction: was a group being woken?
+def test_compaction_during_a_group_wake_keeps_one_entry_counts():
+    """Guards cancelled early compact the store with a group queued; a
+    grouped member's wake cancels enough more to compact it while its group
+    is out of the store, being woken.  ``pending_count`` after every
+    compaction is the one-entry store's, and ``_dead_pending`` never goes
+    negative.  The watchdog loop stops once only dead guards are left, and
+    ``live_peek`` drops them."""
+    during_wake = []  # per compaction: were members counted off the store?
 
     def scenario(eng):
         dead = []
@@ -201,105 +200,74 @@ def test_compaction_drops_abandoned_members_of_queued_and_running_groups():
         compact = eng._compact
 
         def watched_compact():
-            woken_group.append(eng._retiring is not None)
+            queued = sum(len(group) - 1 for group in _groups_in(eng))
+            during_wake.append(eng._grouped > queued)
             compact()
             compactions.append(eng.pending_count)
 
         eng._compact = watched_compact
-        procs = []
+        guards = []
 
-        def rank(eng, i):
-            try:
-                yield from _sync(eng, _T)
-                if i == 1:  # the first grouped member: abandon the others
-                    for victim in procs[2:100] + procs[120:]:
-                        victim.interrupt()
-                        dead.append(eng._dead_pending)
-            except Interrupt:
-                yield from _sync(eng, _T2)
-            dead.append(eng._dead_pending)
-
-        procs.extend(_lockstep(eng, 150, rank))
-        guards = [eng.timeout(3 * _T2) for _ in range(200)]
-
-        def early(_e):  # some members of the queued group, then the guards
-            for victim in procs[100:120]:
-                victim.interrupt()
-            for guard in guards:
-                guard.cancel()
+        def cancel(some):
+            for guard in some:
+                assert guard.cancel()
                 dead.append(eng._dead_pending)
 
-        eng.timeout(_T / 2).callbacks.append(early)
-        eng.run()
-        return min(dead), compactions
-
-    grouped, reference = _both(scenario)
-    assert grouped == reference
-    low, compactions = grouped[0]
-    assert low >= 0
-    assert woken_group[:len(compactions)] == [False, True]
-
-
-def test_live_peek_skips_a_group_of_abandoned_members():
-    def scenario(eng):
-        peeks = []
-
         def rank(eng, i):
-            with contextlib.suppress(Interrupt):
-                yield from _sync(eng, _T)
+            yield from _sync(eng, _T)
+            if i == 1:  # the first grouped member (rank 0's sync is lone)
+                cancel(guards[400:])
+            yield from _sync(eng, _T2)
+            dead.append(eng._dead_pending)
 
-        procs = _lockstep(eng, 5, rank)
-        live = eng.timeout(_T2)
-        eng.run(until=_T / 4)
-        peeks.append((eng.live_peek(), eng.pending_count))
-        for proc in procs[:3]:  # the lone head and the group's oldest two
-            proc.interrupt()
-        eng.run(until=_T / 2)
-        peeks.append((eng.live_peek(), eng.pending_count, eng._dead_pending))
-        for proc in procs[3:]:
-            proc.interrupt()
-        eng.run(until=3 * _T / 4)
-        peeks.append((eng.live_peek(), eng.pending_count, eng._dead_pending))
-        eng.run()
-        return peeks, live.processed
+        _lockstep(eng, 150, rank)
+        guards.extend(eng.timeout(3 * _T2) for _ in range(600))
+        eng.timeout(_T / 2).callbacks.append(lambda _e: cancel(guards[:400]))
+        guarded = eng.run_guarded(max_sim_time=10.0, check_interval=0.25)
+        left = (eng.now, eng.pending_count, eng._dead_pending)
+        return min(dead), compactions, guarded, left, eng.live_peek()
 
     grouped, reference = _both(scenario)
     assert grouped == reference
-    peeks, fired = grouped[0]
-    assert [p[0] for p in peeks] == [_T, _T, _T2] and fired
+    low, compactions, guarded, (now, pending, dead), peek = grouped[0]
+    assert low >= 0 and during_wake[:len(compactions)] == [False, True]
+    assert guarded is None and now < 3 * _T2 and pending == dead > 0
+    assert peek == math.inf and grouped[6:8] == (0, 0)  # pending, dead
 
 
-def test_a_sync_lands_on_an_instant_whose_group_live_peek_dropped():
-    """``live_peek`` empties an all-abandoned group off the head; a sync
-    made afterwards at its instant (a process woken by something injected
-    before it, as a shard's channel messages are) starts a new group
-    instead of joining the dropped one."""
+def test_run_guarded_counts_every_pending_member():
+    """Between watchdog chunks the live count is one per sync, grouped or
+    not, beside cancelled guards: a group counting itself once would read
+    two live entries where three ranks wait."""
+    shapes = []
 
     def scenario(eng):
-        log = []
-        go = eng.event()
+        log, live = [], []
 
         def rank(eng, i):
-            if i == 3:
-                yield go
-            with contextlib.suppress(Interrupt):
-                yield from _sync(eng, _T)
-                log.append((i, eng.now))
+            yield from _sync(eng, _T)
+            yield from _sync(eng, _T2)
+            log.append((i, eng.now))
 
-        procs = _lockstep(eng, 4, rank)
-        eng.run(until=_T / 8)
-        for proc in procs[:3]:
-            proc.interrupt()
-        eng.post_at(_T)  # keyed after the group: stops the peek there
-        eng.run(until=_T / 4)
-        log.append(("peek", eng.live_peek(), eng.pending_count))
-        go.succeed()
-        eng.run()
-        return log
+        def progress():
+            live.append(eng.pending_count - eng._dead_pending)
+            shapes.append([len(group) for group in _groups_in(eng)])
+            return eng.processed_count
+
+        _lockstep(eng, 3, rank)
+        guards = [eng.timeout(10 * _T2) for _ in range(2)]
+        eng.timeout(_T / 8).callbacks.append(
+            lambda _e: [guard.cancel() for guard in guards])
+        guarded = eng.run_guarded(max_sim_time=5.0, check_interval=_T / 4,
+                                  progress=progress)
+        return live, guarded, log
 
     grouped, reference = _both(scenario)
     assert grouped == reference
-    assert grouped[0] == [("peek", _T, 1), (3, _T)]
+    live, guarded, log = grouped[0]
+    assert guarded is None and log == [(0, _T2), (1, _T2), (2, _T2)]
+    assert live == [6] + [3] * 7  # start; then every chunk up to _T2
+    assert shapes[1:8] == [[2]] * 7  # rank 0's sync is lone
 
 
 @pytest.mark.parametrize("deadline", [
@@ -318,86 +286,3 @@ def test_a_deadline_at_the_group_instant(deadline):
 
     grouped, reference = _both(scenario)
     assert grouped == reference
-
-
-def test_a_stop_event_that_fires_between_two_members():
-    """Member, stop event, member -- keys in that order at one instant:
-    ``run(until=stop)`` wakes the first member only."""
-
-    def scenario(eng):
-        log = []
-        stop = []
-
-        def rank(eng, i):
-            if i == 2:  # between the second and third syncs
-                stop.append(eng.timeout(_T))
-                return
-            yield from _sync(eng, _T)
-            log.append((i, eng.now))
-
-        _lockstep(eng, 4, rank)
-        eng.run(until=_T / 2)
-        shapes.append([len(g) for g in _groups_in(eng)])
-        eng.run(until=stop[0])
-        log.append(("stopped", eng.pending_count))
-        eng.run()
-        return log
-
-    shapes = []
-    grouped, reference = _both(scenario)
-    assert grouped == reference
-    log = grouped[0]
-    assert shapes == [[2], []]
-    assert log[:2] == [(0, _T), (1, _T)] and log[2][0] == "stopped"
-    assert log[3:] == [(3, _T)]
-
-
-def test_run_guarded_counts_every_pending_member():
-    """Two of three syncs at one instant abandoned: one live member is
-    still pending, so the store is not drained (a group counting once
-    would read 2 entries - 2 dead = drained and never wake it)."""
-
-    def scenario(eng):
-        log = []
-
-        def rank(eng, i):
-            try:
-                yield from _sync(eng, _T)
-                log.append(("woke", i, eng.now))
-            except Interrupt:
-                log.append(("interrupted", i, eng.now))
-
-        procs = _lockstep(eng, 3, rank)
-
-        def abandon(_e):
-            procs[0].interrupt()
-            procs[1].interrupt()
-
-        eng.timeout(0.1).callbacks.append(abandon)
-        log.append(("guarded", eng.run_guarded(max_sim_time=5.0,
-                                               check_interval=0.25)))
-        return log
-
-    grouped, reference = _both(scenario)
-    assert grouped == reference
-    assert ("woke", 2, _T) in grouped[0]
-
-
-def test_run_guarded_sees_a_group_of_stale_syncs_as_drained():
-    def scenario(eng):
-        def rank(eng, i):
-            with contextlib.suppress(Interrupt):
-                yield from _sync(eng, 100.0)
-
-        procs = _lockstep(eng, 4, rank)
-
-        def abandon(_e):
-            for proc in procs:
-                proc.interrupt()
-
-        eng.timeout(1e-6).callbacks.append(abandon)
-        return eng.run_guarded(max_sim_time=1.0, stall_sim_time=0.5)
-
-    grouped, reference = _both(scenario)
-    assert grouped == reference
-    assert grouped[0] is None and grouped[2] < 1.0

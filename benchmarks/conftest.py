@@ -6,7 +6,7 @@ prints the figure's data series, writes it to ``benchmarks/results/``,
 and asserts the figure's shape claims (who wins, what is flat, what
 crosses over).  Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    python -m pytest benchmarks/ --benchmark-only -s
 """
 
 from __future__ import annotations

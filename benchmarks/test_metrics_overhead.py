@@ -7,7 +7,7 @@ an instrumented NAS LU run with a registry attached must cost less than
 5% extra wall-clock over the same run without one.  Extends
 ``BENCH_simulator.json`` (key ``metrics_overhead_lu``)::
 
-    pytest benchmarks/test_metrics_overhead.py --benchmark-only
+    python -m pytest benchmarks/test_metrics_overhead.py --benchmark-only
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from __future__ import annotations
 import statistics
 import time
 
-from repro.metrics import MetricsRegistry, parse_openmetrics, render_openmetrics
+from repro.metrics import MetricsRegistry, render_openmetrics
 from repro.mpisim.config import mvapich2_like
 from repro.nas.base import CpuModel
 from repro.nas.lu import lu_app
 from repro.runtime import run_app
+from tests.oracles import parse_openmetrics
 
 #: Interleaved (plain, metrics) measurement pairs; median of per-pair
 #: ratios cancels host drift (see test_telemetry_overhead.py).

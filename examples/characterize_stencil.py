@@ -4,7 +4,9 @@
 Shows the framework's application-facing features on user code rather
 than a NAS kernel: monitoring sections (which phase loses time to
 non-overlapped communication?), per-message-size breakdown, pause/resume
-around untimed setup, and the Sec. 2.3 interpretation of the bounds.
+around untimed setup, and the halo phase's two Sec. 2.3 quantities: time
+certainly hidden (min overlap) and time provably not hidden (xfer_time
+minus max overlap).
 
 Run:  python examples/characterize_stencil.py
 """

@@ -22,9 +22,9 @@ class _ExportsOutrankSubmodules(types.ModuleType):
     """A package where an export named like a submodule keeps winning.
 
     The import system binds every loaded submodule on its parent, so
-    whichever of ``from repro.analysis.interpret import ...`` and
-    ``repro.analysis.interpret(...)`` ran first would otherwise decide
-    whether the name is the module or the function.
+    whichever of ``from repro.mpisim.collectives.alltoall import ...`` and
+    ``repro.mpisim.collectives.alltoall(...)`` ran first would otherwise
+    decide whether the name is the module or the function.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -69,6 +69,19 @@ def _lazy_surface(
         return sorted(namespace.keys() | origin.keys())
 
     return __getattr__, __dir__
+
+
+def _numpy() -> types.ModuleType:
+    """The numpy module, which only the array features need (ARMCI region
+    data, strided gets with data, ``traffic_matrix``); the base install
+    has none, so its absence is an ``ImportError`` naming the extra."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ImportError(
+            "this feature needs numpy: pip install 'repro[numpy]'",
+            name="numpy") from exc
+    return numpy
 
 
 __getattr__, __dir__ = _lazy_surface(__name__, {

@@ -3,7 +3,6 @@
 import repro
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
-    "interpret": ("Interpretation", "interpret", "render_interpretation"),
     "tables": (
         "micro_series_rows",
         "render_micro_series",
@@ -13,10 +12,5 @@ __getattr__, __dir__ = repro._lazy_surface(__name__, {
         "render_sp_tuning",
     ),
     "textplot": ("ascii_plot", "timeline_plot"),
-    "traffic": (
-        "message_counts",
-        "modeled_time_matrix",
-        "render_traffic_matrix",
-        "traffic_matrix",
-    ),
+    "traffic": ("render_traffic_matrix", "traffic_matrix"),
 })

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import typing
 
-import numpy as np
+from repro import _numpy
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.core.xfer_table import XferTable
     from repro.netsim.fabric import Fabric
 
 
@@ -24,59 +23,17 @@ def traffic_matrix(
     """``matrix[src, dst]`` = user-payload bytes moved src -> dst.
 
     Control packets (<= control_packet_size) are excluded unless asked for.
+    Needs numpy (``pip install 'repro[numpy]'``).
     """
     if fabric.transfer_log is None:
         raise ValueError("fabric was not created with record_transfers=True")
     n = fabric.num_nodes
-    matrix = np.zeros((n, n))
+    matrix = _numpy().zeros((n, n))
     threshold = fabric.params.control_packet_size
     for rec in fabric.transfer_log:
         if not include_control and rec.nbytes <= threshold:
             continue
         matrix[rec.src, rec.dst] += rec.nbytes
-    return matrix
-
-
-def message_counts(fabric: "Fabric") -> np.ndarray:
-    """``counts[src, dst]`` = user-payload messages src -> dst."""
-    if fabric.transfer_log is None:
-        raise ValueError("fabric was not created with record_transfers=True")
-    n = fabric.num_nodes
-    counts = np.zeros((n, n), dtype=np.int64)
-    threshold = fabric.params.control_packet_size
-    for rec in fabric.transfer_log:
-        if rec.nbytes > threshold:
-            counts[rec.src, rec.dst] += 1
-    return counts
-
-
-def modeled_time_matrix(
-    fabric: "Fabric", table: "XferTable", include_control: bool = False
-) -> np.ndarray:
-    """``matrix[src, dst]`` = Σ a-priori table time of src -> dst transfers.
-
-    The per-pair analog of the per-process ``data_transfer_time`` measure:
-    what the logged traffic *should* cost according to the ``perf_main``
-    table, before contention.  Comparing this against the physical
-    intervals in the transfer log localizes congestion to a rank pair.
-    The whole log is priced in one vectorized
-    :meth:`~repro.core.xfer_table.XferTable.times_for` call.
-    """
-    if fabric.transfer_log is None:
-        raise ValueError("fabric was not created with record_transfers=True")
-    n = fabric.num_nodes
-    matrix = np.zeros((n, n))
-    threshold = fabric.params.control_packet_size
-    recs = [
-        rec for rec in fabric.transfer_log
-        if include_control or rec.nbytes > threshold
-    ]
-    if not recs:
-        return matrix
-    times = table.times_for(np.array([rec.nbytes for rec in recs]))
-    src = np.array([rec.src for rec in recs], dtype=np.intp)
-    dst = np.array([rec.dst for rec in recs], dtype=np.intp)
-    np.add.at(matrix, (src, dst), times)
     return matrix
 
 

@@ -13,6 +13,7 @@ import collections
 import dataclasses
 import typing
 
+from repro import _numpy
 from repro.armci.handles import NbHandle
 from repro.core.measures import DEFAULT_BIN_EDGES
 from repro.core.monitor import Monitor, NullMonitor
@@ -20,8 +21,6 @@ from repro.netsim.fabric import Fabric
 from repro.netsim.nic import InboundPacket
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.armci.strided import StridedSpec
 from repro.sim import Engine
 
@@ -67,9 +66,7 @@ class Region:
     @property
     def array(self) -> np.ndarray:
         if self._zeros is not None:
-            import numpy as np
-
-            self._array, self._zeros = np.zeros(self._zeros[0], dtype=self._zeros[1]), None
+            self._array, self._zeros = _numpy().zeros(self._zeros[0], dtype=self._zeros[1]), None
         return self._array
 
 

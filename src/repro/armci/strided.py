@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import typing
 
+from repro import _numpy
 from repro.armci.handles import NbHandle
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.armci.api import ArmciEndpoint
 
 #: Wire strategies.
@@ -150,8 +149,7 @@ def nbget_strided(
     def gather_segments() -> np.ndarray | None:
         if not want_data:
             return None
-        import numpy as np
-
+        np = _numpy()
         src = ep.region_of(target, region).array.reshape(-1)
         itemsize = src.dtype.itemsize
         seg_elems = int(spec.seg_nbytes // itemsize)

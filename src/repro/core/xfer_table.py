@@ -15,14 +15,10 @@ extrapolate with the boundary bandwidth beyond the measured range.
 from __future__ import annotations
 
 import bisect
-import functools
 import io
 import math
 import os
 import typing
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
 
 _HEADER = "# repro xfer-time table: bytes<TAB>seconds"
 
@@ -57,8 +53,6 @@ class XferTable:
 
     The table is stored as Python floats -- what the per-``XFER_END``
     lookup reads -- so building and querying one does not import numpy.
-    :attr:`sizes` and :attr:`times` are float64 arrays made from that
-    storage the first time they are read.
     """
 
     def __init__(
@@ -92,23 +86,9 @@ class XferTable:
         self._tail_slope = max(self._slopes[-1], 0.0) if self._slopes else 0.0
         self._memo: dict[float, float] = {}
 
-    @functools.cached_property
-    def sizes(self) -> "np.ndarray":
-        """The measured sizes as a float64 array."""
-        import numpy as np
-
-        return np.array(self._sizes_list, dtype=np.float64)
-
-    @functools.cached_property
-    def times(self) -> "np.ndarray":
-        """The measured times as a float64 array."""
-        import numpy as np
-
-        return np.array(self._times_list, dtype=np.float64)
-
     def __reduce__(self) -> tuple:
-        # Only the measured points travel; slopes, memo and the cached
-        # arrays are rebuilt (or not needed) on the other side.
+        # Only the measured points travel; slopes and memo are rebuilt
+        # on the other side.
         return type(self), (self._sizes_list, self._times_list)
 
     # -- lookup ----------------------------------------------------------
@@ -144,31 +124,6 @@ class XferTable:
             self._memo.clear()
         self._memo[float(nbytes)] = t
         return t
-
-    def times_for(self, nbytes: typing.Sequence[float]) -> "np.ndarray":
-        """Vectorized :meth:`time_for` over an array of sizes.
-
-        Interior sizes go through one ``np.interp`` call; the boundary
-        extrapolations are applied with vectorized masks using the same
-        arithmetic as the scalar path, so the two agree element for
-        element.
-        """
-        import numpy as np
-
-        arr = np.asarray(nbytes, dtype=np.float64)
-        sizes, times = self.sizes, self.times
-        out = np.interp(arr, sizes, times)
-        below = arr <= sizes[0]
-        if below.any():
-            out = np.where(below, times[0] * arr / sizes[0], out)
-        above = arr >= sizes[-1]
-        if above.any():
-            if sizes.size == 1:
-                tail = times[-1] * arr / sizes[-1]
-            else:
-                tail = times[-1] + self._tail_slope * (arr - sizes[-1])
-            out = np.where(above, tail, out)
-        return np.where(arr <= 0, 0.0, out)
 
     def bandwidth_for(self, nbytes: float) -> float:
         """Effective bandwidth (bytes/s) for a message of ``nbytes``."""

@@ -4,9 +4,8 @@ The measurement framework instruments *applications*; this package
 instruments the framework.  A :class:`MetricsRegistry` (explicitly passed
 down -- no globals) collects queue, processor, engine, and sweep health
 metrics at near-zero hot-path cost; :mod:`repro.metrics.openmetrics`
-exposes them as OpenMetrics text and JSON snapshots and merges per-rank
-files in constant memory; :mod:`repro.metrics.progress` publishes live
-sweep state for ``repro.tools.watch``.
+renders them as OpenMetrics text; :mod:`repro.metrics.progress`
+publishes live sweep state for ``repro.tools.watch``.
 
 See ``docs/metrics.md`` for the metric catalog.
 """
@@ -14,14 +13,7 @@ See ``docs/metrics.md`` for the metric catalog.
 import repro
 
 __getattr__, __dir__ = repro._lazy_surface(__name__, {
-    "openmetrics": (
-        "MetricsAggregator",
-        "aggregate_files",
-        "parse_openmetrics",
-        "render_openmetrics",
-        "write_json_snapshot",
-        "write_openmetrics",
-    ),
+    "openmetrics": ("render_openmetrics",),
     "progress": ("SweepProgress", "load_status"),
     "registry": (
         "Counter",

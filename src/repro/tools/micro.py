@@ -47,7 +47,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.iters < 1:
+        parser.error(f"--iters must be >= 1, got {args.iters}")
     computes = args.computes
     config = library_config(args.library, args.leave_pinned)
     points = overlap_sweep(

@@ -24,6 +24,7 @@ import typing
 
 from repro.experiments.micro import build_xfer_table
 from repro.netsim.params import NetworkParams
+from repro.tools import finite_non_negative
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -46,13 +47,15 @@ def make_parser() -> argparse.ArgumentParser:
                         help="--compare rank count")
     parser.add_argument("--niter", type=int, default=1,
                         help="--compare iteration count")
-    parser.add_argument("--latency-us", type=float, default=None,
+    parser.add_argument("--latency-us", type=finite_non_negative, default=None,
                         help="fabric latency in microseconds")
-    parser.add_argument("--bandwidth-mbs", type=float, default=None,
+    parser.add_argument("--bandwidth-mbs", type=finite_non_negative,
+                        default=None,
                         help="fabric bandwidth in MB/s")
-    parser.add_argument("--min-size", type=float, default=1.0,
+    parser.add_argument("--min-size", type=finite_non_negative, default=1.0,
                         help="smallest message size in bytes")
-    parser.add_argument("--max-size", type=float, default=8 * 1024 * 1024,
+    parser.add_argument("--max-size", type=finite_non_negative,
+                        default=8 * 1024 * 1024,
                         help="largest message size in bytes")
     parser.add_argument("--reps", type=int, default=4,
                         help="ping-pong repetitions per size")
@@ -103,7 +106,10 @@ def _compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error(f"--reps must be >= 1, got {args.reps}")
     if args.compare:
         if args.shards is None:
             print("error: --compare requires --shards N", file=sys.stderr)
@@ -121,7 +127,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         overrides["latency"] = args.latency_us * 1e-6
     if args.bandwidth_mbs is not None:
         overrides["bandwidth"] = args.bandwidth_mbs * 1e6
-    params = NetworkParams(**overrides)
+    try:
+        params = NetworkParams(**overrides)
+    except ValueError as exc:  # e.g. --bandwidth-mbs 0
+        parser.error(str(exc))
 
     sizes = []
     size = args.min_size
@@ -129,7 +138,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         sizes.append(size)
         size *= 2
     table = build_xfer_table(params, sizes=sizes, path=args.out, reps=args.reps)
-    print(f"wrote {table.sizes.size} points to {args.out}")
+    print(f"wrote {len(sizes)} points to {args.out}")
     for s in (1024.0, 65536.0, 1048576.0):
         if args.min_size <= s <= args.max_size:
             print(f"  {int(s):>8} B -> {table.time_for(s) * 1e6:9.2f} us "

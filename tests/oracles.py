@@ -4,12 +4,15 @@ A referee is a test oracle, never a runtime option: the package ships one
 NIC scheduling path (burst macro-events), one pending store (same-instant
 clock syncs grouped) and one fence routine (the incremental
 :meth:`_Coordinator.fences_now`); what each must be bit-identical to lives
-here and is patched in by the tests that compare.
+here and is patched in by the tests that compare.  The OpenMetrics
+parser here is the oracle for :func:`repro.metrics.render_openmetrics`:
+the pair forms a round trip.
 """
 
 import contextlib
 import dataclasses
 import sys
+import typing
 
 import pytest
 
@@ -237,3 +240,101 @@ def checking_fences():
     with pytest.MonkeyPatch.context() as patches:
         patches.setattr(_Coordinator, "fences_now", checked)
         yield checks
+
+
+# -- OpenMetrics text parser ------------------------------------------------
+
+#: Suffix of counter sample names, per the OpenMetrics spec.
+_COUNTER_SUFFIX = "_total"
+
+
+def _parse_labels(text: str) -> tuple[tuple[str, str], ...]:
+    out: list[tuple[str, str]] = []
+    i = 0
+    while i < len(text):
+        eq = text.index("=", i)
+        name = text[i:eq]
+        if text[eq + 1] != '"':
+            raise ValueError(f"malformed label value near {text[eq:]!r}")
+        j = eq + 2
+        buf: list[str] = []
+        while text[j] != '"':
+            ch = text[j]
+            if ch == "\\":
+                nxt = text[j + 1]
+                buf.append({"n": "\n", "\\": "\\", '"': '"'}.get(nxt, nxt))
+                j += 2
+            else:
+                buf.append(ch)
+                j += 1
+        out.append((name, "".join(buf)))
+        i = j + 1
+        if i < len(text) and text[i] == ",":
+            i += 1
+    return tuple(out)
+
+
+def parse_openmetrics(text: str) -> "dict[str, dict[str, object]]":
+    """Parse exposition text back into ``{family: {kind, help, samples}}``.
+
+    ``samples`` maps ``(suffix, labels)`` (labels sorted, ``le`` included
+    for buckets) to the float value.  Only the subset of OpenMetrics the
+    renderer emits is supported -- that is the point: the pair forms a
+    round trip, which the hypothesis property test exercises.
+    """
+    families: dict[str, dict[str, object]] = {}
+    saw_eof = False
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line == "# EOF":
+            saw_eof = True
+            continue
+        if line.startswith("# TYPE "):
+            _, _, rest = line.partition("# TYPE ")
+            name, _, kind = rest.partition(" ")
+            families[name] = {"kind": kind, "help": "", "samples": {}}
+            continue
+        if line.startswith("# HELP "):
+            _, _, rest = line.partition("# HELP ")
+            name, _, help_text = rest.partition(" ")
+            if name in families:
+                families[name]["help"] = (
+                    help_text.replace("\\n", "\n").replace("\\\\", "\\")
+                )
+            continue
+        if line.startswith("#"):
+            continue
+        # Sample line: name{labels} value
+        if "{" in line:
+            name_part, _, rest = line.partition("{")
+            label_text, _, value_text = rest.rpartition("} ")
+            labels = _parse_labels(label_text)
+        else:
+            name_part, _, value_text = line.rpartition(" ")
+            labels = ()
+        family, suffix = _resolve_family(name_part, families)
+        value = float(value_text)
+        samples = typing.cast("dict", families[family]["samples"])
+        samples[(suffix, tuple(sorted(labels)))] = value
+    if not saw_eof:
+        raise ValueError("exposition text does not end with # EOF")
+    return families
+
+
+def _resolve_family(sample_name: str,
+                    families: "dict[str, dict[str, object]]") -> tuple[str, str]:
+    """Map a sample name to its (family, suffix) via the TYPE metadata."""
+    if sample_name in families and (
+        typing.cast("dict", families[sample_name])["kind"] == "gauge"
+    ):
+        return sample_name, ""
+    for suffix in (_COUNTER_SUFFIX, "_bucket", "_count", "_sum"):
+        if sample_name.endswith(suffix):
+            base = sample_name[: -len(suffix)]
+            if base in families:
+                return base, suffix
+    if sample_name in families:  # e.g. an untyped or gauge-like family
+        return sample_name, ""
+    raise ValueError(f"sample {sample_name!r} matches no declared family")

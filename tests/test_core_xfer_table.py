@@ -44,12 +44,6 @@ def test_monotone_in_size(table):
     assert all(b >= a for a, b in zip(times, times[1:]))
 
 
-def test_times_for_vectorized_matches_scalar(table):
-    sizes = [100.0, 1024.0, 50000.0, 4e6]
-    vec = table.times_for(sizes)
-    assert list(vec) == pytest.approx([table.time_for(s) for s in sizes])
-
-
 def test_bandwidth_for(table):
     assert table.bandwidth_for(1048576) == pytest.approx(1048576 / 1.1e-3)
 
@@ -102,7 +96,7 @@ def test_invalid_construction_rejected(sizes, times):
 
 
 def test_equality_and_repr(table):
-    same = XferTable(table.sizes, table.times)
+    same = XferTable([1024.0, 65536.0, 1048576.0], [10e-6, 80e-6, 1.1e-3])
     assert table == same
     assert table != XferTable([1.0], [1e-6])
     assert table.__eq__(42) is NotImplemented
@@ -190,24 +184,6 @@ class _NumpyTable:
         i = bisect.bisect_right(sizes, nbytes) - 1
         return self._slopes[i] * (nbytes - sizes[i]) + times[i]
 
-    def times_for(self, nbytes):
-        import numpy as np
-
-        arr = np.asarray(nbytes, dtype=np.float64)
-        sizes, times = self.sizes, self.times
-        out = np.interp(arr, sizes, times)
-        below = arr <= sizes[0]
-        if below.any():
-            out = np.where(below, times[0] * arr / sizes[0], out)
-        above = arr >= sizes[-1]
-        if above.any():
-            if sizes.size == 1:
-                tail = times[-1] * arr / sizes[-1]
-            else:
-                tail = times[-1] + self._tail_slope * (arr - sizes[-1])
-            out = np.where(above, tail, out)
-        return np.where(arr <= 0, 0.0, out)
-
     def dumps(self):
         lines = ["# repro xfer-time table: bytes<TAB>seconds"]
         lines += [f"{s:.17g}\t{t:.17g}" for s, t in zip(self.sizes, self.times)]
@@ -216,8 +192,8 @@ class _NumpyTable:
     def __eq__(self, other):
         import numpy as np
 
-        return bool(np.array_equal(self.sizes, other.sizes)
-                    and np.array_equal(self.times, other.times))
+        return bool(np.array_equal(self.sizes, other._sizes_list)
+                    and np.array_equal(self.times, other._times_list))
 
 
 def _points():
@@ -230,7 +206,6 @@ def _points():
 
 
 def test_float_storage_matches_numpy_reference():
-    import numpy as np
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -246,13 +221,7 @@ def test_float_storage_matches_numpy_reference():
         table, ref = XferTable(sizes, times), _NumpyTable(sizes, times)
         for q in queries + sizes:
             assert table.time_for(q) == ref.time_for(q)
-        vector = table.times_for(queries)
-        assert vector.dtype == np.float64
-        assert vector.tolist() == ref.times_for(queries).tolist()
         assert table.dumps() == ref.dumps()
-        assert table.sizes.dtype == table.times.dtype == np.float64
-        assert np.array_equal(table.sizes, ref.sizes)
-        assert np.array_equal(table.times, ref.times)
         # Equal exactly when the reference says so, however it was built.
         for other in (XferTable(ref.sizes, ref.times),
                       XferTable.loads(ref.dumps()),
@@ -267,14 +236,12 @@ def test_pickle_carries_the_points_not_the_arrays(table):
     import pickle
 
     cold = pickle.dumps(table)
-    assert table.sizes.shape == (3,) and table.time_for(2048.0) > 0
+    assert table.time_for(2048.0) > 0
     warm = pickle.dumps(table)
     assert warm == cold and b"numpy" not in warm
     clone = pickle.loads(warm)
     assert clone == table
-    assert "sizes" not in vars(clone) and "times" not in vars(clone)
     assert clone.time_for(2048.0) == table.time_for(2048.0)
-    assert clone.times_for([2048.0]).tolist() == [table.time_for(2048.0)]
 
 
 #: ``pickle.dumps(table, protocol=4)`` of the fixture table, made by the
@@ -312,6 +279,5 @@ def test_table_pickled_by_the_parent_loads_equal_or_misses(table, tmp_path):
         assert old == table and table == old
         assert old.dumps() == table.dumps()
         assert old.time_for(3000.0) == table.time_for(3000.0)
-        assert old.times_for([3000.0]).tolist() == [table.time_for(3000.0)]
     else:
         assert old is None and cache.misses == 1

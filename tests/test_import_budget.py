@@ -1,8 +1,9 @@
 """Start-up budget: a process imports only what it runs.
 
 Counts, not seconds: each check starts a fresh interpreter, imports one
-entry point (or runs one simulation) and reads ``sys.modules``.  The
-rule being held (docs/performance.md, "Cold start"): a package
+entry point (or runs one simulation) and reads ``sys.modules``; one
+blocks numpy in-process to see what the array features say without
+it.  The rule being held (docs/performance.md, "Cold start"): a package
 ``__init__`` imports nothing, and a third-party import sits at the first
 use of data that needs it.
 
@@ -11,12 +12,17 @@ Run alone with ``python -m pytest tests/test_import_budget.py -q``.
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import repro
+from repro.analysis.traffic import traffic_matrix
+from repro.armci import StridedSpec, run_armci_app
+from repro.armci.api import Region
+from repro.runtime import run_app
 
 SRC = pathlib.Path(repro.__file__).parent.parent
 
@@ -47,6 +53,16 @@ def test_http_client_loads_itself_and_its_packages_only():
     seen = _fresh("import repro.service.client")
     assert seen["repro"] == ["repro", "repro.service", "repro.service.client"]
     assert seen["heavy"] == []
+
+
+def test_the_sweep_dashboard_loads_the_metrics_package_and_itself_only():
+    """Parent commit: 16 ``repro.*`` modules, the telemetry rollup among
+    them, through the per-rank metrics aggregator."""
+    seen = _fresh("import repro.tools.watch")
+    assert seen["repro"] == [
+        "repro", "repro.metrics", "repro.metrics.openmetrics",
+        "repro.metrics.progress", "repro.metrics.registry", "repro.tools",
+        "repro.tools.watch"]
 
 
 @pytest.mark.parametrize("module", [
@@ -130,18 +146,74 @@ def test_a_fault_injected_run_draws_the_same_streams_without_numpy():
     assert "numpy" not in seen["heavy"]
 
 
+def _paper_quick(out: pathlib.Path) -> str:
+    return ("import contextlib, io\n"
+            "from repro.tools import paper\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    OUT = paper.main(['--quick', '--no-cache', '--jobs', '1', "
+            f"'--out', {str(out)!r}])\n")
+
+
+def _simulated(document: pathlib.Path) -> bytes:
+    """The document without its trailer, which states host time."""
+    body, trailer = document.read_bytes().rsplit(b"\n_(regenerated in ", 1)
+    assert trailer.endswith(b" s of host time)_\n")
+    return body
+
+
 def test_the_quick_paper_reproduction_never_imports_numpy(tmp_path):
-    """All 15 sections, MG on ARMCI and the fault matrix included."""
-    out = tmp_path / "paper.md"
-    seen = _fresh(
-        "import contextlib, io\n"
-        "from repro.tools import paper\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    OUT = paper.main(['--quick', '--no-cache', '--jobs', '1', "
-        f"'--out', {str(out)!r}])\n")
+    """All 15 sections, MG on ARMCI and the fault matrix included; with
+    numpy unimportable the document is the same byte for byte, up to the
+    host time its trailer states."""
+    plain, blocked = tmp_path / "plain.md", tmp_path / "blocked.md"
+    seen = _fresh(_paper_quick(plain))
     assert seen["out"] == 0
-    assert out.read_text().count("\n## ") == 15
+    assert plain.read_text().count("\n## ") == 15
     assert "numpy" not in seen["heavy"]
+    seen = _fresh("import sys\nsys.modules['numpy'] = None\n"
+                  + _paper_quick(blocked))
+    assert seen["out"] == 0
+    assert _simulated(blocked) == _simulated(plain)
+
+
+def _strided_get(ctx):
+    ctx.malloc("win", 32)
+    yield from ctx.armci.barrier()
+    if ctx.rank == 0:
+        yield from ctx.armci.get_strided(
+            1, "win", StridedSpec(offset=0, seg_nbytes=16, stride=64, count=2),
+            want_data=True)
+    yield from ctx.armci.barrier()
+
+
+def _one_message(ctx):
+    if ctx.rank == 0:
+        yield from ctx.comm.send(1, 1, 4096)
+    else:
+        yield from ctx.comm.recv(0, 1)
+
+
+@pytest.mark.parametrize("feature", [
+    lambda: Region.zeros(0, "win", 4, "float64").array,
+    lambda: run_armci_app(_strided_get, 2),
+    lambda: traffic_matrix(
+        run_app(_one_message, 2, record_transfers=True).fabric),
+], ids=["region-array", "strided-get-with-data", "traffic-matrix"])
+def test_without_numpy_each_array_feature_names_the_extra(feature,
+                                                          monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError, match=re.escape("repro[numpy]")):
+        feature()
+
+
+def test_the_base_install_depends_on_nothing():
+    """numpy is the ``numpy`` extra; the ``test`` extra pulls it in
+    because the tests hold the pure-Python streams to numpy's."""
+    lines = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert "dependencies = []" in lines
+    assert 'numpy = ["numpy>=1.24"]' in lines
+    test_extra = next(line for line in lines if line.startswith("test = ["))
+    assert '"numpy>=1.24"' in test_extra
 
 
 def test_an_armci_mg_cell_never_imports_numpy():

@@ -17,6 +17,7 @@ from repro.experiments.nas_char import MPI_BENCHMARKS
 from repro.runtime import launcher
 from repro.tools import micro as micro_cli
 from repro.tools import nas as nas_cli
+from repro.tools import perfmain as perfmain_cli
 from repro.tools import timeline as timeline_cli
 from repro.tools import validate as validate_cli
 
@@ -99,14 +100,39 @@ def test_a_negative_fault_seed_is_a_usage_error(cli, argv, launches, capsys):
     (micro_cli, ["--computes=1e-3,-1e-3"]),
     (micro_cli, ["--computes", "1e-3,inf"]),
     (micro_cli, ["--size", "-5"]),
+    (perfmain_cli, ["--out", "t.tsv", "--min-size", "inf", "--max-size", "inf"]),
+    (perfmain_cli, ["--out", "t.tsv", "--min-size", "nan"]),
+    (perfmain_cli, ["--out", "t.tsv", "--max-size", "nan"]),
+    (perfmain_cli, ["--out", "t.tsv", "--latency-us", "nan"]),
+    (perfmain_cli, ["--out", "t.tsv", "--latency-us=-1"]),
+    (perfmain_cli, ["--out", "t.tsv", "--bandwidth-mbs=-5"]),
 ])
 def test_a_bad_size_or_compute_time_is_a_usage_error(cli, argv, launches,
-                                                     capsys):
+                                                     capsys, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
     assert exit_info.value.code == 2
     assert "want a finite number >= 0" in capsys.readouterr().err
-    assert launches == []
+    assert launches == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cli,argv,message", [
+    (perfmain_cli, ["--out", "t.tsv", "--reps", "0"], "--reps must be >= 1"),
+    (micro_cli, ["--iters", "0"], "--iters must be >= 1"),
+    (perfmain_cli, ["--out", "t.tsv", "--bandwidth-mbs", "0"],
+     "bandwidths must be positive"),
+])
+def test_a_zero_count_or_bandwidth_is_a_usage_error(cli, argv, message,
+                                                    launches, capsys,
+                                                    tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert launches == [] and list(tmp_path.iterdir()) == []
 
 
 def test_every_front_end_arms_faults_the_same_way(launches, capsys):

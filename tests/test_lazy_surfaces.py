@@ -149,22 +149,20 @@ def test_threads_importing_one_name_for_the_first_time():
 
 @pytest.mark.parametrize("first", ["module", "export"])
 def test_export_named_like_its_submodule_wins_in_either_order(first):
-    """``repro.analysis.interpret`` is a module *and* an exported
+    """``repro.mpisim.collectives.alltoall`` is a module *and* an exported
     function; with eager imports the function always won."""
-    touch = {"module": "import repro.analysis.interpret\n",
-             "export": "from repro.analysis import interpret\n"}
+    touch = {"module": "import repro.mpisim.collectives.alltoall\n",
+             "export": "from repro.mpisim.collectives import alltoall\n"}
     order = [touch[first]] + [v for k, v in touch.items() if k != first]
     out = _fresh(
         "".join(order) +
-        "import repro.analysis, sys\n"
-        "from repro.mpisim.collectives.alltoall import alltoallv\n"
+        "import sys\n"
         "from repro.mpisim import collectives\n"
-        "OUT = [callable(repro.analysis.interpret),\n"
-        "       repro.analysis.interpret.__module__,\n"
-        "       sys.modules['repro.analysis.interpret'].interpret\n"
-        "       is repro.analysis.interpret,\n"
-        "       callable(collectives.alltoall)]\n")
-    assert out["out"] == [True, "repro.analysis.interpret", True, True]
+        "OUT = [callable(collectives.alltoall),\n"
+        "       collectives.alltoall.__module__,\n"
+        "       sys.modules['repro.mpisim.collectives.alltoall'].alltoall\n"
+        "       is collectives.alltoall]\n")
+    assert out["out"] == [True, "repro.mpisim.collectives.alltoall", True]
 
 
 def test_a_name_clash_cannot_go_unnoticed():
@@ -186,6 +184,17 @@ def test_star_import_of_the_root_is_warning_free():
     assert out["out"] == "run_app"
 
 
+@pytest.mark.parametrize("package", SURFACES)
+def test_every_export_resolves_without_numpy(package):
+    """What ``pip install .`` without extras gets: every public name
+    imports with numpy unimportable."""
+    out = _fresh("import sys\nsys.modules['numpy'] = None\n"
+                 f"from {package} import *\n"
+                 f"import {package} as pkg\n"
+                 "OUT = sorted(n for n in pkg.__all__ if n not in vars(pkg))")
+    assert out["out"] == []
+
+
 def test_numpy_is_a_module_level_import_only_where_arrays_are_the_point():
     offenders = []
     for path in SRC.rglob("*.py"):
@@ -197,4 +206,4 @@ def test_numpy_is_a_module_level_import_only_where_arrays_are_the_point():
             elif isinstance(node, ast.ImportFrom) and (
                     node.module or "").split(".")[0] == "numpy":
                 offenders.append(str(path.relative_to(SRC)))
-    assert offenders in ([], ["analysis/traffic.py"])
+    assert offenders == []

@@ -10,14 +10,10 @@ path changes nothing).
 import pytest
 
 from repro.experiments.micro import _micro_app
-from repro.metrics import (
-    MetricsAggregator,
-    MetricsRegistry,
-    parse_openmetrics,
-    render_openmetrics,
-)
+from repro.metrics import MetricsRegistry, render_openmetrics
 from repro.mpisim.config import openmpi_like
 from repro.runtime.launcher import run_app
+from tests.oracles import parse_openmetrics
 
 
 def _run(metrics=None):
@@ -103,13 +99,12 @@ def test_nil_registry_run_is_bit_identical(monitored):
 
 
 def test_per_rank_snapshots_aggregate(monitored):
-    reg, result = monitored
-    agg = MetricsAggregator()
-    agg.add_snapshot(reg.snapshot(), tag=0)
-    out = agg.result()
-    pushed = [c for c in out["counters"]
-              if c["name"] == "repro_equeue_events_pushed"]
-    assert len(pushed) == 1  # both ranks merged into one row
-    total = (_sample(reg, "repro_equeue_events_pushed", 0)
-             + _sample(reg, "repro_equeue_events_pushed", 1))
-    assert pushed[0]["value"] == total
+    """The snapshot keeps one row per rank; summing the rows is the whole
+    merge a reader of the JSON file needs."""
+    reg, _ = monitored
+    rows = reg.snapshot()["metrics"]["repro_equeue_events_pushed"]["samples"]
+    assert len(rows) == 2
+    by_rank = {row["labels"]["rank"]: row["value"] for row in rows}
+    assert by_rank == {str(rank): _sample(reg, "repro_equeue_events_pushed",
+                                          rank) for rank in (0, 1)}
+    assert sum(by_rank.values()) > 0

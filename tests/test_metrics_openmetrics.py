@@ -1,18 +1,12 @@
-"""OpenMetrics exposition, parser, and constant-memory aggregation."""
+"""OpenMetrics exposition, checked against the parser in ``tests.oracles``."""
 
 import json
 
 import pytest
 
-from repro.metrics import (
-    MetricsAggregator,
-    MetricsRegistry,
-    aggregate_files,
-    parse_openmetrics,
-    render_openmetrics,
-    write_json_snapshot,
-    write_openmetrics,
-)
+from repro.metrics import MetricsRegistry, render_openmetrics
+from repro.tools import nas as nas_cli
+from tests.oracles import parse_openmetrics
 
 
 def _registry() -> MetricsRegistry:
@@ -77,82 +71,21 @@ def test_label_values_escape_round_trip():
     assert parsed["repro_x"]["samples"][("_total", (("k", tricky),))] == 1.0
 
 
-def test_write_helpers(tmp_path):
-    reg = _registry()
-    om = tmp_path / "m.om"
-    js = tmp_path / "m.json"
-    write_openmetrics(reg, om)
-    write_json_snapshot(reg, js)
-    assert parse_openmetrics(om.read_text())["repro_jobs"]["kind"] == "counter"
-    snap = json.loads(js.read_text())
+def test_write_helpers(tmp_path, capsys):
+    """``nas --metrics-dir`` leaves the exposition and the JSON snapshot
+    of each cell, and the two files state the same counter values."""
+    assert nas_cli.main(["--benchmark", "lu", "--klass", "S", "--np", "2",
+                         "--niter", "1", "--no-cache",
+                         "--metrics-dir", str(tmp_path)]) == 0
+    assert "wrote framework metrics to" in capsys.readouterr().out
+    parsed = parse_openmetrics((tmp_path / "lu.S.2.om").read_text())
+    snap = json.loads((tmp_path / "lu.S.2.metrics.json").read_text())
     assert snap["format_version"] == 1
-
-
-def _rank_snapshot(rank: int, depth: float) -> dict:
-    reg = MetricsRegistry()
-    labels = {"rank": str(rank)}
-    reg.counter("repro_events", labels=labels).inc(10 * (rank + 1))
-    g = reg.gauge("repro_depth", labels=labels)
-    g.set(depth + 2)  # push high water above the final value
-    g.set(depth)
-    h = reg.histogram("repro_lat_seconds", labels=labels, lo_exp=-2, hi_exp=0)
-    h.observe(0.2)
-    return reg.snapshot()
-
-
-def test_aggregator_merges_ranks_in_one_row():
-    agg = MetricsAggregator()
-    agg.add_snapshot(_rank_snapshot(0, 1.0), tag=0)
-    agg.add_snapshot(_rank_snapshot(1, 5.0), tag=1)
-    out = agg.result()
-    assert out["nfiles"] == 2
-    (counter,) = out["counters"]
-    assert counter["name"] == "repro_events"
-    assert counter["labels"] == {}  # rank label dropped
-    assert counter["value"] == 30.0
-    (gauge,) = out["gauges"]
-    assert gauge["min"] == 1.0 and gauge["max"] == 5.0
-    assert gauge["high_water"] == 7.0
-    assert gauge["contributors"] == 2
-    (hist,) = out["histograms"]
-    assert hist["count"] == 2
-    assert sum(hist["buckets"]) == 2
-
-
-def test_aggregator_rejects_kind_and_bounds_conflicts():
-    agg = MetricsAggregator()
-    agg.add_snapshot(_rank_snapshot(0, 1.0))
-    reg = MetricsRegistry()
-    reg.gauge("repro_events", labels={"rank": "9"}).set(1)
-    with pytest.raises(ValueError, match="counter in one file"):
-        agg.add_snapshot(reg.snapshot())
-
-    agg2 = MetricsAggregator()
-    agg2.add_snapshot(_rank_snapshot(0, 1.0))
-    reg2 = MetricsRegistry()
-    reg2.histogram("repro_lat_seconds", labels={"rank": "9"},
-                   lo_exp=-4, hi_exp=0).observe(0.2)
-    with pytest.raises(ValueError, match="bounds differ"):
-        agg2.add_snapshot(reg2.snapshot())
-
-
-def test_aggregator_empty_and_bad_version():
-    with pytest.raises(ValueError, match="no snapshots"):
-        MetricsAggregator().result()
-    with pytest.raises(ValueError, match="version"):
-        MetricsAggregator().add_snapshot({"format_version": 99, "metrics": {}})
-
-
-def test_aggregate_files(tmp_path):
-    paths = []
-    for rank in range(3):
-        p = tmp_path / f"rank{rank}.json"
-        p.write_text(json.dumps(_rank_snapshot(rank, float(rank))))
-        paths.append(p)
-    agg = aggregate_files(paths)
-    out = agg.result()
-    assert out["nfiles"] == 3
-    assert out["counters"][0]["value"] == 60.0
-    dest = tmp_path / "merged.json"
-    agg.save(dest)
-    assert json.loads(dest.read_text())["nfiles"] == 3
+    counters = {name: family for name, family in snap["metrics"].items()
+                if family["kind"] == "counter"}
+    assert counters
+    for name, family in counters.items():
+        assert parsed[name]["kind"] == "counter"
+        for sample in family["samples"]:
+            key = ("_total", tuple(sorted(sample["labels"].items())))
+            assert parsed[name]["samples"][key] == sample["value"], name

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.metrics import MetricsRegistry, SweepProgress, load_status, parse_openmetrics
+from repro.metrics import MetricsRegistry, SweepProgress, load_status
 from repro.metrics.progress import OPENMETRICS_FILENAME, STATUS_FILENAME
 from repro.tools import watch
+from tests.oracles import parse_openmetrics
 
 
 def _drive(progress: SweepProgress) -> None:

@@ -6,7 +6,8 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import MetricsRegistry, parse_openmetrics, render_openmetrics
+from repro.metrics import MetricsRegistry, render_openmetrics
+from tests.oracles import parse_openmetrics
 
 _NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 

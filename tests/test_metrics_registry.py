@@ -1,5 +1,6 @@
 """Tests for the repro.metrics registry primitives."""
 
+import json
 import math
 
 import pytest
@@ -128,3 +129,5 @@ def test_snapshot_carries_gauge_high_water_and_buckets():
     assert hs["buckets"] == [0, 1, 0]
     assert hs["bounds"] == [1.0, 2.0]
     assert hs["count"] == 1
+    assert snap["format_version"] == 1
+    assert json.loads(json.dumps(snap)) == snap  # what nas --metrics-dir writes

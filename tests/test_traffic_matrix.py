@@ -1,9 +1,8 @@
 """Tests for per-pair traffic diagnostics."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.traffic import message_counts, render_traffic_matrix, traffic_matrix
+from repro.analysis.traffic import render_traffic_matrix, traffic_matrix
 from repro.mpisim.config import openmpi_like
 from repro.runtime import run_app
 
@@ -28,13 +27,6 @@ def test_matrix_matches_ring_topology():
                 assert matrix[src, dst] == 0.0
 
 
-def test_message_counts_ring():
-    result = run_app(_ring_app, 4, config=openmpi_like(), record_transfers=True)
-    counts = message_counts(result.fabric)
-    assert counts.sum() == 12  # 4 ranks x 3 messages
-    np.testing.assert_array_equal(np.diag(counts), 0)
-
-
 def test_control_packets_excluded_by_default():
     def app(ctx):
         # Rendezvous: RTS/FIN control packets fly alongside the payload.
@@ -57,8 +49,6 @@ def test_requires_recording():
     result = run_app(_ring_app, 2, config=openmpi_like())
     with pytest.raises(ValueError, match="record_transfers"):
         traffic_matrix(result.fabric)
-    with pytest.raises(ValueError, match="record_transfers"):
-        message_counts(result.fabric)
 
 
 def test_render_matrix():

@@ -113,19 +113,13 @@ def characterize(
     cpu: CpuModel | None = None,
     config: MpiConfig | None = None,
     lu_planes: int | None = None,
-    shards: int | None = None,
 ) -> CharPoint:
-    """Run one NAS benchmark cell and return its characterization.
-
-    ``shards`` routes the cell through the sharded parallel-DES engine
-    (:mod:`repro.sim.parallel`); reports are bit-identical to the
-    single-process channel-delivery run by construction.
-    """
+    """Run one NAS benchmark cell and return its characterization."""
     app, paper_config, args = nas_cell(
         benchmark, klass, niter, cpu=cpu, lu_planes=lu_planes)
     result = run_app(
         app, nprocs, config=config or paper_config,
-        label=f"{benchmark}.{klass}.{nprocs}", app_args=args, shards=shards,
+        label=f"{benchmark}.{klass}.{nprocs}", app_args=args,
     )
     return CharPoint(benchmark, klass, nprocs, "", result.report(0), result.elapsed)
 

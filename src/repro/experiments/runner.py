@@ -362,12 +362,6 @@ class FailedTask:
     #: True when the cell never completed because the sweep's ``cancel``
     #: event fired (the service's ``DELETE /v1/jobs/{id}`` path).
     cancelled: bool = False
-    #: True when the failing exception advertised ``retryable = True``
-    #: (e.g. :class:`repro.sim.parallel.ShardHostLost`): the cell failed
-    #: for an environmental reason -- a lost worker host, not a bug in
-    #: the task -- so re-running the identical task can succeed.  The
-    #: service re-queues a job once when any of its cells says so.
-    retryable: bool = False
 
     def __bool__(self) -> bool:
         # A failed cell is falsy so sweep code can filter results with a
@@ -415,7 +409,6 @@ def _run_task(task: Task, failsafe: bool, tracer: "Tracer | None" = None
             _task_name(task),
             f"{type(exc).__name__}: {exc}",
             traceback.format_exc(),
-            retryable=bool(getattr(exc, "retryable", False)),
         )
     return time.perf_counter() - t0, value, exc
 
@@ -486,9 +479,9 @@ class _WorkerSet:
                 worker.conn.close()
             ctx = multiprocessing.get_context()
             conn, child_conn = ctx.Pipe()
-            # Non-daemonic: a cell may itself fork (the sharded engine
-            # runs one process per shard), which daemonic processes are
-            # forbidden to do.  Forked under the lock, so the child's
+            # Non-daemonic: a cell may itself fork (``run_app(shards=k)``
+            # on the process backend runs one process per shard), which
+            # daemonic processes are forbidden to do.  Forked under the lock, so the child's
             # _forget_inherited_workers sees every sibling's parent end.
             proc = ctx.Process(target=_worker_main, args=(child_conn, conn))
             proc.start()
@@ -888,7 +881,7 @@ def add_sweep_arguments(parser: "typing.Any") -> None:
                         "while the sweep runs")
     parser.add_argument("--trace-dir", default=None,
                         help="record host-time spans for the whole sweep "
-                        "(runner, launcher, coordinator, shards) and write "
+                        "(runner, launcher) and write "
                         "one merged Perfetto trace_event JSON here; inspect "
                         "with `python -m repro.tools.explain`")
 

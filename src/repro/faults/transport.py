@@ -1,10 +1,10 @@
 """Deterministic transport faults for the socket shard backend.
 
 The coordinator's host-loss handling (heartbeat timeouts, EOF detection,
-diagnostic snapshots, retryable service failures) must be testable
-without killing real hosts.  :class:`TransportFaultPlan` describes a
-count-based failure -- *after N sent frames, this worker drops / stalls /
-slows* -- and :meth:`TransportFaultPlan.injector` builds the live hook a
+diagnostic snapshots) must be testable without killing real hosts.
+:class:`TransportFaultPlan` describes a count-based failure -- *after N
+sent frames, this worker drops / stalls / slows* -- and
+:meth:`TransportFaultPlan.injector` builds the live hook a
 :class:`repro.netsim.transport.FrameStream` calls before every send.
 
 Counts, not probabilities: the same plan always fails on the same frame,

@@ -9,9 +9,8 @@ sharded referee (:func:`run_sharded_pair` / :func:`compare_sharded` /
 :func:`assert_sharded_identical`) runs one workload single-process and
 sharded and compares them.
 
-Used by ``python -m repro.tools.perfmain --compare --shards N``,
-``python -m repro.experiments.halo --check``, ``bench/workloads.py`` and
-the tests (the per-packet NIC oracle that feeds :func:`compare_runs` lives
+Used by ``python -m repro.experiments.halo --check``,
+``bench/workloads.py`` and the tests (the per-packet NIC oracle that feeds :func:`compare_runs` lives
 in ``tests/oracles.py``).
 """
 

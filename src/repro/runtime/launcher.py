@@ -192,11 +192,9 @@ def _stack_builder(config: "typing.Any") -> "typing.Callable":
 def shards_refusal(config: "typing.Any", **observers: object) -> "str | None":
     """Why a job cannot run on the sharded engine (``None``: it can).
 
-    The one owner of the rule and its wording: the sharded launcher
-    raises it as a ``ValueError``, the service answers 400 with it and
-    the CLIs ``parser.error`` it.  ``observers`` are the job's
-    ``telemetry`` / ``metrics`` / ``watchdog``; any value but ``None``
-    counts as armed (a fault spec arms a watchdog).
+    The sharded launcher raises it as a ``ValueError``.  ``observers``
+    are the job's ``telemetry`` / ``metrics`` / ``watchdog``; any value
+    but ``None`` counts as armed.
     """
     if config is not None and not isinstance(config, MpiConfig):
         return (

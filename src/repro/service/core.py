@@ -115,7 +115,7 @@ class _Execution:
     __slots__ = ("id", "key", "tenant", "priority", "label", "tasks",
                  "state", "seq", "created", "started", "finished",
                  "cancel_event", "waiters", "results", "progress_payload",
-                 "tracer", "trace", "retried")
+                 "tracer", "trace")
 
     def __init__(self, job: "Job", tasks: list) -> None:
         self.id = job.id
@@ -133,9 +133,6 @@ class _Execution:
         self.cancel_event: "threading.Event | None" = threading.Event()
         self.waiters: "list[Job]" = [job]
         self.results: "PackedRows | None" = None
-        #: One automatic re-queue has been spent on a retryable failure
-        #: (e.g. a lost shard-worker host); the second failure is final.
-        self.retried = False
         #: Per-execution span tracer (None when service tracing is off)
         #: and its final payload after _finalize.
         self.tracer: "Tracer | None" = None
@@ -200,7 +197,6 @@ class Job:
             "state": self.state,
             "cached": self.cached,
             "deduped": self.deduped,
-            "retried": exc.retried if exc is not None else False,
             "created_unix": self.created,
             "started_unix": exc.started if exc is not None else self.created,
             "finished_unix": (self.finished if self.finished is not None
@@ -216,7 +212,6 @@ def _failed_row(value: FailedTask) -> "dict[str, object]":
         "name": value.name,
         "error": value.error,
         "exitcode": value.exitcode,
-        "retryable": value.retryable,
     }
 
 
@@ -296,9 +291,13 @@ class OverlapService:
                 labels={"state": state})
             for state in ("done", "failed", "cancelled")
         }
-        self._retried = self.registry.counter(
+        # Nothing re-queues a job, so this reads 0.  The family survives
+        # only because the byte-frozen bench/layers.py SERVICE_COUNTERS
+        # reads it (its metric_value raises KeyError without it); the
+        # benchmark change of ROADMAP item 5 removes the last mention.
+        self.registry.counter(
             "repro_service_retries",
-            "Jobs re-queued once after a retryable (host-loss) failure")
+            "Jobs re-queued after a failure (always 0: failures are final)")
         self._job_seconds = self.registry.histogram(
             "repro_service_job_seconds", "Host seconds per executed job")
         self.registry.sampled_gauge(
@@ -716,19 +715,6 @@ class OverlapService:
             with self._cond:
                 self._running_counts[execution.tenant] -= 1
                 del self._running[execution.id]
-                if self._should_retry(execution, values):
-                    # Retryable failure (e.g. a shard-worker host died
-                    # mid-run): failed cells were never cached, so one
-                    # re-queue re-runs exactly them -- cells that did
-                    # finish answer from cache.  _by_key still maps to
-                    # this execution, so identical submissions keep
-                    # deduping onto it while it waits for its retry.
-                    execution.retried = True
-                    execution.state = "queued"
-                    self._retried.inc()
-                    self.queue.push(execution)
-                    self._cond.notify_all()
-                    continue
                 self._finalize(execution, values, duration)
                 self._cond.notify_all()
 
@@ -741,22 +727,6 @@ class OverlapService:
 
         return SweepProgress(metrics_dir, label=execution.label,
                              on_update=on_update, min_write_interval=0.05)
-
-    def _should_retry(self, execution: _Execution, values: list) -> bool:
-        """Spend the execution's one automatic retry?  (Held lock.)
-
-        Only *retryable* failures qualify -- cells whose exception
-        advertised ``retryable = True`` (a lost shard-worker host, not a
-        bug in the task).  The retry budget is one: a job that loses its
-        host twice fails for real.  Cancelled and shutting-down
-        executions are finalized as they are.
-        """
-        if self._stop or execution.retried:
-            return False
-        if execution.cancel_event.is_set():
-            return False
-        return any(isinstance(v, FailedTask) and v.retryable
-                   for v in values)
 
     def _finalize(self, execution: _Execution, values: list,
                   duration: float) -> None:

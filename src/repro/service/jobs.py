@@ -11,14 +11,14 @@ worker function, same argument tuple -- so:
   keys are shared);
 * the **result is byte-identical** to the CLI's (the differential test in
   ``tests/test_service.py`` asserts JSON-level equality), including with
-  fault plans and ``shards=N``.
+  fault plans.
 
 Kinds
 -----
 ``nas``
     One NAS benchmark sweep cell per ``np`` value -- mirrors
     ``repro.tools.nas`` (benchmark, klass, np grid, niter, library,
-    modified/nonblocking, faults + fault_seed, shards).
+    modified/nonblocking, faults + fault_seed).
 ``micro``
     The Sec. 3 overlap micro-benchmark: one cell per inserted-computation
     value -- mirrors ``overlap_sweep_parallel``.
@@ -32,9 +32,8 @@ import dataclasses
 import hashlib
 import typing
 
-from repro.experiments.nas_char import MPI_BENCHMARKS, nas_cell
+from repro.experiments.nas_char import MPI_BENCHMARKS
 from repro.experiments.runner import Task
-from repro.runtime.launcher import shards_refusal
 
 KINDS = ("nas", "micro", "paper")
 KLASSES = ("S", "W", "A", "B")
@@ -118,14 +117,6 @@ def _parse_nas(payload: dict) -> "tuple[dict, list[Task], str]":
     if faults is not None and (not isinstance(faults, str) or not faults):
         raise SubmissionError("field 'faults' must be a spec string or null")
     fault_seed = _require_int(payload, "fault_seed", 0, lo=0, hi=2**31)
-    shards = payload.get("shards")
-    if shards is not None:
-        shards = _require_int(payload, "shards", 1, lo=1, hi=64)
-    if shards is not None:
-        refusal = shards_refusal(nas_cell(benchmark, klass, niter)[1],
-                                 watchdog=faults)
-        if refusal is not None:
-            raise SubmissionError(refusal)
     if faults is not None:
         # Fail a bad spec at submit time (HTTP 400), not in the worker.
         from repro.faults.plan import parse_fault_spec
@@ -138,13 +129,12 @@ def _parse_nas(payload: dict) -> "tuple[dict, list[Task], str]":
         "benchmark": benchmark, "klass": klass, "np": nprocs, "niter": niter,
         "library": library, "modified": modified, "nonblocking": nonblocking,
         "faults": faults, "fault_seed": fault_seed,
-        "shards": shards,
     }
     # The exact argument tuple repro.tools.nas builds (emit_metrics=False:
     # the service's metrics live on the server, not inside the cells).
     tasks = [
         Task(_run_cell, (benchmark, klass, np, niter, library, modified,
-                         nonblocking, False, faults, fault_seed, shards))
+                         nonblocking, False, faults, fault_seed))
         for np in nprocs
     ]
     label = f"nas.{benchmark}.{klass}.x{len(nprocs)}"
@@ -191,13 +181,10 @@ def _parse_paper(payload: dict) -> "tuple[dict, list[Task], str]":
     from repro.tools.paper import _render_section, build_sections
 
     quick = _require_bool(payload, "quick", True)
-    shards = payload.get("shards")
-    if shards is not None:
-        shards = _require_int(payload, "shards", 1, lo=1, hi=64)
-    sections = sorted(build_sections(quick, shards))
+    sections = sorted(build_sections(quick))
     section = _require_str(payload, "section", choices=tuple(sections))
-    spec = {"section": section, "quick": quick, "shards": shards}
-    tasks = [Task(_render_section, (section, quick, shards))]
+    spec = {"section": section, "quick": quick}
+    tasks = [Task(_render_section, (section, quick))]
     return spec, tasks, f"paper.{section}"
 
 

@@ -93,13 +93,7 @@ class ShardHostLost(ShardError):
     :func:`run_app_sharded` attaches ``diagnostic`` (a
     :class:`ShardLossDiagnostic` snapshot) and ``partial`` (a progress
     dict usable as a partial report) before the exception escapes.
-
-    ``retryable`` is the service layer's cue to re-dispatch the job once:
-    sharded runs are idempotent (same seed, same bits) and failed cells
-    are never cached, so a retry against healthy hosts is safe.
     """
-
-    retryable = True
 
     def __init__(self, message: str, reason: str = "", shard: int = -1,
                  host: str = "") -> None:

@@ -31,7 +31,6 @@ from repro.experiments.runner import (
     add_sweep_arguments,
 )
 from repro.faults import parse_fault_spec
-from repro.runtime.launcher import shards_refusal
 
 
 def _run_cell(
@@ -45,7 +44,6 @@ def _run_cell(
     emit_metrics: bool = False,
     faults: "str | None" = None,
     fault_seed: int = 0,
-    shards: "int | None" = None,
 ) -> dict:
     """Worker: one (benchmark, class, np) cell; returns a plain-data payload.
 
@@ -80,7 +78,7 @@ def _run_cell(
     label = f"{benchmark}.{klass}.{nprocs}"
     result = run_app(app, nprocs, config=config, params=params, label=label,
                      app_args=app_args, metrics=registry,
-                     watchdog=watchdog, shards=shards, tracer=tracer)
+                     watchdog=watchdog, tracer=tracer)
 
     payload = {
         "label": label,
@@ -164,12 +162,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="'continue' turns a crashed/failed grid cell "
                         "into a reported failure instead of aborting the "
                         "sweep")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="run each cell on the sharded parallel-DES "
-                        "engine with this many worker processes (not "
-                        "available for mg/ARMCI, --metrics-dir, or "
-                        "--faults; reports are bit-identical to the "
-                        "single-process run)")
     add_sweep_arguments(parser)
     return parser
 
@@ -181,14 +173,8 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         parse_fault_spec(args.faults or "", args.fault_seed)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error("--shards must be >= 1")
-        refusal = shards_refusal(
-            nas_cell(args.benchmark, args.klass, args.niter)[1],
-            metrics=args.metrics_dir, watchdog=args.faults)
-        if refusal is not None:
-            parser.error(refusal)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     sweep = CliSweep(args, f"nas.{args.benchmark}", f"nas {args.benchmark}",
                      klass=args.klass, cells=len(args.nprocs), jobs=args.jobs)
     cache = sweep.cache
@@ -196,7 +182,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         Task(_run_cell, (args.benchmark, args.klass, nprocs, args.niter,
                          args.library, args.modified, args.nonblocking,
                          args.metrics_dir is not None,
-                         args.faults, args.fault_seed, args.shards))
+                         args.faults, args.fault_seed))
         for nprocs in args.nprocs
     ]
     payloads = sweep.run(tasks, args.jobs, on_error=args.on_error)

@@ -52,16 +52,10 @@ def _micro_fig(fig: str, pattern: str, nbytes: float, leave_pinned: bool,
     return render_micro_series(points, side, f"{fig} ({side}, {pattern})")
 
 
-def build_sections(
-    quick: bool, shards: int | None = None
-) -> "dict[str, typing.Callable[[], str]]":
+def build_sections(quick: bool) -> "dict[str, typing.Callable[[], str]]":
     iters = 10 if quick else 40
     niter = 1 if quick else 2
     klasses = ["S", "A"] if quick else ["S", "W", "A"]
-    #: Extra kwargs for the MPI NAS characterization figures; ``--shards``
-    #: routes those cells through the sharded engine (bit-identical
-    #: reports, so figure text is unchanged -- this is a wall-clock knob).
-    nas_kw: dict = {} if shards is None else {"shards": shards}
 
     return {
         "fig03": lambda: _micro_fig("Fig 3: eager 10KB", "isend_irecv",
@@ -79,16 +73,16 @@ def build_sections(
         "fig09": lambda: _micro_fig("Fig 9: 1MB direct", "isend_irecv",
                                     MB, True, "sender", LONG_SWEEP, iters),
         "fig10": lambda: render_nas_char(
-            characterize_matrix("bt", klasses, [4, 9], niter=niter, **nas_kw),
+            characterize_matrix("bt", klasses, [4, 9], niter=niter),
             "Fig 10: NAS BT / Open MPI"),
         "fig11": lambda: render_nas_char(
-            characterize_matrix("cg", klasses, [4, 8], niter=niter, **nas_kw),
+            characterize_matrix("cg", klasses, [4, 8], niter=niter),
             "Fig 11: NAS CG / Open MPI"),
         "fig12": lambda: render_nas_char(
-            characterize_matrix("lu", klasses, [4, 8], niter=niter, **nas_kw),
+            characterize_matrix("lu", klasses, [4, 8], niter=niter),
             "Fig 12: NAS LU / MVAPICH2"),
         "fig13": lambda: render_nas_char(
-            characterize_matrix("ft", klasses, [4, 8], niter=niter, **nas_kw),
+            characterize_matrix("ft", klasses, [4, 8], niter=niter),
             "Fig 13: NAS FT / MVAPICH2"),
         "fig14_18": lambda: render_sp_tuning(
             [sp_tuning("A", n, niter=niter) for n in (4, 9)], "section",
@@ -112,9 +106,9 @@ def build_sections(
     }
 
 
-def _render_section(key: str, quick: bool, shards: int | None = None) -> str:
+def _render_section(key: str, quick: bool) -> str:
     """Worker: build one figure's text block (module-level: picklable)."""
-    return build_sections(quick, shards)[key]()
+    return build_sections(quick)[key]()
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -127,24 +121,19 @@ def make_parser() -> argparse.ArgumentParser:
                         help="smaller sweeps/classes for a fast pass")
     parser.add_argument("--only", default=None,
                         help="comma-separated figure keys (e.g. fig05,fig19)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count(),
+    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker processes for independent figures "
                         "(default: CPU count; 1 = serial)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="run the MPI NAS characterization cells on the "
-                        "sharded parallel-DES engine with this many worker "
-                        "processes (reports are bit-identical; see "
-                        "docs/performance.md)")
     add_sweep_arguments(parser)
     return parser
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
-    if args.shards is not None and args.shards < 1:
-        print("error: --shards must be >= 1")
-        return 2
-    sections = build_sections(args.quick, args.shards)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    sections = build_sections(args.quick)
     if args.only:
         wanted = {k.strip() for k in args.only.split(",")}
         unknown = wanted - set(sections)
@@ -169,8 +158,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     print(f"running {len(keys)} figures "
           f"(jobs={args.jobs}, cache={'off' if cache is None else cache.root})",
           flush=True)
-    tasks = [Task(_render_section, (key, args.quick, args.shards))
-             for key in keys]
+    tasks = [Task(_render_section, (key, args.quick)) for key in keys]
     texts = sweep.run(tasks, args.jobs)
     for key, text in zip(keys, texts):
         blocks.append(f"\n## {key}\n\n```\n{text}\n```")

@@ -53,7 +53,7 @@ def make_parser() -> argparse.ArgumentParser:
                         "metrics.om artifacts here")
     parser.add_argument("--trace-dir", default=None,
                         help="record host-time spans per job (accept -> "
-                        "queue -> execute -> shards) and write one merged "
+                        "queue -> execute -> cells) and write one merged "
                         "Perfetto trace_event JSON per execution here; also "
                         "enables GET /v1/jobs/{id}/trace")
     parser.add_argument("--trace", action="store_true",

@@ -119,39 +119,7 @@ def render_status(payload: "dict[str, object] | None") -> str:
             f"{cat} {float(st.get('avg_ms', 0.0)):.1f}ms"
             f"x{int(st.get('count', 0))}"
             for cat, st in worst))
-        coord = _coordinator_line(stages)
-        if coord is not None:
-            lines.append(coord)
     return "\n".join(lines)
-
-
-def _coordinator_line(stages: "dict[str, dict]") -> "str | None":
-    """Sharded-run coordinator health from the ``coord.*`` span stages.
-
-    A traced sharded run publishes one ``coord.fence`` span per
-    synchronization round plus ``coord.dispatch`` (grant/collect
-    bookkeeping) and ``coord.wait`` (blocked on shard workers).  Fence +
-    dispatch is the coordinator's own work; the three together span the
-    whole coordination loop, so the share needs no external clock.
-    """
-    fence = stages.get("coord.fence")
-    if not isinstance(fence, dict):
-        return None
-    rounds = int(fence.get("count", 0))
-    active = float(fence.get("total_s", 0.0))
-    loop = active
-    for category in ("coord.dispatch", "coord.wait"):
-        stage = stages.get(category)
-        seconds = (float(stage.get("total_s", 0.0))
-                   if isinstance(stage, dict) else 0.0)
-        loop += seconds
-        if category == "coord.dispatch":
-            active += seconds
-    if not rounds or loop <= 0.0:
-        return None
-    return (f"  coordinator {rounds} fence rounds"
-            f" @ {rounds / loop:,.0f}/s"
-            f"   {active / loop * 100:.0f}% coordinator share")
 
 
 class LiveRenderer:

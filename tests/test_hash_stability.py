@@ -36,9 +36,11 @@ def test_task_carrying_an_xfer_table_keeps_its_key():
     ({"kind": "nas", "benchmark": "lu", "klass": "S", "np": [2, 4],
       "niter": 2},
      # Re-pinned in PR 22: the cell's argument tuple lost ``shard_sync``.
-     "9069708195716fff8b63ec5d87fbabe5bf278b6421d1edf0727aaddc68e6a90a"),
+     # Re-pinned again: the cell's argument tuple lost ``shards``.
+     "b9eb2edb434da95a40b6a3e1c8271ec16215fb11291ecffdef08d2cd38d22611"),
     ({"kind": "paper", "section": "fig04", "quick": True},
-     "a256be9f27c1802baecbff3f15f5f8783a06b746695b1a71ee499e0e8f1bb459"),
+     # Re-pinned: the cell's argument tuple lost ``shards``.
+     "74daab7bbcfb46ad865b6ca07393a6ccfe6c5dfac4a9f52567a977a93f868bb1"),
 ], ids=["micro", "nas", "paper"])
 def test_job_content_keys_are_unchanged(spec, pinned):
     sub, tasks = parse_submission(spec)
@@ -46,10 +48,14 @@ def test_job_content_keys_are_unchanged(spec, pinned):
 
 
 def test_a_leftover_shard_sync_field_is_ignored_like_any_unknown_field():
-    spec = {"kind": "nas", "benchmark": "lu", "klass": "S", "np": 2,
-            "shards": 2}
-    plain, tasks = parse_submission(spec)
-    old, old_tasks = parse_submission({**spec, "shard_sync": "null"})
-    assert old.spec == plain.spec and "shard_sync" not in plain.spec
-    assert job_content_key(old.kind, old_tasks) == job_content_key(
-        plain.kind, tasks)
+    nas = {"kind": "nas", "benchmark": "lu", "klass": "S", "np": 2}
+    paper = {"kind": "paper", "section": "fig04", "quick": True}
+    for spec, leftover in ((nas, {"shard_sync": "null"}),
+                           (nas, {"shards": 2}),
+                           (paper, {"shards": 2})):
+        plain, tasks = parse_submission(spec)
+        old, old_tasks = parse_submission({**spec, **leftover})
+        assert old.spec == plain.spec
+        assert not set(leftover) & set(plain.spec)
+        assert job_content_key(old.kind, old_tasks) == job_content_key(
+            plain.kind, tasks)

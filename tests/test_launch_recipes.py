@@ -17,6 +17,7 @@ from repro.experiments.nas_char import MPI_BENCHMARKS
 from repro.runtime import launcher
 from repro.tools import micro as micro_cli
 from repro.tools import nas as nas_cli
+from repro.tools import paper as paper_cli
 from repro.tools import perfmain as perfmain_cli
 from repro.tools import timeline as timeline_cli
 from repro.tools import validate as validate_cli
@@ -123,6 +124,12 @@ def test_a_bad_size_or_compute_time_is_a_usage_error(cli, argv, launches,
     (micro_cli, ["--iters", "0"], "--iters must be >= 1"),
     (perfmain_cli, ["--out", "t.tsv", "--bandwidth-mbs", "0"],
      "bandwidths must be positive"),
+    (paper_cli, ["--quick", "--jobs", "0"], "--jobs must be >= 1"),
+    (paper_cli, ["--quick", "--jobs", "-1"], "--jobs must be >= 1"),
+    (nas_cli, ["--benchmark", "lu", "--klass", "S", "--jobs", "0"],
+     "--jobs must be >= 1"),
+    (nas_cli, ["--benchmark", "lu", "--klass", "S", "--jobs", "-1"],
+     "--jobs must be >= 1"),
 ])
 def test_a_zero_count_or_bandwidth_is_a_usage_error(cli, argv, message,
                                                     launches, capsys,

@@ -112,28 +112,17 @@ def test_render_status_formats_dashboard():
     assert "worker util 80%" in text
     assert "ETA 5s" in text
     assert "last: fig12" in text
+    assert "stages" not in text
     payload["finished"] = True
     assert "[done]" in watch.render_status(payload)
-
-
-def test_render_status_surfaces_coordinator_stages():
-    payload = {
-        "label": "sharded", "total": 1, "done": 1, "finished": True,
-        "stages": {
-            "coord.fence": {"count": 800, "avg_ms": 0.02, "total_s": 0.016},
-            "coord.dispatch": {"count": 800, "avg_ms": 0.05,
-                               "total_s": 0.04},
-            "coord.wait": {"count": 800, "avg_ms": 0.18, "total_s": 0.144},
-            "shard.advance": {"count": 6400, "avg_ms": 0.4, "total_s": 2.56},
-        },
+    # A traced service publishes per-stage span latency; the costliest
+    # stages come first.
+    payload["stages"] = {
+        "service.queue": {"count": 3, "avg_ms": 1.0, "total_s": 0.003},
+        "service.execute": {"count": 3, "avg_ms": 12.0, "total_s": 0.036},
     }
-    text = watch.render_status(payload)
-    # 800 rounds over a 0.2 s coordination loop; fence+dispatch is 28%.
-    assert "coordinator 800 fence rounds @ 4,000/s" in text
-    assert "28% coordinator share" in text
-    # No coord.fence stage -> no coordinator line.
-    del payload["stages"]["coord.fence"]
-    assert "coordinator" not in watch.render_status(payload)
+    assert ("  stages service.execute 12.0msx3   service.queue 1.0msx3"
+            in watch.render_status(payload))
 
 
 def test_fmt_eta_ranges():

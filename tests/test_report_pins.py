@@ -20,6 +20,12 @@ them regenerates the file on purpose::
 
 and says so in its description; a change that claims bit-identical
 reports must pass against the file its parent commit produced.
+
+A moved report also invalidates every cached result that holds the old
+one, so the file records the ``CACHE_VERSION`` it was written under:
+``--write`` refuses to change a pin unless ``CACHE_VERSION`` was bumped
+first, and a tier-1 test holds the recorded version equal to the
+runner's.  Adding or dropping a case moves no report and needs no bump.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import pytest
 from repro.armci import ArmciConfig, run_armci_app
 from repro.experiments.halo import halo_app
 from repro.experiments.micro import PATTERNS, _micro_app
+from repro.experiments.runner import CACHE_VERSION
 from repro.faults import FaultPlan, LinkDegradation, NicStall, ResilienceParams
 from repro.faults.watchdog import WatchdogConfig
 from repro.mpisim.config import mvapich2_like, openmpi_like
@@ -397,13 +404,24 @@ def digest(result: typing.Any) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _load_pins() -> "dict[str, str]":
+def _load_file() -> "dict[str, typing.Any]":
     with open(PINS_PATH, encoding="utf-8") as fh:
-        return json.load(fh)["pins"]
+        return json.load(fh)
+
+
+def _load_pins() -> "dict[str, str]":
+    return _load_file()["pins"]
 
 
 def test_pin_file_covers_exactly_the_matrix():
     assert sorted(_load_pins()) == sorted(CASES)
+
+
+def test_pin_file_was_written_under_the_current_cache_version():
+    assert _load_file()["cache_version"] == CACHE_VERSION, (
+        "report_pins.json and experiments.runner.CACHE_VERSION disagree: "
+        "re-pin with `python -m tests.test_report_pins --write`"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -413,16 +431,27 @@ def test_report_is_pinned(name):
     )
 
 
-def _write() -> None:
+def _write() -> int:
     pins = {name: digest(CASES[name]()) for name in sorted(CASES)}
-    PINS_PATH.parent.mkdir(exist_ok=True)
+    old = _load_file()
+    moved = sorted(name for name, pin in pins.items()
+                   if old["pins"].get(name, pin) != pin)
+    if moved and old["cache_version"] == CACHE_VERSION:
+        print(f"refusing to write {PINS_PATH}: {len(moved)} report(s) moved "
+              f"({', '.join(moved)}) under the CACHE_VERSION they were "
+              f"pinned with ({CACHE_VERSION}); bump "
+              "repro.experiments.runner.CACHE_VERSION so no cached result "
+              "answers with the old figures, then re-run", file=sys.stderr)
+        return 1
     with open(PINS_PATH, "w", encoding="utf-8") as fh:
-        json.dump({"format": 1, "pins": pins}, fh, indent=1, sort_keys=True)
+        json.dump({"cache_version": CACHE_VERSION, "format": 1, "pins": pins},
+                  fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(pins)} pins to {PINS_PATH}")
+    return 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python -m tests.test_report_pins --write")
-    _write()
+    sys.exit(_write())

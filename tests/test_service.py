@@ -125,8 +125,6 @@ def test_invalid_submissions_are_400(client):
         {"kind": "nas", "benchmark": "nope"},
         {"kind": "nas", "benchmark": "lu", "np": 0},
         {"kind": "nas", "benchmark": "lu", "faults": "garbage=42"},
-        {"kind": "nas", "benchmark": "mg", "shards": 2},
-        {"kind": "nas", "benchmark": "lu", "faults": "drop=0.1", "shards": 2},
         {"kind": "micro", "pattern": "sendrecv"},
         [1, 2, 3],
     ):
@@ -135,21 +133,14 @@ def test_invalid_submissions_are_400(client):
         assert "error" in resp.body
 
 
-def test_shards_refusal_is_one_message_everywhere(client, capsys):
-    """Service (400), ``nas`` CLI (``parser.error``) and the direct call
-    refuse the same jobs with the same text, the launcher's."""
+def test_run_app_refuses_what_the_sharded_engine_cannot_run():
+    """``run_app(..., shards=k)`` raises the launcher's refusal text."""
     from repro.armci import ArmciConfig
+    from repro.experiments.nas_char import nas_cell
     from repro.faults import arm_faults
     from repro.mpisim.config import mvapich2_like
     from repro.nas.mg import mg_app
     from repro.runtime.launcher import run_app, shards_refusal
-    from repro.tools import nas as nas_cli
-
-    def cli_error(*argv):
-        with pytest.raises(SystemExit) as exit_info:
-            nas_cli.main(["--klass", "S", "--shards", "2", *argv])
-        assert exit_info.value.code == 2
-        return capsys.readouterr().err
 
     mg = shards_refusal(ArmciConfig())
     assert "region directory" in mg
@@ -157,17 +148,15 @@ def test_shards_refusal_is_one_message_everywhere(client, capsys):
         run_app(mg_app, 4, ArmciConfig(), app_args=("S", 1, None, True),
                 shards=2)
     assert str(direct.value) == mg
-    resp = client.submit({"kind": "nas", "benchmark": "mg", "shards": 2})
-    assert (resp.status, resp.body["error"]) == (400, mg)
-    assert mg in cli_error("--benchmark", "mg")
 
-    _, config, watchdog = arm_faults("drop=0.1", 0, mvapich2_like())
+    app, config, app_args = nas_cell("lu", "S", 1)
+    params, config, watchdog = arm_faults("drop=0.1", 0, config)
     faulted = shards_refusal(config, watchdog=watchdog)
     assert "watchdog" in faulted and faulted != mg
-    resp = client.submit({"kind": "nas", "benchmark": "lu", "shards": 2,
-                          "faults": "drop=0.1"})
-    assert (resp.status, resp.body["error"]) == (400, faulted)
-    assert faulted in cli_error("--benchmark", "lu", "--faults", "drop=0.1")
+    with pytest.raises(ValueError) as direct:
+        run_app(app, 4, config, params=params, app_args=app_args,
+                watchdog=watchdog, shards=2)
+    assert str(direct.value) == faulted
     assert shards_refusal(mvapich2_like(), watchdog=None) is None
 
 
@@ -333,8 +322,7 @@ def _direct_cell(**overrides):
 
     args = dict(benchmark="lu", klass="S", nprocs=2, niter=1,
                 library="paper", modified=False, nonblocking=False,
-                emit_metrics=False, faults=None, fault_seed=0,
-                shards=None)
+                emit_metrics=False, faults=None, fault_seed=0)
     args.update(overrides)
     return _run_cell(*args.values())
 
@@ -347,10 +335,6 @@ def _direct_cell(**overrides):
     ({"kind": "nas", "benchmark": "lu", "klass": "S", "np": 2, "niter": 1,
       "faults": "drop=0.05,dup=0.02", "fault_seed": 5, "library": "openmpi"},
      {"faults": "drop=0.05,dup=0.02", "fault_seed": 5, "library": "openmpi"}),
-    # On the sharded parallel-DES engine.
-    ({"kind": "nas", "benchmark": "lu", "klass": "S", "np": 4, "niter": 1,
-      "shards": 2},
-     {"nprocs": 4, "shards": 2}),
 ])
 def test_http_result_byte_identical_to_cli(client, spec, overrides):
     expected = _direct_cell(**overrides)
@@ -441,25 +425,6 @@ def _sleep_worker(seconds):
     return "slept"
 
 
-def _flaky_host_worker(flag_path):
-    """Fail retryably (simulated lost worker host) on the first run only."""
-    import os as _os
-
-    if not _os.path.exists(flag_path):
-        with open(flag_path, "w", encoding="utf-8") as fh:
-            fh.write("seen")
-        exc = RuntimeError("shard 0 worker lost (simulated)")
-        exc.retryable = True  # what ShardHostLost advertises
-        raise exc
-    return "recovered"
-
-
-def _always_lost_worker(x):
-    exc = RuntimeError("shard 0 worker lost (simulated)")
-    exc.retryable = True
-    raise exc
-
-
 def _wait_finished(service, job_id, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -467,120 +432,6 @@ def _wait_finished(service, job_id, timeout=30.0):
             return service.jobs[job_id].state
         time.sleep(0.02)
     raise AssertionError(f"job {job_id} never finished")
-
-
-# ---------------------------------------------------------------------------
-# Retryable (host-loss) failures re-queue once
-# ---------------------------------------------------------------------------
-def test_retryable_failure_requeues_once_and_succeeds(tmp_path):
-    """A cell failing with ``retryable = True`` (a lost shard-worker
-    host) re-queues its job once; the re-run succeeds and the job ends
-    ``done`` with ``retried`` visible in its description."""
-    from repro.experiments.runner import Task
-    from repro.service.jobs import Submission
-
-    service = OverlapService(cache_root=tmp_path / "c", workers=1)
-    service.start()
-    try:
-        sub = Submission(tenant="t", kind="nas", priority=0,
-                         label="flaky", spec={})
-        flag = str(tmp_path / "host-came-back.flag")
-        status, body = service.submit_tasks(
-            sub, [Task(_flaky_host_worker, (flag,))])
-        assert status == 202
-        assert _wait_finished(service, body["job_id"]) == "done"
-        job = service.jobs[body["job_id"]]
-        assert job.describe()["retried"] is True
-        code, result = service.job_result(body["job_id"])
-        assert code == 200
-        assert result["rows"] == ["recovered"]
-        assert ("repro_service_retries_total 1"
-                in service.metrics_text())
-    finally:
-        service.shutdown()
-
-
-def _kill_own_worker_once_app(ctx, coordinator_pid, flag_path):
-    """Two halo steps; rank 3's shard worker SIGKILLs itself the first
-    time any run reaches step 1 (the flag file remembers)."""
-    import os as _os
-    import signal as _signal
-
-    peer = ctx.rank ^ 1
-    for step in range(2):
-        if (step == 1 and ctx.rank == 3 and _os.getpid() != coordinator_pid
-                and not _os.path.exists(flag_path)):
-            with open(flag_path, "w", encoding="utf-8") as fh:
-                fh.write("killed once")
-            _os.kill(_os.getpid(), _signal.SIGKILL)
-        r = yield from ctx.comm.irecv(peer, 7)
-        s = yield from ctx.comm.isend(peer, 7, 1024.0)
-        yield from ctx.comm.waitall([r, s])
-    return ctx.rank
-
-
-def _sharded_process_cell(flag_path):
-    import os as _os
-
-    from repro.runtime import run_app
-
-    result = run_app(_kill_own_worker_once_app, 4, shards=2,
-                     shard_backend="process",
-                     app_args=(_os.getpid(), flag_path))
-    return result.returns
-
-
-def test_lost_local_shard_worker_is_retried_and_succeeds(tmp_path):
-    """A process-backend job whose forked shard worker is SIGKILLed
-    fails retryably (``ShardHostLost``), re-queues once, and the re-run
-    completes -- local workers get the same treatment as remote hosts."""
-    import os as _os
-
-    from repro.experiments.runner import Task
-    from repro.service.jobs import Submission
-
-    service = OverlapService(cache_root=tmp_path / "c", workers=1)
-    service.start()
-    try:
-        sub = Submission(tenant="t", kind="nas", priority=0,
-                         label="local-loss", spec={})
-        flag = str(tmp_path / "worker-killed.flag")
-        status, body = service.submit_tasks(
-            sub, [Task(_sharded_process_cell, (flag,))])
-        assert status == 202
-        assert _wait_finished(service, body["job_id"]) == "done"
-        assert _os.path.exists(flag)
-        assert service.jobs[body["job_id"]].describe()["retried"] is True
-        code, result = service.job_result(body["job_id"])
-        assert code == 200
-        assert result["rows"] == [[0, 1, 2, 3]]
-        assert "repro_service_retries_total 1" in service.metrics_text()
-    finally:
-        service.shutdown()
-
-
-def test_retry_budget_is_one(tmp_path):
-    """A job that loses its host on the retry too fails for real, with
-    the retryable flag surfaced in the failed row."""
-    from repro.experiments.runner import Task
-    from repro.service.jobs import Submission
-
-    service = OverlapService(cache_root=tmp_path / "c", workers=1)
-    service.start()
-    try:
-        sub = Submission(tenant="t", kind="nas", priority=0,
-                         label="doomed", spec={})
-        status, body = service.submit_tasks(
-            sub, [Task(_always_lost_worker, (0,))])
-        assert status == 202
-        assert _wait_finished(service, body["job_id"]) == "failed"
-        job = service.jobs[body["job_id"]]
-        assert job.describe()["retried"] is True
-        code, result = service.job_result(body["job_id"])
-        assert result["rows"][0]["failed"] is True
-        assert result["rows"][0]["retryable"] is True
-    finally:
-        service.shutdown()
 
 
 # ---------------------------------------------------------------------------

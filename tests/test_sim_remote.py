@@ -14,8 +14,7 @@ their own threads) and checks the coordinator-side contract of
 * a worker that goes **silent** (deterministic ``stall-after`` fault,
   which holds the send lock so heartbeats stop too) is declared lost
   within ``host_timeout`` -- reason ``heartbeat-timeout``;
-* either loss carries a diagnostic snapshot and a partial report, and
-  the exception advertises ``retryable = True`` for the service layer;
+* either loss carries a diagnostic snapshot and a partial report;
 * a worker that speaks the wrong protocol version is rejected in the
   handshake, and an address nobody listens on fails with a clear
   :class:`ShardError` after bounded connect retries.
@@ -101,7 +100,6 @@ def test_dropped_worker_is_lost_immediately():
     # under the host_timeout silence budget.
     assert elapsed < _FAST.host_timeout
     assert exc.reason == "connection-lost"
-    assert exc.retryable is True
     assert exc.shard == 0 and exc.host == bad.address
 
 

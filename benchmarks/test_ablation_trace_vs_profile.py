@@ -20,7 +20,7 @@ def test_ablation_trace_vs_profile(benchmark, emit):
 
     def traced_lu(ctx, klass, niter, cpu, planes):
         sink = TraceSink()
-        ctx.monitor.peruse.subscribe(sink)
+        sink.attach(ctx.monitor)
         sinks[ctx.rank] = sink
         result = yield from lu_app(ctx, klass, niter, cpu, planes)
         return result

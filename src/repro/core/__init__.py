@@ -32,7 +32,6 @@ __getattr__, __dir__ = repro._lazy_surface(__name__, {
     "equeue": ("CircularEventQueue",),
     "measures": ("OverlapMeasures", "SizeBins"),
     "monitor": ("Monitor",),
-    "peruse": ("PeruseHub", "PeruseSubscription"),
     "processor": ("DataProcessor",),
     "report": ("OverlapReport", "aggregate_reports"),
     "trace": ("TraceSink", "replay_overlap"),

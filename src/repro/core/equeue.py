@@ -18,6 +18,10 @@ a bounded trace buffer that cannot afford mid-run processing) the queue
 keeps the **newest** ``capacity`` events, overwriting the oldest and
 counting every overwrite in :attr:`CircularEventQueue.dropped` -- overflow
 is a number, not a silent behavior.
+
+Either way a queue *tap* sees every record stored after it was added, in
+order: a draining queue hands its taps each batch before the drain, a ring
+hands them each ``capacity`` records as it starts to overwrite them.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ class CircularEventQueue:
 
     __slots__ = (
         "capacity", "columns", "drains", "dropped", "reentrant_flushes",
-        "_drain", "_taps", "_start", "_draining", "_drained", "_high_water",
-        "_flush_hist",
+        "_drain", "_taps", "_tapped", "_start", "_draining", "_drained",
+        "_high_water", "_flush_hist",
     )
 
     def __init__(
@@ -80,6 +84,7 @@ class CircularEventQueue:
         #: columns on every drain -- do not cache it across stamps.
         self.columns = EventColumns()
         self._taps: tuple[Drain, ...] = ()
+        self._tapped = 0  # ring mode: records pushed before the unseen ones
         self._start = 0  # oldest slot, once a ring has wrapped
         self._draining = False
         self._drained = 0  # records handed to the drain so far
@@ -124,14 +129,36 @@ class CircularEventQueue:
             "Host seconds spent inside one drain callback", labels)
 
     def add_tap(self, tap: Drain) -> None:
-        """Hand ``tap`` every drained batch, before ``drain`` sees it.
+        """Hand ``tap`` every record stored from now on, oldest first.
 
         How a :class:`~repro.core.trace.TraceSink` records a run without
-        per-stamp work.  A ring-mode queue never drains, so it has no taps.
+        per-stamp work.  What the queue holds now goes to the existing taps
+        (and the drain), not to ``tap``.  A draining queue hands its taps
+        each batch before ``drain`` sees it.  A ring hands them each
+        ``capacity`` records as it starts to overwrite them; the monitor
+        hands them the survivors when it finalizes.
         """
         if self._drain is None:
-            raise ValueError("a queue created without a drain never drains")
+            self._tap_unseen()
+        else:
+            self.flush()
         self._taps += (tap,)
+
+    def _tap_unseen(self) -> None:
+        """Ring mode: hand the taps the buffered records they have not seen
+        (the newest ``pushed - _tapped``), oldest first."""
+        pushed = self.pushed
+        unseen = pushed - self._tapped
+        self._tapped = pushed
+        if unseen and self._taps:
+            batch = self.snapshot()
+            if unseen < len(batch):
+                batch = EventColumns(*(
+                    col[-unseen:]
+                    for col in (batch.kind, batch.time, batch.a, batch.b)
+                ))
+            for tap in self._taps:
+                tap(batch)
 
     def __len__(self) -> int:
         return len(self.columns.kind)
@@ -163,7 +190,10 @@ class CircularEventQueue:
         if len(cols.kind) == self.capacity:
             if self._drain is None:
                 # Ring mode: overwrite the oldest slot, keep the newest
-                # ``capacity`` events, and account for the loss.
+                # ``capacity`` events, and account for the loss.  Taps get
+                # the whole ring before its oldest unseen record goes.
+                if self._taps and self._tapped == self.dropped:
+                    self._tap_unseen()
                 i = self._start
                 cols.a[i] = a
                 cols.b[i] = b

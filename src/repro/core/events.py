@@ -163,13 +163,9 @@ class NameRegistry:
     """
 
     def __init__(self) -> None:
-        #: ``ids[name]`` is :meth:`intern` as a single dict lookup (the
-        #: stamping hot path); treat it as read-only otherwise.
+        #: ``ids[name]`` is the id for ``name``, assigned on first use, in
+        #: one dict lookup (the stamping hot path); do not assign to it.
         self.ids = _InternTable()
-
-    def intern(self, name: str) -> int:
-        """Return the id for ``name``, assigning one on first use."""
-        return self.ids[name]
 
     def name_of(self, ident: int) -> str:
         """Resolve an id back to its name."""

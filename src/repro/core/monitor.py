@@ -21,7 +21,6 @@ from repro.core.equeue import CircularEventQueue
 from repro.core.events import (
     CALL_ENTER,
     CALL_EXIT,
-    KINDS,
     RESET,
     SECTION_BEGIN,
     SECTION_END,
@@ -30,10 +29,8 @@ from repro.core.events import (
     EventKind,
     NameRegistry,
     Row,
-    TimedEvent,
 )
 from repro.core.measures import DEFAULT_BIN_EDGES
-from repro.core.peruse import PeruseHub
 from repro.core.processor import DataProcessor, InstrumentationError
 from repro.core.report import OverlapReport
 from repro.core.xfer_table import XferTable
@@ -77,11 +74,10 @@ class Monitor:
         time-resolved collection.  Defaults to :class:`DataProcessor`.
     metrics:
         Optional :class:`~repro.metrics.MetricsRegistry` for framework
-        self-observability: the monitor registers its own, the queue's,
-        the processor's, and the PERUSE hub's health metrics under
-        ``metrics_labels`` (typically ``{"rank": "0"}``).  ``None`` (the
-        default) is the nil fast path -- stamping is byte-for-byte the
-        pre-metrics hot path.
+        self-observability: the monitor registers its own, the queue's
+        and the processor's health metrics under ``metrics_labels``
+        (typically ``{"rank": "0"}``).  ``None`` (the default) is the nil
+        fast path -- stamping is byte-for-byte the pre-metrics hot path.
     stamp_loss:
         Optional :class:`~repro.faults.inject.StampLoss`: a seeded
         coin-flipper that makes individual ``XFER_BEGIN`` / ``XFER_END``
@@ -97,7 +93,7 @@ class Monitor:
         ``CALL_EXIT`` / ``SECTION_END`` whose openers were overwritten
         are discarded; orphaned ``XFER_END`` events pass through and
         resolve as Case 3).  Models a bounded trace buffer that cannot
-        afford mid-run processing.
+        afford mid-run processing.  Queue taps still see every stamp.
     """
 
     def __init__(
@@ -122,9 +118,6 @@ class Monitor:
             queue_capacity, None if ring_mode else self.processor.process
         )
         self._stamp_loss = stamp_loss
-        #: PERUSE-style subscription point: external observers of the raw
-        #: event stream (tracing, debugging, other performance tools).
-        self.peruse = PeruseHub()
         self._next_xfer_id = 0
         self._enabled = enabled
         self._was_paused = False
@@ -142,7 +135,7 @@ class Monitor:
         metrics: "MetricsRegistry",
         labels: "dict[str, str] | None" = None,
     ) -> None:
-        """Register monitor/queue/processor/hub health metrics.
+        """Register monitor/queue/processor health metrics.
 
         Everything except the per-kind event counters is sampled from
         diagnostics the components maintain anyway; the per-kind counts
@@ -162,7 +155,6 @@ class Monitor:
             "1 while the monitor is stamping, 0 while paused", labels)
         self.queue.attach_metrics(metrics, labels)
         self.processor.attach_metrics(metrics, labels)
-        self.peruse.attach_metrics(metrics, labels)
 
     # -- enable / pause -----------------------------------------------------
     @property
@@ -190,21 +182,6 @@ class Monitor:
     def call_exit(self, name: str) -> None:
         """Stamp exit from a library call."""
         self.stamp(CALL_EXIT, self._name_ids[name], 0)
-
-    @contextlib.contextmanager
-    def call(self, name: str) -> typing.Iterator[None]:
-        """Context manager wrapping :meth:`call_enter` / :meth:`call_exit`."""
-        self.call_enter(name)
-        try:
-            yield
-        finally:
-            self.call_exit(name)
-
-    def new_xfer_id(self) -> int:
-        """Allocate an id for a data-transfer operation."""
-        ident = self._next_xfer_id
-        self._next_xfer_id += 1
-        return ident
 
     def xfer_begin(self, nbytes: float, xfer_id: int | None = None) -> int:
         """Stamp initiation of a data-transfer operation; returns its id."""
@@ -236,7 +213,7 @@ class Monitor:
         Used e.g. by the eager receiver: "the initiation of the send is
         transparent to the receiver".
         """
-        xfer_id = self._next_xfer_id  # new_xfer_id(), without its frame
+        xfer_id = self._next_xfer_id
         self._next_xfer_id = xfer_id + 1
         self.xfer_end(xfer_id, nbytes)
 
@@ -264,13 +241,16 @@ class Monitor:
         if self._finalized:
             raise InstrumentationError("monitor already finalized")
         end_time = self._clock.now
-        if self.queue.ring:
+        queue = self.queue
+        if queue.ring:
             # Ring mode: only the newest ``capacity`` stamps survived.  The
-            # suffix may open mid-call / mid-section, so sanitize before
-            # feeding the processor (which rejects orphaned closers).
-            self.processor.process(_sanitize_suffix(self.queue.snapshot().rows()))
+            # taps get the ones they have not seen.  The suffix may open
+            # mid-call / mid-section, so sanitize before feeding the
+            # processor (which rejects orphaned closers).
+            queue._tap_unseen()
+            self.processor.process(_sanitize_suffix(queue.snapshot().rows()))
         else:
-            self.queue.flush()
+            queue.flush()
         self.processor.finalize(end_time)
         self._finalized = True
         return OverlapReport.from_processor(
@@ -308,11 +288,6 @@ class Monitor:
         kind_counts = self._kind_counts
         if kind_counts is not None:
             kind_counts[kind] += 1
-        # The PERUSE hub is idle in normal runs; only a live subscriber
-        # costs a materialized event.
-        peruse = self.peruse
-        if peruse.has_subscribers:
-            peruse.dispatch(TimedEvent(KINDS[kind], t, a, b))
 
 
 class _CallableClock:
@@ -396,13 +371,6 @@ class NullMonitor:
 
     def call_exit(self, name: str) -> None:
         pass
-
-    @contextlib.contextmanager
-    def call(self, name: str) -> typing.Iterator[None]:
-        yield
-
-    def new_xfer_id(self) -> int:
-        return -1
 
     def xfer_begin(self, nbytes: float, xfer_id: int | None = None) -> int:
         return -1

@@ -125,10 +125,6 @@ class CallStats:
         self.count = 0
         self.total_time = 0.0
 
-    @property
-    def mean_time(self) -> float:
-        return self.total_time / self.count if self.count else 0.0
-
 
 class DataProcessor:
     """Consumes event batches; owns the per-process overlap measures."""

@@ -107,10 +107,6 @@ class OverlapReport:
         count, total = self.call_stats.get(name, (0, 0.0))
         return total / count if count else 0.0
 
-    def total_call_time(self, name: str) -> float:
-        """Cumulative time inside calls named ``name``."""
-        return self.call_stats.get(name, (0, 0.0))[1]
-
     @property
     def mpi_time(self) -> float:
         """Total in-library time (the paper's "overall MPI time", Fig. 18)."""
@@ -213,19 +209,4 @@ def aggregate_reports(reports: typing.Sequence[OverlapReport]) -> OverlapMeasure
     merged = OverlapMeasures(edges)
     for rep in reports:
         merged.merge(rep.total)
-    return merged
-
-
-def aggregate_sections(
-    reports: typing.Sequence[OverlapReport], section: str
-) -> OverlapMeasures:
-    """Merge one named section's measures across ranks (ranks lacking the
-    section contribute nothing)."""
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    edges = reports[0].total.bins.edges
-    merged = OverlapMeasures(edges)
-    for rep in reports:
-        if section in rep.sections:
-            merged.merge(rep.sections[section])
     return merged

@@ -39,34 +39,24 @@ class TraceSink:
     """Unbounded in-memory event recorder.
 
     Stores records columnar, like the queue.  :meth:`attach` it to a
-    monitor, or subscribe the sink itself to a PERUSE hub to record one
-    event at a time.
+    monitor.
     """
 
     def __init__(self) -> None:
         self._columns = EventColumns()
 
     def attach(self, monitor: "Monitor") -> None:
-        """Record every event ``monitor`` stamps from now on.
+        """Record every event ``monitor`` stamps from now on, in order.
 
-        A draining monitor feeds the sink one batch per queue drain (the
-        same columns the processor gets, no per-stamp work), so the record
-        is complete once the monitor is finalized and trails the stamps
-        by at most one queue-full before that.  A ring-mode monitor never
-        drains, so there the sink subscribes to the PERUSE hub instead.
+        The sink taps the monitor's queue: it gets the records in batches
+        (no per-stamp work) on ring and draining monitors alike, so the
+        record is complete once the monitor is finalized and trails the
+        stamps by at most one queue-full before that.
         """
-        queue = monitor.queue
-        if queue.ring:
-            monitor.peruse.subscribe(self)
-        else:
-            queue.flush()  # what was stamped before now is not ours
-            queue.add_tap(self.extend)
-
-    def __call__(self, event: TimedEvent) -> None:
-        self._columns.append(*event)
+        monitor.queue.add_tap(self.extend)
 
     def extend(self, batch: EventColumns) -> None:
-        """Record a drained batch."""
+        """Record a batch the queue hands its taps."""
         self._columns.extend(batch)
 
     @property

@@ -32,7 +32,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 EXCLUDED_METRIC_FAMILIES = frozenset({
     "repro_engine_sim_seconds_per_host_second",
     "repro_equeue_flush_seconds",
-    "repro_peruse_dispatch_seconds",
     "repro_engine_heap_size",
     "repro_engine_heap_hiwater",
     "repro_engine_bursts_opened",

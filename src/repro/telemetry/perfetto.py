@@ -64,23 +64,8 @@ class ChromeTraceExporter:
 
     # -- metadata -----------------------------------------------------------
     def _ensure_process(self, rank: int, label: str = "") -> None:
-        if rank in self._named_pids:
-            return
-        self._named_pids.add(rank)
         name = f"rank {rank}" + (f" ({label})" if label else "")
-        self.events.append(
-            {"ph": "M", "name": "process_name", "pid": rank, "tid": 0,
-             "args": {"name": name}}
-        )
-        self.events.append(
-            {"ph": "M", "name": "process_sort_index", "pid": rank, "tid": 0,
-             "args": {"sort_index": rank}}
-        )
-        for tid, tname in _THREAD_NAMES.items():
-            self.events.append(
-                {"ph": "M", "name": "thread_name", "pid": rank, "tid": tid,
-                 "args": {"name": tname}}
-            )
+        self.add_process(rank, name, rank, _THREAD_NAMES)
 
     def add_process(self, pid: int, name: str,
                     sort_index: "int | None" = None,

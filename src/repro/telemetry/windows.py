@@ -131,20 +131,6 @@ class WindowSeries:
         cum = self.windows[-1].cum if self.windows else _ZERO_CUM
         return dict(zip(WINDOW_METRICS, cum))
 
-    @property
-    def total_transfers(self) -> int:
-        return self.windows[-1].transfers if self.windows else 0
-
-    def cum_at(self, i: int) -> tuple[float, ...]:
-        """Cumulative metric values at the close of window ``i``."""
-        return self.windows[i].cum
-
-    def delta(self, i: int) -> dict[str, float]:
-        """Per-window metric deltas (each rounded to <= 1 ulp of the cum)."""
-        prev = self.windows[i - 1].cum if i > 0 else _ZERO_CUM
-        cur = self.windows[i].cum
-        return {m: cur[j] - prev[j] for j, m in enumerate(WINDOW_METRICS)}
-
     def deltas(self) -> list[dict[str, float]]:
         """All windows as rows: start/end, metric deltas, transfer delta."""
         rows = []
@@ -279,10 +265,6 @@ class WindowedProcessor(DataProcessor):
     def window_width(self) -> float:
         """Current window width (grows by doubling when the ring fills)."""
         return self._width
-
-    @property
-    def window_count(self) -> int:
-        return len(self._windows)
 
     def _close_window(self) -> None:
         m = self.total

@@ -175,6 +175,9 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         parser.error(str(exc))
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if not 0 <= args.rank < min(args.nprocs):
+        parser.error(f"--rank must be in [0, {min(args.nprocs)}), "
+                     f"got {args.rank}")
     sweep = CliSweep(args, f"nas.{args.benchmark}", f"nas {args.benchmark}",
                      klass=args.klass, cells=len(args.nprocs), jobs=args.jobs)
     cache = sweep.cache

@@ -138,9 +138,8 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         wanted = {k.strip() for k in args.only.split(",")}
         unknown = wanted - set(sections)
         if unknown:
-            print(f"unknown figure keys: {sorted(unknown)}; "
-                  f"choose from {sorted(sections)}")
-            return 2
+            parser.error(f"unknown figure keys: {sorted(unknown)}; "
+                         f"choose from {sorted(sections)}")
         sections = {k: v for k, v in sections.items() if k in wanted}
 
     blocks = [

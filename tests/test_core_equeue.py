@@ -196,10 +196,10 @@ def test_queue_metrics_sample_live_counters():
 
 def test_name_registry_interns_stably():
     reg = NameRegistry()
-    a = reg.intern("MPI_Isend")
-    b = reg.intern("MPI_Wait")
+    a = reg.ids["MPI_Isend"]
+    b = reg.ids["MPI_Wait"]
     assert a != b
-    assert reg.intern("MPI_Isend") == a
+    assert reg.ids["MPI_Isend"] == a
     assert reg.name_of(a) == "MPI_Isend"
     assert reg.name_of(b) == "MPI_Wait"
     assert len(reg) == 2
@@ -268,8 +268,43 @@ def test_taps_see_every_drained_batch_before_the_drain():
     q.flush()
     assert order == [("tap", [0, 1]), ("drain", [0, 1]),
                      ("tap", [2]), ("drain", [2])]
-    with pytest.raises(ValueError, match="never drains"):
-        CircularEventQueue(2, None).add_tap(print)
+
+
+def test_a_ring_hands_its_taps_each_lap_before_overwriting_it():
+    laps = []
+    q = CircularEventQueue(3, None)
+    q.push(_ev(0.0, ident=99))  # stored before the tap: not the tap's
+    q.add_tap(lambda batch: laps.append(list(batch.a)))
+    for i in range(8):
+        q.push(_ev(float(i), ident=i))
+    assert laps == [[0, 1, 2], [3, 4, 5]]
+    assert [e.a for e in q.events()] == [5, 6, 7]
+    assert q.dropped == 6
+
+
+def test_every_ring_tap_gets_each_batch_in_the_order_the_taps_were_added():
+    order = []
+    q = CircularEventQueue(2, None)
+    q.add_tap(lambda batch: order.append(("first", list(batch.a))))
+    q.add_tap(lambda batch: order.append(("second", list(batch.a))))
+    for i in range(5):
+        q.push(_ev(float(i), ident=i))
+    assert order == [("first", [0, 1]), ("second", [0, 1]),
+                     ("first", [2, 3]), ("second", [2, 3])]
+    q._tap_unseen()  # what finalize does: the survivors not yet seen
+    assert order[4:] == [("first", [4]), ("second", [4])]
+    q._tap_unseen()  # nothing new: no empty batch
+    assert len(order) == 6
+
+
+def test_a_tap_added_to_a_draining_queue_skips_what_it_holds():
+    seen = []
+    q = CircularEventQueue(4, lambda batch: None)
+    q.push(_ev(0.0, ident=99))
+    q.add_tap(lambda batch: seen.extend(batch.a))
+    q.push(_ev(1.0, ident=1))
+    q.flush()
+    assert seen == [1] and q.drains == 2
 
 
 def test_a_record_a_column_rejects_leaves_no_half_record():

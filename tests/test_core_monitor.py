@@ -83,20 +83,15 @@ def test_xfer_end_only_is_case3(monitor, clock, table):
     assert report.total.min_overlap_time == 0.0
 
 
-def test_call_context_manager(monitor, clock):
-    with monitor.call("MPI_Barrier"):
-        clock.advance(2e-6)
-    report = monitor.finalize()
-    assert report.total_call_time("MPI_Barrier") == pytest.approx(2e-6)
-
-
 def test_section_context_manager(monitor, clock, table):
     with monitor.section("x_solve"):
-        with monitor.call("MPI_Isend"):
-            xid = monitor.xfer_begin(500)
+        monitor.call_enter("MPI_Isend")
+        xid = monitor.xfer_begin(500)
+        monitor.call_exit("MPI_Isend")
         clock.advance(30e-6)
-        with monitor.call("MPI_Wait"):
-            monitor.xfer_end(xid, 500)
+        monitor.call_enter("MPI_Wait")
+        monitor.xfer_end(xid, 500)
+        monitor.call_exit("MPI_Wait")
     report = monitor.finalize()
     assert "x_solve" in report.sections
     sec = report.sections["x_solve"]
@@ -105,8 +100,9 @@ def test_section_context_manager(monitor, clock, table):
 
 
 def test_pause_drops_events_and_gap(monitor, clock, table):
-    with monitor.call("a"):
-        clock.advance(1e-6)
+    monitor.call_enter("a")
+    clock.advance(1e-6)
+    monitor.call_exit("a")
     monitor.pause()
     clock.advance(1000.0)  # huge gap, must not count
     # These stamps must be dropped entirely.
@@ -115,8 +111,9 @@ def test_pause_drops_events_and_gap(monitor, clock, table):
     monitor.call_exit("hidden")
     monitor.resume()
     clock.advance(2e-6)
-    with monitor.call("b"):
-        clock.advance(1e-6)
+    monitor.call_enter("b")
+    clock.advance(1e-6)
+    monitor.call_exit("b")
     report = monitor.finalize()
     assert report.total.computation_time == pytest.approx(2e-6)
     assert report.total.communication_call_time == pytest.approx(2e-6)
@@ -130,9 +127,10 @@ def test_resume_when_not_paused_is_noop(monitor):
 
 
 def test_event_count_tracks_stamps(monitor, clock):
-    with monitor.call("x"):
-        xid = monitor.xfer_begin(10)
-        monitor.xfer_end(xid, 10)
+    monitor.call_enter("x")
+    xid = monitor.xfer_begin(10)
+    monitor.xfer_end(xid, 10)
+    monitor.call_exit("x")
     assert monitor.event_count == 4
 
 
@@ -149,8 +147,9 @@ def test_stamp_after_finalize_raises(monitor):
 
 
 def test_xfer_ids_are_unique(monitor):
-    ids = {monitor.new_xfer_id() for _ in range(100)}
-    assert len(ids) == 100
+    ids = {monitor.xfer_begin(8) for _ in range(100)}
+    ids.add(monitor.xfer_begin(8, xfer_id=None))
+    assert len(ids) == 101
 
 
 def test_report_wall_time(clock, table):
@@ -165,8 +164,6 @@ def test_null_monitor_interface(table):
     null = NullMonitor()
     null.call_enter("x")
     null.call_exit("x")
-    with null.call("y"):
-        pass
     with null.section("s"):
         pass
     assert null.xfer_begin(100) == -1
@@ -236,3 +233,18 @@ def test_null_and_real_monitor_share_one_stamping_surface(table):
     # ... and the two data attributes the library reads.
     assert {"enabled", "event_count"} <= set(dir(NullMonitor))
     assert {"enabled", "event_count"} <= set(dir(Monitor(lambda: 0.0, table)))
+
+
+def test_a_ring_monitor_taps_every_stamp_once_in_order(clock, table):
+    mon = Monitor(clock, table, queue_capacity=4, ring_mode=True)
+    seen = []
+    mon.queue.add_tap(lambda batch: seen.extend(batch.rows()))
+    for _ in range(5):
+        mon.call_enter("MPI_Test")
+        clock.advance(1e-6)
+        mon.call_exit("MPI_Test")
+    report = mon.finalize(rank=0)
+    assert mon.queue.dropped == 6
+    assert len(seen) == mon.queue.pushed == report.event_count == 10
+    assert [t for _, t, _, _ in seen] == sorted(t for _, t, _, _ in seen)
+    assert seen[-4:] == list(mon.queue.snapshot().rows())

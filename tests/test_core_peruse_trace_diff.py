@@ -1,8 +1,9 @@
-"""Tests for the PERUSE subscription hub, trace sink, and report diffing."""
+"""Tests for the trace sink and report diffing."""
 
 import pytest
 
 from repro.core import (
+    EventColumns,
     EventKind,
     Monitor,
     TraceSink,
@@ -11,7 +12,6 @@ from repro.core import (
     render_diff,
     replay_overlap,
 )
-from repro.core.peruse import PeruseHub
 from repro.core.trace import RECORD_NBYTES
 from repro.mpisim.config import mvapich2_like
 from repro.nas.base import CpuModel
@@ -35,106 +35,21 @@ def monitor():
     return Monitor(FakeClock(), XferTable.from_model(1e-6, 1e9))
 
 
-class TestPeruseHub:
-    def test_kind_filtered_subscription(self, monitor):
-        begins = []
-        monitor.peruse.subscribe(begins.append, kind=EventKind.XFER_BEGIN)
-        with monitor.call("c"):
-            xid = monitor.xfer_begin(100)
-            monitor.xfer_end(xid, 100)
-        assert len(begins) == 1
-        assert begins[0].kind == EventKind.XFER_BEGIN
-        assert begins[0].b == 100
-
-    def test_all_events_subscription(self, monitor):
-        seen = []
-        monitor.peruse.subscribe(seen.append)
-        with monitor.call("c"):
-            pass
-        assert [e.kind for e in seen] == [EventKind.CALL_ENTER, EventKind.CALL_EXIT]
-
-    def test_cancel_stops_delivery(self, monitor):
-        seen = []
-        sub = monitor.peruse.subscribe(seen.append)
-        monitor.call_enter("a")
-        sub.cancel()
-        sub.cancel()  # idempotent
-        monitor.call_exit("a")
-        assert len(seen) == 1
-
-    def test_multiple_subscribers_in_order(self, monitor):
-        order = []
-        monitor.peruse.subscribe(lambda e: order.append("kind"),
-                                 kind=EventKind.CALL_ENTER)
-        monitor.peruse.subscribe(lambda e: order.append("all"))
-        monitor.call_enter("a")
-        assert order == ["kind", "all"]
-
-    def test_dispatch_counter_and_no_subscribers(self):
-        hub = PeruseHub()
-        assert not hub.has_subscribers
-        from repro.core.events import TimedEvent
-
-        hub.dispatch(TimedEvent(EventKind.CALL_ENTER, 0.0, 0, 0))
-        assert hub.dispatched == 0  # short-circuit without subscribers
-        hub.subscribe(lambda e: None)
-        hub.dispatch(TimedEvent(EventKind.CALL_ENTER, 0.0, 0, 0))
-        assert hub.dispatched == 1
-
-
-    def test_cancelled_kind_subscription_leaves_no_bucket_behind(self):
-        """Regression: ``_remove`` left ``{kind: []}`` behind, so the hub
-        looked subscribed forever -- every later stamp paid a dispatch and
-        ``dispatched`` counted events delivered to nobody."""
-        from repro.metrics import MetricsRegistry
-
-        reg = MetricsRegistry()
-        mon = Monitor(FakeClock(), XferTable.from_model(1e-6, 1e9),
-                      metrics=reg)
-        hub = mon.peruse
-        seen = []
-        sub = hub.subscribe(seen.append, kind=EventKind.XFER_BEGIN)
-        assert hub.has_subscribers
-        mon.xfer_end(mon.xfer_begin(8), 8)
-        assert len(seen) == 1 and hub.dispatched == 1  # the END reached nobody
-        sub.cancel()
-        assert not hub.has_subscribers
-        for _ in range(500):
-            mon.call_enter("c")
-            mon.call_exit("c")
-        assert hub.dispatched == 1
-        assert len(seen) == 1
-        by_name = {f.name: f.samples[0].value for f in reg.collect()
-                   if f.name.startswith("repro_peruse")}
-        assert by_name["repro_peruse_subscribers"] == 0.0
-        assert by_name["repro_peruse_dispatched"] == 1.0
-        assert by_name["repro_peruse_dispatch_seconds"].count == 1
-
-    def test_hub_stays_subscribed_while_any_subscription_is_live(self, monitor):
-        hub = monitor.peruse
-        first = hub.subscribe(lambda e: None, kind=EventKind.CALL_ENTER)
-        second = hub.subscribe(lambda e: None, kind=EventKind.CALL_ENTER)
-        everything = hub.subscribe(lambda e: None)
-        first.cancel()
-        assert hub.has_subscribers
-        second.cancel()
-        assert hub.has_subscribers
-        everything.cancel()
-        assert not hub.has_subscribers
-
-
 class TestTraceSink:
     def _record_stream(self, monitor):
         sink = TraceSink()
-        monitor.peruse.subscribe(sink)
+        sink.attach(monitor)
         clock = monitor._clock
-        with monitor.call("MPI_Isend"):
-            clock.advance(1e-6)
-            xid = monitor.xfer_begin(50_000)
+        monitor.call_enter("MPI_Isend")
+        clock.advance(1e-6)
+        xid = monitor.xfer_begin(50_000)
+        monitor.call_exit("MPI_Isend")
         clock.advance(100e-6)
-        with monitor.call("MPI_Wait"):
-            clock.advance(1e-6)
-            monitor.xfer_end(xid, 50_000)
+        monitor.call_enter("MPI_Wait")
+        clock.advance(1e-6)
+        monitor.xfer_end(xid, 50_000)
+        monitor.call_exit("MPI_Wait")
+        monitor.queue.flush()  # the sink records what the queue hands on
         return sink
 
     def test_records_all_events(self, monitor):
@@ -188,19 +103,23 @@ class TestTraceSinkProperty:
     @given(events=st.lists(timed_events, max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_dumps_loads_roundtrip(self, events):
-        sink = TraceSink()
+        cols = EventColumns()
         for ev in events:
-            sink(ev)
+            cols.append(*ev)
+        sink = TraceSink()
+        sink.extend(cols)
         assert TraceSink.loads(sink.dumps()) == sink.events
         assert sink.nbytes_estimate == RECORD_NBYTES * len(events)
 
     def test_section_events_roundtrip_explicitly(self, monitor):
         sink = TraceSink()
-        monitor.peruse.subscribe(sink)
+        sink.attach(monitor)
         with monitor.section("solver"):
-            with monitor.call("MPI_Isend"):
-                xid = monitor.xfer_begin(4096)
-                monitor.xfer_end(xid, 4096)
+            monitor.call_enter("MPI_Isend")
+            xid = monitor.xfer_begin(4096)
+            monitor.xfer_end(xid, 4096)
+            monitor.call_exit("MPI_Isend")
+        monitor.finalize()
         kinds = [e.kind for e in sink.events]
         assert EventKind.SECTION_BEGIN in kinds
         assert EventKind.SECTION_END in kinds

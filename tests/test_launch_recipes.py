@@ -130,6 +130,14 @@ def test_a_bad_size_or_compute_time_is_a_usage_error(cli, argv, launches,
      "--jobs must be >= 1"),
     (nas_cli, ["--benchmark", "lu", "--klass", "S", "--jobs", "-1"],
      "--jobs must be >= 1"),
+    (nas_cli, ["--benchmark", "lu", "--klass", "S", "--np", "2", "--niter",
+               "1", "--no-cache", "--rank", "5"], "--rank must be in [0, 2)"),
+    (nas_cli, ["--benchmark", "lu", "--klass", "S", "--np", "2", "--rank",
+               "-1"], "--rank must be in [0, 2), got -1"),
+    (nas_cli, ["--benchmark", "lu", "--klass", "S", "--np", "4,2", "--rank",
+               "3"], "--rank must be in [0, 2), got 3"),
+    (paper_cli, ["--quick", "--only", "fig05,fig99"],
+     "unknown figure keys: ['fig99']"),
 ])
 def test_a_zero_count_or_bandwidth_is_a_usage_error(cli, argv, message,
                                                     launches, capsys,

@@ -1,27 +1,12 @@
-"""Remaining coverage: report aggregation by section across real runs,
-trace replay of begin-only streams, nas CLI rank option, ascii plot in
-the micro tool, and engine misc."""
+"""Remaining coverage: trace replay of begin-only streams, nas CLI rank
+option, ascii plot in the micro tool, and engine misc."""
 
 from repro.core import EventKind, TraceSink, XferTable, replay_overlap
-from repro.core.report import aggregate_sections
-from repro.mpisim.config import mvapich2_like
 from repro.nas.base import CpuModel
-from repro.nas.sp import OVERLAP_SECTION, sp_app
-from repro.runtime import run_app
 from repro.sim import Engine
 from repro.tools import nas as nas_cli
 
 FAST = CpuModel(flop_rate=100e9)
-
-
-def test_aggregate_sections_across_ranks():
-    result = run_app(sp_app, 4, config=mvapich2_like(),
-                     app_args=("S", 1, FAST, False))
-    merged = aggregate_sections(result.reports, OVERLAP_SECTION)
-    per_rank = [r.sections[OVERLAP_SECTION].transfer_count
-                for r in result.reports]
-    assert merged.transfer_count == sum(per_rank)
-    assert merged.data_transfer_time > 0
 
 
 def test_trace_replay_with_begin_only_tail():

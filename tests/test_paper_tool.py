@@ -1,5 +1,7 @@
 """Tests for the one-command paper reproduction tool."""
 
+import pytest
+
 from repro.tools import paper as paper_cli
 
 
@@ -24,7 +26,9 @@ def test_only_filter(tmp_path):
 
 
 def test_unknown_figure_key_rejected(tmp_path, capsys):
-    rc = paper_cli.main(["--quick", "--only", "fig99",
-                         "--out", str(tmp_path / "x.md")])
-    assert rc == 2
-    assert "unknown figure keys" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        paper_cli.main(["--quick", "--only", "fig99",
+                        "--out", str(tmp_path / "x.md")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown figure keys: ['fig99']" in err and "fig05" in err

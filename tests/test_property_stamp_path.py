@@ -2,15 +2,15 @@
 
 Random valid instrumentation streams are driven through the *public
 stamping API* of a real :class:`Monitor` -- columnar queue, drain or ring
-mode, every interesting capacity, with and without a live PERUSE
-subscriber, with the plain and the windowed processor -- and the report
-must be identical (``==`` on every number) to what the straightforward
+mode, every interesting capacity, with and without an attached
+:class:`TraceSink`, with the plain and the windowed processor -- and the
+report must be identical (``==`` on every number) to what the straightforward
 :class:`ReferenceDataProcessor` derives from the same events, built here
 by the test without going through the code under test.
 
 Also pins what a trace records: ``TraceSink.events`` and
 ``telemetry.per_rank[i].events`` are lists of ``TimedEvent``, element for
-element what a per-event PERUSE subscriber sees.
+element the stamped stream.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _drive(monitor: Monitor, clock: _Clock, ops) -> "list[TimedEvent]":
         else:
             getattr(monitor, op)(args[0])
             expected.append(
-                TimedEvent(K[op.upper()], clock.now, names.intern(args[0]), 0))
+                TimedEvent(K[op.upper()], clock.now, names.ids[args[0]], 0))
     return expected
 
 
@@ -139,23 +139,22 @@ def _reference_report(events, names, wall_time, count) -> dict:
 def test_report_identical_to_reference_for_every_queue_shape(ops, tail):
     for capacity in CAPACITIES:
         for ring in (False, True):
-            for subscriber in (False, True):
+            for traced in (False, True):
                 for factory in (DataProcessor, WindowedProcessor):
                     clock = _Clock()
                     monitor = Monitor(clock, _TABLE, queue_capacity=capacity,
                                       ring_mode=ring, processor_factory=factory)
-                    seen: list[TimedEvent] = []
-                    if subscriber:
-                        monitor.peruse.subscribe(seen.append)
+                    sink = TraceSink()
+                    if traced:
+                        sink.attach(monitor)
                     events = _drive(monitor, clock, ops)
                     clock.now += tail
                     report = monitor.finalize(rank=3, label="prop")
 
                     assert report.event_count == len(events)
                     assert monitor.queue.pushed == len(events)
-                    if subscriber:
-                        assert seen == events
-                        assert monitor.peruse.dispatched == len(events)
+                    if traced:
+                        assert sink.events == events
                     survivors = events
                     if ring:
                         assert monitor.queue.dropped == max(
@@ -191,14 +190,12 @@ _STREAM = [
 
 @pytest.mark.parametrize("ring", [False, True], ids=["drain", "ring"])
 @pytest.mark.parametrize("capacity", [1, 3, 4096])
-def test_attached_sink_records_what_a_peruse_subscriber_sees(capacity, ring):
+def test_an_attached_sink_records_every_stamp_from_attach_on(capacity, ring):
     clock = _Clock()
     monitor = Monitor(clock, _TABLE, queue_capacity=capacity, ring_mode=ring)
     monitor.call_enter("before")  # stamped before attach: not the sink's
     sink = TraceSink()
     sink.attach(monitor)
-    seen: list[TimedEvent] = []
-    monitor.peruse.subscribe(seen.append)
     expected = _drive(monitor, clock, [(0.0, "call_exit", "before")] + _STREAM)
     monitor.finalize()
 
@@ -207,7 +204,7 @@ def test_attached_sink_records_what_a_peruse_subscriber_sees(capacity, ring):
     assert all(type(e) is TimedEvent and type(e.kind) is EventKind
                and type(e.time) is float and type(e.a) is int
                and type(e.b) is int for e in events)
-    assert events == seen == expected
+    assert events == expected
     assert events[0] == TimedEvent(K.CALL_EXIT, 0.0, 0, 0)
     assert events[-1].time == clock.now
     assert TraceSink.loads(sink.dumps()) == events
@@ -215,7 +212,8 @@ def test_attached_sink_records_what_a_peruse_subscriber_sees(capacity, ring):
 
 def test_run_app_telemetry_events_are_the_stamped_stream():
     """``telemetry.per_rank[i].events``: a list of ``TimedEvent``, complete,
-    in order -- drained batches lose nothing against per-event capture."""
+    in order -- drained batches lose nothing against per-event capture
+    (every record goes through ``Monitor.stamp``; the test wraps it)."""
     import dataclasses
 
     from repro.experiments.halo import halo_app
@@ -226,8 +224,15 @@ def test_run_app_telemetry_events_are_the_stamped_stream():
     seen: dict[int, list[TimedEvent]] = {}
 
     def tapped(ctx, *args):
-        seen[ctx.rank] = []
-        ctx.monitor.peruse.subscribe(seen[ctx.rank].append)
+        monitor, stamps = ctx.monitor, []
+        seen[ctx.rank] = stamps
+        stamp = monitor.stamp
+
+        def observed(kind, a, b):
+            stamp(kind, a, b)
+            stamps.append(TimedEvent(K(kind), monitor._clock.now, a, b))
+
+        monitor.stamp = observed
         return (yield from halo_app(ctx, *args))
 
     # A 16-slot queue drains dozens of times per rank.
@@ -245,3 +250,26 @@ def test_run_app_telemetry_events_are_the_stamped_stream():
         assert [e.kind for e in events[:2]] == [K.CALL_ENTER, K.CALL_EXIT]
         assert events[2:] == seen[rank]
         assert events[-1].time == max(e.time for e in events)
+
+
+def test_run_app_telemetry_on_a_ring_traces_every_stamp():
+    """A ring-mode monitor keeps only its newest stamps for the report, but
+    the trace sink tapping its queue still records all of them, in order."""
+    from repro.experiments.nas_char import nas_cell
+    from repro.faults import arm_faults
+    from repro.runtime import run_app
+    from repro.telemetry.collect import TelemetryConfig
+
+    app, config, app_args = nas_cell("lu", "S", 1)
+    params, config, watchdog = arm_faults("ring=64", 0, config)
+    result = run_app(app, 2, config=config, params=params, app_args=app_args,
+                     watchdog=watchdog, telemetry=TelemetryConfig())
+    healthy = run_app(app, 2, config=config, app_args=app_args,
+                      telemetry=TelemetryConfig())
+    assert result.watchdog is None
+    for rank_telemetry in result.telemetry.per_rank:
+        rank = rank_telemetry.rank
+        events = rank_telemetry.events
+        assert result.reports[rank].event_count > 64  # the ring wrapped
+        assert len(events) == result.reports[rank].event_count
+        assert events == healthy.telemetry.per_rank[rank].events

@@ -84,6 +84,21 @@ def test_one_process_per_rank_with_metadata(trace):
         assert f"rank {rank}" in meta[0]["args"]["name"]
 
 
+def test_each_rank_gets_its_metadata_once_in_a_fixed_order(trace):
+    for rank in range(NRANKS):
+        meta = [(e["name"], e["tid"], e["args"])
+                for e in trace["traceEvents"]
+                if e["ph"] == "M" and e["pid"] == rank]
+        assert meta == [
+            ("process_name", 0, {"name": f"rank {rank} (ring)"}),
+            ("process_sort_index", 0, {"sort_index": rank}),
+            ("thread_name", 1, {"name": "library calls"}),
+            ("thread_name", 2, {"name": "sections"}),
+            ("thread_name", 3, {"name": "data transfers"}),
+            ("thread_name", 4, {"name": "wire (ground truth)"}),
+        ]
+
+
 def test_counter_track_per_metric_per_rank(trace):
     events = trace["traceEvents"]
     for rank in range(NRANKS):

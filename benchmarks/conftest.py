@@ -1,10 +1,12 @@
-"""Shared helpers for the figure-regeneration benchmarks.
+"""Shared helpers for the ablation, validation and host-performance
+benchmarks.
 
-Each ``test_figNN_*`` benchmark regenerates one paper figure: it runs the
-experiment under ``pytest-benchmark`` (timing the simulation itself),
-prints the figure's data series, writes it to ``benchmarks/results/``,
-and asserts the figure's shape claims (who wins, what is flat, what
-crosses over).  Run with::
+An ablation runs its experiment under ``pytest-benchmark`` (timing the
+simulation itself), prints its series, writes it to
+``benchmarks/results/`` and asserts its design claim.  The paper's own
+figures are not here: ``python -m repro.tools.paper`` prints them and
+``tests/test_paper_claims.py`` checks their claims on those numbers.
+Run with::
 
     python -m pytest benchmarks/ --benchmark-only -s
 """

@@ -29,7 +29,7 @@ from __future__ import annotations
 import typing
 from time import perf_counter
 
-from repro.core.events import EventColumns, TimedEvent
+from repro.core.events import EventColumns
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.metrics import MetricsRegistry
@@ -206,10 +206,6 @@ class CircularEventQueue:
             cols = self.columns
         cols.append(kind, time, a, b)
 
-    def push(self, event: TimedEvent) -> None:
-        """:meth:`append` for a materialized :class:`TimedEvent`."""
-        self.append(*event)
-
     def snapshot(self) -> EventColumns:
         """A copy of the buffered records, oldest first, consuming nothing."""
         cols, start = self.columns, self._start
@@ -217,10 +213,6 @@ class CircularEventQueue:
             col[start:] + col[:start]
             for col in (cols.kind, cols.time, cols.a, cols.b)
         ))
-
-    def events(self) -> list[TimedEvent]:
-        """Buffered events, oldest first, without consuming them."""
-        return list(self.snapshot())
 
     def flush(self) -> None:
         """Drain all buffered events to the processor and reset the head.

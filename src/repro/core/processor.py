@@ -419,14 +419,3 @@ class DataProcessor:
             self._call_seq = call_seq
             self._call_enter_time = enter_time
             self._call_name = call_name
-
-    # -- introspection -------------------------------------------------------
-    @property
-    def active_transfer_count(self) -> int:
-        """Number of transfers currently awaiting their ``XFER_END``."""
-        return len(self._active)
-
-    @property
-    def in_call(self) -> bool:
-        """True while the event stream is inside a library call."""
-        return self._depth > 0

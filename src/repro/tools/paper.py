@@ -1,8 +1,9 @@
 """CLI: one-command paper reproduction.
 
 Runs every figure's experiment driver directly (no pytest needed) and
-writes a consolidated ``PAPER_RESULTS.md``.  Sizes are the bench-suite
-defaults; pass ``--quick`` for a fast smoke pass.
+writes a consolidated ``PAPER_RESULTS.md``; ``--quick`` shrinks the sizes
+for a fast pass.  :data:`SECTIONS` holds each figure's points and renderer,
+and ``tests/test_paper_claims.py`` checks the paper's claims on those points.
 
 Figures are independent, so they fan across a process pool (``--jobs``)
 and their rendered text is cached on disk keyed by content
@@ -20,9 +21,11 @@ Example::
 from __future__ import annotations
 
 import argparse
+import collections
 import os
 import time
 import typing
+from functools import partial
 
 from repro.analysis.tables import (
     render_micro_series,
@@ -39,76 +42,91 @@ from repro.experiments.sp_tuning import sp_tuning
 from repro.mpisim.config import openmpi_like
 
 MB = 1024 * 1024
-LONG_SWEEP = [0.0, 0.5e-3, 1.0e-3, 1.5e-3]
-SHORT_SWEEP = [0.0, 10e-6, 20e-6, 40e-6]
+LONG_SWEEP = (0.0, 0.5e-3, 1.0e-3, 1.5e-3)
+SHORT_SWEEP = (0.0, 10e-6, 20e-6, 40e-6)
+
+#: What ``--quick`` shrinks: measured iterations per micro point, NAS
+#: iterations per cell, the classes of Figs. 10-13, the class of Fig. 20.
+Sizes = collections.namedtuple("Sizes", "iters niter klasses overhead_klass")
+SIZES = {False: Sizes(40, 2, ("S", "W", "A"), "A"),
+         True: Sizes(10, 1, ("S", "A"), "S")}
+
+#: One figure: ``points(sizes)`` computes it and ``render(points)`` prints
+#: it.  ``points`` takes its grid as keywords (``sweep``, ``procs``, ...),
+#: so the same figure can be computed on other cells.
+Section = collections.namedtuple("Section", "points render")
 
 
-def _micro_fig(fig: str, pattern: str, nbytes: float, leave_pinned: bool,
-               side: str, sweep: list, iters: int) -> str:
-    points = overlap_sweep(
-        pattern, nbytes, sweep, openmpi_like(leave_pinned=leave_pinned),
-        iters=iters,
-    )
-    return render_micro_series(points, side, f"{fig} ({side}, {pattern})")
+def _micro(pattern, nbytes, leave_pinned, sweep, side, title):
+    return Section(
+        lambda s, sweep=sweep: overlap_sweep(
+            pattern, nbytes, sweep, openmpi_like(leave_pinned=leave_pinned),
+            iters=s.iters),
+        partial(render_micro_series, side=side,
+                title=f"{title} ({side}, {pattern})"))
+
+
+def _nas(bench, procs, title):
+    return Section(
+        lambda s, procs=procs: characterize_matrix(
+            bench, s.klasses, procs, niter=s.niter),
+        partial(render_nas_char, title=title))
+
+
+SECTIONS = {
+    "fig03": _micro("isend_irecv", 10 * 1024, False, SHORT_SWEEP, "sender",
+                    "Fig 3: eager 10KB"),
+    "fig04": _micro("isend_recv", MB, False, LONG_SWEEP, "sender",
+                    "Fig 4: 1MB pipelined"),
+    "fig05": _micro("isend_recv", MB, True, LONG_SWEEP, "sender",
+                    "Fig 5: 1MB direct"),
+    "fig06": _micro("send_irecv", MB, False, LONG_SWEEP, "receiver",
+                    "Fig 6: 1MB pipelined"),
+    "fig07": _micro("send_irecv", MB, True, LONG_SWEEP, "receiver",
+                    "Fig 7: 1MB direct"),
+    "fig08": _micro("isend_irecv", MB, False, LONG_SWEEP, "sender",
+                    "Fig 8: 1MB pipelined"),
+    "fig09": _micro("isend_irecv", MB, True, LONG_SWEEP, "sender",
+                    "Fig 9: 1MB direct"),
+    "fig10": _nas("bt", (4, 9), "Fig 10: NAS BT / Open MPI"),
+    "fig11": _nas("cg", (4, 8), "Fig 11: NAS CG / Open MPI"),
+    "fig12": _nas("lu", (4, 8), "Fig 12: NAS LU / MVAPICH2"),
+    "fig13": _nas("ft", (4, 8), "Fig 13: NAS FT / MVAPICH2"),
+    "fig14_18": Section(
+        lambda s, klass="A", procs=(4, 9): [
+            sp_tuning(klass, n, niter=s.niter) for n in procs],
+        partial(render_sp_tuning, scope="section", title="Figs 14-18: SP "
+                "original vs Iprobe-modified (section scope)")),
+    "fig19": Section(
+        lambda s, klass="A", procs=(4, 8), niter=1: [
+            characterize_mg(klass, n, blocking, niter=niter)
+            for n in procs for blocking in (True, False)],
+        partial(render_nas_char, title="Fig 19: NAS MG / ARMCI")),
+    "fig20": Section(
+        lambda s, cells=(("cg", 4), ("lu", 4)): overhead_suite(
+            cells=tuple((b, s.overhead_klass, n) for b, n in cells),
+            niter=s.niter),
+        partial(render_overhead, title="Fig 20: instrumentation overhead")),
+    # Beyond the paper: the robustness appendix.  A degraded fabric
+    # (drops / dups / reorders / lost stamps) must degrade the bounds
+    # toward Case 3, never the report algebra.
+    "robustness": Section(
+        lambda s: fault_matrix(seed=0, klass="S", nprocs=2, niter=s.niter),
+        partial(render_fault_matrix, title="Robustness appendix: fault "
+                "kinds x wire protocols (NAS LU, watchdog-guarded, internal "
+                "invariants checked)")),
+}
 
 
 def build_sections(quick: bool) -> "dict[str, typing.Callable[[], str]]":
-    iters = 10 if quick else 40
-    niter = 1 if quick else 2
-    klasses = ["S", "A"] if quick else ["S", "W", "A"]
-
-    return {
-        "fig03": lambda: _micro_fig("Fig 3: eager 10KB", "isend_irecv",
-                                    10 * 1024, False, "sender", SHORT_SWEEP, iters),
-        "fig04": lambda: _micro_fig("Fig 4: 1MB pipelined", "isend_recv",
-                                    MB, False, "sender", LONG_SWEEP, iters),
-        "fig05": lambda: _micro_fig("Fig 5: 1MB direct", "isend_recv",
-                                    MB, True, "sender", LONG_SWEEP, iters),
-        "fig06": lambda: _micro_fig("Fig 6: 1MB pipelined", "send_irecv",
-                                    MB, False, "receiver", LONG_SWEEP, iters),
-        "fig07": lambda: _micro_fig("Fig 7: 1MB direct", "send_irecv",
-                                    MB, True, "receiver", LONG_SWEEP, iters),
-        "fig08": lambda: _micro_fig("Fig 8: 1MB pipelined", "isend_irecv",
-                                    MB, False, "sender", LONG_SWEEP, iters),
-        "fig09": lambda: _micro_fig("Fig 9: 1MB direct", "isend_irecv",
-                                    MB, True, "sender", LONG_SWEEP, iters),
-        "fig10": lambda: render_nas_char(
-            characterize_matrix("bt", klasses, [4, 9], niter=niter),
-            "Fig 10: NAS BT / Open MPI"),
-        "fig11": lambda: render_nas_char(
-            characterize_matrix("cg", klasses, [4, 8], niter=niter),
-            "Fig 11: NAS CG / Open MPI"),
-        "fig12": lambda: render_nas_char(
-            characterize_matrix("lu", klasses, [4, 8], niter=niter),
-            "Fig 12: NAS LU / MVAPICH2"),
-        "fig13": lambda: render_nas_char(
-            characterize_matrix("ft", klasses, [4, 8], niter=niter),
-            "Fig 13: NAS FT / MVAPICH2"),
-        "fig14_18": lambda: render_sp_tuning(
-            [sp_tuning("A", n, niter=niter) for n in (4, 9)], "section",
-            "Figs 14-18: SP original vs Iprobe-modified (section scope)"),
-        "fig19": lambda: render_nas_char(
-            [characterize_mg("A", n, blocking, niter=1)
-             for n in (4, 8) for blocking in (True, False)],
-            "Fig 19: NAS MG / ARMCI"),
-        "fig20": lambda: render_overhead(
-            overhead_suite(cells=(("cg", "S" if quick else "A", 4),
-                                  ("lu", "S" if quick else "A", 4)),
-                           niter=niter),
-            "Fig 20: instrumentation overhead"),
-        # Beyond the paper: the robustness appendix.  A degraded fabric
-        # (drops / dups / reorders / lost stamps) must degrade the bounds
-        # toward Case 3, never the report algebra.
-        "robustness": lambda: render_fault_matrix(
-            fault_matrix(seed=0, klass="S", nprocs=2, niter=niter),
-            "Robustness appendix: fault kinds x wire protocols (NAS LU, "
-            "watchdog-guarded, internal invariants checked)"),
-    }
+    """``{key: zero-arg callable -> the section's text}``, in print order."""
+    return {key: partial(_render_section, key, quick) for key in SECTIONS}
 
 
 def _render_section(key: str, quick: bool) -> str:
     """Worker: build one figure's text block (module-level: picklable)."""
-    return build_sections(quick)[key]()
+    section = SECTIONS[key]
+    return section.render(section.points(SIZES[quick]))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -133,14 +151,14 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    sections = build_sections(args.quick)
+    keys = list(SECTIONS)
     if args.only:
         wanted = {k.strip() for k in args.only.split(",")}
-        unknown = wanted - set(sections)
+        unknown = wanted - set(keys)
         if unknown:
             parser.error(f"unknown figure keys: {sorted(unknown)}; "
-                         f"choose from {sorted(sections)}")
-        sections = {k: v for k, v in sections.items() if k in wanted}
+                         f"choose from {sorted(keys)}")
+        keys = [k for k in keys if k in wanted]
 
     blocks = [
         "# Reproduced evaluation "
@@ -150,7 +168,6 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         "the paper-vs-measured discussion.",
     ]
     t0 = time.perf_counter()
-    keys = list(sections)
     sweep = CliSweep(args, "paper", "paper reproduction",
                      figures=len(keys), jobs=args.jobs)
     cache = sweep.cache
@@ -166,7 +183,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(blocks) + "\n")
     cached = f", {cache.hits} cached" if cache is not None else ""
-    print(f"wrote {args.out} ({len(sections)} figures{cached}, {elapsed:.1f}s)")
+    print(f"wrote {args.out} ({len(keys)} figures{cached}, {elapsed:.1f}s)")
     return 0
 
 

@@ -13,8 +13,8 @@ def _ev(t, ident=0):
 def test_push_buffers_until_full():
     drained = []
     q = CircularEventQueue(3, drained.extend)
-    q.push(_ev(1.0))
-    q.push(_ev(2.0))
+    q.append(*_ev(1.0))
+    q.append(*_ev(2.0))
     assert drained == []
     assert len(q) == 2
 
@@ -22,9 +22,9 @@ def test_push_buffers_until_full():
 def test_drain_fires_when_capacity_exceeded():
     drained = []
     q = CircularEventQueue(2, lambda batch: drained.append(list(batch)))
-    q.push(_ev(1.0))
-    q.push(_ev(2.0))
-    q.push(_ev(3.0))  # forces a drain of the first two
+    q.append(*_ev(1.0))
+    q.append(*_ev(2.0))
+    q.append(*_ev(3.0))  # forces a drain of the first two
     assert drained == [[_ev(1.0), _ev(2.0)]]
     assert len(q) == 1
 
@@ -32,7 +32,7 @@ def test_drain_fires_when_capacity_exceeded():
 def test_flush_drains_partial_queue():
     drained = []
     q = CircularEventQueue(10, lambda batch: drained.append(list(batch)))
-    q.push(_ev(1.0))
+    q.append(*_ev(1.0))
     q.flush()
     assert drained == [[_ev(1.0)]]
     assert len(q) == 0
@@ -50,7 +50,7 @@ def test_events_delivered_in_order_across_drains():
     seen = []
     q = CircularEventQueue(2, seen.extend)
     for i in range(7):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     q.flush()
     assert [e.a for e in seen] == list(range(7))
 
@@ -58,7 +58,7 @@ def test_events_delivered_in_order_across_drains():
 def test_statistics_counters():
     q = CircularEventQueue(2, lambda batch: None)
     for i in range(5):
-        q.push(_ev(float(i)))
+        q.append(*_ev(float(i)))
     assert q.pushed == 5
     assert q.drains == 2  # drained at pushes 3 and 5
 
@@ -70,9 +70,9 @@ def test_capacity_must_be_positive():
 
 def test_head_resets_after_drain_slots_reused():
     q = CircularEventQueue(1, lambda batch: None)
-    q.push(_ev(1.0))
-    q.push(_ev(2.0))
-    q.push(_ev(3.0))
+    q.append(*_ev(1.0))
+    q.append(*_ev(2.0))
+    q.append(*_ev(3.0))
     assert len(q) == 1
     assert q.pushed == 3
 
@@ -89,10 +89,10 @@ def test_reentrant_push_during_drain_is_kept():
     def drain(batch):
         drained.append([e.a for e in batch])
         if len(drained) == 1:  # emit one derived event while draining
-            q.push(_ev(99.0, ident=99))
+            q.append(*_ev(99.0, ident=99))
 
     for i in range(3):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     # Drain fired once with [0, 1]; the reentrant 99 must still be queued
     # ahead of 2, not erased.
     assert drained == [[0, 1]]
@@ -111,7 +111,7 @@ def test_reentrant_flush_during_drain_does_not_redeliver():
         calls.append(list(batch))
         q.flush()  # reentrant: the batch is already detached
 
-    q.push(_ev(1.0))
+    q.append(*_ev(1.0))
     q.flush()
     assert len(calls) == 1
     assert q.drains == 1
@@ -126,25 +126,25 @@ def test_ring_mode_drop_counter_matches_hand_computed_overflow():
     """
     q = CircularEventQueue(4, None)
     for i in range(10):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     assert q.dropped == 6
     assert q.pushed == 10
     assert len(q) == 4
-    assert [e.a for e in q.events()] == [6, 7, 8, 9]
+    assert [e.a for e in list(q.snapshot())] == [6, 7, 8, 9]
     assert q.occupancy_high_water == 4
 
 
 def test_ring_mode_below_capacity_drops_nothing():
     q = CircularEventQueue(4, None)
     for i in range(4):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     assert q.dropped == 0
-    assert [e.a for e in q.events()] == [0, 1, 2, 3]
+    assert [e.a for e in list(q.snapshot())] == [0, 1, 2, 3]
 
 
 def test_ring_mode_flush_is_rejected():
     q = CircularEventQueue(2, None)
-    q.push(_ev(1.0))
+    q.append(*_ev(1.0))
     with pytest.raises(ValueError, match="without a drain"):
         q.flush()
 
@@ -154,7 +154,7 @@ def test_drained_queue_never_drops():
     seen = []
     q = CircularEventQueue(2, seen.extend)
     for i in range(100):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     q.flush()
     assert q.dropped == 0
     assert [e.a for e in seen] == list(range(100))
@@ -165,10 +165,10 @@ def test_reentrant_flush_counter():
 
     def drain(batch):
         if not q.reentrant_flushes:  # push + flush from inside the drain
-            q.push(_ev(99.0, ident=99))
+            q.append(*_ev(99.0, ident=99))
             q.flush()
 
-    q.push(_ev(1.0))
+    q.append(*_ev(1.0))
     q.flush()
     assert q.reentrant_flushes == 1
     assert q.drains == 2
@@ -181,7 +181,7 @@ def test_queue_metrics_sample_live_counters():
     q = CircularEventQueue(2, lambda batch: None,
                            metrics=reg, labels={"rank": "0"})
     for i in range(5):
-        q.push(_ev(float(i)))
+        q.append(*_ev(float(i)))
     by_name = {f.name: f.samples[0] for f in reg.collect()}
     assert by_name["repro_equeue_events_pushed"].value == 5.0
     assert by_name["repro_equeue_flushes"].value == 2.0
@@ -214,7 +214,7 @@ def test_drain_is_handed_the_columns():
     batches = []
     q = CircularEventQueue(2, batches.append)
     q.append(int(EventKind.CALL_ENTER), 1.0, 3, 0)
-    q.push(_ev(2.0, ident=7))
+    q.append(*_ev(2.0, ident=7))
     q.flush()
     (batch,) = batches
     assert isinstance(batch, EventColumns)
@@ -232,7 +232,7 @@ def test_drained_batch_is_detached_from_the_queue():
     batches = []
     q = CircularEventQueue(2, batches.append)
     for i in range(5):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     q.flush()
     assert [list(b.a) for b in batches] == [[0, 1], [2, 3], [4]]
 
@@ -240,21 +240,21 @@ def test_drained_batch_is_detached_from_the_queue():
 def test_snapshot_and_events_do_not_consume():
     q = CircularEventQueue(3, None)
     for i in range(5):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     assert list(q.snapshot().a) == [2, 3, 4]
-    assert q.events() == [_ev(2.0, 2), _ev(3.0, 3), _ev(4.0, 4)]
+    assert list(q.snapshot()) == [_ev(2.0, 2), _ev(3.0, 3), _ev(4.0, 4)]
     assert len(q) == 3 and q.dropped == 2
-    q.push(_ev(5.0, ident=5))
-    assert [e.a for e in q.events()] == [3, 4, 5]
+    q.append(*_ev(5.0, ident=5))
+    assert [e.a for e in list(q.snapshot())] == [3, 4, 5]
 
 
 def test_diagnostics_are_derived_not_counted_per_stamp():
     q = CircularEventQueue(4, lambda batch: None)
     for i in range(3):
-        q.push(_ev(float(i)))
+        q.append(*_ev(float(i)))
     assert (q.pushed, q.occupancy_high_water, q.drains) == (3, 3, 0)
     q.flush()
-    q.push(_ev(9.0))
+    q.append(*_ev(9.0))
     assert (q.pushed, q.occupancy_high_water, q.drains, len(q)) == (4, 3, 1, 1)
     assert q.ring is False and CircularEventQueue(1, None).ring is True
 
@@ -264,7 +264,7 @@ def test_taps_see_every_drained_batch_before_the_drain():
     q = CircularEventQueue(2, lambda batch: order.append(("drain", list(batch.a))))
     q.add_tap(lambda batch: order.append(("tap", list(batch.a))))
     for i in range(3):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     q.flush()
     assert order == [("tap", [0, 1]), ("drain", [0, 1]),
                      ("tap", [2]), ("drain", [2])]
@@ -273,12 +273,12 @@ def test_taps_see_every_drained_batch_before_the_drain():
 def test_a_ring_hands_its_taps_each_lap_before_overwriting_it():
     laps = []
     q = CircularEventQueue(3, None)
-    q.push(_ev(0.0, ident=99))  # stored before the tap: not the tap's
+    q.append(*_ev(0.0, ident=99))  # stored before the tap: not the tap's
     q.add_tap(lambda batch: laps.append(list(batch.a)))
     for i in range(8):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     assert laps == [[0, 1, 2], [3, 4, 5]]
-    assert [e.a for e in q.events()] == [5, 6, 7]
+    assert [e.a for e in list(q.snapshot())] == [5, 6, 7]
     assert q.dropped == 6
 
 
@@ -288,7 +288,7 @@ def test_every_ring_tap_gets_each_batch_in_the_order_the_taps_were_added():
     q.add_tap(lambda batch: order.append(("first", list(batch.a))))
     q.add_tap(lambda batch: order.append(("second", list(batch.a))))
     for i in range(5):
-        q.push(_ev(float(i), ident=i))
+        q.append(*_ev(float(i), ident=i))
     assert order == [("first", [0, 1]), ("second", [0, 1]),
                      ("first", [2, 3]), ("second", [2, 3])]
     q._tap_unseen()  # what finalize does: the survivors not yet seen
@@ -300,16 +300,16 @@ def test_every_ring_tap_gets_each_batch_in_the_order_the_taps_were_added():
 def test_a_tap_added_to_a_draining_queue_skips_what_it_holds():
     seen = []
     q = CircularEventQueue(4, lambda batch: None)
-    q.push(_ev(0.0, ident=99))
+    q.append(*_ev(0.0, ident=99))
     q.add_tap(lambda batch: seen.extend(batch.a))
-    q.push(_ev(1.0, ident=1))
+    q.append(*_ev(1.0, ident=1))
     q.flush()
     assert seen == [1] and q.drains == 2
 
 
 def test_a_record_a_column_rejects_leaves_no_half_record():
     q = CircularEventQueue(4, lambda batch: None)
-    q.push(_ev(1.0))
+    q.append(*_ev(1.0))
     with pytest.raises(OverflowError):
         q.append(2, 2.0, 1, 2**63)
     with pytest.raises(TypeError):
@@ -330,6 +330,6 @@ def test_storage_grows_with_what_is_buffered_not_with_capacity():
     small, big = CircularEventQueue(8, None), CircularEventQueue(1 << 20, None)
     assert held(small) == held(big)
     for i in range(8):
-        small.push(_ev(float(i)))
-        big.push(_ev(float(i)))
+        small.append(*_ev(float(i)))
+        big.append(*_ev(float(i)))
     assert held(small) == held(big)

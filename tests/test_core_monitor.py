@@ -208,7 +208,7 @@ def test_bad_nbytes_on_end_only_names_the_stamp(monitor):
 def test_finite_nbytes_truncate_as_int_does(monitor, nbytes, stored):
     xid = monitor.xfer_begin(nbytes)
     monitor.xfer_end(xid, nbytes)
-    assert [e.b for e in monitor.queue.events()] == [stored, stored]
+    assert [e.b for e in list(monitor.queue.snapshot())] == [stored, stored]
     assert stored == int(nbytes)
 
 

@@ -379,11 +379,3 @@ class TestBatchContinuity:
         proc.finalize()
         assert proc.total.computation_time == pytest.approx(2.0)
         assert proc.total.communication_call_time == pytest.approx(2.0)
-
-    def test_active_transfer_count_visible(self, table):
-        proc = DataProcessor(table)
-        proc.process([enter(0.0), begin(0.0, 1, 10), begin(0.0, 2, 10)])
-        assert proc.active_transfer_count == 2
-        assert proc.in_call
-        proc.process([end(1.0, 1, 10)])
-        assert proc.active_transfer_count == 1

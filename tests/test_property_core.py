@@ -143,7 +143,7 @@ class TestProcessorInvariants:
         chunked = DataProcessor(TABLE)
         queue = CircularEventQueue(capacity, chunked.process)
         for ev in events:
-            queue.push(ev)
+            queue.append(*ev)
         queue.flush()
         chunked.finalize(end)
 
@@ -167,7 +167,7 @@ class TestQueueProperties:
             TimedEvent(EventKind.XFER_BEGIN, t, i, 1) for i, t in enumerate(times)
         ]
         for ev in pushed:
-            q.push(ev)
+            q.append(*ev)
         q.flush()
         assert seen == pushed
 

@@ -1,11 +1,10 @@
-"""Shared helpers for the ablation, validation and host-performance
-benchmarks.
+"""Shared helpers for the host-performance benchmarks.
 
-An ablation runs its experiment under ``pytest-benchmark`` (timing the
-simulation itself), prints its series, writes it to
-``benchmarks/results/`` and asserts its design claim.  The paper's own
-figures are not here: ``python -m repro.tools.paper`` prints them and
-``tests/test_paper_claims.py`` checks their claims on those numbers.
+Each file here times the simulator, the sweep runner, the service or an
+observer on the host, prints its series, writes it to
+``benchmarks/results/`` and merges its numbers into
+``BENCH_simulator.json``.  The paper's figures and the ablations' design
+claims are not here: tier-1 checks them, in ``tests/test_paper_claims.py``.
 Run with::
 
     python -m pytest benchmarks/ --benchmark-only -s
@@ -98,8 +97,3 @@ def emit(results_dir, capsys):
             print(f"\n=== {figure_id} ===\n{text}")
 
     return _emit
-
-
-def run_once(benchmark, fn):
-    """Run an experiment exactly once under the benchmark timer."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -413,17 +413,14 @@ def _run_task(task: Task, failsafe: bool, tracer: "Tracer | None" = None
     return time.perf_counter() - t0, value, exc
 
 
-def _worker_main(conn: "multiprocessing.connection.Connection",
-                 parent_end: "multiprocessing.connection.Connection") -> None:
+def _worker_main(conn: "multiprocessing.connection.Connection") -> None:
     """Worker process: serve ``(task, trace_wire)`` requests until EOF.
 
     Each request is answered with ``(host seconds, value, exception,
     span payload)``; ``trace_wire`` (a :meth:`Tracer.child_wire` dict or
     ``None``) makes the cell join the parent's trace.  The loop ends when
-    every parent end of the pipe is closed -- the parent retired this
-    worker or vanished -- so the inherited copy of it goes first.
+    every parent end of the pipe is closed (worker retired, parent gone).
     """
-    parent_end.close()
     try:
         while True:
             task, trace_wire = conn.recv()
@@ -480,14 +477,19 @@ class _WorkerSet:
             ctx = multiprocessing.get_context()
             conn, child_conn = ctx.Pipe()
             # Non-daemonic: a cell may itself fork (``run_app(shards=k)``
-            # on the process backend runs one process per shard), which
-            # daemonic processes are forbidden to do.  Forked under the lock, so the child's
-            # _forget_inherited_workers sees every sibling's parent end.
-            proc = ctx.Process(target=_worker_main, args=(child_conn, conn))
-            proc.start()
-            child_conn.close()
+            # runs one process per shard), which daemonic processes may not.
+            # Live before the fork: the child closes its copy of ``conn``.
+            proc = ctx.Process(target=_worker_main, args=(child_conn,))
             worker = _Worker(proc, conn)
             self._live.add(worker)
+            try:
+                proc.start()
+            except BaseException:
+                self._live.discard(worker)
+                conn.close()
+                child_conn.close()
+                raise
+            child_conn.close()
             self.stats["spawns"] += 1
             return worker
 
@@ -524,12 +526,10 @@ _WORKERS = _WorkerSet()
 
 
 def _forget_inherited_workers() -> None:
-    """In a forked child: drop the parent's worker set and the imports
-    other threads had in flight.
-
-    The child's copies of the parent ends must be closed, or a worker
-    would not see EOF -- not exit on its own, even with the parent long
-    gone -- while any sibling forked after it is alive.
+    """In a forked child: close its copies of the parent's pipe ends (a
+    worker's own included: it sees EOF only once every copy is gone),
+    drop the parent's worker set and forget the imports other threads
+    had in flight.
 
     Only the forking thread exists here, so a module another thread was
     importing at the fork (the service's HTTP thread, lazily, on a first

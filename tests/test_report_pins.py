@@ -9,7 +9,10 @@ library presets with the eager path and the three rendezvous protocols,
 2-9 ranks, the three microbenchmark call patterns, halo exchange, one
 cell of each NAS kernel, zero-byte / exactly-eager-limit / self-send
 messages, ``leave_pinned`` on and off, sub-communicator collectives,
-resilience and instrumentation-loss fault plans, and telemetry.
+resilience and instrumentation-loss fault plans, and telemetry.  One
+more case pins the document ``python -m repro.tools.paper --quick
+--no-cache --jobs 1`` writes, less its host-time footer: every figure
+the paper CLI prints at quick sizes.
 
 The pins say what a change to the *schedule* (how the simulator gets from
 one simulated instant to the next) must not move: every simulated
@@ -37,6 +40,7 @@ import json
 import operator
 import pathlib
 import sys
+import tempfile
 import typing
 
 import pytest
@@ -60,6 +64,7 @@ from repro.nas.sp import sp_app
 from repro.netsim.params import NetworkParams
 from repro.runtime.launcher import run_app
 from repro.telemetry.collect import TelemetryConfig
+from repro.tools import paper
 from tests.oracles import packet_path
 
 PINS_PATH = pathlib.Path(__file__).parent / "data" / "report_pins.json"
@@ -376,11 +381,26 @@ def _cases() -> "dict[str, Case]":
     return cases
 
 
+def _paper_quick_document() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp, "paper.md")
+        paper.main(["--quick", "--no-cache", "--jobs", "1", "--out", str(out)])
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    return "".join(line for line in lines
+                   if not line.startswith("_(regenerated in "))
+
+
 CASES = _cases()
+#: Everything pinned: the run matrix plus the paper CLI's quick document.
+PINNED: "dict[str, Case]" = {**CASES,
+                              "paper-quick-document": _paper_quick_document}
 
 
 def digest(result: typing.Any) -> str:
-    """sha256 over everything the run reports, floats at full precision."""
+    """sha256 over everything the run reports, floats at full precision
+    (or over the document, for the paper case)."""
+    if isinstance(result, str):
+        return hashlib.sha256(result.encode("utf-8")).hexdigest()
     # The four ARMCI cases were pinned when their result type carried no
     # finish times (``elapsed``, their maximum, is in the digest); the pin
     # file is not regenerated for a payload-shape change.
@@ -414,7 +434,7 @@ def _load_pins() -> "dict[str, str]":
 
 
 def test_pin_file_covers_exactly_the_matrix():
-    assert sorted(_load_pins()) == sorted(CASES)
+    assert sorted(_load_pins()) == sorted(PINNED)
 
 
 def test_pin_file_was_written_under_the_current_cache_version():
@@ -424,15 +444,15 @@ def test_pin_file_was_written_under_the_current_cache_version():
     )
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_report_is_pinned(name):
-    assert digest(CASES[name]()) == _load_pins()[name], (
-        f"{name}: elapsed, finish times or a rank's report moved"
+    assert digest(PINNED[name]()) == _load_pins()[name], (
+        f"{name}: elapsed, finish times, a rank's report or a figure moved"
     )
 
 
 def _write() -> int:
-    pins = {name: digest(CASES[name]()) for name in sorted(CASES)}
+    pins = {name: digest(PINNED[name]()) for name in sorted(PINNED)}
     old = _load_file()
     moved = sorted(name for name, pin in pins.items()
                    if old["pins"].get(name, pin) != pin)

@@ -227,6 +227,29 @@ def test_worker_killed_while_idle_costs_no_cell():
     assert len(multiprocessing.active_children()) == 1  # pid0 was reaped
 
 
+def test_a_worker_that_cannot_start_leaves_nothing_behind(monkeypatch):
+    pipes = []
+    real_pipe = multiprocessing.context.BaseContext.Pipe
+
+    def recording_pipe(self, duplex=True):
+        pipes.extend(real_pipe(self, duplex))
+        return pipes[-2:]
+
+    def refuse(self):
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pipe",
+                        recording_pipe)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    before = worker_stats()
+    with pytest.raises(OSError, match="fork refused"):
+        run_tasks([Task(_pid, (0,))], jobs=1, **ISOLATED)
+    assert len(pipes) == 2 and all(end.closed for end in pipes)
+    monkeypatch.undo()
+    shutdown_shared_pool()  # a worker still listed would be joined here
+    assert not any(_delta(before).values())
+
+
 def test_worker_death_under_on_error_raise_is_diagnosed_not_hung():
     """``Pool.imap`` waited forever for a task whose worker died."""
     tasks = [Task(_square_or_exit, (x,)) for x in (3, -1, 4)]

@@ -25,9 +25,9 @@ from repro.sim import Engine
 
 from conftest import BASELINE_PRE_PR
 
-#: Ping-pong timeouts per coroutine and burst-train shape.  The workload
+#: Ping-pong timeouts per coroutine and packet-train shape.  The workload
 #: mirrors what a full-stack run feeds the engine: interactive coroutine
-#: wakeups (heap-scheduled) plus NIC packet trains (macro-event bursts).
+#: wakeups plus NIC packet trains, one ``post_at`` event per completion.
 PING = 20_000
 TRAINS = 3
 SUBS_PER_TRAIN = 40_000
@@ -41,7 +41,7 @@ def test_engine_event_throughput(benchmark, bench_record):
     """Engine kernel: simulated-events-retired per host second.
 
     Two coroutines ping-pong timeouts through the pending store, then
-    NIC-style coalesced packet trains drain through the macro-event path.
+    NIC-style packet trains drain, one pending entry per packet.
     Throughput is events retired over time spent inside ``run()`` --
     train construction is the producer's cost, not the scheduler's.
     """
@@ -57,11 +57,9 @@ def test_engine_event_throughput(benchmark, bench_record):
         eng.process(worker(PING))
         eng.process(worker(PING))
         for t in range(TRAINS):
-            burst = eng.new_burst()
             base = 1.0 + 0.05 * t
             for i in range(SUBS_PER_TRAIN):
-                burst.try_at(base + i * 1e-9).callbacks.append(_noop)
-            burst.close()
+                eng.post_at(base + i * 1e-9).callbacks.append(_noop)
         t0 = time.perf_counter()
         eng.run()
         laps.append((eng.processed_count, time.perf_counter() - t0))

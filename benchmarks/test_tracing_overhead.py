@@ -2,8 +2,8 @@
 
 The tracing subsystem's contract mirrors the metrics registry's: a
 ``tracer=None`` default that costs nothing, and an attached tracer that
-records coarse stage spans (fence rounds, shard advances, sampled engine
-bursts) for well under 5% extra wall-clock.  This bench holds the
+records coarse stage spans (fence rounds, shard advances and injections)
+for well under 5% extra wall-clock.  This bench holds the
 attached path to that budget on the configuration the explain tool is
 built for -- NAS LU on the sharded engine -- and re-checks the
 bit-identity contract while it is at it.  Extends

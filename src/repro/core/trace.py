@@ -4,7 +4,7 @@ Section 5 contrasts the framework with trace-based tools: tracing suffers
 "increases in wall-clock execution time due to the overhead of
 instrumentation, possibility of perturbing application behavior, and the
 overhead of storing voluminous trace files".  This module implements that
-alternative so the trade-off can be measured (ablation EA6): a
+alternative so the trade-off can be measured (ablation EA7): a
 :class:`TraceSink` records *every* event with unbounded memory, serializes
 to a text format, and reloads for offline analysis.
 

@@ -88,18 +88,3 @@ def find_crossover(points: typing.Sequence[CrossoverPoint]) -> float | None:
             if cell["rndv"].latency < cell["eager"].latency:
                 return size
     return None
-
-
-def render_crossover(points: typing.Sequence[CrossoverPoint], title: str = "") -> str:
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(
-        f"{'bytes':>10} {'protocol':>9} {'recv lat(us)':>13} {'snd min ovlp %':>15}"
-    )
-    for p in points:
-        lines.append(
-            f"{int(p.nbytes):>10} {p.protocol:>9} {p.latency * 1e6:>13.2f} "
-            f"{p.sender_min_pct:>15.1f}"
-        )
-    return "\n".join(lines)

@@ -84,19 +84,3 @@ def scaling_sweep(
             ScalePoint(nprocs, events, drains, overhead, min_pct, max_pct)
         )
     return points
-
-
-def render_scaling(points: typing.Sequence[ScalePoint], title: str = "") -> str:
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(
-        f"{'procs':>6} {'events/rank':>12} {'drains/rank':>12} "
-        f"{'overhead %':>11} {'min%':>6} {'max%':>6}"
-    )
-    for p in points:
-        lines.append(
-            f"{p.nprocs:>6} {p.events_per_rank:>12.1f} {p.drains_per_rank:>12.2f} "
-            f"{p.overhead_pct:>11.4f} {p.min_pct:>6.1f} {p.max_pct:>6.1f}"
-        )
-    return "\n".join(lines)

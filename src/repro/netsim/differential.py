@@ -10,8 +10,9 @@ sharded referee (:func:`run_sharded_pair` / :func:`compare_sharded` /
 sharded and compares them.
 
 Used by ``python -m repro.experiments.halo --check``,
-``bench/workloads.py`` and the tests (the per-packet NIC oracle that feeds :func:`compare_runs` lives
-in ``tests/oracles.py``).
+``bench/workloads.py`` and the tests (the NIC oracle that feeds
+:func:`compare_runs`, an RDMA write's placement and completion as two
+events, lives in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -26,16 +27,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 #: Metric families legitimately allowed to differ between the two sides:
 #: host-clock measurements (never deterministic) and descriptions of the
-#: pending-store *shape* or the macro path itself (a burst keeps one store
-#: entry for many sub-events by design, and the per-packet oracle opens no
-#: bursts at all).  Everything else must match exactly.
+#: pending-store *shape*, which is no observable of the simulated system
+#: (the write-pair oracle keeps two entries where the shipped NIC keeps
+#: one).  Everything else must match exactly.
 EXCLUDED_METRIC_FAMILIES = frozenset({
     "repro_engine_sim_seconds_per_host_second",
     "repro_equeue_flush_seconds",
     "repro_engine_heap_size",
     "repro_engine_heap_hiwater",
-    "repro_engine_bursts_opened",
-    "repro_engine_burst_reinserts",
 })
 
 

@@ -37,16 +37,6 @@ if typing.TYPE_CHECKING:
 # in repro.faults.inject, which occupy 1 and 2).
 _FAMILY_JITTER = 3
 
-# Per-NIC burst streams (see ``Nic._burst_at``).  Each stream's completion
-# times are monotone non-decreasing by construction, which is what lets a
-# contiguous run coalesce into one Burst macro-event:
-#  * TX -- local send completions, paced by ``tx_busy_until``;
-#  * RX -- arrivals/placements at this NIC, paced by ``rx_busy_until``;
-#  * CTL -- RDMA-read requests, ``now`` + a constant request latency.
-_STREAM_TX = 0
-_STREAM_RX = 1
-_STREAM_CTL = 2
-
 # Hot-path records are built C-level: a NamedTuple's generated ``__new__``
 # is a Python function (one frame per record), ``tuple.__new__`` is not.
 _new = tuple.__new__
@@ -141,8 +131,6 @@ class Nic:
         #: when the ACK / read data comes back.
         self._rdma_ctx: dict[int, object] = {}
         self._rdma_token = 0
-        #: Open burst per stream (TX / RX / CTL), created lazily.
-        self._bursts: "list[object | None]" = [None, None, None]
         # Traffic counters (diagnostics / tests).
         self.bytes_sent = 0.0
         self.bytes_received = 0.0
@@ -175,37 +163,21 @@ class Nic:
             if not ev.triggered:
                 ev.succeed()
 
-    def _burst_at(
-        self, stream: int, when: float, fn: typing.Callable[[Event], None],
-        keys: int = 1,
+    def _post_at(
+        self, when: float, fn: typing.Callable[[Event], None], keys: int = 1,
     ) -> None:
-        """Run ``fn`` at absolute time ``when`` on this NIC's ``stream`` burst.
+        """Run ``fn`` at absolute time ``when``, or now if that has passed.
 
-        ``fn`` receives (and ignores) the completion event, which lets it
-        be registered directly as a callback -- no adapter closure per
-        scheduled completion.  Sub-events allocate their engine sequence
-        number here, at the same program point a per-packet ``post_at``
-        would (the oracle in ``tests/oracles.py``), and the engine retires
-        them in exact global ``(when, seq)`` order -- so coalescing is
-        invisible to everything above the NIC.  If the stream's open burst
-        cannot tail-extend (``when`` regressed, which the monotone stream
-        clocks make rare-to-impossible), the burst is closed and a fresh
-        one opened: per-packet behavior is the degenerate one-sub-burst
-        case.  ``keys`` is :meth:`~repro.sim.engine.Burst.try_at`'s: ``fn``
-        stands for that many same-instant completions with adjacent keys.
+        One engine event per completion.  ``fn`` receives (and ignores)
+        the event, which lets it be registered directly as a callback --
+        no adapter closure per scheduled completion.  ``keys`` is
+        :meth:`~repro.sim.engine.Engine.post_at`'s: ``fn`` stands for that
+        many same-instant completions with adjacent keys.
         """
         engine = self.engine
         if when < engine.now:
             when = engine.now
-        burst = self._bursts[stream]
-        if burst is None:
-            burst = self._bursts[stream] = engine.new_burst()
-        ev = burst.try_at(when, keys)
-        if ev is None:
-            burst.close()
-            burst = self._bursts[stream] = engine.new_burst()
-            ev = burst.try_at(when, keys)
-        ev.callbacks.append(fn)  # type: ignore[union-attr]
+        engine.post_at(when, None, keys).callbacks.append(fn)
 
     # -- timing helpers ------------------------------------------------------
     def _latency(self, dst: "Nic") -> float:
@@ -302,7 +274,7 @@ class Nic:
             self._kick()
 
         if self._channel:
-            self._burst_at(_STREAM_TX, tx_end, local_complete)
+            self._post_at(tx_end, local_complete)
             if verdict is not None and verdict.drop:
                 return
             first_byte = tx_end - self.params.wire_time(nbytes) + self._latency(dst)
@@ -324,7 +296,7 @@ class Nic:
 
         if verdict is not None and verdict.drop:
             # The wire ate the packet: local completion only, no arrival.
-            self._burst_at(_STREAM_TX, tx_end, local_complete)
+            self._post_at(tx_end, local_complete)
             return
 
         first_byte = tx_end - self.params.wire_time(nbytes) + self._latency(dst)
@@ -339,10 +311,10 @@ class Nic:
             dst.messages_received += 1
             dst._kick()
 
-        self._burst_at(_STREAM_TX, tx_end, local_complete)
-        dst._burst_at(_STREAM_RX, arrival, deliver)
+        self._post_at(tx_end, local_complete)
+        dst._post_at(arrival, deliver)
         if verdict is not None and verdict.duplicate:
-            dst._burst_at(_STREAM_RX, arrival, deliver)
+            dst._post_at(arrival, deliver)
         if self._transfer_log is not None:
             self._record(self.node, dst.node, nbytes, tx_end, arrival, "send")
 
@@ -401,8 +373,8 @@ class Nic:
                 self._kick()
 
         # Remote placement and local completion are two events at the same
-        # instant with adjacent keys: one sub-event that holds both keys.
-        dst._burst_at(_STREAM_RX, arrival, placed, 2)
+        # instant with adjacent keys: one event that holds both keys.
+        dst._post_at(arrival, placed, 2)
         if self._transfer_log is not None:
             self._record(self.node, dst.node, nbytes, tx_end, arrival,
                          "rdma_write")
@@ -455,13 +427,13 @@ class Nic:
                 self._kick()
 
             # Data lands at the initiator, paced by its RX port.
-            self._burst_at(_STREAM_RX, arrival, data_arrived)
+            self._post_at(arrival, data_arrived)
             if self._transfer_log is not None:
                 # The read moves data target -> initiator.
                 self._record(target.node, self.node, nbytes, tx_end, arrival,
                              "rdma_read")
 
-        self._burst_at(_STREAM_CTL, request_arrival, service_read)
+        self._post_at(request_arrival, service_read)
 
     # -- channel receiver halves -------------------------------------------
     def _channel_recv(self, msg: "_ch.ChannelMsg") -> None:
@@ -490,9 +462,9 @@ class Nic:
                 self.messages_received += 1
                 self._kick()
 
-            self._burst_at(_STREAM_RX, arrival, deliver)
+            self._post_at(arrival, deliver)
             if duplicate:
-                self._burst_at(_STREAM_RX, arrival, deliver)
+                self._post_at(arrival, deliver)
             if self._transfer_log is not None:
                 self._record(src_node, self.node, nbytes, tx_end, arrival, "send")
         elif kind == _ch.PLACE:
@@ -509,7 +481,7 @@ class Nic:
                         _new(InboundPacket, (src_node, notify, nbytes)))
                     self._kick()
 
-            self._burst_at(_STREAM_RX, arrival, remote_placed)
+            self._post_at(arrival, remote_placed)
             # Reliable-connection semantics: the writer completes once the
             # data is placed.  The ACK's effect time is bounded below by
             # ``msg.when + wire_time(nbytes)``, which is what lets the
@@ -562,7 +534,7 @@ class Nic:
                     (CompletionKind.RDMA_READ_DONE, context, nbytes)))
                 self._kick()
 
-            self._burst_at(_STREAM_RX, arrival, data_arrived)
+            self._post_at(arrival, data_arrived)
             if self._transfer_log is not None:
                 self._record(msg.src_node, self.node, nbytes, tx_end, arrival,
                              "rdma_read")

@@ -400,8 +400,6 @@ def run_app(
     engine = Engine()
     if metrics is not None:
         engine.attach_metrics(metrics)
-    if tracer is not None:
-        engine.attach_tracer(tracer)
     fabric = Fabric(
         engine, params, nprocs, config.nics_per_node, seed=seed,
         record_transfers=record_transfers,

@@ -280,8 +280,6 @@ class ShardWorker:
             self._ch_advance = self.tracer.channel("advance", "shard.advance")
             self._ch_inject = self.tracer.channel("inject", "shard.inject")
         self.engine = engine = Engine()
-        if self.tracer is not None:
-            engine.attach_tracer(self.tracer)
         self.fabric = fabric = Fabric(
             engine, task.params, task.nprocs, task.config.nics_per_node,
             seed=task.seed, record_transfers=task.record_transfers,

@@ -25,9 +25,9 @@ class ClockSync:
     :meth:`Engine.advance_to <repro.sim.engine.Engine.advance_to>`, called
     by a running process, arms its entry (``seq`` takes the sequence
     number just drawn, ``(when, seq, entry)`` goes into the store) and
-    hands it back to be yielded.  The run loops recognise the class, like
-    :class:`~repro.sim.engine.Burst` through the class-level ``callbacks
-    = None``, and resume the process with the entry itself as the event
+    hands it back to be yielded.  The run loops recognise the class
+    through the class-level ``callbacks = None``, like a sync group's,
+    and resume the process with the entry itself as the event
     (``_ok`` / ``_value``: a sync succeeds, with no value) -- no
     ``Timeout``, no callbacks list, nothing to validate.  ``seq`` is -1
     while idle; while armed it is the key of the entry's one place in the

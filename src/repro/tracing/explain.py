@@ -53,7 +53,6 @@ SPINE_BUCKETS: "dict[str, str | None]" = {
     "runner.cache": "cache probe",
     "launcher.build": "launcher build",
     "launcher.run": "engine compute",
-    "engine.run": "engine compute",
     "launcher.finalize": "finalize/merge",
     "coord.run": "coordination",
     "coord.fence": "fence recompute",
@@ -64,7 +63,7 @@ SPINE_BUCKETS: "dict[str, str | None]" = {
 }
 
 #: Categories recorded on shard-worker timelines (parallel, not spine).
-SHARD_CATEGORIES = ("shard.advance", "shard.inject", "engine.burst")
+SHARD_CATEGORIES = ("shard.advance", "shard.inject")
 
 
 class _Span(typing.NamedTuple):

@@ -176,12 +176,15 @@ def test_counts_repeat_exactly():
 
 def test_pending_store_stays_a_few_entries_per_rank():
     """The traffic property "one binary heap is enough" rests on
-    (``docs/performance.md``, "Why there is one pending store"): two
-    pending entries per rank under direct delivery, four under channel
-    delivery.  A change that inflates the store fails here instead of
-    quietly needing a second store back."""
+    (``docs/performance.md``, "Why there is one pending store"): three
+    pending entries per rank under direct delivery (a waiting rank's sync
+    and the NIC completions in flight to and from it; the budget job
+    peaks at 96 of 32 ranks), four under channel delivery.  An inflated
+    store -- entries per message fragment instead of per completion, or
+    dead entries left behind -- fails here instead of quietly needing a
+    second store back."""
     ranks = 32
-    assert 0 < _budget_job().fabric.engine.heap_high_water <= 2 * ranks
+    assert 0 < _budget_job().fabric.engine.heap_high_water <= 3 * ranks
     sharded = run_app(halo_app, ranks, mvapich2_like(),
                       app_args=(6, 4096.0, 20e-6),
                       shards=2, shard_backend="inline")

@@ -65,7 +65,7 @@ from repro.netsim.params import NetworkParams
 from repro.runtime.launcher import run_app
 from repro.telemetry.collect import TelemetryConfig
 from repro.tools import paper
-from tests.oracles import packet_path
+from tests.oracles import write_pairs
 
 PINS_PATH = pathlib.Path(__file__).parent / "data" / "report_pins.json"
 
@@ -344,7 +344,7 @@ def _cases() -> "dict[str, Case]":
         add(f"jitter-{lib}", halo_app, 4, config, (3, 2048.0, 15e-6),
             params=NetworkParams(latency_jitter_frac=0.2), seed=11)
         add(f"packetpath-{lib}", halo_app, 3, _config(lib, "pipelined"),
-            (2, 300000.0, 15e-6), path=packet_path)
+            (2, 300000.0, 15e-6), path=write_pairs)
         add(f"channel-{lib}", halo_app, 4, config, (3, 2048.0, 15e-6),
             params=NetworkParams(delivery="channel"))
         add(f"sharded-{lib}", halo_app, 6, config, (3, 2048.0, 15e-6),

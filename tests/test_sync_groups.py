@@ -1,7 +1,8 @@
 """Same-instant clock syncs share one store entry (``engine._SyncGroup``).
 
 The grouped store must be observationally the store it replaced, where
-every sync is its own heap tuple (``tests.oracles.one_entry_per_sync``):
+every sync is its own heap tuple (``tests.oracles.one_entry_per_sync``),
+and so is every posted completion (``tests.oracles.heap_only``: no lane):
 the same ``(when, seq)`` dispatch sequence, ``processed_count``, final
 ``_seq``, ``heap_high_water`` and report, on random skewed-ring programs
 and on every single-process report-pin case -- where, grouped, no store
@@ -28,7 +29,7 @@ from repro.sim import Engine
 from repro.sim.engine import _SyncGroup
 from repro.sim.parallel import ShardWorker
 from repro.sim.process import ClockSync
-from tests.oracles import one_entry_per_sync, recording_dispatch
+from tests.oracles import heap_only, one_entry_per_sync, recording_dispatch
 from tests.test_call_budget import _skewed_ring_app
 from tests.test_report_pins import CASES, digest
 
@@ -36,8 +37,14 @@ _T = 1.0
 _T2 = 2.0
 
 
+@contextlib.contextmanager
 def _store(grouped: bool):
-    return contextlib.nullcontext() if grouped else one_entry_per_sync()
+    """The shipped store, or one heap tuple per pending entry."""
+    if grouped:
+        yield
+    else:
+        with one_entry_per_sync(), heap_only():
+            yield
 
 
 def _assert_no_stale_sync(engine: Engine) -> None:
@@ -201,7 +208,7 @@ def test_compaction_during_a_group_wake_keeps_one_entry_counts():
 
         def watched_compact():
             queued = sum(len(group) - 1 for group in _groups_in(eng))
-            during_wake.append(eng._grouped > queued)
+            during_wake.append(eng._off_heap > queued)
             compact()
             compactions.append(eng.pending_count)
 
@@ -286,3 +293,26 @@ def test_a_deadline_at_the_group_instant(deadline):
 
     grouped, reference = _both(scenario)
     assert grouped == reference
+
+
+def test_a_group_yields_to_a_lane_completion_between_its_members():
+    """A completion posted at the group's instant between two members'
+    syncs waits in the engine's lane, not the heap: the group must still
+    wake the members keyed before it, then let it run, then the rest."""
+    def scenario(eng):
+        log = []
+
+        def rank(eng, i):
+            if i == 2:
+                eng.post_at(_T).callbacks.append(
+                    lambda _e: log.append(("nic", eng.now)))
+            yield from _sync(eng, _T)
+            log.append((i, eng.now))
+
+        _lockstep(eng, 4, rank)
+        eng.run()
+        return log
+
+    grouped, reference = _both(scenario)
+    assert grouped == reference
+    assert grouped[0] == [(0, _T), (1, _T), ("nic", _T), (2, _T), (3, _T)]

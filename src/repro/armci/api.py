@@ -1,6 +1,11 @@
 """ARMCI endpoint: one-sided RMA calls + the small message layer.
 
-Every public call is one instrumented library call.  RMA data transfers
+Every public call is one instrumented library call
+(:meth:`repro.core.monitor.Monitor.call`, as in MPI).  A rank spends CPU
+on its own :class:`~repro.sim.engine.RankClock` and catches the engine up
+only before it looks at its NIC's queues or posts to it, exactly as an MPI
+rank does (``docs/performance.md``, "Rank clocks and lazy
+synchronisation").  RMA data transfers
 stamp ``XFER_BEGIN`` at the descriptor post and ``XFER_END`` when the
 completion-queue entry is drained; the message layer (barrier /
 allreduce), like MPI control packets, moves no user-message bytes and is
@@ -14,15 +19,14 @@ import dataclasses
 import typing
 
 from repro import _numpy
+from repro.armci import strided as _strided
 from repro.armci.handles import NbHandle
 from repro.core.measures import DEFAULT_BIN_EDGES
 from repro.core.monitor import Monitor, NullMonitor
 from repro.netsim.fabric import Fabric
 from repro.netsim.nic import InboundPacket
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.armci.strided import StridedSpec
 from repro.sim import Engine
+from repro.sim.engine import ClockOwner, RankClock
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,7 +85,7 @@ class ArmciError(RuntimeError):
     """Raised on misuse of the simulated ARMCI API."""
 
 
-class ArmciEndpoint:
+class ArmciEndpoint(ClockOwner):
     """One rank's ARMCI library instance."""
 
     def __init__(
@@ -92,15 +96,20 @@ class ArmciEndpoint:
         size: int,
         config: ArmciConfig,
         monitor: "Monitor | NullMonitor",
+        clock: RankClock,
         directory: dict[tuple[int, str], Region],
     ) -> None:
         self.engine = engine
+        #: This rank's CPU clock, shared with its monitor and context.
+        self.clock = clock
         self.fabric = fabric
         self.params = fabric.params
         self.rank = rank
         self.size = size
         self.config = config
         self.monitor = monitor
+        #: ``self._call(name, body)``: run ``body`` as one instrumented call.
+        self._call = monitor.call
         self.nic = fabric.nic(rank)
         #: Cluster-wide region directory (shared object, read-only use).
         self.directory = directory
@@ -136,49 +145,55 @@ class ArmciEndpoint:
         except KeyError:
             raise ArmciError(f"no region {name!r} on rank {owner}") from None
 
-    # -- call demarcation -----------------------------------------------------
-    def _call(self, name: str, body: typing.Generator) -> typing.Generator:
-        mon = self.monitor
-        n0 = mon.event_count
-        mon.call_enter(name)
-        result = yield from body
-        stamped = mon.event_count - n0
-        if stamped:
-            debt = (stamped + 1) * self.config.overhead_per_event
-            if debt > 0:
-                yield self.engine.timeout(debt)
-        mon.call_exit(name)
-        return result
-
     # -- progress ---------------------------------------------------------------
     def poll(self) -> typing.Generator:
-        """Drain CQ entries and message-layer packets (polling progress)."""
-        yield self.engine.timeout(self.params.poll_cost)
+        """Drain CQ entries and message-layer packets (polling progress).
+
+        Every look at the queues is synced, the one after each item's
+        ``poll_cost`` included: what arrived meanwhile decides whether a
+        completion or a packet is taken.
+        """
+        clock = self.clock
+        poll_cost = self.params.poll_cost
+        advance_to = self.engine.advance_to
+        cq, inbound = self.nic.cq, self.nic.inbound
+        clock.now = clock.now + poll_cost
         progressed = False
-        while self.nic.cq or self.nic.inbound:
+        while True:
+            t = advance_to(clock.now)
+            if t is not None:
+                yield t
+            if not (cq or inbound):
+                return progressed
             progressed = True
-            yield self.engine.timeout(self.params.poll_cost)
-            if self.nic.cq:
-                entry = self.nic.cq.popleft()
+            clock.now = clock.now + poll_cost
+            t = advance_to(clock.now)
+            if t is not None:
+                yield t
+            if cq:
+                entry = cq.popleft()
                 if entry.context is not None:
                     result = entry.context()
                     if result is not None:
                         yield from result
             else:
-                pkt = typing.cast(InboundPacket, self.nic.inbound.popleft())
+                pkt = typing.cast(InboundPacket, inbound.popleft())
                 msg = typing.cast(_MsgPacket, pkt.payload)
                 self._mailbox.setdefault(msg.tag, collections.deque()).append(
                     (pkt.src_node, msg.value)
                 )
-        return progressed
 
     def progress_until(self, pred: typing.Callable[[], bool]) -> typing.Generator:
+        """Poll until ``pred()`` holds, sleeping on NIC activity when idle.
+        (An empty poll leaves the rank in sync, so it may sleep; it wakes
+        at the engine's time.)"""
         while not pred():
             progressed = yield from self.poll()
             if pred():
                 break
             if not progressed:
                 yield self.nic.wait_activity()
+                self.clock.now = self.engine.now
 
     # -- RMA bodies (shared by blocking and non-blocking forms) -----------------
     def _check_target(self, target: int) -> None:
@@ -199,7 +214,7 @@ class ArmciEndpoint:
             raise ArmciError("need data or an explicit byte count")
         size = float(data.nbytes) if data is not None else float(nbytes)  # type: ignore[union-attr]
         yield from self.poll()  # opportunistic progress on entry
-        yield self.engine.timeout(self.params.post_cost)
+        self.spend(self.params.post_cost)
         handle = NbHandle("acc" if accumulate else "put", target, size)
         xid = self.monitor.xfer_begin(size)
         snapshot = data.copy() if data is not None else None
@@ -217,6 +232,7 @@ class ArmciEndpoint:
                     view[:] = snapshot.reshape(-1)
             handle.complete()
 
+        yield from self.sync()
         self.nic.post_rdma_write(self.fabric.nic(target), size, context=on_done)
         self._track(handle)
         return handle
@@ -234,7 +250,7 @@ class ArmciEndpoint:
         else:
             size = float(nbytes)  # type: ignore[arg-type]
         yield from self.poll()
-        yield self.engine.timeout(self.params.post_cost)
+        self.spend(self.params.post_cost)
         handle = NbHandle("get", target, size)
         xid = self.monitor.xfer_begin(size)
         self.pending_local += 1
@@ -248,6 +264,7 @@ class ArmciEndpoint:
                 data = src_arr.reshape(-1)[offset : offset + count].copy()
             handle.complete(data)
 
+        yield from self.sync()
         self.nic.post_rdma_read(self.fabric.nic(target), size, context=on_done)
         self._track(handle)
         return handle
@@ -258,79 +275,62 @@ class ArmciEndpoint:
             self.outstanding.remove(handle)
         return handle.data
 
+    def _blocking(self, start: typing.Generator) -> typing.Generator:
+        """A blocking form: the non-blocking body ``start``, then its wait."""
+        handle = yield from start
+        return (yield from self._wait_body(handle))
+
     # -- public API ---------------------------------------------------------------
     def nbput(
         self, target: int, region: str, data: np.ndarray | None = None,
         offset: int = 0, nbytes: float | None = None,
     ) -> typing.Generator:
         """Non-blocking put; returns an :class:`NbHandle`."""
-        return (
-            yield from self._call(
-                "ARMCI_NbPut", self._nbput_body(target, region, offset, data, nbytes, False)
-            )
-        )
+        return self._call("ARMCI_NbPut", self._nbput_body(
+            target, region, offset, data, nbytes, False))
 
     def put(
         self, target: int, region: str, data: np.ndarray | None = None,
         offset: int = 0, nbytes: float | None = None,
     ) -> typing.Generator:
         """Blocking put (returns when remotely complete)."""
-
-        def body() -> typing.Generator:
-            handle = yield from self._nbput_body(target, region, offset, data, nbytes, False)
-            yield from self._wait_body(handle)
-
-        return (yield from self._call("ARMCI_Put", body()))
+        return self._call("ARMCI_Put", self._blocking(self._nbput_body(
+            target, region, offset, data, nbytes, False)))
 
     def nbacc(
         self, target: int, region: str, data: np.ndarray,
         offset: int = 0,
     ) -> typing.Generator:
         """Non-blocking accumulate (elementwise add into the remote region)."""
-        return (
-            yield from self._call(
-                "ARMCI_NbAcc", self._nbput_body(target, region, offset, data, None, True)
-            )
-        )
+        return self._call("ARMCI_NbAcc", self._nbput_body(
+            target, region, offset, data, None, True))
 
     def acc(
         self, target: int, region: str, data: np.ndarray, offset: int = 0
     ) -> typing.Generator:
         """Blocking accumulate."""
-
-        def body() -> typing.Generator:
-            handle = yield from self._nbput_body(target, region, offset, data, None, True)
-            yield from self._wait_body(handle)
-
-        return (yield from self._call("ARMCI_Acc", body()))
+        return self._call("ARMCI_Acc", self._blocking(self._nbput_body(
+            target, region, offset, data, None, True)))
 
     def nbget(
         self, target: int, region: str, offset: int = 0,
         count: int | None = None, nbytes: float | None = None,
     ) -> typing.Generator:
         """Non-blocking get; the handle's ``data`` is filled at completion."""
-        return (
-            yield from self._call(
-                "ARMCI_NbGet", self._nbget_body(target, region, offset, count, nbytes)
-            )
-        )
+        return self._call("ARMCI_NbGet", self._nbget_body(
+            target, region, offset, count, nbytes))
 
     def get(
         self, target: int, region: str, offset: int = 0,
         count: int | None = None, nbytes: float | None = None,
     ) -> typing.Generator:
         """Blocking get; returns the data (or None in size-only mode)."""
-
-        def body() -> typing.Generator:
-            handle = yield from self._nbget_body(target, region, offset, count, nbytes)
-            data = yield from self._wait_body(handle)
-            return data
-
-        return (yield from self._call("ARMCI_Get", body()))
+        return self._call("ARMCI_Get", self._blocking(self._nbget_body(
+            target, region, offset, count, nbytes)))
 
     def wait(self, handle: NbHandle) -> typing.Generator:
         """Complete one non-blocking operation; returns get data if any."""
-        return (yield from self._call("ARMCI_Wait", self._wait_body(handle)))
+        return self._call("ARMCI_Wait", self._wait_body(handle))
 
     def wait_all(self, handles: typing.Sequence[NbHandle]) -> typing.Generator:
         """Complete several non-blocking operations."""
@@ -341,7 +341,7 @@ class ArmciEndpoint:
                 if h in self.outstanding:
                     self.outstanding.remove(h)
 
-        return (yield from self._call("ARMCI_WaitAll", body()))
+        return self._call("ARMCI_WaitAll", body())
 
     def fence(self, target: int | None = None) -> typing.Generator:
         """Complete all outstanding operations (to ``target``, or all)."""
@@ -356,71 +356,45 @@ class ArmciEndpoint:
             for h in pending:
                 self.outstanding.remove(h)
 
-        return (yield from self._call("ARMCI_Fence", body()))
+        return self._call("ARMCI_Fence", body())
 
     # -- strided RMA (ARMCI_PutS / ARMCI_GetS) --------------------------------------
     def nbput_strided(
-        self, target: int, region: str, spec: "StridedSpec",
+        self, target: int, region: str, spec: _strided.StridedSpec,
         data: np.ndarray | None = None, strategy: str = "auto",
     ) -> typing.Generator:
         """Non-blocking strided put; one handle covers all segments."""
-        from repro.armci import strided as _strided
-
-        return (
-            yield from self._call(
-                "ARMCI_NbPutS",
-                _strided.nbput_strided(self, target, region, spec, data, strategy),
-            )
-        )
+        return self._call("ARMCI_NbPutS", _strided.nbput_strided(
+            self, target, region, spec, data, strategy))
 
     def put_strided(
-        self, target: int, region: str, spec: "StridedSpec",
+        self, target: int, region: str, spec: _strided.StridedSpec,
         data: np.ndarray | None = None, strategy: str = "auto",
     ) -> typing.Generator:
         """Blocking strided put."""
-        from repro.armci import strided as _strided
-
-        def body() -> typing.Generator:
-            handle = yield from _strided.nbput_strided(
-                self, target, region, spec, data, strategy
-            )
-            yield from self._wait_body(handle)
-
-        return (yield from self._call("ARMCI_PutS", body()))
+        return self._call("ARMCI_PutS", self._blocking(_strided.nbput_strided(
+            self, target, region, spec, data, strategy)))
 
     def nbget_strided(
-        self, target: int, region: str, spec: "StridedSpec",
+        self, target: int, region: str, spec: _strided.StridedSpec,
         want_data: bool = False, strategy: str = "auto",
     ) -> typing.Generator:
         """Non-blocking strided get; handle.data receives packed segments."""
-        from repro.armci import strided as _strided
-
-        return (
-            yield from self._call(
-                "ARMCI_NbGetS",
-                _strided.nbget_strided(self, target, region, spec, want_data, strategy),
-            )
-        )
+        return self._call("ARMCI_NbGetS", _strided.nbget_strided(
+            self, target, region, spec, want_data, strategy))
 
     def get_strided(
-        self, target: int, region: str, spec: "StridedSpec",
+        self, target: int, region: str, spec: _strided.StridedSpec,
         want_data: bool = False, strategy: str = "auto",
     ) -> typing.Generator:
         """Blocking strided get; returns the packed segments (or None)."""
-        from repro.armci import strided as _strided
-
-        def body() -> typing.Generator:
-            handle = yield from _strided.nbget_strided(
-                self, target, region, spec, want_data, strategy
-            )
-            data = yield from self._wait_body(handle)
-            return data
-
-        return (yield from self._call("ARMCI_GetS", body()))
+        return self._call("ARMCI_GetS", self._blocking(_strided.nbget_strided(
+            self, target, region, spec, want_data, strategy)))
 
     # -- message layer -------------------------------------------------------------
     def _msg_send(self, dest: int, tag: int, value: object) -> typing.Generator:
-        yield self.engine.timeout(self.params.post_cost)
+        self.spend(self.params.post_cost)
+        yield from self.sync()
         self.nic.post_send(
             self.fabric.nic(dest),
             self.params.control_packet_size,
@@ -447,7 +421,7 @@ class ArmciEndpoint:
                 dist <<= 1
                 k += 1
 
-        return (yield from self._call("armci_msg_barrier", body()))
+        return self._call("armci_msg_barrier", body())
 
     def msg_allreduce(
         self,
@@ -488,12 +462,13 @@ class ArmciEndpoint:
                 mask >>= 1
             return acc
 
-        return (yield from self._call("armci_msg_gop", body()))
+        return self._call("armci_msg_gop", body())
 
     def finalize(self) -> typing.Generator:
         """Drain everything outstanding (end-of-run)."""
 
         def body() -> typing.Generator:
+            yield from self.sync()  # the quiescence test looks at the NIC
             yield from self.progress_until(
                 lambda: all(h.done for h in self.outstanding)
                 and self.pending_local == 0
@@ -502,4 +477,4 @@ class ArmciEndpoint:
             )
             self.outstanding.clear()
 
-        return (yield from self._call("ARMCI_Finalize", body()))
+        return self._call("ARMCI_Finalize", body())

@@ -3,33 +3,21 @@
 
 from __future__ import annotations
 
-import math
 import typing
 
 from repro.armci.api import ArmciConfig, ArmciEndpoint, Region
 from repro.runtime.launcher import RunResult, build_monitor, run_app
 from repro.runtime.world import ProcessContext
 from repro.sim import Engine
+from repro.sim.engine import RankClock
 
 
 class ArmciContext(ProcessContext):
     """Everything one simulated ARMCI process sees."""
 
     def __init__(self, engine: Engine, endpoint: ArmciEndpoint) -> None:
-        # ARMCI ranks spend CPU through the event queue: the engine is
-        # the rank's clock.
-        super().__init__(engine, endpoint, engine)
+        super().__init__(engine, endpoint)
         self.armci = endpoint
-
-    def compute(self, seconds: float) -> typing.Generator:
-        """Spend user computation time (outside the library)."""
-        if not 0 <= seconds < math.inf:  # NaN fails both
-            raise ValueError(
-                f"compute time must be finite and >= 0, got {seconds!r}")
-        if seconds > 0:
-            start = self.engine.now
-            yield self.engine.timeout(seconds)
-            self.compute_log.append((start, self.engine.now))
 
     def malloc(self, name: str, shape: object, dtype: object = "float64") -> Region:
         """Create and register this rank's piece of a shared region, zeroed
@@ -37,8 +25,10 @@ class ArmciContext(ProcessContext):
         return self.armci._register(Region.zeros(self.rank, name, shape, dtype))
 
     def finalize(self) -> typing.Generator:
-        """``ARMCI_Finalize``: drain everything outstanding."""
-        return self.armci.finalize()
+        """``ARMCI_Finalize``, then catch the event queue up with the rank:
+        the job ends when the engine gets here."""
+        yield from self.armci.finalize()
+        yield from self.armci.sync()
 
 
 def armci_stack_builder() -> typing.Callable:
@@ -48,10 +38,11 @@ def armci_stack_builder() -> typing.Callable:
     directory: dict[tuple[int, str], Region] = {}
 
     def build(engine, fabric, rank, nprocs, config, table, *observers):
+        clock = RankClock(engine.now)
         monitor, sink = build_monitor(
-            fabric, rank, config, table, engine, "ARMCI_Init", *observers)
+            fabric, rank, config, table, clock, "ARMCI_Init", *observers)
         endpoint = ArmciEndpoint(
-            engine, fabric, rank, nprocs, config, monitor, directory)
+            engine, fabric, rank, nprocs, config, monitor, clock, directory)
         return monitor, endpoint, ArmciContext(engine, endpoint), sink
 
     return build

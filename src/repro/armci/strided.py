@@ -95,8 +95,8 @@ def nbput_strided(
 
     if resolved == PACKED:
         # Pack into a contiguous buffer, one wire message.
-        yield ep.engine.timeout(ep.params.copy_time(total))
-        yield ep.engine.timeout(ep.params.post_cost)
+        ep.spend(ep.params.copy_time(total))
+        ep.spend(ep.params.post_cost)
         xid = ep.monitor.xfer_begin(total)
         ep.pending_local += 1
 
@@ -106,13 +106,14 @@ def nbput_strided(
             place_segments()
             handle.complete()
 
+        yield from ep.sync()
         ep.nic.post_rdma_write(ep.fabric.nic(target), total, context=on_done)
     else:
         # One RDMA write per segment; completion when the last one lands.
         xid = ep.monitor.xfer_begin(total)
         remaining = [spec.count]
         for _seg in range(spec.count):
-            yield ep.engine.timeout(ep.params.post_cost)
+            ep.spend(ep.params.post_cost)
             ep.pending_local += 1
 
             def on_seg_done() -> None:
@@ -123,6 +124,7 @@ def nbput_strided(
                     place_segments()
                     handle.complete()
 
+            yield from ep.sync()
             ep.nic.post_rdma_write(
                 ep.fabric.nic(target), spec.seg_nbytes, context=on_seg_done
             )
@@ -164,7 +166,7 @@ def nbget_strided(
     if resolved == PACKED:
         # Target-side pack is modeled as a remote copy folded into one
         # read of the packed buffer (server-assisted pack).
-        yield ep.engine.timeout(ep.params.post_cost)
+        ep.spend(ep.params.post_cost)
         xid = ep.monitor.xfer_begin(total)
         ep.pending_local += 1
 
@@ -173,12 +175,13 @@ def nbget_strided(
             ep.monitor.xfer_end(xid, total)
             handle.complete(gather_segments())
 
+        yield from ep.sync()
         ep.nic.post_rdma_read(ep.fabric.nic(target), total, context=on_done)
     else:
         xid = ep.monitor.xfer_begin(total)
         remaining = [spec.count]
         for _seg in range(spec.count):
-            yield ep.engine.timeout(ep.params.post_cost)
+            ep.spend(ep.params.post_cost)
             ep.pending_local += 1
 
             def on_seg_done() -> None:
@@ -188,6 +191,7 @@ def nbget_strided(
                     ep.monitor.xfer_end(xid, total)
                     handle.complete(gather_segments())
 
+            yield from ep.sync()
             ep.nic.post_rdma_read(
                 ep.fabric.nic(target), spec.seg_nbytes, context=on_seg_done
             )

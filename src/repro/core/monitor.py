@@ -85,6 +85,10 @@ class Monitor:
         loses one of its two stamps degrades to the paper's Case 3 bounds
         (``min = 0``, ``max = xfer_time``); losing both removes it from
         the report entirely.  ``None`` (the default) stamps everything.
+    overhead_per_event:
+        CPU the instrument costs per event stamped inside a library call
+        (Fig. 20), charged to ``clock`` by :meth:`call`; a non-zero cost
+        needs a clock whose ``now`` can be set.
     ring_mode:
         When True the event queue runs as a fixed ring instead of
         draining to the processor: overflow overwrites the *oldest*
@@ -108,8 +112,10 @@ class Monitor:
         metrics_labels: "dict[str, str] | None" = None,
         stamp_loss: "typing.Any | None" = None,
         ring_mode: bool = False,
+        overhead_per_event: float = 0.0,
     ) -> None:
         self._clock = clock if hasattr(clock, "now") else _CallableClock(clock)
+        self._overhead = overhead_per_event
         self.names = NameRegistry()
         self._name_ids = self.names.ids
         factory = processor_factory or DataProcessor
@@ -175,6 +181,33 @@ class Monitor:
                 self.stamp(RESET, 0, 0)
 
     # -- stamping (library-facing) -------------------------------------------
+    def call(self, name: str, body: typing.Generator) -> typing.Generator:
+        """Run ``body``, a library routine's generator, as one instrumented
+        call: ``result = yield from monitor.call("MPI_Send", body)``.
+
+        Stamps ``CALL_ENTER``, runs the body, charges the instrument's own
+        CPU (``overhead_per_event`` per event stamped in the call, its
+        ``CALL_EXIT`` included) to the clock and stamps ``CALL_EXIT``.
+        """
+        ident = self._name_ids[name]
+        n0 = self.event_count
+        self.stamp(CALL_ENTER, ident, 0)
+        try:
+            result = yield from body
+        except Exception:
+            # The application may catch a library error and carry on: the
+            # call is over either way (no instrumentation debt is charged).
+            self.stamp(CALL_EXIT, ident, 0)
+            raise
+        stamped = self.event_count - n0
+        if stamped:
+            debt = (stamped + 1) * self._overhead
+            if debt > 0:
+                clock = self._clock
+                clock.now = clock.now + debt
+        self.stamp(CALL_EXIT, ident, 0)
+        return result
+
     def call_enter(self, name: str) -> None:
         """Stamp entry into a library call."""
         self.stamp(CALL_ENTER, self._name_ids[name], 0)
@@ -359,12 +392,15 @@ class NullMonitor:
 
     enabled = False
     event_count = 0
-    #: Shared by every NullMonitor so library code resolves call-name ids
-    #: the same way in both builds; nothing is ever stamped against them.
+    #: :attr:`Monitor.names`' twin, shared by every NullMonitor; nothing
+    #: is ever stamped against it.
     names = NameRegistry()
 
     def stamp(self, kind: int, a: int, b: int) -> None:
         pass
+
+    def call(self, name: str, body: typing.Generator) -> typing.Generator:
+        return body  # nothing stamped, so no instrumentation debt
 
     def call_enter(self, name: str) -> None:
         pass

@@ -4,16 +4,17 @@ Every public method demarcates exactly one instrumented library call
 (``CALL_ENTER`` / ``CALL_EXIT``), mirrors the MPI call it models, and is a
 generator coroutine (``status = yield from comm.recv(...)``).
 
-Instrumentation overhead (Fig. 20) is modeled here: each event stamped
-during a call costs :attr:`~repro.mpisim.config.MpiConfig.overhead_per_event`
-of CPU, charged to the rank's clock before the call returns.
+The demarcation is the monitor's (:meth:`repro.core.monitor.Monitor.call`,
+shared with ARMCI), and so is the instrumentation overhead of Fig. 20:
+each event stamped during a call costs
+:attr:`~repro.mpisim.config.MpiConfig.overhead_per_event` of CPU, charged
+to the rank's clock before the call returns.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.core.events import CALL_ENTER, CALL_EXIT
 from repro.mpisim.collectives import (
     allgather, allreduce, alltoall, alltoallv, barrier, bcast, gather,
     gatherv, reduce, reduce_scatter, scan, scatter, scatterv,
@@ -110,12 +111,8 @@ class Comm:
             rank=endpoint.rank if self._identity else None,
         )
         self._split_seq = 0
-        # Hot-path caches for _call: one attribute load instead of three
-        # per library call (the endpoint's monitor and config never change).
-        self._mon = endpoint.monitor
-        self._call_ids = endpoint.monitor.names.ids
-        self._ovh_per_event = endpoint.config.overhead_per_event
-        self._clock = endpoint.clock
+        #: ``self._call(name, body)``: run ``body`` as one instrumented call.
+        self._call = endpoint.monitor.call
 
     @property
     def rank(self) -> int:
@@ -166,30 +163,6 @@ class Comm:
         if isinstance(result, list):
             return [self._status(status) for status in result]
         return self._status(result)
-
-    # -- call demarcation ----------------------------------------------------
-    def _call(self, name: str, body: typing.Generator) -> typing.Generator:
-        """Run ``body`` inside one instrumented library call."""
-        mon = self._mon
-        ident = self._call_ids[name]
-        n0 = mon.event_count
-        mon.stamp(CALL_ENTER, ident, 0)
-        try:
-            result = yield from body
-        except Exception:
-            # The application may catch a library error and carry on: the
-            # call is over either way (no instrumentation debt is charged).
-            mon.stamp(CALL_EXIT, ident, 0)
-            raise
-        stamped = mon.event_count - n0
-        if stamped:
-            # +1 for the CALL_EXIT about to be stamped.
-            debt = (stamped + 1) * self._ovh_per_event
-            if debt > 0:
-                clock = self._clock
-                clock.now = clock.now + debt
-        mon.stamp(CALL_EXIT, ident, 0)
-        return result
 
     # -- point-to-point ---------------------------------------------------------
     def isend(

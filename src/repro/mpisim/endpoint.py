@@ -41,7 +41,7 @@ from repro.netsim.fabric import Fabric
 from repro.netsim.memory import RegistrationCache
 from repro.netsim.nic import Nic
 from repro.sim import Engine
-from repro.sim.engine import RankClock
+from repro.sim.engine import ClockOwner, RankClock
 from repro.sim.events import Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -149,7 +149,7 @@ class SendDone:
         ep.monitor.xfer_end(self.xid, self.nbytes)
 
 
-class Endpoint:
+class Endpoint(ClockOwner):
     """One rank's communication-library instance."""
 
     def __init__(
@@ -204,24 +204,6 @@ class Endpoint:
         self.protocol: "RendezvousProtocol" = make_protocol(config.rndv_mode)
 
     # -- small helpers -------------------------------------------------------
-    def spend(self, seconds: float) -> None:
-        """Charge CPU time no other rank or NIC can observe.  One cost per
-        call, in program order, never pre-summed: every timestamp stays the
-        float a chain of engine timeouts would have produced."""
-        clock = self.clock
-        clock.now = clock.now + seconds
-
-    def sync(self) -> "tuple[object, ...]":
-        """Catch the engine up with the rank clock: ``yield from ep.sync()``.
-
-        Required immediately before anything shared is touched -- looking
-        at ``nic.cq`` / ``nic.inbound``, posting to a NIC, arming a timer.
-        Returns what to wait for: nothing when the engine is already there
-        or could move inline, else the one entry ``advance_to`` scheduled.
-        """
-        t = self.engine.advance_to(self.clock.now)
-        return () if t is None else (t,)
-
     def next_seq(self) -> int:
         self._seq += 1
         return self._seq

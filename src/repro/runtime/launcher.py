@@ -135,6 +135,7 @@ def build_monitor(
         metrics_labels={"rank": str(rank)} if metrics is not None else None,
         stamp_loss=injector.stamp_loss(rank) if degraded else None,
         ring_mode=ring_capacity > 0,
+        overhead_per_event=config.overhead_per_event,
     )
     sink = None
     if collect_trace:

@@ -23,16 +23,15 @@ from repro.sim import Engine
 class ProcessContext:
     """What every simulated process sees, whatever library it runs on.
 
-    A library's context adds its communication object, ``compute`` and a
+    A library's context adds its communication object and a
     ``finalize()`` generator (what a rank does after its code returns).
     """
 
-    def __init__(self, engine: Engine, endpoint: typing.Any,
-                 clock: typing.Any) -> None:
+    def __init__(self, engine: Engine, endpoint: typing.Any) -> None:
         self.engine = engine
         self.endpoint = endpoint
-        #: The rank's clock (shared with the endpoint and the monitor).
-        self.clock = clock
+        #: The rank's CPU clock (shared with the endpoint and the monitor).
+        self.clock = endpoint.clock
         #: The per-process monitor (section control lives here).
         self.monitor = endpoint.monitor
         #: Ground-truth computation intervals (for bound validation).
@@ -55,15 +54,6 @@ class ProcessContext:
         """Context manager marking a monitored code region (Sec. 2.3)."""
         return self.monitor.section(name)
 
-
-class RankContext(ProcessContext):
-    """Everything one simulated MPI process sees."""
-
-    def __init__(self, engine: Engine, endpoint: Endpoint) -> None:
-        super().__init__(engine, endpoint, endpoint.clock)
-        #: The instrumented communicator.
-        self.comm = Comm(endpoint)
-
     def compute(self, seconds: float) -> "typing.Iterable[typing.Any]":
         """Spend ``seconds`` of user computation (outside the library).
 
@@ -79,6 +69,15 @@ class RankContext(ProcessContext):
             clock.now = start + seconds
             self.compute_log.append((start, clock.now))
         return ()
+
+
+class RankContext(ProcessContext):
+    """Everything one simulated MPI process sees."""
+
+    def __init__(self, engine: Engine, endpoint: Endpoint) -> None:
+        super().__init__(engine, endpoint)
+        #: The instrumented communicator.
+        self.comm = Comm(endpoint)
 
     def finalize(self) -> typing.Generator:
         """``MPI_Finalize``, then catch the event queue up with the rank:

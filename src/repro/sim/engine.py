@@ -68,6 +68,33 @@ class RankClock:
         self.now = now
 
 
+class ClockOwner:
+    """A library endpoint that runs its rank on a :class:`RankClock`
+    (mixed in; the endpoint sets ``engine`` and ``clock``)."""
+
+    __slots__ = ()
+    engine: "Engine"
+    clock: RankClock
+
+    def spend(self, seconds: float) -> None:
+        """Charge CPU time no other rank or NIC can observe.  One cost per
+        call, in program order, never pre-summed: every timestamp stays the
+        float a chain of engine timeouts would have produced."""
+        clock = self.clock
+        clock.now = clock.now + seconds
+
+    def sync(self) -> "tuple[object, ...]":
+        """Catch the engine up with the rank clock: ``yield from ep.sync()``.
+
+        Required immediately before anything shared is touched -- looking
+        at ``nic.cq`` / ``nic.inbound``, posting to a NIC, arming a timer.
+        Returns what to wait for: nothing when the engine is already there
+        or could move inline, else the one entry ``advance_to`` scheduled.
+        """
+        t = self.engine.advance_to(self.clock.now)
+        return () if t is None else (t,)
+
+
 class Engine:
     """Deterministic discrete-event engine.
 

@@ -150,6 +150,23 @@ class TestErrors:
             run_armci_app(app, 2, config=CFG)
 
 
+    def test_a_caught_error_closes_its_call(self):
+        """An application may catch a library error and carry on: the
+        failed call is over, so what the rank does next is its own time."""
+
+        def app(ctx):
+            ctx.malloc("win", 4)
+            if ctx.rank == 0:
+                with pytest.raises(ArmciError):
+                    yield from ctx.armci.put(0, "win", np.zeros(4))
+                yield from ctx.compute(1e-3)
+            yield from ctx.armci.barrier()
+
+        total = run_armci_app(app, 2, config=CFG).report(0).total
+        assert total.computation_time >= 1e-3
+        assert total.communication_call_time < 1e-4
+
+
 class TestLazyRegions:
     """A ``malloc``'d region builds ``np.zeros(shape, dtype)`` at its first
     data access; size-only RMA never makes it."""

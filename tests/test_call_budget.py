@@ -8,16 +8,18 @@ event queue only when it touches the network (``docs/performance.md``,
   never seconds -- on one fixed small job: engine events, Python-level
   calls, stamps, pending-store population.  An extra event or frame per
   MPI call shows up here before it shows up as milliseconds in ``bench/``;
-* the **discipline**: on every run of the report-pin matrix, a rank's
-  clock never reads behind the engine's when it stamps, and reads exactly
-  the engine's time whenever the rank looks at a NIC queue or posts to a
-  NIC -- the rule whose violation silently changes what a poll sees.
+* the **discipline**: on every single-process run of the report-pin
+  matrix, MPI and ARMCI alike, a rank's clock never reads behind the
+  engine's when it stamps, and reads exactly the engine's time whenever
+  the rank looks at a NIC queue or posts to a NIC -- the rule whose
+  violation silently changes what a poll sees.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import heapq
 import sys
 import types
@@ -27,6 +29,9 @@ import pytest
 from hypothesis import given, settings
 
 import repro.sim.engine as engine_module
+from repro.armci import run_armci_app
+from repro.armci.api import ArmciEndpoint
+from repro.armci.strided import StridedSpec
 from repro.core.monitor import Monitor
 from repro.experiments.halo import halo_app
 from repro.mpisim.config import MpiConfig, mvapich2_like
@@ -134,10 +139,9 @@ def test_lockstep_syncs_share_store_entries():
     assert counts["events"] <= MAX_ENGINE_EVENTS
 
 
-def test_a_rank_sync_constructs_no_timeout(monkeypatch):
-    """A rank's clock sync is its process's reusable store entry.  Only
-    engine-context timers (retransmit, watchdog) are ``Timeout`` objects,
-    and this job has none."""
+@contextlib.contextmanager
+def _counting_timeouts():
+    """Count every ``Timeout`` the simulator constructs (the list yielded)."""
     made = []
 
     class Counted(Timeout):
@@ -147,9 +151,29 @@ def test_a_rank_sync_constructs_no_timeout(monkeypatch):
             made.append(cls)
             return super().__new__(cls)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("repro.") and getattr(module, "Timeout", None) is Timeout:
-            monkeypatch.setattr(module, "Timeout", Counted)
+    with pytest.MonkeyPatch.context() as patches:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and getattr(module, "Timeout", None) is Timeout:
+                patches.setattr(module, "Timeout", Counted)
+        yield made
+
+
+#: The ARMCI job of the budget: NAS MG class S on 4 ranks, one iteration.
+ARMCI_BUDGET_CASE = "nas-mg-blocking"
+
+
+def measure_armci_job() -> "dict[str, int]":
+    """Engine events and ``Timeout`` objects of the ARMCI budget job."""
+    with _counting_timeouts() as made:
+        result = CASES[ARMCI_BUDGET_CASE]()
+    return {"events": result.fabric.engine.processed_count,
+            "Timeouts": len(made)}
+
+
+def test_a_rank_sync_constructs_no_timeout(monkeypatch):
+    """A rank's clock sync is its process's reusable store entry, in MPI
+    and in ARMCI.  Only engine-context timers (retransmit, watchdog) are
+    ``Timeout`` objects, and these jobs have none."""
     syncs = []
     advance_to = Engine.advance_to
 
@@ -159,13 +183,18 @@ def test_a_rank_sync_constructs_no_timeout(monkeypatch):
         return entry
 
     monkeypatch.setattr(Engine, "advance_to", watched)
-    result = _budget_job()
-    assert made == []
-    assert set(syncs) <= {ClockSync, type(None)} and ClockSync in syncs
-    # The counter does count: a timer armed from engine context is one.
-    result.fabric.engine.timeout(1.0)
-    result.fabric.engine.advance_to(result.fabric.engine.now + 1.0)
-    assert made == [Counted, Counted]
+    with _counting_timeouts() as made:
+        result = _budget_job()
+        assert made == []
+        assert set(syncs) <= {ClockSync, type(None)} and ClockSync in syncs
+        syncs.clear()
+        CASES[ARMCI_BUDGET_CASE]()
+        assert made == []
+        assert set(syncs) <= {ClockSync, type(None)} and ClockSync in syncs
+        # The counter does count: a timer armed from engine context is one.
+        result.fabric.engine.timeout(1.0)
+        result.fabric.engine.advance_to(result.fabric.engine.now + 1.0)
+        assert len(made) == 2
 
 
 def test_counts_repeat_exactly():
@@ -243,7 +272,7 @@ class _Watch:
 
     def __init__(self) -> None:
         self.running: "Process | None" = None
-        self.endpoints: "dict[int, Endpoint]" = {}
+        self.endpoints: "dict[int, Endpoint | ArmciEndpoint]" = {}
         self.checked = {"stamp": 0, "queue": 0, "post": 0}
 
     def owner_in_sync(self, node: int, what: str) -> None:
@@ -289,12 +318,10 @@ def _watching():
 
     patches.setattr(Process, "_resume", watched_resume)
 
-    init = Endpoint.__init__
-
-    def watched_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def watched_init(self, *args, _init, **kwargs):
+        _init(self, *args, **kwargs)
         watch.endpoints[self.rank] = self
-        for nic in self.nics:
+        for nic in getattr(self, "nics", None) or [self.nic]:
             for name in ("cq", "inbound"):
                 queue = _WatchedQueue(getattr(nic, name))
                 queue.watch, queue.node = watch, self.rank
@@ -311,7 +338,9 @@ def _watching():
 
             self.monitor.stamp = watched_stamp
 
-    patches.setattr(Endpoint, "__init__", watched_init)
+    for library in (Endpoint, ArmciEndpoint):
+        patches.setattr(library, "__init__", functools.partialmethod(
+            watched_init, _init=library.__init__))
 
     for verb in ("post_send", "post_rdma_write", "post_rdma_read"):
         original = getattr(Nic, verb)
@@ -327,18 +356,40 @@ def _watching():
         patches.undo()
 
 
-#: Single-process MPI cases of the pin matrix (ARMCI ranks spend CPU
-#: through the event queue; shard workers build their stacks elsewhere).
-DISCIPLINE_CASES = sorted(
-    name for name in CASES
-    if not name.startswith(("armci-", "nas-mg-", "sharded-"))
-)
+def _strided_app(ctx, verb, strategy):
+    """One strided put or get to the next rank, the ranks skewed apart."""
+    ctx.malloc("face", (512,))
+    yield from ctx.armci.barrier()
+    yield from ctx.compute(3e-6 * (ctx.rank + 1))
+    spec = StridedSpec(offset=0, seg_nbytes=256.0, stride=1024, count=4)
+    target = (ctx.rank + 1) % ctx.size
+    if verb == "put":
+        yield from ctx.armci.put_strided(target, "face", spec, strategy=strategy)
+    else:
+        yield from ctx.armci.get_strided(target, "face", spec, strategy=strategy)
+    yield from ctx.armci.barrier()
 
 
-@pytest.mark.parametrize("name", DISCIPLINE_CASES)
+#: Strided RMA, which no pin case runs: one put and one get per strategy.
+STRIDED_CASES = {
+    f"armci-strided-{verb}-{strategy}": functools.partial(
+        run_armci_app, _strided_app, 3, app_args=(verb, strategy))
+    for verb in ("put", "get") for strategy in ("packed", "direct")
+}
+
+#: Every single-process case of the pin matrix, both libraries (shard
+#: workers build their stacks elsewhere), and the strided cases.
+DISCIPLINE_CASES = {
+    **{name: run for name, run in CASES.items()
+       if not name.startswith("sharded-")},
+    **STRIDED_CASES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINE_CASES))
 def test_rank_clock_discipline(name):
     with _watching() as watch:
-        CASES[name]()
+        DISCIPLINE_CASES[name]()
     assert watch.checked["queue"] > 0
     if not name.startswith("bare-"):
         assert watch.checked["stamp"] > 0
@@ -399,3 +450,6 @@ if __name__ == "__main__":
           f"({store['grouped'] / store['syncs']:.1%}) joined a same-instant "
           f"group; heap pushes per engine event: "
           f"{store['pushes'] / store['events']:.3f}")
+    print(f"ARMCI job ({ARMCI_BUDGET_CASE}, MG class S x 4 ranks x 1 "
+          "iteration): " + ", ".join(f"{count:,} {what}" for what, count
+                                     in measure_armci_job().items()))
